@@ -89,7 +89,6 @@ int main() {
       SegmentMap segments(design);
       PlacementState state(design);
       PipelineConfig config = PipelineConfig::contest();
-      config.mgl.numThreads = threads;
       config.maxDisp.numThreads = threads;
       config.fixedRowOrder.numThreads = threads;
       const auto stats = legalize(state, segments, config);

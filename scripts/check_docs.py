@@ -9,9 +9,12 @@ Three gates over the repository's markdown:
   2. Every file under docs/ must be reachable from README.md by following
      markdown links — no orphaned documentation.
   3. Every repo path named in an inline code span (`src/...`, `tests/...`,
-     ... — see PATH_PREFIXES) must exist in the tree, so docs cannot keep
-     pointing at renamed or deleted files. `{hpp,cpp}`-style brace groups
-     are expanded; spans with glob/shell characters are skipped.
+     ... — see PATH_PREFIXES) of a markdown file reachable from README.md
+     must exist in the tree, so docs cannot keep pointing at renamed or
+     deleted files. `{hpp,cpp}`-style brace groups are expanded; spans with
+     glob/shell characters are skipped. Unreachable notes (the change log,
+     task statements) may name deleted files: recording a deletion is
+     their job.
 
 Usage: scripts/check_docs.py [repo-root]   (default: the repo containing
 this script). Exits 0 when all gates pass, 1 otherwise.
@@ -118,6 +121,7 @@ def main():
 
     failures = []
     graph = {}
+    claims = {}
     checked_links = 0
     checked_paths = 0
     for md in markdown_files(root):
@@ -135,10 +139,7 @@ def main():
             if resolved.endswith(".md"):
                 edges.add(os.path.normpath(resolved))
         graph[os.path.normpath(md)] = edges
-        for span, path in set(path_claims(text)):
-            checked_paths += 1
-            if not path_exists(root, path):
-                failures.append(f"{rel}: missing path -> {span} ({path})")
+        claims[os.path.normpath(md)] = (rel, set(path_claims(text)))
 
     # BFS over the markdown link graph from README.md.
     reachable = set()
@@ -149,6 +150,13 @@ def main():
             continue
         reachable.add(node)
         frontier.extend(graph.get(node, ()))
+
+    for node in sorted(reachable):
+        rel, spans = claims.get(node, ("", set()))
+        for span, path in spans:
+            checked_paths += 1
+            if not path_exists(root, path):
+                failures.append(f"{rel}: missing path -> {span} ({path})")
 
     docs_dir = os.path.join(root, "docs")
     for md in markdown_files(docs_dir) if os.path.isdir(docs_dir) else []:

@@ -5,8 +5,8 @@ Two subcommands:
 
   merge <report-dir> -o BENCH_PR3.json [--baseline BASELINE.json]
       Collect the per-bench JSON reports that the bench binaries wrote into
-      <report-dir> (bench_scaling.json / bench_threads.json via
-      MCLG_BENCH_REPORT, bench_micro.json via --benchmark_out) into one
+      <report-dir> (bench_scaling.json via MCLG_BENCH_REPORT,
+      bench_micro.json via --benchmark_out) into one
       perf-suite document. When --baseline is given, per-key speedups are
       computed and embedded.
 
@@ -14,7 +14,7 @@ Two subcommands:
       Gate the current suite against a baseline suite:
         * placement hashes and Eq. 10 scores of the bench_scaling thread
           sweep must match the baseline exactly (quality-neutrality);
-        * bench_threads determinism flags must all be 1;
+        * byte-identity flags (keys ending in .identical) must all be 1;
         * timing keys must not regress beyond --tolerance (default 0.15);
         * --require KEY>=RATIO asserts a minimum speedup (baseline/current)
           for a timing key, e.g. --require t1.mgl_seconds>=1.5;
@@ -43,7 +43,7 @@ import sys
 
 ACCEPTED_SCHEMAS = (1, 2, 3, 4, 5, 6)
 
-DEFAULT_MERGE_BENCHES = ("bench_scaling", "bench_threads")
+DEFAULT_MERGE_BENCHES = ("bench_scaling",)
 
 # Keys treated as timings (gated on regression / speedup); everything else in
 # the bench_scaling values block is an identity key (must match exactly).
@@ -154,7 +154,7 @@ def cmd_compare(args):
                 checked_identity += 1
             elif key.endswith(".identical"):
                 if val != 1:
-                    failures.append(f"{bench}.{key}: thread-determinism broken")
+                    failures.append(f"{bench}.{key}: byte-identity broken")
             elif is_timing(key) and ref > 0:
                 if val > ref * (1.0 + args.tolerance):
                     failures.append(

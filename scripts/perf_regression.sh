@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Perf-regression harness (docs/PERFORMANCE.md).
 #
-# Builds the no-tracing bench preset, runs bench_scaling / bench_threads /
-# bench_micro with machine-readable reports, merges them into BENCH_PR3.json
+# Builds the no-tracing bench preset, runs bench_scaling / bench_micro with
+# machine-readable reports, merges them into BENCH_PR3.json
 # at the repo root, and gates against the committed baseline. Also runs the
 # executor/batch-driver suite (bench_executor) into BENCH_PR5.json and gates
 # its throughput + determinism claims (see bench/bench_executor.cpp), and
@@ -25,13 +25,11 @@ trap 'rm -rf "$OUT"' EXIT
 
 cmake --preset bench >/dev/null
 cmake --build "$BUILD" -j"$(nproc)" \
-  --target bench_scaling bench_threads bench_micro bench_executor \
+  --target bench_scaling bench_micro bench_executor \
            bench_serve mclg_cli >/dev/null
 
 echo "== bench_scaling =="
 MCLG_BENCH_REPORT="$OUT" "$BUILD/bench/bench_scaling"
-echo "== bench_threads =="
-MCLG_BENCH_REPORT="$OUT" "$BUILD/bench/bench_threads"
 echo "== bench_micro =="
 "$BUILD/bench/bench_micro" \
   --benchmark_filter='BM_(MglLegalize|FixedRowOrder|NetworkSimplex|CurveSumMinimize|SparseAssignment)' \

@@ -22,10 +22,10 @@ namespace mclg {
 /// DeltaTracker (legal/eco/) uses to record which cells an incremental
 /// stage touched.
 ///
-/// Thread-safety: the MGL scheduler mutates row-disjoint windows from
-/// several threads, so implementations must tolerate concurrent callbacks
-/// for *different* cells. restore() deliberately does not notify (a
-/// snapshot rollback is outside the delta model; callers re-diff instead).
+/// Threading: every mutating stage runs on one thread (MGL is serial), so
+/// callbacks arrive in order from that thread. restore() deliberately does
+/// not notify (a snapshot rollback is outside the delta model; callers
+/// re-diff instead).
 class PlacementListener {
  public:
   virtual ~PlacementListener() = default;
@@ -87,8 +87,8 @@ class PlacementState {
     return rows_[static_cast<std::size_t>(y)];
   }
 
-  /// Number of placed movable cells. (Atomic: the MGL scheduler places
-  /// cells from several threads, in row-disjoint windows.)
+  /// Number of placed movable cells. (Atomic, so another thread may read it
+  /// while a stage places cells.)
   int numPlaced() const { return numPlaced_.load(std::memory_order_relaxed); }
 
   /// Capture the full placement (cell coordinates + occupancy index) for a

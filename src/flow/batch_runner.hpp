@@ -12,8 +12,8 @@
 //
 // Determinism: a design's result depends only on its input and the
 // per-design pipeline config — never on the batch composition, admission
-// order, or executor width — and is byte-identical to a solo legalize()
-// run of the same design at the same thread count. The batch tests and
+// order, executor width, or thread count — and is byte-identical to a
+// solo legalize() run of the same design. The batch tests and
 // bench_executor assert this by placement hash.
 #pragma once
 

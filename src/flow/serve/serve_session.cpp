@@ -26,18 +26,18 @@ PipelineConfig cliEquivalentConfig(const std::string& preset, int threads) {
                               ? PipelineConfig::totalDisplacement()
                               : PipelineConfig::contest();
   config.guard.enabled = true;
-  config.setThreads(std::max(1, threads));
+  config.setThreads(threads);
   return config;
 }
 
 obs::RunProvenance provenanceFor(const Design& design,
-                                 const std::string& preset,
+                                 const std::string& preset, int threads,
                                  const PipelineConfig& config) {
   obs::RunProvenance provenance;
   provenance.design = design.name;
   provenance.numCells = design.numCells();
   provenance.preset = preset;
-  provenance.threads = config.mgl.numThreads;
+  provenance.threads = threads;
   provenance.guardEnabled = config.guard.enabled;
   return provenance;
 }
@@ -62,7 +62,8 @@ std::unique_ptr<ServeSession> ServeSession::load(
   auto session = std::unique_ptr<ServeSession>(new ServeSession());
   session->tenant_ = request.tenant;
   session->preset_ = config.preset;
-  session->config_ = cliEquivalentConfig(config.preset, config.threads);
+  session->threads_ = std::max(1, config.threads);
+  session->config_ = cliEquivalentConfig(config.preset, session->threads_);
   session->config_.executor = config.executor;
   session->current_ = std::move(*design);
 
@@ -104,7 +105,7 @@ std::unique_ptr<ServeSession> ServeSession::load(
   session->lastScore_ = score.score;
   session->lastReport_ =
       obs::renderRunReport(provenanceFor(session->current_, session->preset_,
-                                         session->config_),
+                                         session->threads_, session->config_),
                            stats, &score, /*includeMetrics=*/false);
 
   response->hash = placementHash(session->current_);
@@ -291,9 +292,9 @@ ServeResponse ServeSession::applyDelta(const EcoDeltaRequest& request,
   stats.mgl = eco.mgl;
   stats.secondsMgl = eco.secondsIncremental;
   lastScore_ = score.score;
-  lastReport_ = obs::renderRunReport(provenanceFor(current_, preset_, config_),
-                                     stats, &score, /*includeMetrics=*/false,
-                                     &eco);
+  lastReport_ =
+      obs::renderRunReport(provenanceFor(current_, preset_, threads_, config_),
+                           stats, &score, /*includeMetrics=*/false, &eco);
   response.hash = placementHash(current_);
   response.score = score.score;
   response.cells = current_.numCells();

@@ -76,6 +76,7 @@ class ServeSession {
 
   std::string tenant_;
   std::string preset_;
+  int threads_ = 1;         // the LoadDesign request's thread budget
   PipelineConfig config_;   // CLI-equivalent: preset, guard on, threads set
   Design current_;          // legal; may hold uncommitted ECO results
   Design snapshot_;         // last committed legal snapshot

@@ -44,13 +44,11 @@ struct DeltaSet {
   std::vector<CellId> dirtyCells() const;
 };
 
-/// Thread-safe touched-cell recorder, attachable to a PlacementState.
+/// Touched-cell recorder, attachable to a PlacementState.
 ///
-/// mark() is lock-free (one relaxed atomic flag per cell), so the MGL
-/// scheduler may notify from several threads; takeTouched() returns ids in
-/// ascending order, making the collected set independent of thread
-/// interleaving (determinism note: the *set* of touched cells is determined
-/// by the deterministic scheduler, only the marking order varies).
+/// mark() is lock-free (one relaxed atomic flag per cell); takeTouched()
+/// returns ids in ascending order, so the collected set does not depend on
+/// the order in which cells were marked.
 class DeltaTracker final : public PlacementListener {
  public:
   explicit DeltaTracker(int numCells = 0) { reset(numCells); }

@@ -39,12 +39,11 @@
 // per-component Stage 3 forces maxDispWeight = 0 (the §3.3.1 term couples
 // all cells globally, so it cannot be decomposed).
 //
-// Determinism: for a fixed thread count the result is reproducible
-// (deterministic MGL scheduler; components solved serially in a fixed
-// order). With `exact` it is additionally byte-identical to what a
-// from-scratch legalize() under the same PipelineConfig produces — which
-// is itself thread-count invariant under the §3.5 scheduler's conditions
-// (threads >= 2 with a fixed batch capacity).
+// Determinism: the result is reproducible and does not depend on the
+// thread count (serial MGL; components solved serially in a fixed order).
+// With `exact` it is additionally byte-identical to what a from-scratch
+// legalize() under the same PipelineConfig produces, which is itself
+// thread-count invariant.
 #pragma once
 
 #include <string>

@@ -52,7 +52,7 @@ enum class FaultKind {
   StageThrow,      // MclgError(Injected) after the stage has mutated state
   InvariantBreak,  // corrupt the placement so the post-stage audit fails
   BudgetExhaust,   // run the stage under an already-expired Deadline
-  TaskThrow,       // throw inside a thread-pool task (MGL) / stage body
+  TaskThrow,       // throw from MGL's per-cell task hook / stage body
 };
 inline constexpr int kNumFaultKinds = 4;
 

@@ -189,8 +189,7 @@ class InsertionSearcher {
 
   // Reused scratch buffers — the search runs millions of evaluations and
   // commit attempts, and per-call container construction dominated the
-  // profile. A searcher is therefore NOT thread-safe; the scheduler uses
-  // one searcher per task.
+  // profile. A searcher is therefore NOT thread-safe; use one per thread.
   struct ChainEntry {
     CellId cell = kInvalidCell;
     std::int64_t off = 0;

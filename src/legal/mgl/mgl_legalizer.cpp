@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "db/free_span.hpp"
-#include "legal/mgl/scheduler.hpp"
 #include "obs/obs.hpp"
 #include "util/logging.hpp"
 
@@ -112,24 +111,19 @@ bool MglLegalizer::placeFallback(CellId c) {
 
 MglStats MglLegalizer::run() {
   auto& design = state_.design();
-  // Pre-warm the lazily cached design statistics so parallel readers never
-  // race on them.
+  // Pre-warm the lazily cached design statistics so the parallel stages
+  // that follow MGL never race on filling them.
   design.maxCellHeight();
   design.cellsPerHeight();
   design.maxCellWidth();
   design.maxIoPinWidthFine();
-
-  if (config_.numThreads > 1) {
-    MglScheduler scheduler(*this, config_.numThreads, config_.batchCap);
-    return scheduler.run();
-  }
 
   MglStats stats;
   const Rect fullCore{0, 0, design.numSitesX, design.numRows};
   InsertionSearcher searcher(state_, segments_, config_.insertion);
   int taskIndex = 0;
   for (const CellId c : orderCells()) {
-    // Same cancellation/fault-injection points as the parallel scheduler.
+    // Cancellation and fault-injection points, once per cell.
     if (config_.checkpoint) config_.checkpoint();
     if (config_.taskHook) config_.taskHook(taskIndex++);
     const auto& cell = design.cells[c];

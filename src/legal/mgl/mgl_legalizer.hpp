@@ -2,9 +2,10 @@
 //
 // Cells are legalized sequentially (tallest/widest first so the hard cells
 // get first pick of the space); each cell is inserted into a window around
-// its GP position, the window expanding geometrically on failure. With
-// numThreads > 1, a deterministic scheduler processes batches of cells
-// whose windows occupy disjoint row ranges in parallel (§3.5).
+// its GP position, the window expanding geometrically on failure and being
+// retried at once. MGL is always serial, so its output depends only on the
+// design and the config, never on the thread count; the §3.5 parallelism
+// lives in the later stages (§3.2 matching, §3.3 MCF components).
 //
 // The same engine runs the MLL baseline [12]: set
 // config.insertion.gpObjective = false so displacement is measured from the
@@ -18,26 +19,19 @@
 #include "db/segment_map.hpp"
 #include "legal/mgl/insertion.hpp"
 #include "legal/mgl/window.hpp"
-#include "util/executor/executor.hpp"
 
 namespace mclg {
 
 struct MglConfig {
   WindowParams window;
   InsertionConfig insertion;
-  int numThreads = 1;
-  /// Max windows per parallel batch (0 = 2 * numThreads).
-  int batchCap = 0;
-  /// Where batch tasks run when numThreads > 1. Defaults to the process-wide
-  /// work-stealing executor; the batch driver and tests can inject one.
-  ExecutorRef executor{};
-  /// Cooperative-cancellation hook, called serially between batches. The
-  /// pipeline guard installs a Deadline checkpoint here; a throw unwinds
-  /// the scheduler and is caught at the transaction boundary.
+  /// Cooperative-cancellation hook, called before each cell. The pipeline
+  /// guard installs a Deadline checkpoint here; a throw unwinds run() and
+  /// is caught at the transaction boundary.
   std::function<void()> checkpoint;
-  /// Test hook called at the start of every insertion task with its
-  /// batch-local index — the guard's fault-injection point for exercising
-  /// exception propagation out of the thread pool.
+  /// Test hook called before each cell with its index in processing order —
+  /// the guard's fault-injection point for exercising exception
+  /// propagation out of a stage.
   std::function<void(int)> taskHook;
 };
 
@@ -63,8 +57,6 @@ class MglLegalizer {
   std::vector<CellId> orderCells() const;
 
  private:
-  friend class MglScheduler;
-
   /// Full-core, routability-relaxed last resort for a cell no window could
   /// take. Returns false only when the design genuinely has no room.
   bool placeFallback(CellId c);

@@ -49,7 +49,6 @@ PipelineConfig PipelineConfig::totalDisplacement() {
 }
 
 void PipelineConfig::setThreads(int numThreads) {
-  mgl.numThreads = numThreads;
   maxDisp.numThreads = numThreads;
   if (fixedRowOrder.maxDispWeight == 0.0) {
     fixedRowOrder.numThreads = numThreads;
@@ -57,7 +56,6 @@ void PipelineConfig::setThreads(int numThreads) {
 }
 
 void PipelineConfig::propagateExecutor() {
-  mgl.executor = executor;
   maxDisp.executor = executor;
   fixedRowOrder.executor = executor;
   ripup.executor = executor;

@@ -40,12 +40,12 @@ struct PipelineConfig {
   ExecutorRef executor{};
 
   /// Set every stage's thread budget the way the CLI's --threads does:
-  /// MGL and maxdisp always; the MCF only while its §3.3.1 coupling term is
-  /// off (maxDispWeight == 0 — component decomposition is only exact then),
-  /// so call this *before* changing maxDispWeight.
+  /// maxdisp always; the MCF only while its §3.3.1 coupling term is off
+  /// (maxDispWeight == 0 — component decomposition is only exact then), so
+  /// call this *before* changing maxDispWeight. MGL is always serial.
   void setThreads(int numThreads);
 
-  /// Copy `executor` into the per-stage configs (mgl/maxDisp/fixedRowOrder/
+  /// Copy `executor` into the per-stage configs (maxDisp/fixedRowOrder/
   /// ripup). legalize() does this on its local copy; only callers invoking
   /// stages directly from a PipelineConfig need to call it themselves.
   void propagateExecutor();
@@ -84,8 +84,8 @@ struct PipelineStats {
 ///       unplaced movable cells carry their GP targets in gpX/gpY.
 /// \post all movable cells are placed and legal unless the design is
 ///       infeasible (stats.mgl.failed > 0, or guard degradation when
-///       config.guard.enabled). Deterministic for a fixed config; thread-
-///       count invariant for numThreads >= 2 at a fixed mgl.batchCap.
+///       config.guard.enabled). Deterministic for a fixed config and
+///       invariant under every stage's thread count.
 PipelineStats legalize(PlacementState& state, const SegmentMap& segments,
                        const PipelineConfig& config);
 

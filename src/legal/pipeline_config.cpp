@@ -74,10 +74,6 @@ bool applyConfigText(const std::string& text, PipelineConfig* config,
       } else {
         return fail("unknown preset '" + value + "'");
       }
-    } else if (key == "mgl.threads" && parseInt(value, &okInt)) {
-      config->mgl.numThreads = okInt;
-    } else if (key == "mgl.batch_cap" && parseInt(value, &okInt)) {
-      config->mgl.batchCap = okInt;
     } else if (key == "mgl.window.w" && parseInt(value, &okInt)) {
       config->mgl.window.initialW = okInt;
     } else if (key == "mgl.window.h" && parseInt(value, &okInt)) {
@@ -174,8 +170,6 @@ bool applyConfigText(const std::string& text, PipelineConfig* config,
 std::string configToText(const PipelineConfig& config) {
   std::ostringstream out;
   auto b = [](bool v) { return v ? "true" : "false"; };
-  out << "mgl.threads = " << config.mgl.numThreads << "\n";
-  out << "mgl.batch_cap = " << config.mgl.batchCap << "\n";
   out << "mgl.window.w = " << config.mgl.window.initialW << "\n";
   out << "mgl.window.h = " << config.mgl.window.initialH << "\n";
   out << "mgl.window.expand = " << config.mgl.window.expandFactor << "\n";

@@ -3,7 +3,6 @@
 // --config and by tests that sweep configurations from data.
 //
 //   preset = contest            # or totaldisp (applied first)
-//   mgl.threads = 4
 //   mgl.window.w = 24
 //   mgl.window.h = 8
 //   mgl.window.expand = 1.7
@@ -15,6 +14,7 @@
 //   maxdisp.delta0 = 10
 //   maxdisp.group_by_footprint = false
 //   maxdisp.dense_threshold = 96
+//   maxdisp.threads = 4          # MGL has no thread key: it is serial
 //   mcf.run = true
 //   mcf.n0 = 4
 //   mcf.routability = true

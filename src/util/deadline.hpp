@@ -1,8 +1,8 @@
 // Wall-clock stage deadline for cooperative cancellation.
 //
 // A Deadline is captured at stage entry from the configured per-stage
-// budget; long-running loops (the MGL scheduler) call checkpoint() at safe
-// points, which throws MclgError(Timeout) once the budget is exhausted.
+// budget; long-running loops (MGL's per-cell loop) call checkpoint() at
+// safe points, which throws MclgError(Timeout) once the budget is exhausted.
 // The guard catches the throw at the transaction boundary and rolls the
 // stage back, so "over budget" degrades gracefully instead of wedging the
 // pipeline.

@@ -168,12 +168,10 @@ TEST(Eco, ExactModeByteIdenticalToFullRunAtEachThreadCount) {
       applyEditBurst(snapshot, 55, /*moves=*/20, /*swaps=*/3, /*adds=*/5);
   for (const int threads : {1, 4, 8}) {
     PipelineConfig pipeline = PipelineConfig::contest();
-    pipeline.mgl.numThreads = threads;
     pipeline.maxDisp.numThreads = threads;
     pipeline.fixedRowOrder.numThreads = threads;
     // The guarantee is byte-identity with a from-scratch legalize() under
-    // the *same* PipelineConfig (full-pipeline results are thread-count
-    // invariant only under the §3.5 scheduler's fixed-batch conditions).
+    // the same PipelineConfig.
     std::uint64_t referenceHash = 0;
     fullRescoreReference(edited, pipeline, nullptr, &referenceHash);
     Design design = edited;

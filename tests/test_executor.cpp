@@ -1,9 +1,10 @@
 // Work-stealing executor suite (`ctest -L executor`): FunctionRef and
-// Executor primitives, the ThreadPool shim on top of them, and the PR 5
-// determinism claims — odd lane counts (3, 7) and oversubscription (more
-// lanes than hardware cores) must produce byte-identical placements, in
-// solo and in batch mode. Doubles as the race stress test for sanitizer
-// runs (the asan-ubsan preset) and for machines without TSAN.
+// Executor primitives, the ThreadPool shim on top of them, and the
+// determinism claims: every lane count, odd ones (3, 7) and
+// oversubscription (more lanes than hardware cores) included, must produce
+// byte-identical placements, in solo and in batch mode. Doubles as the race
+// stress test for sanitizer runs (the asan-ubsan preset) and for machines
+// without TSAN.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,14 +21,15 @@
 
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
+#include "eval/checkers.hpp"
 #include "eval/metrics.hpp"
 #include "flow/batch_runner.hpp"
 #include "gen/benchmark_gen.hpp"
-#include "legal/mgl/mgl_legalizer.hpp"
-#include "legal/mgl/scheduler.hpp"
+#include "legal/guard/invariants.hpp"
 #include "legal/pipeline.hpp"
 #include "obs/metrics.hpp"
 #include "parsers/simple_format.hpp"
+#include "test_helpers.hpp"
 #include "util/executor/executor.hpp"
 #include "util/executor/function_ref.hpp"
 #include "util/thread_pool.hpp"
@@ -181,74 +183,63 @@ TEST(ThreadPoolShim, OversubscribedPoolRunsAllIndicesOnce) {
 
 // ---- Determinism: solo mode ------------------------------------------------
 
-MglStats runScheduler(Design& design, int lanes, int batchCap) {
-  SegmentMap segments(design);
+struct GuardedRun {
+  std::uint64_t hash = 0;
+  bool legal = false;
+  int unplaced = 0;
+};
+
+GuardedRun legalizeGuarded(Design& design, int threads) {
+  const SegmentMap segments(design);
   PlacementState state(design);
-  MglConfig config;
-  MglLegalizer legalizer(state, segments, config);
-  MglScheduler scheduler(legalizer, lanes, batchCap);
-  return scheduler.run();
+  PipelineConfig config = PipelineConfig::contest();
+  config.guard.enabled = true;
+  config.setThreads(threads);
+  legalize(state, segments, config);
+  return {placementHash(design), checkLegality(design, segments).legal(),
+          countUnplacedMovable(design)};
 }
 
-TEST(ExecutorDeterminism, SchedulerOddAndOversubscribedLanesMatchOneLane) {
-  // The §3.5 invariant, extended to lanes == 1 (inline fast path): at a
-  // fixed batch cap the scheduler's result is byte-identical for any lane
-  // count — including odd ones and more lanes than hardware cores.
-  Design reference = generate(spec(501));
-  runScheduler(reference, 1, 8);
+TEST(ExecutorDeterminism, PlacementDoesNotDependOnThreadCount) {
+  // MGL is serial and §3.2/§3.3 merge their parallel results in a fixed
+  // order, so the guarded pipeline's placement is byte-identical at every
+  // thread count: odd ones and more lanes than hardware cores included.
   const int oversubscribed =
       2 * static_cast<int>(std::thread::hardware_concurrency()) + 5;
-  for (const int lanes : {3, 7, oversubscribed}) {
-    Design design = generate(spec(501));
-    runScheduler(design, lanes, 8);
-    for (CellId c = 0; c < design.numCells(); ++c) {
-      ASSERT_EQ(design.cells[c].x, reference.cells[c].x)
-          << "lanes " << lanes << " cell " << c;
-      ASSERT_EQ(design.cells[c].y, reference.cells[c].y)
-          << "lanes " << lanes << " cell " << c;
+  for (const double density : {0.6, 0.9}) {
+    Design reference = generate(spec(502, density));
+    const GuardedRun expected = legalizeGuarded(reference, 1);
+    EXPECT_TRUE(expected.legal) << "density " << density;
+    EXPECT_EQ(expected.unplaced, 0) << "density " << density;
+    for (const int threads : {2, 3, 7, oversubscribed}) {
+      Design design = generate(spec(502, density));
+      EXPECT_EQ(legalizeGuarded(design, threads).hash, expected.hash)
+          << "density " << density << " threads " << threads;
     }
   }
 }
 
-std::uint64_t legalizeHash(Design& design, int threads, int batchCap) {
+std::uint64_t legalizeHash(Design& design, int threads) {
   SegmentMap segments(design);
   PlacementState state(design);
   PipelineConfig config = PipelineConfig::contest();
   config.setThreads(threads);
-  config.mgl.batchCap = batchCap;
   legalize(state, segments, config);
   return placementHash(design);
-}
-
-TEST(ExecutorDeterminism, PipelineOddAndOversubscribedThreadsMatch) {
-  // Full pipeline at a pinned mgl.batchCap: every parallel thread count —
-  // odd or past the core count — must agree (threads == 1 keeps the
-  // historical serial MGL visit order, so 2 is the parallel reference).
-  Design reference = generate(spec(502));
-  const std::uint64_t expected = legalizeHash(reference, 2, 8);
-  const int oversubscribed =
-      2 * static_cast<int>(std::thread::hardware_concurrency()) + 5;
-  for (const int threads : {3, 7, oversubscribed}) {
-    Design design = generate(spec(502));
-    EXPECT_EQ(legalizeHash(design, threads, 8), expected)
-        << "threads " << threads;
-  }
 }
 
 // ---- Determinism: batch mode -----------------------------------------------
 
 TEST(ExecutorDeterminism, BatchResultsMatchSoloRunsAtSameThreadCount) {
-  // Per-design batch results must be byte-identical to solo runs of the
-  // same designs — with serial designs (1 lane each, matching solo
-  // threads=1) and with stage-parallel designs (3 lanes, matching solo
-  // threads=3) — regardless of executor width or oversubscription.
+  // Per-design batch results must be byte-identical to one solo run of the
+  // same design, with serial designs (1 lane each) and with stage-parallel
+  // designs (3 lanes each), regardless of executor width or
+  // oversubscription.
   constexpr int kDesigns = 4;
-  std::vector<std::uint64_t> solo1, solo3;
+  std::vector<std::uint64_t> solo;
   for (int d = 0; d < kDesigns; ++d) {
-    Design a = generate(spec(600 + static_cast<std::uint64_t>(d)));
-    solo1.push_back(legalizeHash(a, 1, 8));
-    Design b = generate(spec(600 + static_cast<std::uint64_t>(d)));
-    solo3.push_back(legalizeHash(b, 3, 8));
+    Design design = generate(spec(600 + static_cast<std::uint64_t>(d)));
+    solo.push_back(legalizeHash(design, 1));
   }
 
   const int oversubscribed =
@@ -265,17 +256,15 @@ TEST(ExecutorDeterminism, BatchResultsMatchSoloRunsAtSameThreadCount) {
       for (auto& design : designs) refs.emplace_back(design.name, &design);
       BatchRunConfig config;
       config.pipeline = PipelineConfig::contest();
-      config.pipeline.mgl.batchCap = 8;
       config.threadsPerDesign = threadsPerDesign;
       config.maxInFlight = kDesigns;
       config.executor = ExecutorRef(&executor);
       const auto results = runBatch(refs, config);
-      const auto& expected = threadsPerDesign == 1 ? solo1 : solo3;
       for (int d = 0; d < kDesigns; ++d) {
         EXPECT_TRUE(results[static_cast<std::size_t>(d)].ok)
             << results[static_cast<std::size_t>(d)].error;
         EXPECT_EQ(results[static_cast<std::size_t>(d)].placementHash,
-                  expected[static_cast<std::size_t>(d)])
+                  solo[static_cast<std::size_t>(d)])
             << "workers " << workers << " lanes " << threadsPerDesign
             << " design " << d;
       }
@@ -287,7 +276,7 @@ TEST(BatchRunner, ManifestIsolatesPerDesignFailures) {
   // A design that fails to load must come back ok == false with an error
   // while its batch neighbor legalizes and saves normally.
   Executor executor(2);
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = testing::uniqueTestDir();
   Design good = generate(spec(700));
   ASSERT_TRUE(saveDesign(good, dir + "/good.mclg"));
 
@@ -309,7 +298,7 @@ TEST(BatchRunner, ManifestIsolatesPerDesignFailures) {
 }
 
 TEST(BatchRunner, ManifestParsing) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = testing::uniqueTestDir();
   const std::string path = dir + "/manifest.txt";
   std::FILE* file = std::fopen(path.c_str(), "w");
   ASSERT_NE(file, nullptr);

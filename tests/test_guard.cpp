@@ -152,7 +152,7 @@ TEST(Guard, TaskThrowInParallelMglRecovers) {
   SegmentMap segments(design);
   PlacementState state(design);
   PipelineConfig config = guardedConfig();
-  config.mgl.numThreads = 4;
+  config.setThreads(4);
   config.guard.faults.add(PipelineStage::Mgl, FaultKind::TaskThrow, 0);
   const auto stats = legalize(state, segments, config);
   EXPECT_EQ(stats.guard.at(PipelineStage::Mgl).status,

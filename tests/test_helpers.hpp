@@ -1,5 +1,11 @@
-// Shared fixtures: tiny hand-built designs for the db/legalizer tests.
+// Shared fixtures: tiny hand-built designs for the db/legalizer tests, and
+// a private scratch directory per test.
 #pragma once
+
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <string>
 
 #include "db/design.hpp"
 
@@ -45,6 +51,19 @@ inline CellId addFixed(Design& d, TypeId type, std::int64_t x,
   cell.gpY = static_cast<double>(y);
   d.cells.push_back(cell);
   return d.numCells() - 1;
+}
+
+/// An empty directory owned by the running test, under ::testing::TempDir().
+/// gtest_discover_tests runs every test as its own process, so tests that
+/// `ctest -j` runs side by side must not share file names in one directory.
+inline std::string uniqueTestDir() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("mclg_" + std::string(info->test_suite_name()) + "." + info->name());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
 }
 
 }  // namespace mclg::testing

@@ -158,5 +158,66 @@ TEST(MaxDisp, LargeGroupSplitStillLegal) {
   EXPECT_TRUE(checkLegality(design, segments).legal());
 }
 
+TEST(FootprintMatching, SwapsAcrossTypesWithSameFootprint) {
+  // Two types with identical footprints; cells placed at each other's GP.
+  Design d = smallDesign();
+  CellType clone = d.types[0];
+  clone.name = "T0b";
+  d.types.push_back(clone);
+  const TypeId other = d.numTypes() - 1;
+  const CellId a = addCell(d, 0, 5.0, 2.0);
+  const CellId b = addCell(d, other, 30.0, 7.0);
+  PlacementState state(d);
+  state.place(a, 30, 7);
+  state.place(b, 5, 2);
+
+  MaxDispConfig typeGrouped;
+  typeGrouped.delta0 = 1.0;
+  EXPECT_EQ(optimizeMaxDisplacement(state, typeGrouped).cellsMoved, 0)
+      << "different types must not swap in type-grouped mode";
+
+  MaxDispConfig footprintGrouped = typeGrouped;
+  footprintGrouped.groupByFootprint = true;
+  EXPECT_EQ(optimizeMaxDisplacement(state, footprintGrouped).cellsMoved, 2);
+  EXPECT_EQ(d.cells[a].x, 5);
+  EXPECT_EQ(d.cells[b].x, 30);
+}
+
+TEST(FootprintMatching, DifferentFootprintsNeverMerge) {
+  Design d = smallDesign();  // T0 is 2x1, T2 is 4x3
+  const CellId a = addCell(d, 0, 5.0, 2.0);
+  const CellId b = addCell(d, 2, 30.0, 5.0);
+  PlacementState state(d);
+  state.place(a, 30, 2);
+  state.place(b, 5, 5);
+  MaxDispConfig config;
+  config.groupByFootprint = true;
+  EXPECT_EQ(optimizeMaxDisplacement(state, config).cellsMoved, 0);
+}
+
+TEST(FootprintMatching, ParallelMatchesSerial) {
+  GenSpec s;
+  s.cellsPerHeight = {600, 60, 0, 0};
+  s.density = 0.7;
+  s.typesPerHeight = 3;
+  s.seed = 175;
+  Design serial = generate(s);
+  Design parallel = generate(s);
+  for (Design* d : {&serial, &parallel}) {
+    SegmentMap segments(*d);
+    PlacementState state(*d);
+    MglLegalizer legalizer(state, segments, {});
+    ASSERT_EQ(legalizer.run().failed, 0);
+    MaxDispConfig config;
+    config.groupByFootprint = true;
+    config.numThreads = d == &parallel ? 4 : 1;
+    optimizeMaxDisplacement(state, config);
+  }
+  for (CellId c = 0; c < serial.numCells(); ++c) {
+    ASSERT_EQ(serial.cells[c].x, parallel.cells[c].x) << "cell " << c;
+    ASSERT_EQ(serial.cells[c].y, parallel.cells[c].y) << "cell " << c;
+  }
+}
+
 }  // namespace
 }  // namespace mclg

@@ -9,10 +9,8 @@
 //     drawn from randomized windows of a generated design.
 //  2. The full pipeline is deterministic: repeated runs at the same thread
 //     count produce bit-identical placements (the promise the perf gate's
-//     per-thread-count hash comparison against the baseline relies on).
-//     Note that *different* thread counts legitimately produce different —
-//     equally legal — placements: the MGL scheduler's batch size scales
-//     with the thread count, which changes the window processing order.
+//     hash comparison against the baseline relies on). Invariance across
+//     thread counts is tested in test_executor.cpp.
 //  3. A warm network-simplex solve reaches the same optimal objective as a
 //     cold solve and passes independent optimality verification; warm
 //     validation rejects changed topology and still answers correctly.
@@ -164,7 +162,6 @@ std::vector<std::pair<std::int64_t, std::int64_t>> legalizedPositions(
   SegmentMap segments(design);
   PlacementState state(design);
   PipelineConfig config = PipelineConfig::contest();
-  config.mgl.numThreads = threads;
   config.maxDisp.numThreads = threads;
   config.fixedRowOrder.numThreads = threads;
   const auto stats = legalize(state, segments, config);

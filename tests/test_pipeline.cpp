@@ -90,31 +90,6 @@ TEST(Pipeline, StagesPreserveLegality) {
   EXPECT_TRUE(checkLegality(design, segments).legal());
 }
 
-TEST(Pipeline, MultiThreadedMatchesSingleThreaded) {
-  Design a = generate(contestSpec(45));
-  Design b = generate(contestSpec(45));
-  PipelineConfig c1 = PipelineConfig::contest();
-  c1.mgl.numThreads = 2;
-  c1.mgl.batchCap = 4;
-  PipelineConfig c2 = PipelineConfig::contest();
-  c2.mgl.numThreads = 4;
-  c2.mgl.batchCap = 4;
-  {
-    SegmentMap segments(a);
-    PlacementState state(a);
-    legalize(state, segments, c1);
-  }
-  {
-    SegmentMap segments(b);
-    PlacementState state(b);
-    legalize(state, segments, c2);
-  }
-  for (CellId c = 0; c < a.numCells(); ++c) {
-    ASSERT_EQ(a.cells[c].x, b.cells[c].x) << "cell " << c;
-    ASSERT_EQ(a.cells[c].y, b.cells[c].y) << "cell " << c;
-  }
-}
-
 TEST(Pipeline, HighDensityStillLegal) {
   GenSpec spec = contestSpec(46);
   spec.density = 0.88;

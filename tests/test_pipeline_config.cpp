@@ -10,22 +10,22 @@ TEST(PipelineConfigText, AppliesEveryKeyKind) {
   const std::string text =
       "# tuned run\n"
       "preset = contest\n"
-      "mgl.threads = 4\n"
       "mgl.window.w = 48\n"
       "mgl.window.expand = 2.0\n"
       "mgl.routability = false\n"
       "maxdisp.delta0 = 25\n"
       "maxdisp.group_by_footprint = yes\n"
+      "maxdisp.threads = 4\n"
       "mcf.run = false\n"
       "mcf.n0 = 8.5\n";
   std::string error;
   ASSERT_TRUE(applyConfigText(text, &config, &error)) << error;
-  EXPECT_EQ(config.mgl.numThreads, 4);
   EXPECT_EQ(config.mgl.window.initialW, 48);
   EXPECT_DOUBLE_EQ(config.mgl.window.expandFactor, 2.0);
   EXPECT_FALSE(config.mgl.insertion.routability);
   EXPECT_DOUBLE_EQ(config.maxDisp.delta0, 25.0);
   EXPECT_TRUE(config.maxDisp.groupByFootprint);
+  EXPECT_EQ(config.maxDisp.numThreads, 4);
   EXPECT_FALSE(config.runFixedRowOrder);
   EXPECT_DOUBLE_EQ(config.fixedRowOrder.maxDispWeight, 8.5);
 }
@@ -45,12 +45,17 @@ TEST(PipelineConfigText, RejectsUnknownKey) {
   std::string error;
   EXPECT_FALSE(applyConfigText("bogus.key = 1\n", &config, &error));
   EXPECT_NE(error.find("bogus.key"), std::string::npos);
+  // MGL is serial: it has no thread count or batch capacity to configure.
+  EXPECT_FALSE(applyConfigText("mgl.threads = 4\n", &config, &error));
+  EXPECT_NE(error.find("mgl.threads"), std::string::npos);
+  EXPECT_FALSE(applyConfigText("mgl.batch_cap = 8\n", &config, &error));
+  EXPECT_NE(error.find("mgl.batch_cap"), std::string::npos);
 }
 
 TEST(PipelineConfigText, RejectsBadValue) {
   PipelineConfig config;
   std::string error;
-  EXPECT_FALSE(applyConfigText("mgl.threads = many\n", &config, &error));
+  EXPECT_FALSE(applyConfigText("maxdisp.threads = many\n", &config, &error));
   EXPECT_FALSE(applyConfigText("mgl.routability = maybe\n", &config, &error));
   EXPECT_FALSE(applyConfigText("just a line\n", &config, &error));
   EXPECT_NE(error.find("line 1"), std::string::npos);
@@ -58,7 +63,7 @@ TEST(PipelineConfigText, RejectsBadValue) {
 
 TEST(PipelineConfigText, RoundTripsThroughText) {
   PipelineConfig config = PipelineConfig::contest();
-  config.mgl.numThreads = 3;
+  config.maxDisp.numThreads = 3;
   config.maxDisp.delta0 = 17.5;
   config.fixedRowOrder.mrdpStyleNetwork = true;
   const std::string text = configToText(config);

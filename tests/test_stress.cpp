@@ -23,7 +23,6 @@ TEST(Stress, MidSizeContestDesign) {
   PlacementState state(design);
   Timer timer;
   PipelineConfig config = PipelineConfig::contest();
-  config.mgl.numThreads = 4;
   config.maxDisp.numThreads = 4;
   const auto stats = legalize(state, segments, config);
   const double seconds = timer.seconds();
@@ -40,7 +39,6 @@ TEST(Stress, DISABLED_FullScaleDesPerf1) {
   SegmentMap segments(design);
   PlacementState state(design);
   PipelineConfig config = PipelineConfig::contest();
-  config.mgl.numThreads = 8;
   config.maxDisp.numThreads = 8;
   config.fixedRowOrder.numThreads = 8;
   const auto stats = legalize(state, segments, config);
@@ -55,7 +53,6 @@ TEST(Stress, DISABLED_FullScaleSuperblue19) {
   SegmentMap segments(design);
   PlacementState state(design);
   PipelineConfig config = PipelineConfig::totalDisplacement();
-  config.mgl.numThreads = 8;
   config.maxDisp.numThreads = 8;
   config.fixedRowOrder.numThreads = 8;
   const auto stats = legalize(state, segments, config);

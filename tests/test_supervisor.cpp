@@ -32,6 +32,7 @@
 #include "obs/run_report.hpp"
 #include "obs/trace_merge.hpp"
 #include "parsers/simple_format.hpp"
+#include "test_helpers.hpp"
 
 namespace mclg {
 namespace {
@@ -268,7 +269,7 @@ TEST(WorkerProtocol, CorruptionIsSticky) {
 // ---- In-process status parity ----------------------------------------------
 
 TEST(BatchStatus, InProcessRunnerReportsTheSharedVocabulary) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = testing::uniqueTestDir();
   Design design = generate(spec(910));
   ASSERT_TRUE(saveDesign(design, dir + "/parity.mclg"));
 
@@ -319,7 +320,7 @@ SupervisorConfig fastSupervisor() {
 }
 
 TEST(Supervisor, MatchesSoloRunsByteForByte) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = testing::uniqueTestDir();
   const auto items = makeManifest(dir, 3, 920);
 
   // Solo reference: the in-process runner on the same pipeline config.
@@ -354,7 +355,7 @@ TEST(Supervisor, MatchesSoloRunsByteForByte) {
 }
 
 TEST(Supervisor, CrashedWorkerIsRetriedAndNeighborsSurvive) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = testing::uniqueTestDir();
   const auto items = makeManifest(dir, 3, 930);
   std::vector<std::string> soloBytes;
   for (const auto& item : items) {
@@ -398,7 +399,7 @@ TEST(Supervisor, CrashedWorkerIsRetriedAndNeighborsSurvive) {
 }
 
 TEST(Supervisor, ExhaustedRetriesRecordTheCrash) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = testing::uniqueTestDir();
   const auto items = makeManifest(dir, 3, 940);
 
   obs::setMetricsEnabled(true);
@@ -426,7 +427,7 @@ TEST(Supervisor, ExhaustedRetriesRecordTheCrash) {
 }
 
 TEST(Supervisor, TimeoutEscalatesToSigkillThenRetrySucceeds) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = testing::uniqueTestDir();
   const auto items = makeManifest(dir, 2, 950);
 
   obs::setMetricsEnabled(true);
@@ -453,7 +454,7 @@ TEST(Supervisor, TimeoutEscalatesToSigkillThenRetrySucceeds) {
 }
 
 TEST(Supervisor, TimeoutPastRetriesSurfacesAsStatus) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = testing::uniqueTestDir();
   const auto items = makeManifest(dir, 1, 960);
 
   SupervisorConfig config = fastSupervisor();
@@ -473,7 +474,7 @@ TEST(Supervisor, DegradedWorkerMapsToGuardDegraded) {
   // The degrade fault arms the guard's FaultPlan inside the worker: the
   // run completes via skip-after-rollback, exits 2, and the supervisor
   // reports GuardDegraded — a usable result, not a retry.
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = testing::uniqueTestDir();
   const auto items = makeManifest(dir, 1, 970);
 
   SupervisorConfig config = fastSupervisor();
@@ -489,7 +490,7 @@ TEST(Supervisor, DegradedWorkerMapsToGuardDegraded) {
 // ---- Live telemetry (schema v6) --------------------------------------------
 
 TEST(Supervisor, TelemetryFoldMatchesPerDesignReportsAndTraceHasAllLanes) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = testing::uniqueTestDir();
   const int kDesigns = 8;
   const auto items = makeManifest(dir, kDesigns, 990);
 
@@ -573,7 +574,7 @@ TEST(Supervisor, TelemetryFoldMatchesPerDesignReportsAndTraceHasAllLanes) {
 }
 
 TEST(Supervisor, MissingHeartbeatsFlagAHungWorkerBeforeTheTimeout) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = testing::uniqueTestDir();
   const auto items = makeManifest(dir, 1, 995);
 
   obs::setMetricsEnabled(true);
@@ -602,7 +603,7 @@ TEST(Supervisor, MissingHeartbeatsFlagAHungWorkerBeforeTheTimeout) {
 }
 
 TEST(Supervisor, SpawnFailureIsAPerDesignStatus) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = testing::uniqueTestDir();
   const auto items = makeManifest(dir, 1, 980);
 
   SupervisorConfig config = fastSupervisor();

@@ -12,7 +12,7 @@
 // up to --jobs in flight — on the process executor (or a private one of
 // --executor-threads workers), each with --threads-per-design stage lanes.
 // Per-design results are byte-identical to solo `mclg_cli legalize` runs
-// at the same thread count.
+// at any thread count.
 //
 // --process-isolation runs each design in its own supervised worker
 // process instead (flow/supervisor.hpp): a crash, OS kill, or timeout in

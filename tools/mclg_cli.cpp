@@ -297,7 +297,8 @@ int cmdLegalize(const Args& args) {
   }
   // setThreads must precede --n0: it only parallelizes the MCF while the
   // coupling term is still off (same semantics as the old inline block).
-  config.setThreads(static_cast<int>(args.getInt("--threads", 1)));
+  const int threads = static_cast<int>(args.getInt("--threads", 1));
+  config.setThreads(threads);
   if (args.has("--no-maxdisp")) config.runMaxDisp = false;
   if (args.has("--no-mcf")) config.runFixedRowOrder = false;
   config.maxDisp.delta0 = args.getDouble("--delta0", config.maxDisp.delta0);
@@ -410,7 +411,7 @@ int cmdLegalize(const Args& args) {
     provenance.design = design->name;
     provenance.numCells = design->numCells();
     provenance.preset = presetName;
-    provenance.threads = config.mgl.numThreads;
+    provenance.threads = threads;
     provenance.guardEnabled = config.guard.enabled;
     provenance.configText = configToText(config);
     if (!obs::writeRunReport(*reportOut, provenance, stats, &score,
@@ -460,7 +461,7 @@ int cmdLegalize(const Args& args) {
     provenance.design = design->name;
     provenance.numCells = design->numCells();
     provenance.preset = presetName;
-    provenance.threads = config.mgl.numThreads;
+    provenance.threads = threads;
     provenance.guardEnabled = config.guard.enabled;
     if (!writeFrame(reportFd, FrameType::Result,
                     serializeWorkerResult(wire)) ||
