@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "eval/checkers.hpp"
@@ -50,16 +49,27 @@ void InsertionSearcher::beginWindow() {
   if (rowSnaps_.size() < static_cast<std::size_t>(design.numRows)) {
     rowSnaps_.resize(static_cast<std::size_t>(design.numRows));
   }
-  if (cellCurve_.size() < static_cast<std::size_t>(design.numCells())) {
-    cellCurve_.resize(static_cast<std::size_t>(design.numCells()));
+  if (cellSlots_.size() < static_cast<std::size_t>(design.numCells())) {
+    cellSlots_.resize(static_cast<std::size_t>(design.numCells()));
   }
+  spanIndex_.clear();
   dupSkipped_ = 0;
 }
 
-const InsertionSearcher::RowSnap& InsertionSearcher::rowSnap(
+InsertionSearcher::CellSlot& InsertionSearcher::windowSlot(CellId j) const {
+  CellSlot& slot = cellSlots_[static_cast<std::size_t>(j)];
+  if (slot.windowEpoch != windowEpoch_) {
+    slot.windowEpoch = windowEpoch_;
+    slot.spanBase = -1;
+    slot.hasCurve = false;
+    slot.hasSlide = false;
+  }
+  return slot;
+}
+
+const InsertionSearcher::RowSnap& InsertionSearcher::buildRowSnap(
     std::int64_t r, const Rect& window) const {
   RowSnap& snap = rowSnaps_[static_cast<std::size_t>(r)];
-  if (snap.epoch == windowEpoch_) return snap;
   snap.epoch = windowEpoch_;
   snap.winBegin = 0;
   snap.x.clear();
@@ -81,25 +91,64 @@ const InsertionSearcher::RowSnap& InsertionSearcher::rowSnap(
   for (; it != rowMap.end(); ++it) {
     const CellId j = it->second;
     const int wj = design.widthOf(j);
+    const bool local = isLocal(j, window);
+    if (local) {
+      // Record the cell's position in this row for the commit simulation.
+      CellSlot& slot = windowSlot(j);
+      if (slot.spanBase < 0) {
+        slot.spanBase = static_cast<std::int32_t>(spanIndex_.size());
+        spanIndex_.resize(spanIndex_.size() +
+                              static_cast<std::size_t>(design.heightOf(j)),
+                          -1);
+      }
+      spanIndex_[static_cast<std::size_t>(slot.spanBase +
+                                          (r - design.cells[j].y))] =
+          static_cast<std::int32_t>(snap.x.size());
+    }
     snap.x.push_back(it->first);
     snap.cell.push_back(j);
     snap.width.push_back(wj);
     snap.center.push_back(static_cast<double>(it->first) + wj * 0.5);
-    snap.local.push_back(isLocal(j, window) ? 1 : 0);
+    snap.local.push_back(local ? 1 : 0);
     if (it->first >= window.xhi) break;
   }
   return snap;
 }
 
-const InsertionSearcher::CellCurveData& InsertionSearcher::curveData(
+std::int32_t InsertionSearcher::snapIndex(const RowSnap& snap, CellId j,
+                                          std::int64_t r) const {
+  const CellSlot& slot = cellSlots_[static_cast<std::size_t>(j)];
+  MCLG_ASSERT(slot.windowEpoch == windowEpoch_ && slot.spanBase >= 0,
+              "pushed cell missing from the window snapshots");
+  const std::int32_t i = spanIndex_[static_cast<std::size_t>(
+      slot.spanBase + (r - state_.design().cells[j].y))];
+  MCLG_ASSERT(i >= 0 && snap.cell[static_cast<std::size_t>(i)] == j,
+              "occupancy out of sync in commit");
+  return i;
+}
+
+const std::vector<Interval>& InsertionSearcher::forbiddenX(
+    TypeId type) const {
+  const auto& design = state_.design();
+  const auto t = static_cast<std::size_t>(type);
+  if (forbiddenByType_.size() <= t) {
+    forbiddenByType_.resize(static_cast<std::size_t>(design.numTypes()));
+  }
+  auto& forbidden = forbiddenByType_[t];
+  // verticalRailForbiddenX ignores the row: any y gives the same answer.
+  if (!forbidden) forbidden = verticalRailForbiddenX(design, type, 0);
+  return *forbidden;
+}
+
+const InsertionSearcher::CellSlot& InsertionSearcher::curveData(
     CellId j) const {
-  CellCurveData& d = cellCurve_[static_cast<std::size_t>(j)];
-  if (d.epoch == windowEpoch_) {
+  CellSlot& d = windowSlot(j);
+  if (d.hasCurve) {
     ++curveHits_;
     return d;
   }
   ++curveMisses_;
-  d.epoch = windowEpoch_;
+  d.hasCurve = true;
   const auto& design = state_.design();
   const auto& cell = design.cells[j];
   d.cur = static_cast<double>(cell.x);
@@ -122,17 +171,19 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
   std::int64_t hi = window.xhi - w;
 
   // Chain entries, deduplicated across rows for multi-row local cells (the
-  // most constraining row's offset wins). Scratch reused across calls.
+  // most constraining row's offset wins). A cell's step slot holds its entry
+  // index for this seed.
   auto& entries = entryScratch_;
-  auto& entryIndex = entryIndexScratch_;
   entries.clear();
-  entryIndex.clear();
+  const std::uint64_t seedEpoch = ++stepEpoch_;
   auto addEntry = [&](CellId j, std::int64_t off, bool left) {
-    auto [it, inserted] = entryIndex.emplace(j, entries.size());
-    if (inserted) {
+    CellSlot& slot = cellSlots_[static_cast<std::size_t>(j)];
+    if (slot.stepEpoch != seedEpoch) {
+      slot.stepEpoch = seedEpoch;
+      slot.step = static_cast<std::int64_t>(entries.size());
       entries.push_back({j, off, left});
-    } else if (off > entries[it->second].off) {
-      entries[it->second].off = off;
+    } else if (off > entries[static_cast<std::size_t>(slot.step)].off) {
+      entries[static_cast<std::size_t>(slot.step)].off = off;
     }
   };
 
@@ -200,7 +251,7 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
   }
 
   // Displacement curves (Fig. 4) summed over the target and local cells.
-  // Per-cell curve parameters come from the window-epoch arena.
+  // Per-cell curve parameters come from the window-epoch slots.
   const double swf = design.siteWidthFactor;
   CurveSum& sum = sumScratch_;
   sum.clear();
@@ -216,7 +267,7 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
   // zero-based in MLL mode, where gp == cur).
   double baseline = 0.0;
   for (const auto& entry : entries) {
-    const CellCurveData& cd = curveData(entry.cell);
+    const CellSlot& cd = curveData(entry.cell);
     baseline += cd.scale * std::abs(cd.cur - cd.gp);
     sum.add(entry.left
                 ? DispCurve::leftPush(cd.cur, cd.gp,
@@ -236,14 +287,8 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
 
   if (config_.routability) {
     // Dodge vertical-rail conflicts: move to the nearest clean site. The
-    // forbidden intervals depend only on (type, row), so they are computed
-    // once per row per window and reused across seeds.
-    if (forbiddenEpoch_ != windowEpoch_ || forbiddenY_ != y) {
-      forbiddenScratch_ = verticalRailForbiddenX(design, target.type, y);
-      forbiddenEpoch_ = windowEpoch_;
-      forbiddenY_ = y;
-    }
-    const auto& forbidden = forbiddenScratch_;
+    // forbidden intervals depend only on the type.
+    const auto& forbidden = forbiddenX(target.type);
     auto inForbidden = [&](std::int64_t x) -> const Interval* {
       for (const auto& iv : forbidden) {
         if (iv.contains(x)) return &iv;
@@ -468,6 +513,7 @@ bool InsertionSearcher::tryInsert(CellId c, const Rect& window) {
   auto& seen = seenScratch_;
   seen.clear();
   int attempts = 0;
+  bool committed = false;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     if (i >= sorted) {
       ensureSorted(i + chunk);
@@ -483,13 +529,19 @@ bool InsertionSearcher::tryInsert(CellId c, const Rect& window) {
       lastCommit_.x = cand.x;
       lastCommit_.y = cand.y;
       lastCommit_.estimatedCost = cand.cost;
-      bumpReject("mgl.insert.committed");
-      return true;
+      committed = true;
+      break;
     }
     if (++attempts >= config_.maxCommitAttempts) break;
   }
-  bumpReject("mgl.insert.window_failed");
-  return false;
+  if (obs::metricsEnabled()) {
+    obs::counter("mgl.commit.attempts").add(commitAttempts_);
+    obs::counter("mgl.commit.pushes").add(commitPushes_);
+  }
+  commitAttempts_ = 0;
+  commitPushes_ = 0;
+  bumpReject(committed ? "mgl.insert.committed" : "mgl.insert.window_failed");
+  return committed;
 }
 
 bool InsertionSearcher::commit(CellId c, const Candidate& cand,
@@ -501,12 +553,34 @@ bool InsertionSearcher::commit(CellId c, const Candidate& cand,
   const double seedCenter = static_cast<double>(cand.seed) + w * 0.5;
   const std::int64_t x = cand.x;
   const std::int64_t y = cand.y;
+  ++commitAttempts_;
 
-  auto& newX = newXScratch_;
-  newX.clear();
+  // The placement has not changed since the window began, so the window's
+  // row snapshots hold every cell a chain can reach: chains continue only
+  // through local cells, which lie inside the window. A cell's step slot
+  // holds its simulated x for this attempt.
+  const std::uint64_t attemptEpoch = ++stepEpoch_;
+  auto& moved = movedScratch_;
+  moved.clear();
   auto curX = [&](CellId j) {
-    auto it = newX.find(j);
-    return it != newX.end() ? it->second : design.cells[j].x;
+    const CellSlot& slot = cellSlots_[static_cast<std::size_t>(j)];
+    return slot.stepEpoch == attemptEpoch ? slot.step : design.cells[j].x;
+  };
+  auto setX = [&](CellSlot& slot, CellId j, std::int64_t nx) {
+    if (slot.stepEpoch != attemptEpoch) {
+      slot.stepEpoch = attemptEpoch;
+      moved.push_back(j);
+    }
+    slot.step = nx;
+  };
+  auto slideRange = [&](CellSlot& slot, CellId j) -> const Interval& {
+    if (!slot.hasSlide) {
+      const auto& cell = design.cells[j];
+      slot.slide = segments_.slideRange(cell.y, design.heightOf(j), cell.x,
+                                        design.widthOf(j), cell.fence);
+      slot.hasSlide = true;
+    }
+    return slot.slide;
   };
 
   // Two vector-backed FIFO work lists (head index instead of pop_front).
@@ -515,93 +589,79 @@ bool InsertionSearcher::commit(CellId c, const Candidate& cand,
   leftQ.clear();
   rightQ.clear();
 
-  // Seed the push requirements from the target's row span.
+  // Seed the push requirements from the target's row span: the immediate
+  // neighbours sit on either side of the seed's partition boundary (x order
+  // and center order agree in a legal row).
   for (std::int64_t r = y; r < y + h; ++r) {
-    const auto& rowMap = state_.rowCells(r);
-    // Immediate left neighbor: rightmost cell with center <= seedCenter.
-    for (auto it = rowMap.lower_bound(cand.seed + w + 1); it != rowMap.begin();) {
-      --it;
-      const CellId j = it->second;
-      const double center =
-          static_cast<double>(it->first) + design.widthOf(j) * 0.5;
-      if (center <= seedCenter) {
-        const int sp = spacingBetween(j, c);
-        leftQ.push_back({j, x - sp - design.widthOf(j)});
-        break;
-      }
+    const RowSnap& snap = rowSnap(r, window);
+    const auto b = static_cast<std::size_t>(
+        std::upper_bound(snap.center.begin(), snap.center.end(), seedCenter) -
+        snap.center.begin());
+    // A boundary at the left wall makes evaluateSeed's right chain start at
+    // a non-local cell, so such a seed never becomes a candidate; any other
+    // left neighbour is in the snapshot.
+    MCLG_ASSERT(b > 0 || snap.winBegin == 0,
+                "left neighbour outside the window snapshot");
+    if (b > 0) {
+      const CellId j = snap.cell[b - 1];
+      leftQ.push_back({j, snap.local[b - 1] != 0,
+                       x - spacingBetween(j, c) - snap.width[b - 1]});
     }
-    // Immediate right neighbor: leftmost cell with center > seedCenter
-    // (such a cell has x > seedCenter - maxCellWidth/2).
-    for (auto it = rowMap.lower_bound(cand.seed - design.maxCellWidth());
-         it != rowMap.end(); ++it) {
-      const CellId j = it->second;
-      const double center =
-          static_cast<double>(it->first) + design.widthOf(j) * 0.5;
-      if (center > seedCenter) {
-        const int sp = spacingBetween(c, j);
-        rightQ.push_back({j, x + w + sp});
-        break;
-      }
+    if (b < snap.cell.size()) {
+      const CellId j = snap.cell[b];
+      rightQ.push_back({j, snap.local[b] != 0, x + w + spacingBetween(c, j)});
     }
   }
-
-  auto& leftShifts = leftShiftScratch_;
-  auto& rightShifts = rightShiftScratch_;
-  leftShifts.clear();
-  rightShifts.clear();
 
   // Left pushes: bound is the max allowed left edge.
   for (std::size_t head = 0; head < leftQ.size();) {
     const PushReq req = leftQ[head++];
     if (curX(req.cell) <= req.bound) continue;
-    if (!isLocal(req.cell, window)) return false;
-    const auto& cell = design.cells[req.cell];
-    const int hj = design.heightOf(req.cell);
-    const int wj = design.widthOf(req.cell);
-    const Interval range =
-        segments_.slideRange(cell.y, hj, cell.x, wj, cell.fence);
-    if (req.bound < range.lo) return false;
-    newX[req.cell] = req.bound;
-    for (std::int64_t r = cell.y; r < cell.y + hj; ++r) {
-      const auto& rowMap = state_.rowCells(r);
-      auto it = rowMap.find(cell.x);
-      MCLG_ASSERT(it != rowMap.end() && it->second == req.cell,
-                  "occupancy out of sync in commit");
-      if (it == rowMap.begin()) continue;
-      --it;
-      const CellId n = it->second;
-      const int sp = spacingBetween(n, req.cell);
-      leftQ.push_back({n, req.bound - sp - design.widthOf(n)});
+    ++commitPushes_;
+    if (!req.local) return false;
+    CellSlot& slot = windowSlot(req.cell);
+    if (req.bound < slideRange(slot, req.cell).lo) return false;
+    setX(slot, req.cell, req.bound);
+    const std::int64_t cy = design.cells[req.cell].y;
+    for (std::int64_t r = cy; r < cy + design.heightOf(req.cell); ++r) {
+      const RowSnap& snap = rowSnap(r, window);
+      const auto i = static_cast<std::size_t>(snapIndex(snap, req.cell, r));
+      if (i == 0) continue;
+      const CellId n = snap.cell[i - 1];
+      leftQ.push_back({n, snap.local[i - 1] != 0,
+                       req.bound - spacingBetween(n, req.cell) -
+                           snap.width[i - 1]});
     }
   }
   // Right pushes: bound is the min allowed left edge.
   for (std::size_t head = 0; head < rightQ.size();) {
     const PushReq req = rightQ[head++];
     if (curX(req.cell) >= req.bound) continue;
-    if (!isLocal(req.cell, window)) return false;
-    const auto& cell = design.cells[req.cell];
-    const int hj = design.heightOf(req.cell);
+    ++commitPushes_;
+    if (!req.local) return false;
+    CellSlot& slot = windowSlot(req.cell);
     const int wj = design.widthOf(req.cell);
-    const Interval range =
-        segments_.slideRange(cell.y, hj, cell.x, wj, cell.fence);
-    if (req.bound + wj > range.hi) return false;
-    newX[req.cell] = req.bound;
-    for (std::int64_t r = cell.y; r < cell.y + hj; ++r) {
-      const auto& rowMap = state_.rowCells(r);
-      auto it = rowMap.find(cell.x);
-      MCLG_ASSERT(it != rowMap.end() && it->second == req.cell,
-                  "occupancy out of sync in commit");
-      ++it;
-      if (it == rowMap.end()) continue;
-      const CellId n = it->second;
-      const int sp = spacingBetween(req.cell, n);
-      rightQ.push_back({n, req.bound + wj + sp});
+    if (req.bound + wj > slideRange(slot, req.cell).hi) return false;
+    setX(slot, req.cell, req.bound);
+    const std::int64_t cy = design.cells[req.cell].y;
+    for (std::int64_t r = cy; r < cy + design.heightOf(req.cell); ++r) {
+      const RowSnap& snap = rowSnap(r, window);
+      const auto i = static_cast<std::size_t>(snapIndex(snap, req.cell, r));
+      if (i + 1 == snap.cell.size()) continue;
+      const CellId n = snap.cell[i + 1];
+      rightQ.push_back({n, snap.local[i + 1] != 0,
+                        req.bound + wj + spacingBetween(req.cell, n)});
     }
   }
 
   // Split the accepted moves by direction; (position, cell id) keys make
-  // the application order a total order, independent of map iteration.
-  for (const auto& [j, nx] : newX) {
+  // the application order a total order, independent of discovery order.
+  auto& leftShifts = leftShiftScratch_;
+  auto& rightShifts = rightShiftScratch_;
+  leftShifts.clear();
+  rightShifts.clear();
+  for (const CellId j : moved) {
+    const std::int64_t nx = cellSlots_[static_cast<std::size_t>(j)].step;
     if (nx < design.cells[j].x) {
       leftShifts.emplace_back(j, nx);
     } else if (nx > design.cells[j].x) {

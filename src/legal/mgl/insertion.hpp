@@ -15,18 +15,21 @@
 // Committing re-simulates the pushes exactly (with full multi-row chain
 // propagation) before mutating the placement, so a candidate whose
 // estimated chains interact across rows is safely discarded instead of
-// producing an illegal placement.
+// producing an illegal placement. The simulation runs on the same window
+// row snapshots the evaluation used; no node container is touched per push
+// or per seed.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
+#include <optional>
 #include <unordered_set>
 #include <vector>
 
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
 #include "geometry/disp_curve.hpp"
+#include "geometry/interval.hpp"
 #include "geometry/rect.hpp"
 
 namespace mclg {
@@ -117,14 +120,15 @@ class InsertionSearcher {
   int edgeSpacing(int rightEdgeClass, int leftEdgeClass) const;
   int spacingBetween(CellId left, CellId right) const;
 
-  // --- Window-epoch caches -------------------------------------------------
+  // --- Epoch-tagged caches ------------------------------------------------
   //
   // One search window is fixed for the whole of a tryInsert call and the
   // placement does not mutate until the final commit, so everything derived
   // from (occupancy, window) can be computed once per (row, window) and
-  // reused by every seed evaluation. The epoch counter is bumped at the top
-  // of tryInsert; stale cache slots are detected by epoch mismatch, never
-  // cleared eagerly.
+  // reused by every seed evaluation and every commit attempt. The window
+  // epoch is bumped at the top of tryInsert; each seed evaluation and each
+  // commit attempt draws a fresh step epoch. Stale slots are detected by
+  // epoch mismatch, never cleared eagerly.
 
   /// Flattened occupancy of one row, restricted to the cells a chain walk
   /// can reach: everything with x in [window.xlo, window.xhi) plus at most
@@ -150,20 +154,51 @@ class InsertionSearcher {
     std::int32_t boundary = 0;
   };
 
-  /// Cached displacement-curve parameters of one local cell (Fig. 4 inputs);
-  /// valid for one window epoch.
-  struct CellCurveData {
-    std::uint64_t epoch = 0;
+  /// Per-cell arena slot, indexed by CellId. `windowEpoch` tags the
+  /// window-scoped fields: the Fig. 4 curve inputs, the slide range and the
+  /// cell's snapshot positions. `stepEpoch` tags `step`, whose meaning
+  /// depends on the phase: during seed evaluation it is the cell's index in
+  /// the chain-entry list, during a commit attempt the simulated new x.
+  /// Both phases draw from one counter and never overlap within a window,
+  /// so one tag serves both.
+  struct CellSlot {
+    std::uint64_t windowEpoch = 0;
+    std::uint64_t stepEpoch = 0;
     double cur = 0.0;    // current x
     double gp = 0.0;     // objective anchor (gpX, or cur in MLL mode)
     double scale = 0.0;  // siteWidthFactor * metric weight
+    Interval slide;      // SegmentMap::slideRange at the current position
+    std::int64_t step = 0;
+    /// Local cells only: first of height() entries in spanIndex_, holding
+    /// the cell's index in each row snapshot of its span; -1 until the
+    /// first snapshot containing the cell is built.
+    std::int32_t spanBase = -1;
+    bool hasCurve = false;
+    bool hasSlide = false;
   };
 
-  /// Build (or fetch) the snapshot of row r for the current epoch.
-  const RowSnap& rowSnap(std::int64_t r, const Rect& window) const;
+  /// Fetch the snapshot of row r for the current epoch, building it on
+  /// first use.
+  const RowSnap& rowSnap(std::int64_t r, const Rect& window) const {
+    const RowSnap& snap = rowSnaps_[static_cast<std::size_t>(r)];
+    return snap.epoch == windowEpoch_ ? snap : buildRowSnap(r, window);
+  }
+  const RowSnap& buildRowSnap(std::int64_t r, const Rect& window) const;
 
-  /// Fetch the curve parameters of cell j, filling the arena slot on miss.
-  const CellCurveData& curveData(CellId j) const;
+  /// The arena slot of cell j, with its window-scoped fields reset when
+  /// they belong to an earlier window.
+  CellSlot& windowSlot(CellId j) const;
+
+  /// Fetch the curve parameters of cell j, filling the slot on miss.
+  const CellSlot& curveData(CellId j) const;
+
+  /// Index of local cell j in `snap`, the snapshot of row r of its span
+  /// (recorded when the snapshot was built; no search).
+  std::int32_t snapIndex(const RowSnap& snap, CellId j, std::int64_t r) const;
+
+  /// Vertical-rail forbidden x intervals of a cell type (row-independent),
+  /// computed once per searcher.
+  const std::vector<Interval>& forbiddenX(TypeId type) const;
 
   /// Bump the epoch and lazily size the arenas; called on tryInsert entry.
   void beginWindow();
@@ -174,18 +209,21 @@ class InsertionSearcher {
   CommitInfo lastCommit_;
 
   mutable std::uint64_t windowEpoch_ = 0;
-  mutable std::vector<RowSnap> rowSnaps_;        // indexed by row
-  mutable std::vector<CellCurveData> cellCurve_;  // indexed by cell
-  mutable std::vector<RowCtx> rowCtxScratch_;     // current seed's contexts
+  mutable std::uint64_t stepEpoch_ = 0;
+  mutable std::vector<RowSnap> rowSnaps_;         // indexed by row
+  mutable std::vector<CellSlot> cellSlots_;       // indexed by cell
+  mutable std::vector<std::int32_t> spanIndex_;   // see CellSlot::spanBase
+  mutable std::vector<RowCtx> rowCtxScratch_;      // current seed's contexts
   mutable std::vector<RowCtx> prevRowCtxScratch_;  // previous seed's contexts
-  // verticalRailForbiddenX cache, keyed by (epoch, row).
-  mutable std::vector<Interval> forbiddenScratch_;
-  mutable std::uint64_t forbiddenEpoch_ = 0;
-  mutable std::int64_t forbiddenY_ = 0;
+  // forbiddenX cache, indexed by type; rails are fixed while a searcher
+  // lives.
+  mutable std::vector<std::optional<std::vector<Interval>>> forbiddenByType_;
   // Aggregated locally, flushed to the metrics registry once per window.
   mutable std::size_t dupSkipped_ = 0;
   mutable std::size_t curveHits_ = 0;
   mutable std::size_t curveMisses_ = 0;
+  std::size_t commitAttempts_ = 0;
+  std::size_t commitPushes_ = 0;
 
   // Reused scratch buffers — the search runs millions of evaluations and
   // commit attempts, and per-call container construction dominated the
@@ -195,17 +233,20 @@ class InsertionSearcher {
     std::int64_t off = 0;
     bool left = false;
   };
+  /// A push request of the commit simulation: `cell`'s left edge must end
+  /// at or below `bound` (left queue) or at or above it (right queue).
+  /// `local` is the cell's snapshot flag; pushing a non-local cell fails.
   struct PushReq {
     CellId cell;
+    bool local;
     std::int64_t bound;
   };
   mutable std::vector<ChainEntry> entryScratch_;
-  mutable std::unordered_map<CellId, std::size_t> entryIndexScratch_;
   mutable CurveSum sumScratch_;
   mutable std::vector<std::int64_t> seedScratch_;
   std::vector<Candidate> candidateScratch_;
   std::unordered_set<std::uint64_t> seenScratch_;
-  std::unordered_map<CellId, std::int64_t> newXScratch_;
+  std::vector<CellId> movedScratch_;  // cells with a simulated new x
   std::vector<PushReq> queueScratch_;
   std::vector<PushReq> rightQueueScratch_;
   std::vector<std::pair<CellId, std::int64_t>> leftShiftScratch_;

@@ -79,9 +79,11 @@ bool MglLegalizer::placeFallback(CellId c) {
   });
 
   if (!gaps.empty() && config_.insertion.respectEdgeSpacing) {
-    InsertionConfig direct = config_.insertion;
-    direct.routability = false;
-    InsertionSearcher searcher(state_, segments_, direct);
+    if (!directSearcher_) {
+      InsertionConfig direct = config_.insertion;
+      direct.routability = false;
+      directSearcher_.emplace(state_, segments_, direct);
+    }
     const int tries = std::min<std::size_t>(gaps.size(), 5);
     for (int g = 0; g < tries; ++g) {
       const Rect around =
@@ -91,7 +93,7 @@ bool MglLegalizer::placeFallback(CellId c) {
                    2 * design.maxCellWidth(),
                gaps[static_cast<std::size_t>(g)].y + 2 * h}
               .intersect({0, 0, design.numSitesX, design.numRows});
-      if (searcher.tryInsert(c, around)) return true;
+      if (directSearcher_->tryInsert(c, around)) return true;
     }
   }
   if (!gaps.empty()) {
@@ -100,13 +102,15 @@ bool MglLegalizer::placeFallback(CellId c) {
   }
 
   // No free gap anywhere: push-based full-core insertion (rare).
-  InsertionConfig relaxed = config_.insertion;
-  relaxed.routability = false;
-  relaxed.maxSeedsPerRow = std::max(relaxed.maxSeedsPerRow, 64);
-  InsertionSearcher searcher(state_, segments_, relaxed);
+  if (!relaxedSearcher_) {
+    InsertionConfig relaxed = config_.insertion;
+    relaxed.routability = false;
+    relaxed.maxSeedsPerRow = std::max(relaxed.maxSeedsPerRow, 64);
+    relaxedSearcher_.emplace(state_, segments_, relaxed);
+  }
   const Rect fullCore{0, 0, state_.design().numSitesX,
                       state_.design().numRows};
-  return searcher.tryInsert(c, fullCore);
+  return relaxedSearcher_->tryInsert(c, fullCore);
 }
 
 MglStats MglLegalizer::run() {

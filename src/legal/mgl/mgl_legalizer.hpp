@@ -13,6 +13,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "db/placement_state.hpp"
@@ -64,6 +65,11 @@ class MglLegalizer {
   PlacementState& state_;
   const SegmentMap& segments_;
   MglConfig config_;
+  // placeFallback's searchers (routability off; the relaxed one also widens
+  // the seed cap), built on first use and kept so their arenas and epochs
+  // survive from one fallback cell to the next.
+  std::optional<InsertionSearcher> directSearcher_;
+  std::optional<InsertionSearcher> relaxedSearcher_;
 };
 
 }  // namespace mclg

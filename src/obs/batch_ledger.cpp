@@ -223,9 +223,9 @@ void BatchLedger::writeBatchBlock(JsonWriter& w) const {
   w.field("count", gapCount_);
   w.field("sum", gapSumMs_);
   w.field("max", gapMaxMs_);
-  w.field("p50", histogramQuantile(buckets, 0.50));
-  w.field("p95", histogramQuantile(buckets, 0.95));
-  w.field("p99", histogramQuantile(buckets, 0.99));
+  w.field("p50", histogramQuantile(buckets, 0.50, gapMaxMs_));
+  w.field("p95", histogramQuantile(buckets, 0.95, gapMaxMs_));
+  w.field("p99", histogramQuantile(buckets, 0.99, gapMaxMs_));
   w.key("pow2_buckets").beginArray();
   for (const long long bucket : buckets) w.value(bucket);
   w.endArray();

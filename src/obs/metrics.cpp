@@ -145,7 +145,8 @@ MetricsSnapshot metricsSnapshot() {
   return snap;
 }
 
-double histogramQuantile(const std::vector<long long>& buckets, double q) {
+double histogramQuantile(const std::vector<long long>& buckets, double q,
+                         double observedMax) {
   long long total = 0;
   for (const long long b : buckets) total += b;
   if (total <= 0) return 0.0;
@@ -160,11 +161,12 @@ double histogramQuantile(const std::vector<long long>& buckets, double q) {
       const double lower = i == 0 ? 0.0 : std::ldexp(1.0, static_cast<int>(i) - 1);
       const double upper = i == 0 ? 1.0 : std::ldexp(1.0, static_cast<int>(i));
       const double fraction = (target - cumulative) / inBucket;
-      return lower + fraction * (upper - lower);
+      return std::min(lower + fraction * (upper - lower), observedMax);
     }
     cumulative += inBucket;
   }
-  return std::ldexp(1.0, static_cast<int>(buckets.size()));
+  return std::min(std::ldexp(1.0, static_cast<int>(buckets.size())),
+                  observedMax);
 }
 
 long long MetricsSnapshot::counterValue(const std::string& name) const {

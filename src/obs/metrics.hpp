@@ -143,10 +143,13 @@ MetricsSnapshot metricsSnapshot();
 
 /// Quantile estimate (q in [0, 1]) from pow2 buckets (bucket 0 = [0, 1),
 /// bucket i = [2^(i-1), 2^i)): linear interpolation inside the bucket
-/// where the cumulative count crosses q * total. Returns 0 for an empty
+/// where the cumulative count crosses q * total, clamped to the largest
+/// observed value (interpolating across a partly filled top bucket would
+/// otherwise report quantiles above the maximum). Returns 0 for an empty
 /// histogram. The estimate is exact to within the bucket resolution —
 /// good enough to rank regressions, which is what the p50/p95/p99 report
 /// fields are for.
-double histogramQuantile(const std::vector<long long>& buckets, double q);
+double histogramQuantile(const std::vector<long long>& buckets, double q,
+                         double observedMax);
 
 }  // namespace mclg::obs

@@ -42,9 +42,9 @@ void writeMetricsBlock(JsonWriter& w) {
     w.field("count", hist.count);
     w.field("sum", hist.sum);
     w.field("max", hist.max);
-    w.field("p50", histogramQuantile(hist.buckets, 0.50));
-    w.field("p95", histogramQuantile(hist.buckets, 0.95));
-    w.field("p99", histogramQuantile(hist.buckets, 0.99));
+    w.field("p50", histogramQuantile(hist.buckets, 0.50, hist.max));
+    w.field("p95", histogramQuantile(hist.buckets, 0.95, hist.max));
+    w.field("p99", histogramQuantile(hist.buckets, 0.99, hist.max));
     w.key("pow2_buckets").beginArray();
     for (const long long bucket : hist.buckets) w.value(bucket);
     w.endArray();

@@ -14,8 +14,14 @@
 //  3. A warm network-simplex solve reaches the same optimal objective as a
 //     cold solve and passes independent optimality verification; warm
 //     validation rejects changed topology and still answers correctly.
+//  4. MGL placements are pinned: guarded contest-preset runs on a dense and
+//     a sparse fenced design reproduce recorded placement hashes, so a
+//     hot-path rewrite that changes any cell's position fails here, and a
+//     commit whose push chain hits a non-local cell leaves the placement
+//     untouched.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <vector>
@@ -23,10 +29,14 @@
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
 #include "eval/checkers.hpp"
+#include "eval/metrics.hpp"
 #include "flow/mcf.hpp"
 #include "gen/benchmark_gen.hpp"
 #include "geometry/disp_curve.hpp"
+#include "legal/mgl/insertion.hpp"
 #include "legal/pipeline.hpp"
+#include "obs/obs.hpp"
+#include "test_helpers.hpp"
 #include "util/random.hpp"
 
 namespace mclg {
@@ -278,6 +288,96 @@ TEST(WarmStart, ColdPathBitIdenticalToStaticEntryPoint) {
   EXPECT_EQ(a.flow, b.flow);
   EXPECT_EQ(a.potential, b.potential);
   EXPECT_EQ(static_cast<double>(a.totalCost), static_cast<double>(b.totalCost));
+}
+
+// ---------------------------------------------------------------------------
+// 4. Pinned MGL placements.
+// ---------------------------------------------------------------------------
+
+std::uint64_t guardedContestHash(double density) {
+  GenSpec spec;
+  spec.cellsPerHeight = {700, 90, 30, 15};
+  spec.density = density;
+  spec.numFences = 2;
+  spec.numBlockages = 1;
+  spec.seed = 2;  // at density 0.90: 28 fallback cells, 687 expansions
+  Design design = generate(spec);
+  SegmentMap segments(design);
+  PlacementState state(design);
+  PipelineConfig config = PipelineConfig::contest();
+  config.guard.enabled = true;
+  const auto stats = legalize(state, segments, config);
+  EXPECT_EQ(stats.mgl.failed, 0) << density;
+  EXPECT_TRUE(checkLegality(design, segments).legal()) << density;
+  return placementHash(design);
+}
+
+// Every row-4 insertion of the target needs the double-height cell D to
+// move, and in row 5 D is wedged between two triple-height cells that leave
+// the window; row 5 itself is full. Evaluation sees only row 4's chain and
+// proposes candidates; every commit must fail on the row-5 push.
+void expectFailedCommitLeavesPlacementUntouched() {
+  using testing::addCell;
+  Design d = testing::smallDesign();
+  struct Spot {
+    TypeId type;
+    std::int64_t x, y;
+  };
+  const std::vector<Spot> spots = {
+      {0, 11, 4},  // A
+      {1, 13, 4},  // D: rows 4-5
+      {0, 17, 4},  // B
+      {2, 9, 5},   // left wall: rows 5-7, starts left of the window
+      {2, 16, 5},  // right wall: rows 5-7, ends above the window
+  };
+  for (const Spot& s : spots) {
+    addCell(d, s.type, static_cast<double>(s.x), static_cast<double>(s.y));
+  }
+  const CellId target = addCell(d, 0, 14.0, 4.0);
+  SegmentMap segments(d);
+  PlacementState state(d);
+  for (std::size_t i = 0; i < spots.size(); ++i) {
+    state.place(static_cast<CellId>(i), spots[i].x, spots[i].y);
+  }
+  std::vector<std::map<std::int64_t, CellId>> rowsBefore;
+  for (std::int64_t r = 0; r < d.numRows; ++r) {
+    rowsBefore.push_back(state.rowCells(r));
+  }
+  std::vector<std::int64_t> xBefore;
+  for (const auto& cell : d.cells) xBefore.push_back(cell.x);
+
+  obs::setMetricsEnabled(true);
+  obs::metricsReset();
+  InsertionConfig config;
+  config.routability = false;
+  InsertionSearcher searcher(state, segments, config);
+  EXPECT_FALSE(searcher.tryInsert(target, Rect{10, 4, 19, 6}));
+  const obs::MetricsSnapshot snap = obs::metricsSnapshot();
+  obs::metricsReset();
+  obs::setMetricsEnabled(false);
+  // Candidates existed, so at least one commit was attempted and failed.
+  const auto candidates = std::find_if(
+      snap.histograms.begin(), snap.histograms.end(),
+      [](const auto& h) { return h.name == "mgl.window.candidates"; });
+  ASSERT_NE(candidates, snap.histograms.end());
+  EXPECT_GE(candidates->sum, 1.0);
+
+  EXPECT_FALSE(d.cells[target].placed);
+  for (std::int64_t r = 0; r < d.numRows; ++r) {
+    EXPECT_EQ(state.rowCells(r), rowsBefore[static_cast<std::size_t>(r)])
+        << "row " << r;
+  }
+  for (CellId c = 0; c < d.numCells(); ++c) {
+    EXPECT_EQ(d.cells[c].x, xBefore[static_cast<std::size_t>(c)]) << c;
+  }
+}
+
+TEST(PerfEquivalence, MglPlacementHashPinned) {
+  // Recorded before the MGL commit moved onto the window row snapshots;
+  // any placement change anywhere in the pipeline shows up here.
+  EXPECT_EQ(guardedContestHash(0.90), 2985868059451056406ULL);
+  EXPECT_EQ(guardedContestHash(0.55), 16341701802783861652ULL);
+  expectFailedCommitLeavesPlacementUntouched();
 }
 
 }  // namespace

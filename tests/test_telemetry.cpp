@@ -7,6 +7,7 @@
 // `batch` report block.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -285,24 +286,51 @@ TEST(MetricsDelta, MalformedPayloadIsRejectedAtomically) {
 // ---- Histogram quantiles ---------------------------------------------------
 
 TEST(Quantiles, InterpolatesInsideTheCrossingBucket) {
-  EXPECT_DOUBLE_EQ(obs::histogramQuantile({}, 0.5), 0.0);
-  EXPECT_DOUBLE_EQ(obs::histogramQuantile({0, 0, 0}, 0.99), 0.0);
+  EXPECT_DOUBLE_EQ(obs::histogramQuantile({}, 0.5, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(obs::histogramQuantile({0, 0, 0}, 0.99, 0.0), 0.0);
   // 4 observations in bucket 2 = [2, 4): p50 lands mid-bucket.
-  EXPECT_DOUBLE_EQ(obs::histogramQuantile({0, 0, 4}, 0.5), 3.0);
+  EXPECT_DOUBLE_EQ(obs::histogramQuantile({0, 0, 4}, 0.5, 3.9), 3.0);
   // 10 in [0,1) + 10 in [1,2): p50 at the boundary, p99 near the top.
   const std::vector<long long> twoBuckets = {10, 10};
-  EXPECT_DOUBLE_EQ(obs::histogramQuantile(twoBuckets, 0.5), 1.0);
-  const double p99 = obs::histogramQuantile(twoBuckets, 0.99);
+  EXPECT_DOUBLE_EQ(obs::histogramQuantile(twoBuckets, 0.5, 1.99), 1.0);
+  const double p99 = obs::histogramQuantile(twoBuckets, 0.99, 1.99);
   EXPECT_GT(p99, 1.9);
-  EXPECT_LE(p99, 2.0);
+  EXPECT_LE(p99, 1.99);
   // Quantiles are monotone in q.
   const std::vector<long long> mixed = {3, 1, 4, 1, 5, 9, 2, 6};
   double prev = 0.0;
   for (const double q : {0.1, 0.25, 0.5, 0.75, 0.95, 0.99}) {
-    const double v = obs::histogramQuantile(mixed, q);
+    const double v = obs::histogramQuantile(mixed, q, 127.0);
     EXPECT_GE(v, prev) << q;
     prev = v;
   }
+}
+
+TEST_F(TelemetryTest, QuantilesNeverExceedTheObservedMaximum) {
+  // 98 observations of 100 and two of 300: p99 lands in the top bucket
+  // [256, 512), which holds only the two 300s. Interpolating across the
+  // whole bucket would report p99 = 384, above everything observed.
+  obs::setMetricsEnabled(true);
+  obs::Histogram& hist = obs::histogram("tmtest.top_bucket");
+  for (int i = 0; i < 98; ++i) hist.observe(100.0);
+  hist.observe(300.0);
+  hist.observe(300.0);
+  const obs::MetricsSnapshot snap = obs::metricsSnapshot();
+  const auto it = std::find_if(
+      snap.histograms.begin(), snap.histograms.end(),
+      [](const auto& h) { return h.name == "tmtest.top_bucket"; });
+  ASSERT_NE(it, snap.histograms.end());
+  EXPECT_DOUBLE_EQ(it->max, 300.0);
+  EXPECT_DOUBLE_EQ(obs::histogramQuantile(it->buckets, 0.99, it->max), 300.0);
+  EXPECT_DOUBLE_EQ(obs::histogramQuantile(it->buckets, 1.0, it->max), 300.0);
+  // Quantiles below the top bucket are untouched by the clamp.
+  EXPECT_DOUBLE_EQ(obs::histogramQuantile(it->buckets, 0.49, it->max), 96.0);
+  // The report fields use the same clamp.
+  const JsonValue report = parseOrDie(obs::renderBenchReport("tmtest", {}));
+  const JsonValue& entry =
+      report.at("metrics").at("histograms").at("tmtest.top_bucket");
+  EXPECT_DOUBLE_EQ(entry.at("p99").number, 300.0);
+  EXPECT_LE(entry.at("p95").number, 300.0);
 }
 
 TEST_F(TelemetryTest, ReportHistogramsCarryPercentileFields) {
