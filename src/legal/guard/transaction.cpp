@@ -111,7 +111,7 @@ void runStage(PlacementState& state, const SegmentMap& segments,
     return;
   }
 
-  Timer total;
+  StageClock total;
   const PlacementSnapshot before = state.snapshot();
   const int unplacedBefore = countUnplacedMovable(state.design());
   double scoreBefore = -1.0;
@@ -159,11 +159,7 @@ void runStage(PlacementState& state, const SegmentMap& segments,
         rec.status =
             attempt == 0 ? StageStatus::Ok : StageStatus::OkAfterRetry;
         if (attempt > 0) report.degraded = true;
-        if (obs::metricsEnabled()) {
-          const std::string base = std::string("stage.") + stageName(driver.id);
-          obs::gauge(base + ".wall_seconds").set(total.seconds());
-          obs::gauge(base + ".cpu_seconds").set(total.cpuSeconds());
-        }
+        total.record(driver.id);
         return;
       }
       failure = "invariant violated: " + audit.violation;

@@ -62,9 +62,83 @@ InsertionSearcher::CellSlot& InsertionSearcher::windowSlot(CellId j) const {
     slot.windowEpoch = windowEpoch_;
     slot.spanBase = -1;
     slot.hasCurve = false;
-    slot.hasSlide = false;
+    slot.leftState = Reach::Unknown;
+    slot.rightState = Reach::Unknown;
   }
   return slot;
+}
+
+Interval InsertionSearcher::slideRange(CellId j) const {
+  const auto& design = state_.design();
+  const auto& cell = design.cells[j];
+  return segments_.slideRange(cell.y, design.heightOf(j), cell.x,
+                              design.widthOf(j), cell.fence);
+}
+
+std::int64_t InsertionSearcher::pushReach(CellId j, bool left,
+                                          const Rect& window) const {
+  const auto& design = state_.design();
+  auto stateOf = [left](CellSlot& slot) -> Reach& {
+    return left ? slot.leftState : slot.rightState;
+  };
+  // Depth-first over the neighbour DAG (a left neighbour lies strictly
+  // left, so there are no cycles). A cell is expanded on its first visit,
+  // which stacks its unresolved local neighbours, and resolved on its
+  // second, when all of them are Known.
+  auto& stack = reachStack_;
+  stack.clear();
+  stack.push_back(j);
+  while (!stack.empty()) {
+    const CellId k = stack.back();
+    CellSlot& slot = windowSlot(k);
+    Reach& state = stateOf(slot);
+    if (state == Reach::Known) {
+      stack.pop_back();
+      continue;
+    }
+    const bool firstVisit = state == Reach::Unknown;
+    state = Reach::Open;
+    const auto& cell = design.cells[k];
+    const int wk = design.widthOf(k);
+    // The tightest bound the neighbours impose.
+    std::int64_t need = left ? std::numeric_limits<std::int64_t>::min()
+                             : std::numeric_limits<std::int64_t>::max();
+    bool ready = true;
+    for (std::int64_t r = cell.y; r < cell.y + design.heightOf(k); ++r) {
+      const RowSnap& snap = rowSnap(r, window);
+      const auto i = static_cast<std::size_t>(snapIndex(snap, k, r));
+      if (left ? i == 0 : i + 1 == snap.cell.size()) continue;
+      const std::size_t ni = left ? i - 1 : i + 1;
+      const CellId n = snap.cell[ni];
+      std::int64_t reachN = snap.x[ni];  // a non-local cell cannot move
+      if (snap.local[ni]) {
+        CellSlot& nslot = windowSlot(n);
+        if (stateOf(nslot) != Reach::Known) {
+          if (firstVisit) stack.push_back(n);
+          ready = false;
+          continue;
+        }
+        reachN = left ? nslot.leftReach : nslot.rightReach;
+      }
+      need = left ? std::max(need, reachN + snap.width[ni] +
+                                       spacingBetween(n, k))
+                  : std::min(need, reachN - wk - spacingBetween(k, n));
+    }
+    if (!ready) {
+      MCLG_ASSERT(firstVisit, "push-reach neighbour graph has a cycle");
+      continue;
+    }
+    const Interval slide = slideRange(k);
+    if (left) {
+      slot.leftReach = std::min(cell.x, std::max(slide.lo, need));
+    } else {
+      slot.rightReach = std::max(cell.x, std::min(slide.hi - wk, need));
+    }
+    state = Reach::Known;
+    stack.pop_back();
+  }
+  const CellSlot& slot = cellSlots_[static_cast<std::size_t>(j)];
+  return left ? slot.leftReach : slot.rightReach;
 }
 
 const InsertionSearcher::RowSnap& InsertionSearcher::buildRowSnap(
@@ -512,7 +586,7 @@ bool InsertionSearcher::tryInsert(CellId c, const Rect& window) {
   // (different partitions can coincide on the same position).
   auto& seen = seenScratch_;
   seen.clear();
-  int attempts = 0;
+  int rejected = 0;  // candidates the push-reach check turned down
   bool committed = false;
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     if (i >= sorted) {
@@ -525,74 +599,47 @@ bool InsertionSearcher::tryInsert(CellId c, const Rect& window) {
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cand.x)) << 32) |
         static_cast<std::uint32_t>(cand.y);
     if (!seen.insert(key).second) continue;
-    if (commit(c, cand, window)) {
+    if (reachable(c, cand, window)) {
+      commit(c, cand, window);
       lastCommit_.x = cand.x;
       lastCommit_.y = cand.y;
       lastCommit_.estimatedCost = cand.cost;
       committed = true;
       break;
     }
-    if (++attempts >= config_.maxCommitAttempts) break;
+    if (++rejected >= config_.maxCommitAttempts) break;
   }
   if (obs::metricsEnabled()) {
-    obs::counter("mgl.commit.attempts").add(commitAttempts_);
+    obs::counter("mgl.commit.attempts").add(rejected + (committed ? 1 : 0));
+    obs::counter("mgl.commit.reach_rejects").add(rejected);
     obs::counter("mgl.commit.pushes").add(commitPushes_);
   }
-  commitAttempts_ = 0;
   commitPushes_ = 0;
   bumpReject(committed ? "mgl.insert.committed" : "mgl.insert.window_failed");
   return committed;
 }
 
-bool InsertionSearcher::commit(CellId c, const Candidate& cand,
-                               const Rect& window) {
-  auto& design = state_.design();
-  const auto& type = design.typeOf(c);
-  const int h = type.height;
-  const int w = type.width;
+bool InsertionSearcher::reachable(CellId c, const Candidate& cand,
+                                  const Rect& window) {
+  const auto& design = state_.design();
+  const int h = design.heightOf(c);
+  const int w = design.widthOf(c);
   const double seedCenter = static_cast<double>(cand.seed) + w * 0.5;
   const std::int64_t x = cand.x;
-  const std::int64_t y = cand.y;
-  ++commitAttempts_;
 
-  // The placement has not changed since the window began, so the window's
-  // row snapshots hold every cell a chain can reach: chains continue only
-  // through local cells, which lie inside the window. A cell's step slot
-  // holds its simulated x for this attempt.
-  const std::uint64_t attemptEpoch = ++stepEpoch_;
-  auto& moved = movedScratch_;
-  moved.clear();
-  auto curX = [&](CellId j) {
-    const CellSlot& slot = cellSlots_[static_cast<std::size_t>(j)];
-    return slot.stepEpoch == attemptEpoch ? slot.step : design.cells[j].x;
-  };
-  auto setX = [&](CellSlot& slot, CellId j, std::int64_t nx) {
-    if (slot.stepEpoch != attemptEpoch) {
-      slot.stepEpoch = attemptEpoch;
-      moved.push_back(j);
-    }
-    slot.step = nx;
-  };
-  auto slideRange = [&](CellSlot& slot, CellId j) -> const Interval& {
-    if (!slot.hasSlide) {
-      const auto& cell = design.cells[j];
-      slot.slide = segments_.slideRange(cell.y, design.heightOf(j), cell.x,
-                                        design.widthOf(j), cell.fence);
-      slot.hasSlide = true;
-    }
-    return slot.slide;
-  };
-
-  // Two vector-backed FIFO work lists (head index instead of pop_front).
+  // Two vector-backed FIFO work lists (head index instead of pop_front),
+  // consumed by commit().
   auto& leftQ = queueScratch_;
   auto& rightQ = rightQueueScratch_;
   leftQ.clear();
   rightQ.clear();
 
-  // Seed the push requirements from the target's row span: the immediate
-  // neighbours sit on either side of the seed's partition boundary (x order
-  // and center order agree in a legal row).
-  for (std::int64_t r = y; r < y + h; ++r) {
+  // The immediate neighbours sit on either side of the seed's partition
+  // boundary (x order and center order agree in a legal row). The
+  // placement has not changed since the window began, so the window's row
+  // snapshots hold every cell a chain can reach: chains continue only
+  // through local cells, which lie inside the window.
+  for (std::int64_t r = cand.y; r < cand.y + h; ++r) {
     const RowSnap& snap = rowSnap(r, window);
     const auto b = static_cast<std::size_t>(
         std::upper_bound(snap.center.begin(), snap.center.end(), seedCenter) -
@@ -613,15 +660,59 @@ bool InsertionSearcher::commit(CellId c, const Candidate& cand,
     }
   }
 
+  // A request that does not move its cell is always met; one that does is
+  // met iff it stays within the cell's reach (a non-local cell's reach is
+  // its own x, so any real push into it fails).
+  for (const PushReq& req : leftQ) {
+    if (req.bound >= design.cells[req.cell].x) continue;
+    if (!req.local || req.bound < pushReach(req.cell, true, window)) {
+      return false;
+    }
+  }
+  for (const PushReq& req : rightQ) {
+    if (req.bound <= design.cells[req.cell].x) continue;
+    if (!req.local || req.bound > pushReach(req.cell, false, window)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void InsertionSearcher::commit(CellId c, const Candidate& cand,
+                               const Rect& window) {
+  auto& design = state_.design();
+  const std::int64_t x = cand.x;
+  const std::int64_t y = cand.y;
+
+  // Replay the requests reachable() seeded. A cell's step slot holds its
+  // simulated x for this attempt.
+  const std::uint64_t attemptEpoch = ++stepEpoch_;
+  auto& moved = movedScratch_;
+  moved.clear();
+  auto curX = [&](CellId j) {
+    const CellSlot& slot = cellSlots_[static_cast<std::size_t>(j)];
+    return slot.stepEpoch == attemptEpoch ? slot.step : design.cells[j].x;
+  };
+  auto setX = [&](CellId j, std::int64_t nx) {
+    CellSlot& slot = cellSlots_[static_cast<std::size_t>(j)];
+    if (slot.stepEpoch != attemptEpoch) {
+      slot.stepEpoch = attemptEpoch;
+      moved.push_back(j);
+    }
+    slot.step = nx;
+  };
+  auto& leftQ = queueScratch_;
+  auto& rightQ = rightQueueScratch_;
+
   // Left pushes: bound is the max allowed left edge.
   for (std::size_t head = 0; head < leftQ.size();) {
     const PushReq req = leftQ[head++];
     if (curX(req.cell) <= req.bound) continue;
     ++commitPushes_;
-    if (!req.local) return false;
-    CellSlot& slot = windowSlot(req.cell);
-    if (req.bound < slideRange(slot, req.cell).lo) return false;
-    setX(slot, req.cell, req.bound);
+    MCLG_ASSERT(req.local, "push reach admitted a push of a non-local cell");
+    MCLG_ASSERT(req.bound >= slideRange(req.cell).lo,
+                "push reach admitted a push past a segment boundary");
+    setX(req.cell, req.bound);
     const std::int64_t cy = design.cells[req.cell].y;
     for (std::int64_t r = cy; r < cy + design.heightOf(req.cell); ++r) {
       const RowSnap& snap = rowSnap(r, window);
@@ -638,11 +729,11 @@ bool InsertionSearcher::commit(CellId c, const Candidate& cand,
     const PushReq req = rightQ[head++];
     if (curX(req.cell) >= req.bound) continue;
     ++commitPushes_;
-    if (!req.local) return false;
-    CellSlot& slot = windowSlot(req.cell);
+    MCLG_ASSERT(req.local, "push reach admitted a push of a non-local cell");
     const int wj = design.widthOf(req.cell);
-    if (req.bound + wj > slideRange(slot, req.cell).hi) return false;
-    setX(slot, req.cell, req.bound);
+    MCLG_ASSERT(req.bound + wj <= slideRange(req.cell).hi,
+                "push reach admitted a push past a segment boundary");
+    setX(req.cell, req.bound);
     const std::int64_t cy = design.cells[req.cell].y;
     for (std::int64_t r = cy; r < cy + design.heightOf(req.cell); ++r) {
       const RowSnap& snap = rowSnap(r, window);
@@ -703,7 +794,6 @@ bool InsertionSearcher::commit(CellId c, const Candidate& cand,
   for (const auto& [j, nx] : rightShifts) applyShift(j, nx);
   state_.place(c, x, y);
   lastCommit_.measuredCost = measured;
-  return true;
 }
 
 void InsertionSearcher::undoLastCommit(CellId c) {

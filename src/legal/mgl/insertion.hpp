@@ -12,12 +12,15 @@
 // whole rows, vertical-rail conflicts shift the x optimum to the nearest
 // clean site, IO-pin overlaps add a cost penalty.
 //
-// Committing re-simulates the pushes exactly (with full multi-row chain
-// propagation) before mutating the placement, so a candidate whose
-// estimated chains interact across rows is safely discarded instead of
-// producing an illegal placement. The simulation runs on the same window
-// row snapshots the evaluation used; no node container is touched per push
-// or per seed.
+// The evaluation estimates each row's chain on its own, so a candidate
+// whose chains interact across rows can be infeasible. Every candidate is
+// therefore first tested exactly, in O(h), against per-cell push-reach
+// bounds: the furthest a left (right) push may drive a cell before its
+// chain, followed through every row of every pushed cell, runs into a
+// non-local cell or a segment boundary. The bounds are computed lazily,
+// once per window, on the window's row snapshots. Only the candidate that
+// passes is simulated push by push and applied, so a failed attempt costs
+// no simulation and the placement never sees a partial commit.
 #pragma once
 
 #include <cstdint>
@@ -111,9 +114,26 @@ class InsertionSearcher {
   bool evaluateSeed(CellId c, const Rect& window, std::int64_t y,
                     std::int64_t seed, Candidate& out) const;
 
-  /// Exact push simulation + mutation. Returns false (placement untouched)
-  /// if some required push hits a non-local cell or a segment boundary.
-  bool commit(CellId c, const Candidate& cand, const Rect& window);
+  /// Seed the push work lists with the requests the target, placed at
+  /// cand, makes of its immediate neighbours in each row of its span, and
+  /// test each against the neighbour's push reach. True iff commit(cand)
+  /// succeeds: a commit fails exactly when a push hits a non-local cell or
+  /// a slide-range bound, and both conditions are monotone in the bound.
+  bool reachable(CellId c, const Candidate& cand, const Rect& window);
+
+  /// Apply the candidate that reachable() just accepted: propagate the
+  /// requests it seeded push by push, then shift the pushed cells and
+  /// place c. A failing push is an assertion failure, not a rejection.
+  void commit(CellId c, const Candidate& cand, const Rect& window);
+
+  /// Push reach of local cell j in one direction: for a left push, the
+  /// smallest left edge a request may demand of j (leftReach(j) =
+  /// min(x_j, max(slide.lo, max over left neighbours n of leftReach(n) +
+  /// w_n + spacing(n, j))), with leftReach = x for non-local cells); for a
+  /// right push, the mirrored largest one. Filled into the window-epoch
+  /// slots with an explicit stack, since chains in a full-core window can
+  /// span thousands of cells.
+  std::int64_t pushReach(CellId j, bool left, const Rect& window) const;
 
   bool isLocal(CellId c, const Rect& window) const;
 
@@ -154,27 +174,36 @@ class InsertionSearcher {
     std::int32_t boundary = 0;
   };
 
+  /// Progress of one push-reach threshold within the current window.
+  enum class Reach : unsigned char { Unknown, Open, Known };
+
   /// Per-cell arena slot, indexed by CellId. `windowEpoch` tags the
-  /// window-scoped fields: the Fig. 4 curve inputs, the slide range and the
-  /// cell's snapshot positions. `stepEpoch` tags `step`, whose meaning
-  /// depends on the phase: during seed evaluation it is the cell's index in
-  /// the chain-entry list, during a commit attempt the simulated new x.
-  /// Both phases draw from one counter and never overlap within a window,
-  /// so one tag serves both.
+  /// window-scoped fields: the Fig. 4 curve inputs, the push reach in both
+  /// directions and the cell's snapshot positions.
+  /// `stepEpoch` tags `step`, whose meaning depends on the phase: during
+  /// seed evaluation it is the cell's index in the chain-entry list, during
+  /// the commit the simulated new x. Both phases draw from one counter and
+  /// never overlap within a window, so one tag serves both. Every searcher
+  /// holds one slot per design cell and the ECO path builds searchers per
+  /// request, so the slot is kept at 72 bytes: the slide range is not
+  /// cached (the push reach reads it once per cell and direction, the
+  /// commit's assertions once per simulated push).
   struct CellSlot {
     std::uint64_t windowEpoch = 0;
     std::uint64_t stepEpoch = 0;
     double cur = 0.0;    // current x
     double gp = 0.0;     // objective anchor (gpX, or cur in MLL mode)
     double scale = 0.0;  // siteWidthFactor * metric weight
-    Interval slide;      // SegmentMap::slideRange at the current position
     std::int64_t step = 0;
+    std::int64_t leftReach = 0;   // valid when leftState == Reach::Known
+    std::int64_t rightReach = 0;  // valid when rightState == Reach::Known
     /// Local cells only: first of height() entries in spanIndex_, holding
     /// the cell's index in each row snapshot of its span; -1 until the
     /// first snapshot containing the cell is built.
     std::int32_t spanBase = -1;
     bool hasCurve = false;
-    bool hasSlide = false;
+    Reach leftState = Reach::Unknown;
+    Reach rightState = Reach::Unknown;
   };
 
   /// Fetch the snapshot of row r for the current epoch, building it on
@@ -191,6 +220,9 @@ class InsertionSearcher {
 
   /// Fetch the curve parameters of cell j, filling the slot on miss.
   const CellSlot& curveData(CellId j) const;
+
+  /// SegmentMap::slideRange of cell j at its current position.
+  Interval slideRange(CellId j) const;
 
   /// Index of local cell j in `snap`, the snapshot of row r of its span
   /// (recorded when the snapshot was built; no search).
@@ -222,7 +254,6 @@ class InsertionSearcher {
   mutable std::size_t dupSkipped_ = 0;
   mutable std::size_t curveHits_ = 0;
   mutable std::size_t curveMisses_ = 0;
-  std::size_t commitAttempts_ = 0;
   std::size_t commitPushes_ = 0;
 
   // Reused scratch buffers — the search runs millions of evaluations and
@@ -235,7 +266,7 @@ class InsertionSearcher {
   };
   /// A push request of the commit simulation: `cell`'s left edge must end
   /// at or below `bound` (left queue) or at or above it (right queue).
-  /// `local` is the cell's snapshot flag; pushing a non-local cell fails.
+  /// `local` is the cell's snapshot flag; a non-local cell cannot move.
   struct PushReq {
     CellId cell;
     bool local;
@@ -249,6 +280,7 @@ class InsertionSearcher {
   std::vector<CellId> movedScratch_;  // cells with a simulated new x
   std::vector<PushReq> queueScratch_;
   std::vector<PushReq> rightQueueScratch_;
+  mutable std::vector<CellId> reachStack_;  // pushReach's work stack
   std::vector<std::pair<CellId, std::int64_t>> leftShiftScratch_;
   std::vector<std::pair<CellId, std::int64_t>> rightShiftScratch_;
 };

@@ -3,20 +3,23 @@
 #include "legal/guard/invariants.hpp"
 #include "legal/guard/transaction.hpp"
 #include "obs/obs.hpp"
-#include "util/timer.hpp"
+#include "obs/sampler.hpp"
 
 namespace mclg {
-namespace {
 
-// Per-stage wall/CPU gauges for the run report, e.g. stage.mgl.wall_seconds.
-void recordStageTime(PipelineStage stage, const Timer& timer) {
-  if (!obs::metricsEnabled()) return;
-  const std::string base = std::string("stage.") + stageName(stage);
-  obs::gauge(base + ".wall_seconds").set(timer.seconds());
-  obs::gauge(base + ".cpu_seconds").set(timer.cpuSeconds());
+StageClock::StageClock()
+    : cpuStart_(obs::MetricsSampler::processCpuSeconds()) {}
+
+double StageClock::cpuSeconds() const {
+  return obs::MetricsSampler::processCpuSeconds() - cpuStart_;
 }
 
-}  // namespace
+void StageClock::record(PipelineStage stage) const {
+  if (!obs::metricsEnabled()) return;
+  const std::string base = std::string("stage.") + stageName(stage);
+  obs::gauge(base + ".wall_seconds").set(seconds());
+  obs::gauge(base + ".cpu_seconds").set(cpuSeconds());
+}
 
 PipelineConfig PipelineConfig::contest() {
   PipelineConfig config;
@@ -82,47 +85,47 @@ PipelineStats legalize(PlacementState& state, const SegmentMap& segments,
   };
   {
     MCLG_TRACE_SCOPE("pipeline/mgl");
-    Timer timer;
+    StageClock timer;
     MglLegalizer mgl(state, segments, config.mgl);
     stats.mgl = mgl.run();
     stats.secondsMgl = timer.seconds();
-    recordStageTime(PipelineStage::Mgl, timer);
+    timer.record(PipelineStage::Mgl);
     record(PipelineStage::Mgl, true, stats.secondsMgl);
   }
   if (config.runMaxDisp) {
     MCLG_TRACE_SCOPE("pipeline/maxdisp");
-    Timer timer;
+    StageClock timer;
     stats.maxDisp = optimizeMaxDisplacement(state, config.maxDisp);
     stats.secondsMaxDisp = timer.seconds();
-    recordStageTime(PipelineStage::MaxDisp, timer);
+    timer.record(PipelineStage::MaxDisp);
   }
   record(PipelineStage::MaxDisp, config.runMaxDisp, stats.secondsMaxDisp);
   if (config.runFixedRowOrder) {
     MCLG_TRACE_SCOPE("pipeline/mcf");
-    Timer timer;
+    StageClock timer;
     stats.fixedRowOrder =
         optimizeFixedRowOrder(state, segments, config.fixedRowOrder);
     stats.secondsFixedRowOrder = timer.seconds();
-    recordStageTime(PipelineStage::FixedRowOrder, timer);
+    timer.record(PipelineStage::FixedRowOrder);
   }
   record(PipelineStage::FixedRowOrder, config.runFixedRowOrder,
          stats.secondsFixedRowOrder);
   if (config.runRipup) {
     MCLG_TRACE_SCOPE("pipeline/ripup");
-    Timer timer;
+    StageClock timer;
     RipupConfig ripup = config.ripup;
     ripup.insertion = config.mgl.insertion;  // same objective/constraints
     stats.ripup = ripupRefine(state, segments, ripup);
     stats.secondsRipup = timer.seconds();
-    recordStageTime(PipelineStage::Ripup, timer);
+    timer.record(PipelineStage::Ripup);
   }
   record(PipelineStage::Ripup, config.runRipup, stats.secondsRipup);
   if (config.runWirelengthRecovery) {
     MCLG_TRACE_SCOPE("pipeline/recovery");
-    Timer timer;
+    StageClock timer;
     stats.recovery = recoverWirelength(state, segments, config.recovery);
     stats.secondsRecovery = timer.seconds();
-    recordStageTime(PipelineStage::Recovery, timer);
+    timer.record(PipelineStage::Recovery);
   }
   record(PipelineStage::Recovery, config.runWirelengthRecovery,
          stats.secondsRecovery);

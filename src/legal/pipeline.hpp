@@ -15,6 +15,7 @@
 #include "legal/mgl/mgl_legalizer.hpp"
 #include "legal/refine/ripup_refine.hpp"
 #include "legal/refine/wirelength_recovery.hpp"
+#include "util/timer.hpp"
 
 namespace mclg {
 
@@ -77,6 +78,23 @@ struct PipelineStats {
     return secondsMgl + secondsMaxDisp + secondsFixedRowOrder + secondsRipup +
            secondsRecovery;
   }
+};
+
+/// Wall and CPU stopwatch of one pipeline stage, running from
+/// construction. CPU is the process's getrusage delta, so the worker lanes
+/// of a parallel stage count, not only the thread that reads the clock.
+class StageClock {
+ public:
+  StageClock();
+  double seconds() const { return wall_.seconds(); }
+  double cpuSeconds() const;
+  /// Publish stage.<name>.wall_seconds and .cpu_seconds for the run
+  /// report; a no-op while metrics are off.
+  void record(PipelineStage stage) const;
+
+ private:
+  Timer wall_;
+  double cpuStart_;
 };
 
 /// Legalize all unplaced movable cells of the design behind `state`.

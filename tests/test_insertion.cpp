@@ -228,5 +228,29 @@ TEST(Insertion, CommitMatchesEvaluatedPosition) {
   EXPECT_DOUBLE_EQ(f.design.displacement(a), 0.0);
 }
 
+// The push reach of the last cell of a 100k-cell abutting chain depends on
+// every cell of the chain. Computing it must not recurse per cell.
+TEST(Insertion, LongPushChainDoesNotExhaustTheStack) {
+  constexpr int kChain = 100000;
+  Design d = smallDesign();
+  d.numRows = 1;
+  // One free site pair at the left end, then the packed chain; the target
+  // wants the right end, so every candidate pushes the whole chain left.
+  d.numSitesX = 2 * kChain + 2;
+  for (int i = 0; i < kChain; ++i) {
+    addCell(d, 0, 2.0 + 2.0 * i, 0.0);
+  }
+  const CellId t = addCell(d, 0, 2.0 * kChain, 0.0);
+  Fixture f(std::move(d));
+  for (CellId i = 0; i < kChain; ++i) f.state->place(i, 2 + 2 * i, 0);
+  ASSERT_TRUE(f.insert(t));
+  // The target lands near its GP, and the chain left of it shifts by one
+  // cell width down to the wall.
+  EXPECT_GE(f.design.cells[t].x, 2 * kChain - 64);
+  EXPECT_EQ(f.design.cells[0].x, 0);
+  const SegmentMap map(f.design);
+  EXPECT_TRUE(checkLegality(f.design, map).legal());
+}
+
 }  // namespace
 }  // namespace mclg

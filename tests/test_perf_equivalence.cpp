@@ -22,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <vector>
@@ -294,9 +295,10 @@ TEST(WarmStart, ColdPathBitIdenticalToStaticEntryPoint) {
 // 4. Pinned MGL placements.
 // ---------------------------------------------------------------------------
 
-std::uint64_t guardedContestHash(double density) {
+std::uint64_t guardedContestHash(
+    double density, std::array<int, 4> cellsPerHeight = {700, 90, 30, 15}) {
   GenSpec spec;
-  spec.cellsPerHeight = {700, 90, 30, 15};
+  spec.cellsPerHeight = cellsPerHeight;
   spec.density = density;
   spec.numFences = 2;
   spec.numBlockages = 1;
@@ -355,12 +357,17 @@ void expectFailedCommitLeavesPlacementUntouched() {
   const obs::MetricsSnapshot snap = obs::metricsSnapshot();
   obs::metricsReset();
   obs::setMetricsEnabled(false);
-  // Candidates existed, so at least one commit was attempted and failed.
+  // Candidates existed, so at least one commit was attempted; the push
+  // reach rejected every attempt before any push was simulated.
   const auto candidates = std::find_if(
       snap.histograms.begin(), snap.histograms.end(),
       [](const auto& h) { return h.name == "mgl.window.candidates"; });
   ASSERT_NE(candidates, snap.histograms.end());
   EXPECT_GE(candidates->sum, 1.0);
+  EXPECT_GE(snap.counterValue("mgl.commit.attempts"), 1);
+  EXPECT_EQ(snap.counterValue("mgl.commit.pushes"), 0);
+  EXPECT_EQ(snap.counterValue("mgl.commit.reach_rejects"),
+            snap.counterValue("mgl.commit.attempts"));
 
   EXPECT_FALSE(d.cells[target].placed);
   for (std::int64_t r = 0; r < d.numRows; ++r) {
@@ -373,10 +380,16 @@ void expectFailedCommitLeavesPlacementUntouched() {
 }
 
 TEST(PerfEquivalence, MglPlacementHashPinned) {
-  // Recorded before the MGL commit moved onto the window row snapshots;
-  // any placement change anywhere in the pipeline shows up here.
+  // The first two were recorded before the MGL commit moved onto the
+  // window row snapshots, the third before push reach replaced the
+  // simulation of failing commits; any placement change anywhere in the
+  // pipeline shows up here.
   EXPECT_EQ(guardedContestHash(0.90), 2985868059451056406ULL);
   EXPECT_EQ(guardedContestHash(0.55), 16341701802783861652ULL);
+  // Dense and rich in 3- and 4-row cells, where chains cross rows most
+  // (43 cells need the fallback).
+  EXPECT_EQ(guardedContestHash(0.95, {500, 80, 60, 40}),
+            15095610209893768910ULL);
   expectFailedCommitLeavesPlacementUntouched();
 }
 

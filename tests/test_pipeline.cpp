@@ -2,6 +2,9 @@
 // post-processing effects (Table 3 shape), and config presets.
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
 #include "eval/checkers.hpp"
@@ -9,6 +12,7 @@
 #include "eval/score.hpp"
 #include "gen/benchmark_gen.hpp"
 #include "legal/pipeline.hpp"
+#include "obs/obs.hpp"
 
 namespace mclg {
 namespace {
@@ -126,6 +130,36 @@ TEST(Pipeline, TimingsPopulated) {
   const auto stats = legalize(state, segments, PipelineConfig::contest());
   EXPECT_GT(stats.secondsMgl, 0.0);
   EXPECT_GE(stats.secondsTotal(), stats.secondsMgl);
+}
+
+// A parallel stage's CPU is spent on its worker threads. Each of two
+// threads spins until its own CPU clock passes 30 ms, so the stage's CPU
+// reaches 60 ms however loaded the host is, while the timing thread itself
+// only waits.
+TEST(Pipeline, StageCpuSecondsCountsWorkerThreads) {
+  obs::setMetricsEnabled(true);
+  obs::metricsReset();
+  {
+    const StageClock timer;
+    std::vector<std::thread> workers;
+    for (int i = 0; i < 2; ++i) {
+      workers.emplace_back([] {
+        const double start = Timer::threadCpuSeconds();
+        while (Timer::threadCpuSeconds() - start < 0.03) {
+        }
+      });
+    }
+    for (auto& worker : workers) worker.join();
+    timer.record(PipelineStage::MaxDisp);
+  }
+  const obs::MetricsSnapshot snap = obs::metricsSnapshot();
+  obs::metricsReset();
+  obs::setMetricsEnabled(false);
+  double cpu = -1.0;
+  for (const auto& [name, value] : snap.gauges) {
+    if (name == "stage.maxdisp.cpu_seconds") cpu = value;
+  }
+  EXPECT_GE(cpu, 0.06);
 }
 
 }  // namespace
