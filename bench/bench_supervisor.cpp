@@ -1,19 +1,17 @@
-// Process-isolation overhead gate (docs/ROBUSTNESS.md).
+// Supervised batch throughput and telemetry overhead (docs/ROBUSTNESS.md).
 //
 // The supervised fan-out (flow/supervisor.hpp) buys crash isolation with a
-// fork/exec + pipe + reload per design; this bench quantifies that price
-// against the in-process batch runner on the same manifest and asserts the
-// two modes agree byte-for-byte:
+// fork/exec + pipe + reload per design; this bench times it on an 8-design
+// manifest and asserts it agrees byte-for-byte with solo runs:
 //
-//  * `isolation_overhead` = supervised_seconds / inprocess_seconds — the
-//    end-to-end cost multiplier of process isolation for small designs
-//    (worst case: the fixed per-worker cost is least amortized there);
+//  * `supervised_designs_per_sec` — end-to-end batch throughput with live
+//    telemetry on, the configuration mclg_batch ships;
 //  * `telemetry_overhead` = supervised_seconds / telemetry-off supervised
 //    seconds — the cost of live telemetry (heartbeats + metrics deltas at
 //    the default 100 ms sampling), gated to <= 2% by perf_gate.py;
-//  * `supervised.identical` — every design's placement hash matches the
-//    in-process batch run (which PR 5 already gates as identical to solo
-//    runs), auto-gated to 1 by perf_gate.py.
+//  * `supervised.identical` — every design's placement hash matches a solo
+//    runBatchItem run of the same design in this process, auto-gated to 1
+//    by perf_gate.py.
 //
 // The binary is its own worker: main() dispatches `--worker` argv to
 // supervisorWorkerMain, so the supervisor self-execs this bench the same
@@ -36,7 +34,6 @@
 #include "gen/benchmark_gen.hpp"
 #include "legal/pipeline.hpp"
 #include "parsers/simple_format.hpp"
-#include "util/executor/executor.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -93,33 +90,9 @@ int main(int argc, char** argv) {
       std::thread::hardware_concurrency() ? std::thread::hardware_concurrency()
                                           : 1);
 
-  std::printf("=== supervised (process-per-design) vs in-process batch ===\n");
+  std::printf("=== supervised (process-per-design) batch ===\n");
   std::printf("designs=%d cells=%d workers=%d reps=%d\n", kDesigns, cells,
               workers, reps);
-
-  // In-process reference: the PR 5 batch runner on a private executor.
-  std::vector<std::uint64_t> inprocHashes;
-  double inprocSeconds = 1e18;
-  {
-    Executor executor(workers);
-    BatchRunConfig config;
-    config.pipeline = PipelineConfig::contest();
-    config.pipeline.setThreads(1);
-    config.maxInFlight = kDesigns;
-    config.executor = ExecutorRef(&executor);
-    for (int rep = 0; rep < reps; ++rep) {
-      Timer timer;
-      const auto results = runBatchManifest(items, config);
-      inprocSeconds = std::min(inprocSeconds, timer.seconds());
-      if (rep == 0) {
-        for (const auto& result : results) {
-          inprocHashes.push_back(result.ok ? result.placementHash : 0);
-        }
-      }
-    }
-  }
-  std::printf("in-process    %.3fs (%.1f designs/s)\n", inprocSeconds,
-              kDesigns / inprocSeconds);
 
   // Supervised mode, live telemetry off (telemetrySampleMs = 0: no sampler
   // thread, no Heartbeat/MetricsDelta frames) — the baseline for the
@@ -140,7 +113,7 @@ int main(int argc, char** argv) {
               supervisedOffSeconds, kDesigns / supervisedOffSeconds);
 
   // Supervised mode with live telemetry at the default 100 ms sampling —
-  // the configuration mclg_batch --process-isolation actually ships.
+  // the configuration mclg_batch actually ships.
   std::vector<std::uint64_t> supervisedHashes;
   double supervisedSeconds = 1e18;
   {
@@ -159,29 +132,37 @@ int main(int argc, char** argv) {
       }
     }
   }
-  const double overhead =
-      inprocSeconds > 0 ? supervisedSeconds / inprocSeconds : 0.0;
+
+  // Solo reference: each design legalized on its own in this process,
+  // untimed. It runs after the timed runs so the heap it grows does not
+  // make this process slower to fork.
+  std::vector<std::uint64_t> soloHashes;
+  {
+    BatchRunConfig config;
+    config.pipeline = PipelineConfig::contest();
+    for (const BatchManifestItem& item : items) {
+      const BatchDesignResult result = runBatchItem(item, config);
+      soloHashes.push_back(result.ok ? result.placementHash : 0);
+    }
+  }
+
   const double telemetryOverhead =
       supervisedOffSeconds > 0 ? supervisedSeconds / supervisedOffSeconds
                                : 0.0;
   std::printf(
-      "supervised    %.3fs (%.1f designs/s, %.2fx in-process, "
-      "%.3fx telemetry-off)\n",
-      supervisedSeconds, kDesigns / supervisedSeconds, overhead,
-      telemetryOverhead);
+      "supervised    %.3fs (%.1f designs/s, %.3fx telemetry-off)\n",
+      supervisedSeconds, kDesigns / supervisedSeconds, telemetryOverhead);
 
-  const bool identical = supervisedHashes == inprocHashes;
-  std::printf("supervised identical to in-process: %d\n", identical);
+  const bool identical = supervisedHashes == soloHashes;
+  std::printf("supervised identical to solo: %d\n", identical);
 
   std::vector<std::pair<std::string, double>> values;
   values.emplace_back("designs", static_cast<double>(kDesigns));
   values.emplace_back("cells_per_design", static_cast<double>(cells));
   values.emplace_back("reps", static_cast<double>(reps));
   values.emplace_back("workers", static_cast<double>(workers));
-  values.emplace_back("inprocess_seconds", inprocSeconds);
   values.emplace_back("supervised_seconds", supervisedSeconds);
   values.emplace_back("supervised_telemetry_off_seconds", supervisedOffSeconds);
-  values.emplace_back("isolation_overhead", overhead);
   values.emplace_back("telemetry_overhead", telemetryOverhead);
   values.emplace_back("supervised_designs_per_sec",
                       supervisedSeconds > 0 ? kDesigns / supervisedSeconds

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Batch supervisor torture test: hammer `mclg_batch --process-isolation`
+# Batch supervisor torture test: hammer `mclg_batch`
 # with workers that segfault, abort, get SIGKILLed, and hang past the
 # design timeout, over many iterations, and assert the supervisor's
 # contract every time:
@@ -58,7 +58,7 @@ for ((iter = 1; iter <= ITERATIONS; ++iter)); do
     1) fault="$victim:abort:1" ;;
     2) fault="$victim:kill:1" ;;
   esac
-  "$BATCH" --manifest batch.txt --process-isolation \
+  "$BATCH" --manifest batch.txt \
            --inject-fault "$fault" --max-retries 2 --backoff-ms 1 \
            >out.txt 2>&1
   code=$?
@@ -68,7 +68,7 @@ for ((iter = 1; iter <= ITERATIONS; ++iter)); do
 
   # Unrecoverable fault: every attempt dies; the victim must surface as a
   # per-design failure (exit 3) while the other three designs finish.
-  "$BATCH" --manifest batch.txt --process-isolation \
+  "$BATCH" --manifest batch.txt \
            --inject-fault "$victim:kill:99" --max-retries 1 --backoff-ms 1 \
            >out.txt 2>&1
   code=$?
@@ -81,7 +81,7 @@ for ((iter = 1; iter <= ITERATIONS; ++iter)); do
   # Timeout escalation every few iterations (slow: SIGTERM is ignored, the
   # supervisor must wait out the grace period before SIGKILL).
   if ((iter % 5 == 0)); then
-    "$BATCH" --manifest batch.txt --process-isolation \
+    "$BATCH" --manifest batch.txt \
              --inject-fault "$victim:hang:1" --design-timeout 1 \
              --max-retries 2 --backoff-ms 1 >out.txt 2>&1
     code=$?
@@ -92,7 +92,7 @@ for ((iter = 1; iter <= ITERATIONS; ++iter)); do
   if ((iter % 5 == 1)); then
     total=0
     for s in 0 1 2; do
-      "$BATCH" --manifest batch.txt --shard $s/3 --process-isolation \
+      "$BATCH" --manifest batch.txt --shard $s/3 \
                >out.txt 2>&1 || { cat out.txt >&2; fail "shard $s/3"; }
       n=$(grep -c "hash" out.txt)
       total=$((total + n))

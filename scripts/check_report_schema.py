@@ -204,8 +204,8 @@ def live_reports(args, workdir):
         with open(manifest_txt, "w", encoding="utf-8") as fh:
             fh.write(design + "\n")
         report = os.path.join(workdir, "schema_check_batch.json")
-        run([args.batch, "--manifest", manifest_txt, "--process-isolation",
-             "--telemetry-ms", "20", "--report-out", report], workdir)
+        run([args.batch, "--manifest", manifest_txt, "--telemetry-ms", "20",
+             "--report-out", report], workdir)
         paths.append(report)
     return paths
 

@@ -31,8 +31,8 @@ TOOLS = [
     ),
     (
         "mclg_batch",
-        "multi-design batch driver: shared-executor or crash-isolated "
-        "process fan-out with live telemetry",
+        "multi-design batch driver: crash-isolated process-per-design "
+        "fan-out with live telemetry",
         ["ROBUSTNESS.md", "OBSERVABILITY.md"],
     ),
     (

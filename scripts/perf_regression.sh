@@ -3,9 +3,7 @@
 #
 # Builds the no-tracing bench preset, runs bench_scaling / bench_micro with
 # machine-readable reports, merges them into BENCH_PR3.json
-# at the repo root, and gates against the committed baseline. Also runs the
-# executor/batch-driver suite (bench_executor) into BENCH_PR5.json and gates
-# its throughput + determinism claims (see bench/bench_executor.cpp), and
+# at the repo root, and gates against the committed baseline. Also runs
 # the resident-serving suite (bench_serve) into BENCH_PR9.json, gating the
 # >= 5x resident-vs-spawn request throughput and serve/CLI byte-identity
 # (see bench/bench_serve.cpp and docs/SERVE.md).
@@ -25,8 +23,7 @@ trap 'rm -rf "$OUT"' EXIT
 
 cmake --preset bench >/dev/null
 cmake --build "$BUILD" -j"$(nproc)" \
-  --target bench_scaling bench_micro bench_executor \
-           bench_serve mclg_cli >/dev/null
+  --target bench_scaling bench_micro bench_serve mclg_cli >/dev/null
 
 echo "== bench_scaling =="
 MCLG_BENCH_REPORT="$OUT" "$BUILD/bench/bench_scaling"
@@ -50,25 +47,12 @@ python3 "$ROOT/scripts/perf_gate.py" compare \
   "$ROOT/BENCH_PR3.json" "$ROOT/bench/BENCH_BASELINE.json" \
   ${MCLG_PERF_REQUIRE:-}
 
-# Executor/batch-driver suite: its own report dir so the PR 5 document only
-# carries bench_executor, then gate the machine-adaptive throughput floor
-# and the batch-vs-solo byte-identity flags (auto-gated .identical keys).
-EXEC_OUT=$(mktemp -d)
-trap 'rm -rf "$OUT" "$EXEC_OUT"' EXIT
-echo "== bench_executor =="
-MCLG_BENCH_REPORT="$EXEC_OUT" "$BUILD/bench/bench_executor"
-python3 "$ROOT/scripts/perf_gate.py" merge "$EXEC_OUT" \
-  -o "$ROOT/BENCH_PR5.json" --bench bench_executor
-python3 "$ROOT/scripts/perf_gate.py" compare \
-  "$ROOT/BENCH_PR5.json" "$ROOT/BENCH_PR5.json" \
-  --ratio 'bench_executor.throughput_ratio/throughput_target>=1.0'
-
 # Resident-serving suite: one resident daemon session vs one spawned
 # mclg_cli process per ECO request on the same 16k-cell design + request
 # schedule. Gates the >= 5x request-throughput claim and the byte-identity
 # of resident responses with the solo CLI runs.
 SERVE_OUT=$(mktemp -d)
-trap 'rm -rf "$OUT" "$EXEC_OUT" "$SERVE_OUT"' EXIT
+trap 'rm -rf "$OUT" "$SERVE_OUT"' EXIT
 echo "== bench_serve =="
 MCLG_BENCH_REPORT="$SERVE_OUT" MCLG_CLI="$BUILD/tools/mclg_cli" \
   "$BUILD/bench/bench_serve"

@@ -1,41 +1,22 @@
 #include "flow/batch_runner.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <mutex>
 
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
 #include "eval/metrics.hpp"
 #include "eval/score.hpp"
-#include "obs/batch_ledger.hpp"
-#include "obs/obs.hpp"
 #include "parsers/simple_format.hpp"
 #include "util/timer.hpp"
 
 namespace mclg {
 namespace {
 
-double steadySeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-PipelineConfig perDesignConfig(const BatchRunConfig& config) {
-  PipelineConfig pipeline = config.pipeline;
-  pipeline.setThreads(std::max(1, config.threadsPerDesign));
-  pipeline.executor = config.executor;
-  return pipeline;
-}
-
-void legalizeOne(const std::string& name, Design& design,
-                 const PipelineConfig& pipeline, bool evaluateScores,
-                 BatchDesignResult* result) {
-  result->name = name;
+void legalizeOne(Design& design, const PipelineConfig& pipeline,
+                 bool evaluateScores, BatchDesignResult* result) {
   result->numCells = design.numCells();
   try {
     Timer timer;
@@ -70,51 +51,6 @@ void legalizeOne(const std::string& name, Design& design,
   result->ok = workerStatusOk(result->status);
 }
 
-/// Submit one task per design with admission control: the coordinator
-/// blocks while `maxInFlight` designs are running and wakes as they retire.
-/// `run(i)` must not throw (per-design failures are recorded in results).
-template <typename Run>
-void driveBatch(int count, int maxInFlight, ExecutorRef executor,
-                const Run& run) {
-  Executor& exec = executor.get();
-  const int cap = maxInFlight > 0
-                      ? maxInFlight
-                      : std::max(1, exec.numWorkers());
-  std::mutex mutex;
-  std::condition_variable cv;
-  int inFlight = 0;
-  for (int i = 0; i < count; ++i) {
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      cv.wait(lock, [&] { return inFlight < cap; });
-      ++inFlight;
-      if (obs::metricsEnabled()) {
-        obs::gauge("executor.designs_in_flight")
-            .max(static_cast<double>(inFlight));
-      }
-    }
-    exec.submit([&, i] {
-      try {
-        run(i);
-      } catch (...) {
-        // run(i) records its own failures; nothing escaping it (e.g.
-        // bad_alloc) may skip the in-flight accounting below, or the
-        // coordinator would wait forever.
-      }
-      // Notify while holding the mutex: mutex and cv live on the
-      // coordinator's stack, and the coordinator destroys them as soon as
-      // its wait observes inFlight == 0. Holding the lock across the
-      // notify means it cannot observe that until this task has finished
-      // touching both.
-      std::lock_guard<std::mutex> lock(mutex);
-      --inFlight;
-      cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mutex);
-  cv.wait(lock, [&] { return inFlight == 0; });
-}
-
 std::string manifestNameOf(const std::string& inputPath) {
   const auto slash = inputPath.find_last_of('/');
   std::string base =
@@ -125,22 +61,6 @@ std::string manifestNameOf(const std::string& inputPath) {
 }
 
 }  // namespace
-
-std::vector<BatchDesignResult> runBatch(
-    const std::vector<std::pair<std::string, Design*>>& designs,
-    const BatchRunConfig& config) {
-  std::vector<BatchDesignResult> results(designs.size());
-  if (designs.empty()) return results;
-  const PipelineConfig pipeline = perDesignConfig(config);
-  driveBatch(static_cast<int>(designs.size()), config.maxInFlight,
-             config.executor, [&](int i) {
-               const auto& item = designs[static_cast<std::size_t>(i)];
-               legalizeOne(item.first, *item.second, pipeline,
-                           config.evaluateScores,
-                           &results[static_cast<std::size_t>(i)]);
-             });
-  return results;
-}
 
 bool loadBatchManifest(const std::string& path,
                        std::vector<BatchManifestItem>* items,
@@ -238,7 +158,8 @@ BatchDesignResult runBatchItem(const BatchManifestItem& item,
                                const BatchRunConfig& config) {
   BatchDesignResult result;
   result.name = item.name;
-  const PipelineConfig pipeline = perDesignConfig(config);
+  PipelineConfig pipeline = config.pipeline;
+  pipeline.setThreads(std::max(1, config.threadsPerDesign));
   try {
     ParseError parseError;
     auto design = loadDesign(item.inputPath, &parseError);
@@ -247,7 +168,7 @@ BatchDesignResult runBatchItem(const BatchManifestItem& item,
       result.error = "parse error: " + parseError.str();
       return result;
     }
-    legalizeOne(item.name, *design, pipeline, config.evaluateScores, &result);
+    legalizeOne(*design, pipeline, config.evaluateScores, &result);
     if (result.ok && !item.outputPath.empty() &&
         !saveDesign(*design, item.outputPath)) {
       result.status = WorkerStatus::IoError;
@@ -264,49 +185,6 @@ BatchDesignResult runBatchItem(const BatchManifestItem& item,
     result.error = "unknown error";
   }
   return result;
-}
-
-std::vector<BatchDesignResult> runBatchManifest(
-    const std::vector<BatchManifestItem>& items,
-    const BatchRunConfig& config) {
-  std::vector<BatchDesignResult> results(items.size());
-  if (items.empty()) return results;
-  // Design tasks run on executor workers, so the (single-caller) ledger
-  // needs its calls serialized here. In-process mode has no heartbeats —
-  // liveness is the supervisor's concern — but start/finish events and the
-  // status line fold identically to the supervised path.
-  std::mutex ledgerMutex;
-  double nextStatusAt = 0.0;
-  driveBatch(
-      static_cast<int>(items.size()), config.maxInFlight, config.executor,
-      [&](int i) {
-        const BatchManifestItem& item = items[static_cast<std::size_t>(i)];
-        if (config.ledger != nullptr) {
-          std::lock_guard<std::mutex> lock(ledgerMutex);
-          config.ledger->workerStarted(item.name, /*pid=*/0, /*attempt=*/1,
-                                       steadySeconds());
-        }
-        BatchDesignResult& result = results[static_cast<std::size_t>(i)];
-        result = runBatchItem(item, config);
-        if (config.ledger != nullptr) {
-          std::lock_guard<std::mutex> lock(ledgerMutex);
-          obs::BatchLedger::DesignOutcome outcome;
-          outcome.status = workerStatusName(result.status);
-          outcome.ok = result.ok;
-          outcome.seconds = result.seconds;
-          outcome.cells = result.numCells;
-          outcome.score = result.score;
-          outcome.attempt = 1;
-          const double now = steadySeconds();
-          config.ledger->designFinished(item.name, outcome, now);
-          if (config.onStatusLine && now >= nextStatusAt) {
-            config.onStatusLine(config.ledger->renderStatusLine(now));
-            nextStatusAt =
-                now + std::max(50, config.statusIntervalMs) / 1000.0;
-          }
-        }
-      });
-  return results;
 }
 
 }  // namespace mclg

@@ -73,10 +73,10 @@ ServeResponse ServeServer::runOnExecutor(
       result.status = ServeStatus::Internal;
       result.error = e.what();
     }
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      done = true;
-    }
+    // Notify while holding the mutex: mutex and cv live on this stack
+    // frame, which returns as soon as the wait below observes done.
+    std::lock_guard<std::mutex> lock(mutex);
+    done = true;
     cv.notify_one();
   });
   std::unique_lock<std::mutex> lock(mutex);

@@ -1,7 +1,6 @@
 // Wire protocol between the batch supervisor (flow/supervisor.{hpp,cpp})
 // and its fork/exec'd per-design workers, plus the WorkerStatus vocabulary
-// shared by the in-process batch runner so both execution modes report
-// design outcomes uniformly.
+// both sides use to report design outcomes.
 //
 // A worker inherits one pipe write end and streams *frames* over it:
 //
@@ -42,8 +41,8 @@
 
 namespace mclg {
 
-/// Outcome of one design run, uniform across the in-process batch runner
-/// and supervised worker processes. The first six values mirror the
+/// Outcome of one design run, as a worker computes it (runBatchItem) or the
+/// supervisor observes it. The first six values mirror the
 /// GuardExitCode contract; the rest are supervisor-observed outcomes a
 /// process can only have *done to it* (signal, timeout, spawn failure).
 enum class WorkerStatus {
@@ -75,7 +74,7 @@ bool workerStatusRetryable(WorkerStatus status);
 WorkerStatus workerStatusFromExit(int exitCode);
 
 /// Inverse mapping for worker mains: the exit code a worker should return
-/// for a status it computed in-process.
+/// for a status it computed itself.
 int workerStatusToExit(WorkerStatus status);
 
 // ---- Frames ----------------------------------------------------------------

@@ -168,122 +168,4 @@ CurveSum::Result CurveSum::minimizeOnSites(std::int64_t loSite,
   return result;
 }
 
-void IncrementalCurveSum::add(std::int64_t id, const DispCurve& curve) {
-  const auto [it, inserted] = members_.emplace(id, curve);
-  MCLG_ASSERT(inserted, "IncrementalCurveSum: duplicate member id");
-  (void)it;
-  for (int i = 0; i < curve.numBreakpoints(); ++i) {
-    events_.emplace(curve.breakpoint(i),
-                    curve.segmentSlope(i + 1) - curve.segmentSlope(i));
-  }
-}
-
-bool IncrementalCurveSum::remove(std::int64_t id) {
-  const auto it = members_.find(id);
-  if (it == members_.end()) return false;
-  const DispCurve& curve = it->second;
-  for (int i = 0; i < curve.numBreakpoints(); ++i) {
-    // The event is re-derived from the stored copy, so an exactly matching
-    // entry is guaranteed to exist.
-    const auto ev = events_.find(
-        {curve.breakpoint(i),
-         curve.segmentSlope(i + 1) - curve.segmentSlope(i)});
-    MCLG_ASSERT(ev != events_.end(), "IncrementalCurveSum: event desync");
-    events_.erase(ev);
-  }
-  members_.erase(it);
-  return true;
-}
-
-void IncrementalCurveSum::clear() {
-  members_.clear();
-  events_.clear();
-}
-
-double IncrementalCurveSum::value(double x) const {
-  double total = 0.0;
-  for (const auto& [id, curve] : members_) {
-    (void)id;
-    total += curve.value(x);
-  }
-  return total;
-}
-
-CurveSum::Result IncrementalCurveSum::minimizeOnSites(
-    std::int64_t loSite, std::int64_t hiSite) const {
-  CurveSum::Result result;
-  if (loSite > hiSite) return result;
-  const double startX = static_cast<double>(loSite);
-
-  double slope = 0.0;   // total slope immediately right of startX
-  double value0 = 0.0;  // total value at startX
-  for (const auto& [id, curve] : members_) {
-    (void)id;
-    value0 += curve.value(startX);
-    int seg = 0;
-    const int nb = curve.numBreakpoints();
-    for (int i = 0; i < nb && curve.breakpoint(i) <= startX; ++i) ++seg;
-    slope += curve.segmentSlope(seg);
-  }
-
-  // Candidates: interval ends plus snapped breakpoints inside the interval.
-  // events_ is already sorted, so no per-query sort is needed.
-  auto& candidates = candidateScratch_;
-  candidates.clear();
-  candidates.push_back(loSite);
-  candidates.push_back(hiSite);
-  const auto firstEvent = events_.upper_bound({startX, std::numeric_limits<double>::infinity()});
-  for (auto it = firstEvent; it != events_.end(); ++it) {
-    const auto fl = static_cast<std::int64_t>(std::floor(it->first));
-    const auto ce = static_cast<std::int64_t>(std::ceil(it->first));
-    if (fl >= loSite && fl <= hiSite) candidates.push_back(fl);
-    if (ce >= loSite && ce <= hiSite) candidates.push_back(ce);
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-
-  result.feasible = true;
-  result.value = std::numeric_limits<double>::infinity();
-  auto nextEvent = firstEvent;
-  double curX = startX;
-  double curValue = value0;
-  for (const auto cand : candidates) {
-    const double cx = static_cast<double>(cand);
-    while (nextEvent != events_.end() && nextEvent->first <= cx) {
-      curValue += slope * (nextEvent->first - curX);
-      curX = nextEvent->first;
-      slope += nextEvent->second;
-      ++nextEvent;
-    }
-    curValue += slope * (cx - curX);
-    curX = cx;
-    if (curValue < result.value - 1e-12) {
-      result.value = curValue;
-      result.x = cand;
-    }
-  }
-  return result;
-}
-
-IncrementalCurveSum::Piecewise IncrementalCurveSum::piecewise() const {
-  Piecewise pw;
-  double slope = 0.0;  // leftmost segment: sum of members in id order
-  for (const auto& [id, curve] : members_) {
-    (void)id;
-    slope += curve.segmentSlope(0);
-  }
-  pw.slopes.push_back(slope);
-  for (const auto& [x, dslope] : events_) {
-    if (!pw.breakpoints.empty() && pw.breakpoints.back() == x) {
-      pw.slopes.back() += dslope;
-    } else {
-      pw.breakpoints.push_back(x);
-      pw.slopes.push_back(pw.slopes.back() + dslope);
-    }
-  }
-  pw.anchorValue = value(pw.breakpoints.empty() ? 0.0 : pw.breakpoints.front());
-  return pw;
-}
-
 }  // namespace mclg

@@ -25,9 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
-#include <utility>
 #include <vector>
 
 namespace mclg {
@@ -117,52 +114,6 @@ class CurveSum {
   std::vector<DispCurve> curves_;
   mutable std::vector<std::int64_t> candidateScratch_;
   mutable std::vector<Event> eventScratch_;
-};
-
-/// A curve aggregate supporting exact incremental membership updates.
-///
-/// Curves are added and removed under a caller-chosen key (MGL uses the
-/// local cell id). The slope-change events of every member are maintained in
-/// a sorted multiset, so a minimization after a membership delta skips the
-/// per-query event sort that dominates CurveSum::minimizeOnSites; removal
-/// erases the exact events the add inserted (re-derived from the stored
-/// member copy), and every query walks the member map in key order. State
-/// and results are therefore pure functions of the surviving member set:
-/// any add/remove sequence leaves the aggregate bit-identical — breakpoints,
-/// slopes, values — to one rebuilt from scratch from the same members.
-class IncrementalCurveSum {
- public:
-  /// Register `curve` under `id`. At most one curve per id.
-  void add(std::int64_t id, const DispCurve& curve);
-  /// Remove the curve registered under `id`; returns false if absent.
-  bool remove(std::int64_t id);
-  void clear();
-  std::size_t size() const { return members_.size(); }
-
-  /// Total value at x, summed over members in id order (linear in #curves).
-  double value(double x) const;
-
-  /// Same contract as CurveSum::minimizeOnSites, without the event sort.
-  CurveSum::Result minimizeOnSites(std::int64_t loSite,
-                                   std::int64_t hiSite) const;
-
-  /// The merged piecewise-linear form: ascending unique breakpoints, the
-  /// slope of each of the breakpoints.size()+1 segments, and the total value
-  /// at the first breakpoint (at x=0 when there are no breakpoints). Used by
-  /// the equivalence tests to compare aggregates structurally.
-  struct Piecewise {
-    std::vector<double> breakpoints;
-    std::vector<double> slopes;
-    double anchorValue = 0.0;
-  };
-  Piecewise piecewise() const;
-
- private:
-  std::map<std::int64_t, DispCurve> members_;
-  /// (x, dslope) of every member breakpoint, sorted; exact-duplicate events
-  /// from different members each get their own entry.
-  std::multiset<std::pair<double, double>> events_;
-  mutable std::vector<std::int64_t> candidateScratch_;
 };
 
 }  // namespace mclg

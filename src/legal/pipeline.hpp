@@ -35,7 +35,7 @@ struct PipelineConfig {
   GuardConfig guard;
   /// Executor all stage parallelism borrows lanes from. Authoritative for
   /// the whole flow: legalize() (and ecoRelegalize) copy it into every
-  /// stage config at entry, so the batch driver and tests redirect a run to
+  /// stage config at entry, so mclg_serve and tests redirect a run to
   /// a private executor by setting just this field. Defaults to the
   /// process-wide work-stealing executor.
   ExecutorRef executor{};

@@ -3,9 +3,8 @@
 //
 // The supervisor (flow/supervisor.cpp) feeds it worker lifecycle events
 // plus the Heartbeat / MetricsDelta frames it demultiplexes off the worker
-// pipes; the in-process batch runner (flow/batch_runner.cpp) feeds the
-// same calls directly, so `mclg_batch --live-status` reads identically in
-// both modes. The ledger answers three questions the final report can't:
+// pipes; `mclg_batch --live-status` renders it. The ledger answers three
+// questions the final report can't:
 //
 //  * progress — designs done / running / retrying, the slowest design and
 //    its current phase, aggregate cells/s (one line, renderStatusLine());
@@ -45,8 +44,8 @@ class BatchLedger {
 
   void setTotalDesigns(int n) { total_ = n; }
 
-  /// A worker process (or in-process design run) started `attempt` of
-  /// `design`. Clears any pending-retry mark for the design.
+  /// A worker process started `attempt` of `design`. Clears any
+  /// pending-retry mark for the design.
   void workerStarted(const std::string& design, int pid, int attempt,
                      double nowSeconds);
 

@@ -39,6 +39,9 @@ namespace mclg::obs {
 /// docs/PERFORMANCE.md). Additive: v2/v3 consumers that ignore unknown
 /// metric names keep working, and the in-tree readers
 /// (scripts/perf_gate.py, tests/cli_end_to_end.cmake) accept v1–v4.
+/// `executor.designs_in_flight` belonged to the in-process batch mode and
+/// is no longer written since that mode was removed;
+/// `supervisor.workers_in_flight` (v5) is its successor.
 ///
 /// v5 (PR 6): adds the batch supervisor's metric families (see
 /// docs/ROBUSTNESS.md) — `executor.tasks.escaped_exceptions` and the
@@ -48,6 +51,8 @@ namespace mclg::obs {
 /// counters with the `supervisor.workers_in_flight` high-water gauge —
 /// plus the `process_isolation` / `shard_index` / `shard_count` and
 /// per-design `status` / `attempts` values in mclg_batch bench reports.
+/// `process_isolation` is no longer written: the supervisor is mclg_batch's
+/// only mode, and every design row carries `attempts`.
 /// Additive as before; the in-tree readers accept v1–v5.
 ///
 /// v6 (PR 7): live-telemetry additions (see docs/OBSERVABILITY.md "Live

@@ -5,11 +5,11 @@
 //
 // The sampler is transport-agnostic — in a supervised worker the callback
 // wraps beats into Heartbeat + MetricsDelta frames on the supervisor pipe
-// (flow/supervisor.cpp); the in-process batch runner feeds the same beats
-// straight into a BatchLedger. Because the sampler thread beats
-// independently of the compute threads, a missing beat at the receiver
-// means the *process* is wedged, not merely busy — the signal behind
-// supervisor stall detection (docs/ROBUSTNESS.md).
+// (flow/supervisor.cpp), which the supervisor folds into a BatchLedger;
+// mclg_serve uses the beats to print its periodic status line. Because
+// the sampler thread beats independently of the compute threads, a missing
+// beat at the receiver means the *process* is wedged, not merely busy —
+// the signal behind supervisor stall detection (docs/ROBUSTNESS.md).
 //
 // stop() joins the thread and then emits one final beat (last = true) from
 // the calling thread, so the stream always ends with a delta that brings

@@ -363,14 +363,14 @@ struct Executor::Impl {
     }
   }
 
-  void runBatch(int count, int lanes, FunctionRef<void(int)> fn) {
+  void runChunked(int count, int lanes, FunctionRef<void(int)> fn) {
     batches_.fetch_add(1, std::memory_order_relaxed);
     if (obs::metricsEnabled()) {
       static obs::Counter& c = obs::counter("executor.batches");
       c.add();
     }
     // Chunked handout: small counts degenerate to chunk 1 (each lane takes
-    // one index at a time, like the old pool), large counts amortize the
+    // one index at a time), large counts amortize the
     // fetch_add over ~4 chunks per lane.
     const int chunk = std::max(1, count / (lanes * 4));
     auto state = std::make_shared<BatchState>(fn, count, chunk);
@@ -444,7 +444,7 @@ void Executor::parallelForBatch(int count, int maxParallel,
     for (int i = 0; i < count; ++i) fn(i);
     return;
   }
-  impl_->runBatch(count, lanes, fn);
+  impl_->runChunked(count, lanes, fn);
 }
 
 void Executor::submit(std::function<void()> task) {

@@ -1,8 +1,8 @@
 // Process-wide persistent work-stealing executor.
 //
-// Every pipeline stage used to construct and tear down its own ThreadPool,
-// and distributed task indices through one mutex-guarded counter. This
-// executor replaces both costs for the whole process:
+// One worker set for the whole process, so no pipeline stage constructs
+// and tears down threads of its own or hands out task indices through a
+// mutex-guarded counter:
 //
 //  * Workers are created once (Executor::global(), lazily, hardware-sized)
 //    and parked between uses — a stage invocation borrows them instead of
@@ -11,14 +11,14 @@
 //    lanes grab [next, next+chunk) with one fetch_add, so there is no
 //    mutex on the task handout path.
 //  * Idle workers steal from each other's Chase-Lev deques, so whole-run
-//    tasks (the batch driver's concurrent designs) and per-stage batch
-//    helpers share the same worker set without partitioning it.
+//    tasks (mclg_serve's in-flight requests) and per-stage batch helpers
+//    share the same worker set without partitioning it.
 //
-// Determinism: parallelForBatch keeps the ThreadPool contract exactly —
-// fn(i) runs once for every i in [0, count), the call returns only after
-// all of them finished (barrier), and results are keyed by index, never by
-// executing thread. Which thread runs which index is scheduling noise the
-// callers are already required to be (and tested to be) invariant to.
+// Determinism: parallelForBatch runs fn(i) once for every i in
+// [0, count), returns only after all of them finished (barrier), and
+// callers key results by index, never by executing thread. Which thread
+// runs which index is scheduling noise the callers are already required to
+// be (and tested to be) invariant to.
 //
 // Exceptions: a throwing task does not abort the batch — the remaining
 // indices still run (drain), and the first exception is rethrown in the
@@ -62,9 +62,10 @@ class Executor {
   /// maxParallel <= 1 or count <= 1 degenerates to inline execution.
   void parallelForBatch(int count, int maxParallel, FunctionRef<void(int)> fn);
 
-  /// Enqueue a whole-run task (runs exactly once, on some worker). The
-  /// batch driver uses this for per-design pipelines; completion tracking
-  /// is the caller's business. Tasks should not throw: an exception that
+  /// Enqueue a whole-run task (runs exactly once, on some worker).
+  /// mclg_serve runs each admitted request this way
+  /// (flow/serve/serve_server.cpp); completion tracking is the caller's
+  /// business. Tasks should not throw: an exception that
   /// escapes one is reported on stderr and dropped by the worker (there is
   /// no caller to rethrow into), so errors the caller cares about must be
   /// captured inside the task.
@@ -101,7 +102,7 @@ class Executor {
 };
 
 /// Cheap value handle to an executor, default-bound to Executor::global().
-/// Stage configs carry one so tests and the batch driver can inject a
+/// Stage configs carry one so tests and mclg_serve can inject a
 /// private executor while production code shares the process-wide one.
 /// The inline fast path lives here: numThreads <= 1 never touches (or
 /// lazily constructs) the underlying executor.
@@ -112,8 +113,8 @@ class ExecutorRef {
 
   Executor& get() const { return executor_ ? *executor_ : Executor::global(); }
 
-  /// parallelForBatch with the legacy ThreadPool contract: numThreads is
-  /// the lane budget (1 = inline, no executor involvement).
+  /// parallelForBatch with numThreads as the lane budget (1 = inline, no
+  /// executor involvement).
   void parallelForBatch(int count, int numThreads,
                         FunctionRef<void(int)> fn) const {
     if (count <= 0) return;

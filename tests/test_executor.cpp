@@ -1,10 +1,10 @@
 // Work-stealing executor suite (`ctest -L executor`): FunctionRef and
-// Executor primitives, the ThreadPool shim on top of them, and the
-// determinism claims: every lane count, odd ones (3, 7) and
-// oversubscription (more lanes than hardware cores) included, must produce
-// byte-identical placements, in solo and in batch mode. Doubles as the race
-// stress test for sanitizer runs (the asan-ubsan preset) and for machines
-// without TSAN.
+// Executor primitives, and the determinism claims: every lane count, odd
+// ones (3, 7) and oversubscription (more lanes than hardware cores)
+// included, must produce byte-identical placements, whether a design runs
+// alone or concurrently with others on one shared executor. Doubles as the
+// race stress test for sanitizer runs (the asan-ubsan preset) and for
+// machines without TSAN.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,11 +12,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "db/placement_state.hpp"
@@ -28,11 +26,9 @@
 #include "legal/guard/invariants.hpp"
 #include "legal/pipeline.hpp"
 #include "obs/metrics.hpp"
-#include "parsers/simple_format.hpp"
 #include "test_helpers.hpp"
 #include "util/executor/executor.hpp"
 #include "util/executor/function_ref.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mclg {
 namespace {
@@ -172,15 +168,6 @@ TEST(Executor, StressConcurrentBatchesFromManyThreads) {
   EXPECT_FALSE(failed.load());
 }
 
-TEST(ThreadPoolShim, OversubscribedPoolRunsAllIndicesOnce) {
-  // Satellite: the legacy shim distributes by atomic chunked claiming now;
-  // heavy oversubscription (32 lanes on few cores) must stay exact.
-  ThreadPool pool(32);
-  std::vector<std::atomic<int>> counts(10000);
-  pool.parallelForBatch(10000, [&](int i) { counts[i].fetch_add(1); });
-  for (const auto& count : counts) ASSERT_EQ(count.load(), 1);
-}
-
 // ---- Determinism: solo mode ------------------------------------------------
 
 struct GuardedRun {
@@ -228,73 +215,65 @@ std::uint64_t legalizeHash(Design& design, int threads) {
   return placementHash(design);
 }
 
-// ---- Determinism: batch mode -----------------------------------------------
+// ---- Determinism: concurrent designs ---------------------------------------
 
 TEST(ExecutorDeterminism, BatchResultsMatchSoloRunsAtSameThreadCount) {
-  // Per-design batch results must be byte-identical to one solo run of the
-  // same design, with serial designs (1 lane each) and with stage-parallel
-  // designs (3 lanes each), regardless of executor width or
-  // oversubscription.
+  // Designs legalizing concurrently on one shared executor, each as a
+  // whole-run task (Executor::submit, the way mclg_serve runs its tenants'
+  // requests), must each be byte-identical to a solo run of the same design
+  // at the same lane count: with serial designs (1 lane each) and with
+  // stage-parallel designs (3 lanes each) that borrow further lanes from
+  // the workers already busy with other designs.
   constexpr int kDesigns = 4;
-  std::vector<std::uint64_t> solo;
-  for (int d = 0; d < kDesigns; ++d) {
-    Design design = generate(spec(600 + static_cast<std::uint64_t>(d)));
-    solo.push_back(legalizeHash(design, 1));
-  }
-
-  const int oversubscribed =
-      2 * static_cast<int>(std::thread::hardware_concurrency()) + 5;
-  for (const int workers : {3, oversubscribed}) {
-    for (const int threadsPerDesign : {1, 3}) {
+  for (const int lanes : {1, 3}) {
+    std::vector<std::uint64_t> solo;
+    for (int d = 0; d < kDesigns; ++d) {
+      Design design = generate(spec(600 + static_cast<std::uint64_t>(d)));
+      solo.push_back(legalizeHash(design, lanes));
+    }
+    for (const int workers : {2, 4}) {
       Executor executor(workers);
       std::vector<Design> designs;
       designs.reserve(kDesigns);
       for (int d = 0; d < kDesigns; ++d) {
         designs.push_back(generate(spec(600 + static_cast<std::uint64_t>(d))));
       }
-      std::vector<std::pair<std::string, Design*>> refs;
-      for (auto& design : designs) refs.emplace_back(design.name, &design);
-      BatchRunConfig config;
-      config.pipeline = PipelineConfig::contest();
-      config.threadsPerDesign = threadsPerDesign;
-      config.maxInFlight = kDesigns;
-      config.executor = ExecutorRef(&executor);
-      const auto results = runBatch(refs, config);
+      std::vector<std::uint64_t> hashes(kDesigns, 0);
+      std::mutex mutex;
+      std::condition_variable cv;
+      int pending = kDesigns;
       for (int d = 0; d < kDesigns; ++d) {
-        EXPECT_TRUE(results[static_cast<std::size_t>(d)].ok)
-            << results[static_cast<std::size_t>(d)].error;
-        EXPECT_EQ(results[static_cast<std::size_t>(d)].placementHash,
+        executor.submit([&, d] {
+          Design& design = designs[static_cast<std::size_t>(d)];
+          try {
+            SegmentMap segments(design);
+            PlacementState state(design);
+            PipelineConfig config = PipelineConfig::contest();
+            config.setThreads(lanes);
+            config.executor = ExecutorRef(&executor);
+            legalize(state, segments, config);
+            hashes[static_cast<std::size_t>(d)] = placementHash(design);
+          } catch (...) {
+            // Hash stays 0 and fails the comparison below.
+          }
+          // Notify while holding the mutex: mutex and cv live on the test's
+          // stack and die as soon as its wait observes pending == 0.
+          std::lock_guard<std::mutex> lock(mutex);
+          --pending;
+          cv.notify_all();
+        });
+      }
+      {
+        std::unique_lock<std::mutex> lock(mutex);
+        cv.wait(lock, [&] { return pending == 0; });
+      }
+      for (int d = 0; d < kDesigns; ++d) {
+        EXPECT_EQ(hashes[static_cast<std::size_t>(d)],
                   solo[static_cast<std::size_t>(d)])
-            << "workers " << workers << " lanes " << threadsPerDesign
-            << " design " << d;
+            << "workers " << workers << " lanes " << lanes << " design " << d;
       }
     }
   }
-}
-
-TEST(BatchRunner, ManifestIsolatesPerDesignFailures) {
-  // A design that fails to load must come back ok == false with an error
-  // while its batch neighbor legalizes and saves normally.
-  Executor executor(2);
-  const std::string dir = testing::uniqueTestDir();
-  Design good = generate(spec(700));
-  ASSERT_TRUE(saveDesign(good, dir + "/good.mclg"));
-
-  std::vector<BatchManifestItem> items = {
-      {"good", dir + "/good.mclg", dir + "/good_legal.mclg"},
-      {"missing", dir + "/does_not_exist.mclg", ""}};
-  BatchRunConfig config;
-  config.pipeline = PipelineConfig::contest();
-  config.executor = ExecutorRef(&executor);
-  const auto results = runBatchManifest(items, config);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].ok) << results[0].error;
-  EXPECT_GT(results[0].placementHash, 0u);
-  std::optional<Design> saved = loadDesign(dir + "/good_legal.mclg");
-  ASSERT_TRUE(saved.has_value());
-  EXPECT_EQ(placementHash(*saved), results[0].placementHash);
-  EXPECT_FALSE(results[1].ok);
-  EXPECT_FALSE(results[1].error.empty());
 }
 
 TEST(BatchRunner, ManifestParsing) {

@@ -4,6 +4,7 @@
 // records of unguarded runs.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 
 #include "db/placement_state.hpp"
@@ -15,7 +16,7 @@
 #include "legal/pipeline.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
+#include "util/executor/executor.hpp"
 
 namespace mclg {
 namespace {
@@ -72,18 +73,18 @@ TEST(Guard, DeadlineExpiredThrowsTimeout) {
 }
 
 TEST(Guard, ThreadPoolPropagatesTaskExceptions) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallelForBatch(16,
-                            [](int i) {
-                              if (i == 7) {
-                                throw MclgError("boom", ErrorKind::Injected);
-                              }
-                            }),
-      MclgError);
-  // The pool must stay usable for the next batch.
+  Executor executor(3);
+  EXPECT_THROW(executor.parallelForBatch(16, 4,
+                                         [](int i) {
+                                           if (i == 7) {
+                                             throw MclgError(
+                                                 "boom", ErrorKind::Injected);
+                                           }
+                                         }),
+               MclgError);
+  // The executor must stay usable for the next batch.
   std::atomic<int> ran{0};
-  pool.parallelForBatch(8, [&](int) { ran.fetch_add(1); });
+  executor.parallelForBatch(8, 4, [&](int) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 8);
 }
 

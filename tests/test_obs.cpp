@@ -1,5 +1,5 @@
 // Observability subsystem tests: trace JSON shape (span nesting + thread
-// attribution), exact counter aggregation under the thread pool, run-report
+// attribution), exact counter aggregation across executor lanes, run-report
 // round-trips, structured logging, and the disabled-mode guarantees.
 //
 // The JSON checks use the minimal recursive-descent reader shared by the
@@ -24,8 +24,8 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/run_report.hpp"
+#include "util/executor/executor.hpp"
 #include "util/logging.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mclg {
 namespace {
@@ -170,9 +170,9 @@ TEST_F(ObsTest, DisabledTracingRecordsNothing) {
 TEST_F(ObsTest, CounterAggregatesExactlyAcrossWorkers) {
   obs::setMetricsEnabled(true);
   obs::Counter& c = obs::counter("test.agg");
-  ThreadPool pool(4);
+  Executor executor(3);
   constexpr int kN = 1000;
-  pool.parallelForBatch(kN, [&](int i) { c.add(i + 1); });
+  executor.parallelForBatch(kN, 4, [&](int i) { c.add(i + 1); });
   EXPECT_EQ(c.value(), static_cast<long long>(kN) * (kN + 1) / 2);
   c.reset();
   EXPECT_EQ(c.value(), 0);

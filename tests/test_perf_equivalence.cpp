@@ -4,17 +4,14 @@
 // adds a warm-startable network simplex; these tests pin down the contracts
 // that make those optimizations quality-neutral:
 //
-//  1. IncrementalCurveSum add/remove is *exactly* equivalent — breakpoints,
-//     slopes, minimizer — to a from-scratch rebuild, on curve populations
-//     drawn from randomized windows of a generated design.
-//  2. The full pipeline is deterministic: repeated runs at the same thread
+//  1. The full pipeline is deterministic: repeated runs at the same thread
 //     count produce bit-identical placements (the promise the perf gate's
 //     hash comparison against the baseline relies on). Invariance across
 //     thread counts is tested in test_executor.cpp.
-//  3. A warm network-simplex solve reaches the same optimal objective as a
+//  2. A warm network-simplex solve reaches the same optimal objective as a
 //     cold solve and passes independent optimality verification; warm
 //     validation rejects changed topology and still answers correctly.
-//  4. MGL placements are pinned: guarded contest-preset runs on a dense and
+//  3. MGL placements are pinned: guarded contest-preset runs on a dense and
 //     a sparse fenced design reproduce recorded placement hashes, so a
 //     hot-path rewrite that changes any cell's position fails here, and a
 //     commit whose push chain hits a non-local cell leaves the placement
@@ -23,7 +20,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <map>
 #include <vector>
 
@@ -33,7 +29,6 @@
 #include "eval/metrics.hpp"
 #include "flow/mcf.hpp"
 #include "gen/benchmark_gen.hpp"
-#include "geometry/disp_curve.hpp"
 #include "legal/mgl/insertion.hpp"
 #include "legal/pipeline.hpp"
 #include "obs/obs.hpp"
@@ -44,121 +39,7 @@ namespace mclg {
 namespace {
 
 // ---------------------------------------------------------------------------
-// 1. Incremental curve arithmetic == from-scratch rebuild.
-// ---------------------------------------------------------------------------
-
-void expectPiecewiseIdentical(const IncrementalCurveSum::Piecewise& a,
-                              const IncrementalCurveSum::Piecewise& b) {
-  ASSERT_EQ(a.breakpoints.size(), b.breakpoints.size());
-  ASSERT_EQ(a.slopes.size(), b.slopes.size());
-  for (std::size_t i = 0; i < a.breakpoints.size(); ++i) {
-    EXPECT_EQ(a.breakpoints[i], b.breakpoints[i]) << "breakpoint " << i;
-  }
-  for (std::size_t i = 0; i < a.slopes.size(); ++i) {
-    EXPECT_EQ(a.slopes[i], b.slopes[i]) << "slope " << i;
-  }
-  EXPECT_EQ(a.anchorValue, b.anchorValue);
-}
-
-TEST(CurveDelta, IncrementalEqualsRebuildOnGeneratedWindows) {
-  GenSpec spec;
-  spec.cellsPerHeight = {400, 60, 20, 10};
-  spec.density = 0.55;
-  spec.withRoutability = false;
-  spec.withNets = false;
-  spec.seed = 7;
-  const Design design = generate(spec);
-  Rng rng(0xC0FFEEULL);
-
-  for (int window = 0; window < 40; ++window) {
-    // A random window of cells: curves modelled as in evaluateSeed — one
-    // left/right push per cell with cumulative offsets from a random seed
-    // position, plus the target's V curve.
-    const int count = static_cast<int>(rng.uniformInt(3, 24));
-    const auto first = rng.uniformInt(0, design.numCells() - count - 1);
-    const double seedX = rng.uniformReal(0.0, 400.0);
-
-    std::map<std::int64_t, DispCurve> pool;
-    pool.emplace(-1, DispCurve::targetV(seedX).scaled(rng.uniformReal(0.5, 4.0)));
-    double offLeft = 0.0;
-    double offRight = 8.0;
-    for (int k = 0; k < count; ++k) {
-      const auto& cell = design.cells[first + k];
-      const double gp = cell.gpX;
-      const double cur = std::floor(gp) + static_cast<double>(rng.uniformInt(-6, 6));
-      const double width = static_cast<double>(design.typeOf(first + k).width);
-      const double scale = design.siteWidthFactor * rng.uniformReal(0.5, 4.0);
-      if (rng.uniform01() < 0.5) {
-        offLeft += width;
-        pool.emplace(first + k, DispCurve::leftPush(cur, gp, offLeft).scaled(scale));
-      } else {
-        pool.emplace(first + k, DispCurve::rightPush(cur, gp, offRight).scaled(scale));
-        offRight += width;
-      }
-    }
-
-    // Random interleaving of adds and removes; after every mutation the
-    // aggregate must be bit-identical to one rebuilt from the live members.
-    IncrementalCurveSum inc;
-    std::map<std::int64_t, DispCurve> live;
-    std::vector<std::int64_t> ids;
-    for (const auto& [id, curve] : pool) ids.push_back(id);
-    for (int step = 0; step < 3 * count; ++step) {
-      const auto id = ids[static_cast<std::size_t>(
-          rng.uniformInt(0, static_cast<std::int64_t>(ids.size()) - 1))];
-      if (live.count(id)) {
-        EXPECT_TRUE(inc.remove(id));
-        live.erase(id);
-      } else {
-        inc.add(id, pool.at(id));
-        live.emplace(id, pool.at(id));
-      }
-
-      IncrementalCurveSum rebuilt;
-      CurveSum reference;
-      for (const auto& [lid, curve] : live) {
-        rebuilt.add(lid, curve);
-        reference.add(curve);
-      }
-      expectPiecewiseIdentical(inc.piecewise(), rebuilt.piecewise());
-
-      const std::int64_t lo = rng.uniformInt(-50, 200);
-      const std::int64_t hi = lo + rng.uniformInt(0, 300);
-      const auto a = inc.minimizeOnSites(lo, hi);
-      const auto b = rebuilt.minimizeOnSites(lo, hi);
-      ASSERT_EQ(a.feasible, b.feasible);
-      if (a.feasible && !live.empty()) {
-        EXPECT_EQ(a.x, b.x);
-        EXPECT_EQ(a.value, b.value);
-        // And against the non-incremental CurveSum (independent event
-        // ordering, so only value-level agreement is guaranteed).
-        const auto c = reference.minimizeOnSites(lo, hi);
-        ASSERT_TRUE(c.feasible);
-        EXPECT_NEAR(a.value, c.value, 1e-9 * (1.0 + std::abs(c.value)));
-        const double probe = static_cast<double>(rng.uniformInt(lo, hi));
-        EXPECT_NEAR(inc.value(probe), reference.value(probe),
-                    1e-9 * (1.0 + std::abs(reference.value(probe))));
-      }
-    }
-  }
-}
-
-TEST(CurveDelta, RemoveRestoresEmptyState) {
-  IncrementalCurveSum inc;
-  inc.add(1, DispCurve::targetV(3.5));
-  inc.add(2, DispCurve::rightPush(10.0, 12.0, 4.0));
-  EXPECT_TRUE(inc.remove(1));
-  EXPECT_TRUE(inc.remove(2));
-  EXPECT_FALSE(inc.remove(2));
-  EXPECT_EQ(inc.size(), 0u);
-  const auto pw = inc.piecewise();
-  EXPECT_TRUE(pw.breakpoints.empty());
-  ASSERT_EQ(pw.slopes.size(), 1u);
-  EXPECT_EQ(pw.slopes[0], 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// 2. Pipeline output is invariant across thread counts.
+// 1. Pipeline output is invariant across thread counts.
 // ---------------------------------------------------------------------------
 
 std::vector<std::pair<std::int64_t, std::int64_t>> legalizedPositions(
@@ -195,7 +76,7 @@ TEST(PerfEquivalence, PipelinePlacementReproducibleAtEachThreadCount) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Warm-started network simplex.
+// 2. Warm-started network simplex.
 // ---------------------------------------------------------------------------
 
 McfProblem randomTransportProblem(Rng& rng, int sources, int sinks,
@@ -292,7 +173,7 @@ TEST(WarmStart, ColdPathBitIdenticalToStaticEntryPoint) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Pinned MGL placements.
+// 3. Pinned MGL placements.
 // ---------------------------------------------------------------------------
 
 std::uint64_t guardedContestHash(

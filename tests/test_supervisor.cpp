@@ -74,7 +74,7 @@ std::vector<BatchManifestItem> makeManifest(const std::string& dir, int count,
   return items;
 }
 
-BatchRunConfig inProcessConfig() {
+BatchRunConfig soloConfig() {
   BatchRunConfig config;
   config.pipeline = PipelineConfig::contest();
   config.pipeline.setThreads(1);
@@ -266,7 +266,7 @@ TEST(WorkerProtocol, CorruptionIsSticky) {
   EXPECT_TRUE(oversize.corrupted());
 }
 
-// ---- In-process status parity ----------------------------------------------
+// ---- Worker-body status vocabulary ------------------------------------------
 
 TEST(BatchStatus, InProcessRunnerReportsTheSharedVocabulary) {
   const std::string dir = testing::uniqueTestDir();
@@ -276,14 +276,14 @@ TEST(BatchStatus, InProcessRunnerReportsTheSharedVocabulary) {
   // Ok: clean run, usable placement.
   auto result = runBatchItem(
       {"parity", dir + "/parity.mclg", dir + "/parity.legal.mclg"},
-      inProcessConfig());
+      soloConfig());
   EXPECT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.status, WorkerStatus::Ok);
-  EXPECT_EQ(result.attempts, 0);  // in-process mode: no worker attempts
+  EXPECT_EQ(result.attempts, 0);  // attempts are the supervisor's to count
 
   // ParseError: unreadable input is a deterministic structured failure.
   result = runBatchItem({"missing", dir + "/does_not_exist.mclg", ""},
-                        inProcessConfig());
+                        soloConfig());
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(result.status, WorkerStatus::ParseError);
   EXPECT_FALSE(result.error.empty());
@@ -291,14 +291,14 @@ TEST(BatchStatus, InProcessRunnerReportsTheSharedVocabulary) {
   // IoError: legalized fine but the output path is unwritable.
   result = runBatchItem({"parity", dir + "/parity.mclg",
                          dir + "/no_such_dir/parity.legal.mclg"},
-                        inProcessConfig());
+                        soloConfig());
   EXPECT_FALSE(result.ok);
   EXPECT_EQ(result.status, WorkerStatus::IoError);
 
   // GuardDegraded: a stage that fails every guarded attempt is skipped
   // after rollback — a usable placement, flagged degraded (exit 2 in the
   // process vocabulary).
-  BatchRunConfig degraded = inProcessConfig();
+  BatchRunConfig degraded = soloConfig();
   degraded.pipeline.guard.enabled = true;
   degraded.pipeline.guard.maxAttempts = 2;
   degraded.pipeline.guard.faults.add(PipelineStage::MaxDisp,
@@ -323,13 +323,14 @@ TEST(Supervisor, MatchesSoloRunsByteForByte) {
   const std::string dir = testing::uniqueTestDir();
   const auto items = makeManifest(dir, 3, 920);
 
-  // Solo reference: the in-process runner on the same pipeline config.
+  // Solo reference: the worker body, run in this process on the same
+  // pipeline config.
   std::vector<std::uint64_t> soloHashes;
   std::vector<std::string> soloBytes;
   for (const auto& item : items) {
     BatchManifestItem solo = item;
     solo.outputPath = item.outputPath + ".solo";
-    const auto result = runBatchItem(solo, inProcessConfig());
+    const auto result = runBatchItem(solo, soloConfig());
     ASSERT_TRUE(result.ok) << result.error;
     soloHashes.push_back(result.placementHash);
     const auto bytes = readFileBytes(solo.outputPath);
@@ -354,6 +355,34 @@ TEST(Supervisor, MatchesSoloRunsByteForByte) {
   }
 }
 
+TEST(Supervisor, MissingInputIsAParseErrorAndNeighborsStillSave) {
+  // A design whose input does not exist fails deterministically: it comes
+  // back as ParseError after one attempt (never retried), while its
+  // manifest neighbor legalizes and saves exactly the solo placement.
+  const std::string dir = testing::uniqueTestDir();
+  Design good = generate(spec(700));
+  ASSERT_TRUE(saveDesign(good, dir + "/good.mclg"));
+  const BatchDesignResult solo =
+      runBatchItem({"good", dir + "/good.mclg", ""}, soloConfig());
+  ASSERT_TRUE(solo.ok) << solo.error;
+
+  const std::vector<BatchManifestItem> items = {
+      {"good", dir + "/good.mclg", dir + "/good_legal.mclg"},
+      {"missing", dir + "/does_not_exist.mclg", ""}};
+  const auto results = runSupervisedManifest(items, fastSupervisor());
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].ok) << results[0].error;
+  EXPECT_EQ(results[0].status, WorkerStatus::Ok);
+  EXPECT_EQ(results[0].placementHash, solo.placementHash);
+  std::optional<Design> saved = loadDesign(dir + "/good_legal.mclg");
+  ASSERT_TRUE(saved.has_value());
+  EXPECT_EQ(placementHash(*saved), results[0].placementHash);
+  EXPECT_FALSE(results[1].ok);
+  EXPECT_EQ(results[1].status, WorkerStatus::ParseError);
+  EXPECT_EQ(results[1].attempts, 1);
+  EXPECT_FALSE(results[1].error.empty());
+}
+
 TEST(Supervisor, CrashedWorkerIsRetriedAndNeighborsSurvive) {
   const std::string dir = testing::uniqueTestDir();
   const auto items = makeManifest(dir, 3, 930);
@@ -361,7 +390,7 @@ TEST(Supervisor, CrashedWorkerIsRetriedAndNeighborsSurvive) {
   for (const auto& item : items) {
     BatchManifestItem solo = item;
     solo.outputPath = item.outputPath + ".solo";
-    ASSERT_TRUE(runBatchItem(solo, inProcessConfig()).ok);
+    ASSERT_TRUE(runBatchItem(solo, soloConfig()).ok);
     soloBytes.push_back(*readFileBytes(solo.outputPath));
   }
 

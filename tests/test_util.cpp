@@ -1,13 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <set>
 #include <thread>
 
 #include "util/random.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace mclg {
@@ -94,34 +92,6 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(Table::fmt(3.14159, 2), "3.14");
   EXPECT_EQ(Table::fmt(12345LL), "12345");
   EXPECT_EQ(Table::pct(0.123, 1), "12.3%");
-}
-
-TEST(ThreadPool, InlineWhenSingleThreaded) {
-  ThreadPool pool(1);
-  std::atomic<int> sum{0};
-  pool.parallelForBatch(10, [&](int i) { sum += i; });
-  EXPECT_EQ(sum.load(), 45);
-}
-
-TEST(ThreadPool, RunsAllIndicesExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallelForBatch(100, [&](int i) { ++hits[static_cast<std::size_t>(i)]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, SequentialBatchesReuseWorkers) {
-  ThreadPool pool(3);
-  std::atomic<int> total{0};
-  for (int batch = 0; batch < 20; ++batch) {
-    pool.parallelForBatch(7, [&](int) { ++total; });
-  }
-  EXPECT_EQ(total.load(), 140);
-}
-
-TEST(ThreadPool, ZeroCountIsNoop) {
-  ThreadPool pool(2);
-  pool.parallelForBatch(0, [&](int) { FAIL(); });
 }
 
 TEST(Timer, StartsRunningAndAccumulates) {

@@ -1,38 +1,35 @@
-// mclg_batch — multi-design throughput driver on the shared executor.
+// mclg_batch — multi-design driver: one supervised worker process per
+// design.
 //
 //   mclg_batch --manifest batch.txt [--jobs N] [--threads-per-design N]
-//              [--preset contest|totaldisp] [--executor-threads N]
-//              [--scores] [--report-out batch.json] [--shard i/N]
+//              [--preset contest|totaldisp] [--scores]
+//              [--report-out batch.json] [--shard i/N]
 //              [--live-status] [--telemetry-ms MS] [--trace-out FILE]
-//              [--process-isolation [--design-timeout SECS]
-//               [--max-retries N] [--backoff-ms MS]]
+//              [--design-timeout SECS] [--max-retries N] [--backoff-ms MS]
 //
 // The manifest lists one design per line: `input.mclg [output.mclg]`
-// (whitespace-separated, `#` comments). Designs legalize concurrently —
-// up to --jobs in flight — on the process executor (or a private one of
-// --executor-threads workers), each with --threads-per-design stage lanes.
-// Per-design results are byte-identical to solo `mclg_cli legalize` runs
-// at any thread count.
-//
-// --process-isolation runs each design in its own supervised worker
-// process instead (flow/supervisor.hpp): a crash, OS kill, or timeout in
-// one design cannot take down the batch, the victim is retried up to
+// (whitespace-separated, `#` comments). Each design runs in its own worker
+// process (flow/supervisor.hpp), up to --jobs at once, each with
+// --threads-per-design stage lanes: a crash, OS kill, or timeout in one
+// design cannot take down the batch, the victim is retried up to
 // --max-retries times with exponential backoff, and its signal/status is
-// recorded in the batch result. --shard i/N deterministically keeps every
-// N-th manifest line starting at i, so N hosts can split one manifest
-// with no coordination (the shard union is exactly the manifest).
+// recorded in the batch result. Per-design results are byte-identical to
+// solo `mclg_cli legalize` runs at any thread count. --shard i/N
+// deterministically keeps every N-th manifest line starting at i, so N
+// hosts can split one manifest with no coordination (the shard union is
+// exactly the manifest).
 //
 // Live telemetry (docs/OBSERVABILITY.md "Live telemetry"): workers stream
 // Heartbeat/MetricsDelta frames every --telemetry-ms, folded into a
 // BatchLedger that drives the --live-status progress line, heartbeat-based
 // stall detection, and the schema-v6 `batch` aggregate block of
 // --report-out. --trace-out merges every worker's spans into one Perfetto
-// timeline with a process lane per worker pid (in-process mode traces the
-// single batch process instead).
+// timeline with a process lane per worker pid.
 //
 // Exit status:
 //   0  every design legalized (possibly after worker retries)
-//   1  usage / IO error (bad flags, unreadable manifest or outputs)
+//   1  usage / IO error (bad or unknown flags, unreadable manifest or
+//      outputs)
 //   3  at least one design failed, crashed past retries, or is infeasible
 //   4  structured parse error in the manifest or an input design
 //
@@ -40,26 +37,22 @@
 // (see supervisorWorkerMain); not part of the public CLI surface.
 
 #include <cerrno>
-#include <chrono>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <map>
 #include <optional>
+#include <set>
 #include <string>
-
-#include <unistd.h>
+#include <vector>
 
 #include "flow/batch_runner.hpp"
 #include "flow/supervisor.hpp"
 #include "obs/batch_ledger.hpp"
 #include "obs/obs.hpp"
 #include "obs/run_report.hpp"
-#include "obs/sampler.hpp"
-#include "obs/trace.hpp"
 #include "obs/trace_merge.hpp"
-#include "util/executor/executor.hpp"
 #include "util/timer.hpp"
 
 namespace {
@@ -74,23 +67,23 @@ constexpr int kExitParseError = 4;
 const char kHelp[] =
     "usage: mclg_batch --manifest batch.txt [options]\n"
     "\n"
+    "Each design runs in its own supervised worker process; a crash or\n"
+    "timeout hits that design only (docs/ROBUSTNESS.md).\n"
+    "\n"
     "  --manifest FILE        one design per line: input.mclg [output.mclg]\n"
-    "  --jobs N               designs in flight at once (default: executor\n"
-    "                         width; with --process-isolation: concurrent\n"
-    "                         worker processes, default hardware threads)\n"
+    "  --jobs N               concurrent worker processes (default:\n"
+    "                         hardware threads)\n"
     "  --threads-per-design N stage-parallel lanes inside each design\n"
     "                         (default 1 — best aggregate throughput for\n"
     "                         small designs)\n"
     "  --preset NAME          contest (default) or totaldisp\n"
-    "  --executor-threads N   run on a private executor of N workers\n"
-    "                         (default: the shared process executor)\n"
     "  --scores               evaluate the contest score per design\n"
-    "  --shard i/N            process only manifest lines j with j%%N == i\n"
+    "  --shard i/N            process only manifest lines j with j%N == i\n"
     "                         (deterministic: the union over i=0..N-1 is\n"
     "                         exactly the manifest)\n"
     "  --report-out FILE      batch run report (JSON, kind \"bench\",\n"
-    "                         executor.*/supervisor.* metrics and the\n"
-    "                         schema-v6 batch.* aggregate block included)\n"
+    "                         supervisor.* metrics and the schema-v6\n"
+    "                         batch.* aggregate block included)\n"
     "\n"
     "live telemetry (docs/OBSERVABILITY.md):\n"
     "  --live-status          single-line progress on stderr: done/running/\n"
@@ -102,9 +95,7 @@ const char kHelp[] =
     "  --trace-out FILE       merged Perfetto trace: one process lane per\n"
     "                         worker pid (chrome://tracing / ui.perfetto.dev)\n"
     "\n"
-    "process isolation (crash-isolated fan-out, docs/ROBUSTNESS.md):\n"
-    "  --process-isolation    run each design in its own supervised worker\n"
-    "                         process; crashes/timeouts hit one design only\n"
+    "worker failures (docs/ROBUSTNESS.md):\n"
     "  --design-timeout SECS  per-worker wall-clock budget (SIGTERM, then\n"
     "                         SIGKILL after a grace period; default: none)\n"
     "  --max-retries N        re-runs after a crash/timeout (default 2)\n"
@@ -114,25 +105,59 @@ const char kHelp[] =
     "                         <design>:<segv|abort|kill|hang|degrade>:<n>\n"
     "                         fails attempts 0..n-1 of the named design\n";
 
-std::optional<std::string> argValue(int argc, char** argv, const char* name) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::string(argv[i + 1]);
-  }
-  return std::nullopt;
-}
+const std::set<std::string> kValueFlags = {
+    "--manifest",       "--jobs",          "--threads-per-design",
+    "--preset",         "--shard",         "--report-out",
+    "--telemetry-ms",   "--trace-out",     "--design-timeout",
+    "--max-retries",    "--backoff-ms",    "--inject-fault"};
+const std::set<std::string> kSwitches = {"--help", "-h", "--scores",
+                                         "--live-status"};
 
-bool argFlag(int argc, char** argv, const char* name) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return true;
+/// The command line, parsed strictly: every argument is a known switch, a
+/// known value flag, or the value that follows one.
+struct Args {
+  std::map<std::string, std::string> values;  ///< first occurrence wins
+  std::vector<std::string> faults;            ///< every --inject-fault SPEC
+  std::set<std::string> switches;
+
+  std::optional<std::string> value(const char* name) const {
+    const auto it = values.find(name);
+    if (it == values.end()) return std::nullopt;
+    return it->second;
   }
-  return false;
+  bool has(const char* name) const { return switches.count(name) > 0; }
+};
+
+bool parseArgs(int argc, char** argv, Args* args) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (kSwitches.count(arg) > 0) {
+      args->switches.insert(arg);
+      continue;
+    }
+    if (kValueFlags.count(arg) == 0) {
+      std::fprintf(stderr, "mclg_batch: unknown argument '%s'\n", argv[i]);
+      return false;
+    }
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "mclg_batch: %s needs a value\n", argv[i]);
+      return false;
+    }
+    const std::string value = argv[++i];
+    if (arg == "--inject-fault") {
+      args->faults.push_back(value);
+    } else {
+      args->values.emplace(arg, value);
+    }
+  }
+  return true;
 }
 
 /// Strict integer flag: absent -> fallback; non-numeric, trailing junk, or
 /// a value below minValue (or beyond int range) -> usage error (false).
-bool argInt(int argc, char** argv, const char* name, int fallback,
-            int minValue, int* out) {
-  const auto v = argValue(argc, argv, name);
+bool argInt(const Args& args, const char* name, int fallback, int minValue,
+            int* out) {
+  const auto v = args.value(name);
   if (!v) {
     *out = fallback;
     return true;
@@ -151,9 +176,9 @@ bool argInt(int argc, char** argv, const char* name, int fallback,
 }
 
 /// Strict non-negative double flag, same contract as argInt.
-bool argSeconds(int argc, char** argv, const char* name, double fallback,
+bool argSeconds(const Args& args, const char* name, double fallback,
                 double* out) {
-  const auto v = argValue(argc, argv, name);
+  const auto v = args.value(name);
   if (!v) {
     *out = fallback;
     return true;
@@ -172,6 +197,25 @@ bool argSeconds(int argc, char** argv, const char* name, double fallback,
   return true;
 }
 
+/// Fault specs are strict too: a typo'd mode must be a usage error, not a
+/// fault that silently never fires.
+bool validFaultSpec(const std::string& spec) {
+  const auto firstColon = spec.find(':');
+  const auto lastColon = spec.rfind(':');
+  if (firstColon == std::string::npos || lastColon <= firstColon ||
+      firstColon == 0) {
+    return false;
+  }
+  const std::string mode =
+      spec.substr(firstColon + 1, lastColon - firstColon - 1);
+  const std::string count = spec.substr(lastColon + 1);
+  bool valid = (mode == "segv" || mode == "abort" || mode == "kill" ||
+                mode == "hang" || mode == "degrade") &&
+               !count.empty() && count.size() <= 9;
+  for (const char c : count) valid = valid && c >= '0' && c <= '9';
+  return valid;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -180,95 +224,68 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--worker") == 0) {
     return supervisorWorkerMain(argc, argv);
   }
-  if (argFlag(argc, argv, "--help") || argFlag(argc, argv, "-h")) {
+  // Validate every flag before touching the filesystem or forking, so a
+  // bad or unknown flag is always a usage error (exit 1) and never a
+  // partial batch.
+  Args args;
+  if (!parseArgs(argc, argv, &args)) {
+    std::fputs("run mclg_batch --help for the flag list\n", stderr);
+    return kExitUsage;
+  }
+  if (args.has("--help") || args.has("-h")) {
     std::fputs(kHelp, stdout);
     return kExitOk;
   }
-  const auto manifestPath = argValue(argc, argv, "--manifest");
+  const auto manifestPath = args.value("--manifest");
   if (!manifestPath) {
     std::fputs(kHelp, stderr);
     return kExitUsage;
   }
 
-  // Validate every flag before touching the filesystem or forking, so a
-  // bad flag is always a usage error (exit 1) and never a partial batch.
-  const std::string presetName =
-      argValue(argc, argv, "--preset").value_or("contest");
-  BatchRunConfig config;
-  if (presetName == "contest") {
-    config.pipeline = PipelineConfig::contest();
-  } else if (presetName == "totaldisp") {
-    config.pipeline = PipelineConfig::totalDisplacement();
-  } else {
+  const std::string presetName = args.value("--preset").value_or("contest");
+  if (presetName != "contest" && presetName != "totaldisp") {
     std::fprintf(stderr, "unknown preset '%s'\n", presetName.c_str());
     return kExitUsage;
   }
-  int executorThreads = 0;
-  int telemetryMs = 100;
   SupervisorConfig supervisor;
-  if (!argInt(argc, argv, "--threads-per-design", 1, 1,
-              &config.threadsPerDesign) ||
-      !argInt(argc, argv, "--jobs", 0, 0, &config.maxInFlight) ||
-      !argInt(argc, argv, "--executor-threads", 0, 0, &executorThreads) ||
-      !argInt(argc, argv, "--telemetry-ms", telemetryMs, 0, &telemetryMs) ||
-      !argInt(argc, argv, "--max-retries", supervisor.maxRetries, 0,
+  supervisor.preset = presetName;
+  if (!argInt(args, "--threads-per-design", 1, 1,
+              &supervisor.threadsPerDesign) ||
+      !argInt(args, "--jobs", 0, 0, &supervisor.maxConcurrent) ||
+      !argInt(args, "--telemetry-ms", supervisor.telemetrySampleMs, 0,
+              &supervisor.telemetrySampleMs) ||
+      !argInt(args, "--max-retries", supervisor.maxRetries, 0,
               &supervisor.maxRetries) ||
-      !argInt(argc, argv, "--backoff-ms", supervisor.backoffMs, 0,
+      !argInt(args, "--backoff-ms", supervisor.backoffMs, 0,
               &supervisor.backoffMs) ||
-      !argSeconds(argc, argv, "--design-timeout", 0.0,
+      !argSeconds(args, "--design-timeout", 0.0,
                   &supervisor.designTimeoutSeconds)) {
     return kExitUsage;
   }
-  config.evaluateScores = argFlag(argc, argv, "--scores");
-  const bool liveStatus = argFlag(argc, argv, "--live-status");
-  const auto traceOut = argValue(argc, argv, "--trace-out");
-  const bool processIsolation = argFlag(argc, argv, "--process-isolation");
-  if (!processIsolation &&
-      (argValue(argc, argv, "--design-timeout") ||
-       argValue(argc, argv, "--max-retries") ||
-       argValue(argc, argv, "--backoff-ms") ||
-       argValue(argc, argv, "--inject-fault"))) {
-    std::fprintf(stderr,
-                 "mclg_batch: --design-timeout/--max-retries/--backoff-ms/"
-                 "--inject-fault require --process-isolation\n");
-    return kExitUsage;
-  }
+  supervisor.evaluateScores = args.has("--scores");
+  const bool liveStatus = args.has("--live-status");
+  const auto traceOut = args.value("--trace-out");
   ShardSpec shard;
-  if (const auto shardText = argValue(argc, argv, "--shard")) {
+  if (const auto shardText = args.value("--shard")) {
     std::string shardError;
     if (!parseShardSpec(*shardText, &shard, &shardError)) {
       std::fprintf(stderr, "mclg_batch: %s\n", shardError.c_str());
       return kExitUsage;
     }
   }
-  // Fault specs are strict too: a typo'd mode must be a usage error, not
-  // a fault that silently never fires.
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--inject-fault") != 0) continue;
-    const std::string spec = argv[i + 1];
-    const auto firstColon = spec.find(':');
-    const auto lastColon = spec.rfind(':');
-    bool valid = firstColon != std::string::npos && lastColon > firstColon &&
-                 firstColon > 0;
-    if (valid) {
-      const std::string mode =
-          spec.substr(firstColon + 1, lastColon - firstColon - 1);
-      valid = mode == "segv" || mode == "abort" || mode == "kill" ||
-              mode == "hang" || mode == "degrade";
-      const std::string count = spec.substr(lastColon + 1);
-      valid = valid && !count.empty() && count.size() <= 9;
-      for (const char c : count) valid = valid && c >= '0' && c <= '9';
-    }
-    if (!valid) {
+  for (const std::string& spec : args.faults) {
+    if (!validFaultSpec(spec)) {
       std::fprintf(stderr,
                    "mclg_batch: invalid fault spec '%s' (want "
                    "<design>:<segv|abort|kill|hang|degrade>:<n>)\n",
                    spec.c_str());
       return kExitUsage;
     }
+    supervisor.extraWorkerArgs.push_back("--worker-fault");
+    supervisor.extraWorkerArgs.push_back(spec);
   }
 
-  const auto reportOut = argValue(argc, argv, "--report-out");
+  const auto reportOut = args.value("--report-out");
   if (reportOut) {
     obs::setMetricsEnabled(true);
     obs::metricsReset();
@@ -293,77 +310,25 @@ int main(int argc, char** argv) {
     return kExitOk;
   }
 
-  // Live telemetry fold shared by both modes: the supervisor feeds worker
-  // frames into it, the in-process runner feeds design events directly.
+  // Live telemetry fold: the supervisor feeds worker frames into it.
   obs::BatchLedger ledger(static_cast<int>(items.size()));
   obs::TraceMerger traceMerger;
-  const auto statusLine = [](const std::string& line) {
-    std::fprintf(stderr, "\r\33[2K%s", line.c_str());
-    std::fflush(stderr);
-  };
-  const auto steadySeconds = [] {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  };
+  supervisor.workerCommand = {selfExecutablePath(argv[0]), "--worker"};
+  supervisor.ledger = &ledger;
+  if (traceOut) {
+    supervisor.streamTrace = true;
+    supervisor.traceMerger = &traceMerger;
+  }
+  if (liveStatus) {
+    supervisor.onStatusLine = [](const std::string& line) {
+      std::fprintf(stderr, "\r\33[2K%s", line.c_str());
+      std::fflush(stderr);
+    };
+  }
 
   Timer timer;
-  std::vector<BatchDesignResult> results;
-  if (processIsolation) {
-    supervisor.workerCommand = {selfExecutablePath(argv[0]), "--worker"};
-    supervisor.maxConcurrent = config.maxInFlight;
-    supervisor.preset = presetName;
-    supervisor.threadsPerDesign = config.threadsPerDesign;
-    supervisor.evaluateScores = config.evaluateScores;
-    supervisor.telemetrySampleMs = telemetryMs;
-    supervisor.ledger = &ledger;
-    if (traceOut) {
-      supervisor.streamTrace = true;
-      supervisor.traceMerger = &traceMerger;
-    }
-    if (liveStatus) supervisor.onStatusLine = statusLine;
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (std::strcmp(argv[i], "--inject-fault") == 0) {
-        supervisor.extraWorkerArgs.push_back("--worker-fault");
-        supervisor.extraWorkerArgs.emplace_back(argv[i + 1]);
-      }
-    }
-    results = runSupervisedManifest(items, supervisor);
-  } else {
-    std::unique_ptr<Executor> privateExecutor;
-    if (executorThreads > 0) {
-      privateExecutor = std::make_unique<Executor>(executorThreads);
-      config.executor = ExecutorRef(privateExecutor.get());
-    }
-    config.ledger = &ledger;
-    if (liveStatus) config.onStatusLine = statusLine;
-    if (traceOut) {
-      obs::setTracingEnabled(true);
-      obs::traceReset();
-    }
-    // Periodic executor gauge sampling (queue depth, parked workers) —
-    // the in-process analog of the worker-side sampler.
-    obs::MetricsSampler sampler;
-    if (telemetryMs > 0 && (reportOut || liveStatus)) {
-      obs::SamplerConfig samplerConfig;
-      samplerConfig.intervalMs = telemetryMs;
-      Executor* const target = privateExecutor.get();
-      samplerConfig.preSample = [target] {
-        Executor* executor = target ? target : Executor::globalIfCreated();
-        if (executor != nullptr) executor->sampleGauges();
-      };
-      samplerConfig.emit = [](const obs::TelemetrySample&) {};
-      sampler.start(std::move(samplerConfig));
-    }
-    results = runBatchManifest(items, config);
-    sampler.stop();
-    if (liveStatus) statusLine(ledger.renderStatusLine(steadySeconds()));
-    if (traceOut) {
-      const int pid = static_cast<int>(::getpid());
-      traceMerger.addWorker(pid, "mclg_batch");
-      traceMerger.addSpans(pid, obs::traceSnapshot());
-    }
-  }
+  const std::vector<BatchDesignResult> results =
+      runSupervisedManifest(items, supervisor);
   const double seconds = timer.seconds();
   if (liveStatus) std::fputc('\n', stderr);
 
@@ -402,10 +367,10 @@ int main(int argc, char** argv) {
     values.emplace_back("designs_ok", static_cast<double>(okCount));
     values.emplace_back("batch_seconds", seconds);
     values.emplace_back("designs_per_sec", throughput);
-    values.emplace_back("jobs", static_cast<double>(config.maxInFlight));
+    values.emplace_back("jobs",
+                        static_cast<double>(supervisor.maxConcurrent));
     values.emplace_back("threads_per_design",
-                        static_cast<double>(config.threadsPerDesign));
-    values.emplace_back("process_isolation", processIsolation ? 1.0 : 0.0);
+                        static_cast<double>(supervisor.threadsPerDesign));
     values.emplace_back("shard_index", static_cast<double>(shard.index));
     values.emplace_back("shard_count", static_cast<double>(shard.count));
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -418,11 +383,9 @@ int main(int argc, char** argv) {
       values.emplace_back(prefix + "status",
                           static_cast<double>(static_cast<int>(
                               results[i].status)));
-      if (processIsolation) {
-        values.emplace_back(prefix + "attempts",
-                            static_cast<double>(results[i].attempts));
-      }
-      if (config.evaluateScores) {
+      values.emplace_back(prefix + "attempts",
+                          static_cast<double>(results[i].attempts));
+      if (supervisor.evaluateScores) {
         values.emplace_back(prefix + "score", results[i].score);
       }
     }
