@@ -1,16 +1,16 @@
 // Incremental ECO re-legalization speedup (docs/ECO.md): on the
 // bench_scaling design, perturb <= 5% of the movable cells' GP targets and
 // compare a full pipeline re-run against `ecoRelegalize` from the legal
-// snapshot. The PR 4 acceptance floor is a 3x speedup at this dirty
-// fraction, gated by scripts/perf_gate.py on the committed BENCH_PR4.json
-// (`--ratio bench_eco.full_seconds/eco_seconds>=3`).
+// snapshot. Run by hand: the speedup is printed, not gated (the last
+// recorded ratio is in docs/ECO.md); per-PR ECO regressions are caught by
+// perfbench's `eco_serve` workload.
 //
 // With MCLG_BENCH_REPORT set, emits bench_eco.json with: the full-run and
 // incremental timings (best of MCLG_BENCH_REPS runs, default 3), the delta
 // / warm-restart counters, and `exact.identical` — 1 iff `--eco-exact`
 // semantics (adopting the shadow full run) produced a placement
-// byte-identical to legalizing the perturbed design from scratch. Keys
-// ending ".identical" are auto-gated to 1 by perf_gate.py.
+// byte-identical to legalizing the perturbed design from scratch. Exits 1
+// when that identity fails or the incremental run fell back to a full run.
 
 #include <algorithm>
 #include <cstdio>

@@ -20,10 +20,8 @@ namespace mclg::obs {
 
 /// v2 (PR 3): adds the perf-overhaul metric families to the metrics block —
 /// `mgl.curve_cache.*`, `mgl.insert.seed_dedup`, the `mgl.window.candidates`
-/// histogram and `mcf.simplex.warm.*` — and the "perf_suite" document kind
-/// written by scripts/perf_gate.py. Purely additive: v1 consumers that
-/// ignore unknown fields keep working, and the in-tree readers
-/// (scripts/perf_gate.py, tests/cli_end_to_end.cmake) accept both versions.
+/// histogram and `mcf.simplex.warm.*`. Purely additive: v1 consumers that
+/// ignore unknown fields keep working.
 ///
 /// v3 (PR 4): adds the optional top-level `eco` block emitted by the
 /// `--eco-from` incremental mode (`eco.dirty_windows`, `eco.reused_windows`,
@@ -37,8 +35,7 @@ namespace mclg::obs {
 /// `executor.submitted` counters and the `executor.queue_depth` /
 /// `executor.designs_in_flight` high-water gauges (see
 /// docs/PERFORMANCE.md). Additive: v2/v3 consumers that ignore unknown
-/// metric names keep working, and the in-tree readers
-/// (scripts/perf_gate.py, tests/cli_end_to_end.cmake) accept v1–v4.
+/// metric names keep working.
 /// `executor.designs_in_flight` belonged to the in-process batch mode and
 /// is no longer written since that mode was removed;
 /// `supervisor.workers_in_flight` (v5) is its successor.
@@ -53,7 +50,7 @@ namespace mclg::obs {
 /// per-design `status` / `attempts` values in mclg_batch bench reports.
 /// `process_isolation` is no longer written: the supervisor is mclg_batch's
 /// only mode, and every design row carries `attempts`.
-/// Additive as before; the in-tree readers accept v1–v5.
+/// Additive as before.
 ///
 /// v6 (PR 7): live-telemetry additions (see docs/OBSERVABILITY.md "Live
 /// telemetry") — `p50` / `p95` / `p99` quantile estimates in every
@@ -63,9 +60,12 @@ namespace mclg::obs {
 /// the sampled `executor.parked_workers` gauge, and the top-level `batch`
 /// aggregate block in mclg_batch reports (per-design rollups, attempt
 /// history, folded worker counters/gauges, heartbeat gap histogram —
-/// rendered by obs/batch_ledger.hpp). Additive as before; the in-tree
-/// readers (scripts/perf_gate.py, scripts/check_report_schema.py,
-/// tests/cli_end_to_end.cmake) accept v1–v6.
+/// rendered by obs/batch_ledger.hpp). Additive as before.
+///
+/// Nothing writes v1–v5 any more, so the in-tree readers
+/// (scripts/check_report_schema.py, tests/cli_end_to_end.cmake) accept v6
+/// only; bumping this constant means updating both and
+/// docs/report_schema_fields.json.
 inline constexpr int kRunReportSchemaVersion = 6;
 
 /// Where the run came from: everything needed to reproduce it.

@@ -1,8 +1,10 @@
-# mclg_batch argument strictness: an unknown flag, or a value flag with no
-# value, is a usage error (exit 1) raised before the manifest is read. The
-# manifest named here does not exist, so a run that got past flag parsing
-# would exit 4 (parse error) instead.
+# Argument strictness of mclg_batch and every mclg_cli subcommand: an
+# unknown flag, or a value flag with no value, is a usage error (exit 1)
+# raised before any input is read. The manifest and designs named here do
+# not exist, so a run that got past flag parsing would exit 4 (parse error)
+# instead.
 set(missing ${WORKDIR}/no_such_manifest.txt)
+set(missing_design ${WORKDIR}/no_such_design.mclg)
 
 function(expect_exit expected)
   execute_process(COMMAND ${BATCH} --manifest ${missing} ${ARGN}
@@ -29,3 +31,34 @@ expect_exit(1 --jobs)
 
 # Known flags get past parsing and fail on the missing manifest.
 expect_exit(4 --jobs 2 --scores --live-status)
+
+# mclg_cli: typos of real flags, a flag another subcommand reads, a stray
+# positional and dangling value flags.
+function(expect_cli_exit expected)
+  execute_process(COMMAND ${CLI} ${ARGN}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT code EQUAL ${expected})
+    message(FATAL_ERROR
+            "mclg_cli ${ARGN}: exit ${code}, want ${expected}\n${out}\n${err}")
+  endif()
+  set(last_stderr "${err}" PARENT_SCOPE)
+endfunction()
+
+expect_cli_exit(1 legalize --in ${missing_design} --thread 4)
+if(NOT last_stderr MATCHES "unknown argument '--thread'")
+  message(FATAL_ERROR "no unknown-argument message:\n${last_stderr}")
+endif()
+expect_cli_exit(1 legalize --in ${missing_design} --no-gaurd)
+expect_cli_exit(1 legalize --in ${missing_design} --threads)
+expect_cli_exit(1 evaluate --in ${missing_design} --limit 5)
+expect_cli_exit(1 violations --in ${missing_design} stray)
+expect_cli_exit(1 generate --cells 100 --density)
+expect_cli_exit(1 svg --in)
+
+# Known flags, including --log-json on any subcommand, get past parsing and
+# fail on the missing design.
+expect_cli_exit(4 legalize --in ${missing_design} --threads 2 --no-guard
+                --ripup --ripup-threshold 5 --eco-exact --log-json)
+expect_cli_exit(4 svg --in ${missing_design} --out ${WORKDIR}/x.svg --density)

@@ -49,11 +49,9 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   if(report_err)
     message(FATAL_ERROR "run.json is not a valid run report: ${report_err}")
   endif()
-  # Accept all known schema versions (v2 through v6 are additive over v1).
-  if(NOT schema EQUAL 1 AND NOT schema EQUAL 2 AND NOT schema EQUAL 3
-     AND NOT schema EQUAL 4 AND NOT schema EQUAL 5 AND NOT schema EQUAL 6)
-    message(FATAL_ERROR
-            "run.json schema_version ${schema}, expected 1 through 6")
+  # The one version every writer emits (kRunReportSchemaVersion).
+  if(NOT schema EQUAL 6)
+    message(FATAL_ERROR "run.json schema_version ${schema}, expected 6")
   endif()
   string(JSON mgl_placed ERROR_VARIABLE report_err
          GET "${report_text}" pipeline mgl placed)
@@ -69,8 +67,8 @@ endif()
 run_cli(svg --in ${WORKDIR}/legal.mclg --out ${WORKDIR}/legal.svg)
 
 # Incremental ECO mode: re-legalizing the legal result against itself is the
-# trivial delta (nothing dirty) and must stay legal; the v3 report carries
-# the eco block.
+# trivial delta (nothing dirty) and must stay legal; the report carries the
+# eco block.
 run_cli(legalize --in ${WORKDIR}/legal.mclg --eco-from ${WORKDIR}/legal.mclg
         --report-out ${WORKDIR}/eco.json --out ${WORKDIR}/eco_legal.mclg)
 if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)

@@ -5,9 +5,10 @@
 // that make those optimizations quality-neutral:
 //
 //  1. The full pipeline is deterministic: repeated runs at the same thread
-//     count produce bit-identical placements (the promise the perf gate's
-//     hash comparison against the baseline relies on). Invariance across
-//     thread counts is tested in test_executor.cpp.
+//     count produce bit-identical placements. Invariance across thread
+//     counts is tested in test_executor.cpp
+//     (ExecutorDeterminism.PlacementDoesNotDependOnThreadCount), and the
+//     placements themselves are pinned by contract 3.
 //  2. A warm network-simplex solve reaches the same optimal objective as a
 //     cold solve and passes independent optimality verification; warm
 //     validation rejects changed topology and still answers correctly.

@@ -19,7 +19,8 @@
 //
 // Exit status (see `mclg_cli --help`):
 //   0  success; for legalize/evaluate the placement is fully legal
-//   1  usage / IO error (bad flags, unreadable or unwritable files)
+//   1  usage / IO error (unknown flags, a flag without its value,
+//      unreadable or unwritable files)
 //   2  legalized, but only after guard degradation (retry/skip/fallback)
 //   3  infeasible cells remain or the placement is not legal
 //   4  structured parse error in an input file
@@ -29,9 +30,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -66,22 +68,17 @@ namespace {
 
 using namespace mclg;
 
+/// The command line after the subcommand, parsed strictly against that
+/// subcommand's flag lists: every argument is a known switch, a known value
+/// flag, or the value that follows one.
 class Args {
  public:
-  Args(int argc, char** argv) : argc_(argc), argv_(argv) {}
-
   std::optional<std::string> get(const char* name) const {
-    for (int i = 2; i + 1 < argc_; ++i) {
-      if (std::strcmp(argv_[i], name) == 0) return std::string(argv_[i + 1]);
-    }
-    return std::nullopt;
+    const auto it = values_.find(name);
+    if (it == values_.end()) return std::nullopt;
+    return it->second;
   }
-  bool has(const char* name) const {
-    for (int i = 2; i < argc_; ++i) {
-      if (std::strcmp(argv_[i], name) == 0) return true;
-    }
-    return false;
-  }
+  bool has(const char* name) const { return switches_.count(name) > 0; }
   double getDouble(const char* name, double fallback) const {
     const auto v = get(name);
     return v ? std::atof(v->c_str()) : fallback;
@@ -91,9 +88,35 @@ class Args {
     return v ? std::atol(v->c_str()) : fallback;
   }
 
+  /// False (after a message on stderr) on an unknown argument or a value
+  /// flag with no value. The first occurrence of a value flag wins;
+  /// --log-json is a switch of every subcommand.
+  bool parse(int argc, char** argv, const std::set<std::string>& valueFlags,
+             const std::set<std::string>& switches) {
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (switches.count(arg) > 0 || arg == "--log-json") {
+        switches_.insert(arg);
+        continue;
+      }
+      if (valueFlags.count(arg) == 0) {
+        std::fprintf(stderr, "mclg_cli %s: unknown argument '%s'\n", argv[1],
+                     argv[i]);
+        return false;
+      }
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "mclg_cli %s: %s needs a value\n", argv[1],
+                     argv[i]);
+        return false;
+      }
+      values_.emplace(arg, argv[++i]);
+    }
+    return true;
+  }
+
  private:
-  int argc_;
-  char** argv_;
+  std::map<std::string, std::string> values_;
+  std::set<std::string> switches_;
 };
 
 // Exit codes (documented in --help and the file header).
@@ -159,7 +182,7 @@ const char kHelp[] =
     "\n"
     "exit codes:\n"
     "  0  success; for legalize/evaluate the placement is fully legal\n"
-    "  1  usage / IO error\n"
+    "  1  usage / IO error (unknown flag, flag without its value)\n"
     "  2  legalized, but only after guard degradation (retry/skip/fallback)\n"
     "  3  infeasible cells remain or the placement is not legal\n"
     "  4  structured parse error in an input file\n"
@@ -637,6 +660,37 @@ int cmdSvg(const Args& args) {
   return 0;
 }
 
+/// A subcommand and the flags it reads.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::set<std::string> valueFlags;
+  std::set<std::string> switches;
+};
+
+const Command kCommands[] = {
+    {"generate", cmdGenerate,
+     {"--cells", "--name", "--density", "--fences", "--blockages", "--seed",
+      "--gp", "--out"},
+     {"--no-routability"}},
+    {"legalize", cmdLegalize,
+     {"--in", "--out", "--preset", "--config", "--threads", "--delta0",
+      "--n0", "--ripup-threshold", "--hpwl-budget", "--guard-budget",
+      "--guard-attempts", "--fault-seed", "--trace-out", "--report-out",
+      "--report-fd", "--eco-from", "--eco-halo", "--eco-tolerance",
+      "--eco-ripup-threshold"},
+     {"--no-maxdisp", "--no-mcf", "--ripup", "--recover-hpwl", "--fillers",
+      "--no-guard", "--eco-exact", "--eco-validate"}},
+    {"evaluate", cmdEvaluate, {"--in"}, {}},
+    {"violations", cmdViolations, {"--in", "--limit"}, {}},
+    {"stats", cmdStats, {"--in"}, {}},
+    {"convert", cmdConvert,
+     {"--in", "--out", "--lef", "--def", "--bookshelf", "--in-lef",
+      "--in-def", "--in-aux"},
+     {}},
+    {"svg", cmdSvg, {"--in", "--out", "--type", "--bin-rows"}, {"--density"}},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -647,19 +701,20 @@ int main(int argc, char** argv) {
     std::fputs(kHelp, stdout);
     return kExitLegal;
   }
-  const Args args(argc, argv);
-  if (args.has("--log-json")) mclg::setLogFormat(mclg::LogFormat::Json);
-  try {
-    if (command == "generate") return cmdGenerate(args);
-    if (command == "legalize") return cmdLegalize(args);
-    if (command == "evaluate") return cmdEvaluate(args);
-    if (command == "violations") return cmdViolations(args);
-    if (command == "stats") return cmdStats(args);
-    if (command == "convert") return cmdConvert(args);
-    if (command == "svg") return cmdSvg(args);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "internal error: %s\n", e.what());
-    return kExitInternal;
+  for (const Command& cmd : kCommands) {
+    if (command != cmd.name) continue;
+    Args args;
+    if (!args.parse(argc, argv, cmd.valueFlags, cmd.switches)) {
+      std::fputs("run mclg_cli --help for the flag list\n", stderr);
+      return kExitUsage;
+    }
+    if (args.has("--log-json")) mclg::setLogFormat(mclg::LogFormat::Json);
+    try {
+      return cmd.run(args);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "internal error: %s\n", e.what());
+      return kExitInternal;
+    }
   }
   return usage();
 }
