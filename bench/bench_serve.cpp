@@ -264,8 +264,8 @@ int main(int argc, char** argv) {
     }
     spawnSeconds = std::min(spawnSeconds, timer.seconds());
   }
-  std::printf("process-per-request %.3fs (%.3fs/request; initial legalize "
-              "%.3fs)\n", spawnSeconds, spawnSeconds / kRequests,
+  std::printf("process-per-request %.3fs (%.2f ms/request; initial legalize "
+              "%.3fs)\n", spawnSeconds, 1e3 * spawnSeconds / kRequests,
               spawnLegalizeSeconds);
 
   // --- Resident daemon ------------------------------------------------------
@@ -321,8 +321,9 @@ int main(int argc, char** argv) {
     }
     serveSeconds = std::min(serveSeconds, timer.seconds());
   }
-  std::printf("resident            %.3fs (%.3fs/request; load %.3fs)\n",
-              serveSeconds, serveSeconds / kRequests, residentLoadSeconds);
+  std::printf("resident            %.3fs (%.2f ms/request; load %.3fs)\n",
+              serveSeconds, 1e3 * serveSeconds / kRequests,
+              residentLoadSeconds);
 
   const double speedup = serveSeconds > 0 ? spawnSeconds / serveSeconds : 0.0;
   const bool identical = serveHashes == spawnHashes;

@@ -54,7 +54,7 @@ QpLegalizerStats optimizeQuadraticFixedRowOrder(
     const double w = config.contestWeights ? design.metricWeight(c) : 1.0;
     invQ[static_cast<std::size_t>(i)] = 1.0 / (2.0 * std::max(1e-12, w));
     const Interval range =
-        feasibleRange(design, segments, c, /*routability=*/false);
+        feasibleRange(design, segments, c, /*routability=*/nullptr);
     lo[static_cast<std::size_t>(i)] = static_cast<double>(range.lo);
     hi[static_cast<std::size_t>(i)] = static_cast<double>(range.hi - 1);
     stats.objectiveBefore +=

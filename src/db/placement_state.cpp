@@ -8,6 +8,7 @@ namespace mclg {
 
 PlacementState::PlacementState(Design& design) : design_(&design) {
   rows_.resize(static_cast<std::size_t>(design.numRows));
+  spanning_.assign(static_cast<std::size_t>(design.numRows), 0);
   for (CellId c = 0; c < design.numCells(); ++c) {
     auto& cell = design.cells[c];
     if (cell.fixed) continue;
@@ -16,6 +17,7 @@ PlacementState::PlacementState(Design& design) : design_(&design) {
       const int h = design.heightOf(c);
       for (std::int64_t y = cell.y; y < cell.y + h; ++y) {
         rows_[static_cast<std::size_t>(y)].emplace(cell.x, c);
+        if (y + 1 < cell.y + h) ++spanning_[static_cast<std::size_t>(y)];
       }
       ++numPlaced_;
     }
@@ -31,8 +33,10 @@ void PlacementState::place(CellId c, std::int64_t x, std::int64_t y) {
   MCLG_ASSERT(y >= 0 && y + h <= design_->numRows, "row span outside core");
   MCLG_ASSERT(x >= 0 && x + w <= design_->numSitesX, "site span outside core");
   MCLG_ASSERT(spanEmpty(y, h, x, w), "placement overlaps an existing cell");
+  if (listener_ != nullptr) listener_->beforeChange(c);
   for (std::int64_t row = y; row < y + h; ++row) {
     rows_[static_cast<std::size_t>(row)].emplace(x, c);
+    if (row + 1 < y + h) ++spanning_[static_cast<std::size_t>(row)];
   }
   cell.x = x;
   cell.y = y;
@@ -44,6 +48,7 @@ void PlacementState::place(CellId c, std::int64_t x, std::int64_t y) {
 void PlacementState::remove(CellId c) {
   auto& cell = design_->cells[c];
   MCLG_ASSERT(cell.placed, "removing a cell that is not placed");
+  if (listener_ != nullptr) listener_->beforeChange(c);
   const int h = design_->heightOf(c);
   for (std::int64_t row = cell.y; row < cell.y + h; ++row) {
     auto& rowMap = rows_[static_cast<std::size_t>(row)];
@@ -51,6 +56,7 @@ void PlacementState::remove(CellId c) {
     MCLG_ASSERT(it != rowMap.end() && it->second == c,
                 "occupancy index out of sync");
     rowMap.erase(it);
+    if (row + 1 < cell.y + h) --spanning_[static_cast<std::size_t>(row)];
   }
   cell.placed = false;
   --numPlaced_;
@@ -65,6 +71,7 @@ void PlacementState::shiftX(CellId c, std::int64_t newX) {
   const int w = design_->widthOf(c);
   MCLG_ASSERT(newX >= 0 && newX + w <= design_->numSitesX,
               "shift outside core");
+  if (listener_ != nullptr) listener_->beforeChange(c);
   for (std::int64_t row = cell.y; row < cell.y + h; ++row) {
     auto& rowMap = rows_[static_cast<std::size_t>(row)];
     auto it = rowMap.find(cell.x);
@@ -85,6 +92,7 @@ PlacementSnapshot PlacementState::snapshot() const {
     snap.cells[c] = {cell.x, cell.y, cell.placed};
   }
   snap.rows = rows_;
+  snap.spanning = spanning_;
   snap.numPlaced = numPlaced_.load(std::memory_order_relaxed);
   return snap;
 }
@@ -100,6 +108,7 @@ void PlacementState::restore(const PlacementSnapshot& snap) {
     cell.placed = snap.cells[c].placed;
   }
   rows_ = snap.rows;
+  spanning_ = snap.spanning;
   numPlaced_.store(snap.numPlaced, std::memory_order_relaxed);
 }
 

@@ -20,15 +20,19 @@ namespace mclg {
 /// Observer of placement mutations. A registered listener is notified after
 /// every successful place()/remove()/shiftX() — the hook the ECO
 /// DeltaTracker (legal/eco/) uses to record which cells an incremental
-/// stage touched.
+/// stage touched — and beforeChange() runs just before each of them
+/// mutates the cell, while it still holds its prior coordinates (the hook
+/// an undo log records first-touch values with).
 ///
 /// Threading: every mutating stage runs on one thread (MGL is serial), so
 /// callbacks arrive in order from that thread. restore() deliberately does
 /// not notify (a snapshot rollback is outside the delta model; callers
-/// re-diff instead).
+/// re-diff instead): every cell it changes back was notified when it
+/// changed after the snapshot.
 class PlacementListener {
  public:
   virtual ~PlacementListener() = default;
+  virtual void beforeChange(CellId /*c*/) {}
   virtual void onPlace(CellId c) = 0;
   virtual void onRemove(CellId c) = 0;
   virtual void onShift(CellId c) = 0;
@@ -49,6 +53,7 @@ struct PlacementSnapshot {
   };
   std::vector<CellPos> cells;  // indexed by CellId; fixed cells included
   std::vector<std::map<std::int64_t, CellId>> rows;
+  std::vector<int> spanning;  // PlacementState::cellsSpanning per row
   int numPlaced = 0;
 
   bool operator==(const PlacementSnapshot&) const = default;
@@ -87,6 +92,12 @@ class PlacementState {
     return rows_[static_cast<std::size_t>(y)];
   }
 
+  /// Number of placed movable cells occupying both row y and row y + 1 —
+  /// the multi-row cells that chain the two rows' orders together.
+  int cellsSpanning(std::int64_t y) const {
+    return spanning_[static_cast<std::size_t>(y)];
+  }
+
   /// Number of placed movable cells. (Atomic, so another thread may read it
   /// while a stage places cells.)
   int numPlaced() const { return numPlaced_.load(std::memory_order_relaxed); }
@@ -109,6 +120,7 @@ class PlacementState {
  private:
   Design* design_;
   std::vector<std::map<std::int64_t, CellId>> rows_;
+  std::vector<int> spanning_;  // see cellsSpanning
   std::atomic<int> numPlaced_{0};
   PlacementListener* listener_ = nullptr;
 };

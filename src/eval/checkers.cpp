@@ -1,6 +1,8 @@
 #include "eval/checkers.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
 
 #include "util/assert.hpp"
 
@@ -17,16 +19,24 @@ std::int64_t ceilDiv(std::int64_t a, std::int64_t b) {
   return -floorDiv(-a, b);
 }
 
-struct RowEntry {
-  std::int64_t x;
-  std::int64_t w;
-  CellId cell;
-  std::int64_t bottomY;
-};
+/// Sorts half-open intervals and merges overlapping or touching ones.
+std::vector<Interval> mergeIntervals(std::vector<Interval> intervals) {
+  std::sort(intervals.begin(), intervals.end(),
+            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+  std::vector<Interval> merged;
+  for (const auto& iv : intervals) {
+    if (!merged.empty() && iv.lo <= merged.back().hi) {
+      merged.back().hi = std::max(merged.back().hi, iv.hi);
+    } else {
+      merged.push_back(iv);
+    }
+  }
+  return merged;
+}
 
 /// Per-row listing of all placed cells (movable and fixed), sorted by x.
-std::vector<std::vector<RowEntry>> buildRowOccupancy(const Design& design) {
-  std::vector<std::vector<RowEntry>> rows(
+std::vector<std::vector<RowCellEntry>> buildRowOccupancy(const Design& design) {
+  std::vector<std::vector<RowCellEntry>> rows(
       static_cast<std::size_t>(design.numRows));
   for (CellId c = 0; c < design.numCells(); ++c) {
     const auto& cell = design.cells[c];
@@ -40,7 +50,9 @@ std::vector<std::vector<RowEntry>> buildRowOccupancy(const Design& design) {
   }
   for (auto& row : rows) {
     std::sort(row.begin(), row.end(),
-              [](const RowEntry& a, const RowEntry& b) { return a.x < b.x; });
+              [](const RowCellEntry& a, const RowCellEntry& b) {
+                return a.x < b.x;
+              });
   }
   return rows;
 }
@@ -60,28 +72,40 @@ bool layerConflicts(int pinLayer, int objLayer, bool* isShort) {
   return false;
 }
 
+/// checkLegality's per-cell tests (everything but overlaps) for cell c.
+LegalityReport cellLegality(const Design& design, const SegmentMap& segments,
+                            CellId c) {
+  LegalityReport report;
+  const auto& cell = design.cells[c];
+  if (cell.fixed) return report;
+  if (!cell.placed) {
+    ++report.unplacedCells;
+    return report;
+  }
+  const int h = design.heightOf(c);
+  const int w = design.widthOf(c);
+  if (cell.x < 0 || cell.y < 0 || cell.x + w > design.numSitesX ||
+      cell.y + h > design.numRows) {
+    ++report.outOfCore;
+    return report;
+  }
+  if (!design.parityOk(cell.type, cell.y)) ++report.parityViolations;
+  if (!segments.spanInFence(cell.y, h, cell.x, w, cell.fence)) {
+    ++report.fenceViolations;
+  }
+  return report;
+}
+
 }  // namespace
 
 LegalityReport checkLegality(const Design& design, const SegmentMap& segments) {
   LegalityReport report;
   for (CellId c = 0; c < design.numCells(); ++c) {
-    const auto& cell = design.cells[c];
-    if (cell.fixed) continue;
-    if (!cell.placed) {
-      ++report.unplacedCells;
-      continue;
-    }
-    const int h = design.heightOf(c);
-    const int w = design.widthOf(c);
-    if (cell.x < 0 || cell.y < 0 || cell.x + w > design.numSitesX ||
-        cell.y + h > design.numRows) {
-      ++report.outOfCore;
-      continue;
-    }
-    if (!design.parityOk(cell.type, cell.y)) ++report.parityViolations;
-    if (!segments.spanInFence(cell.y, h, cell.x, w, cell.fence)) {
-      ++report.fenceViolations;
-    }
+    const LegalityReport cell = cellLegality(design, segments, c);
+    report.unplacedCells += cell.unplacedCells;
+    report.outOfCore += cell.outOfCore;
+    report.parityViolations += cell.parityViolations;
+    report.fenceViolations += cell.fenceViolations;
   }
 
   const auto rows = buildRowOccupancy(design);
@@ -99,19 +123,50 @@ LegalityReport checkLegality(const Design& design, const SegmentMap& segments) {
   return report;
 }
 
+bool cellsLegal(const PlacementState& state, const SegmentMap& segments,
+                const std::vector<CellId>& cells) {
+  const Design& design = state.design();
+  for (const CellId c : cells) {
+    const Cell& cell = design.cells[c];
+    if (cell.fixed) continue;
+    if (!cellLegality(design, segments, c).legal()) return false;
+    const int h = design.heightOf(c);
+    const int w = design.widthOf(c);
+    for (std::int64_t y = cell.y; y < cell.y + h; ++y) {
+      const auto& row = state.rowCells(y);
+      const auto it = row.find(cell.x);
+      if (it == row.end() || it->second != c) return false;
+      if (it != row.begin()) {
+        const auto prev = std::prev(it);
+        if (prev->first + design.widthOf(prev->second) > cell.x) return false;
+      }
+      const auto next = std::next(it);
+      if (next != row.end() && next->first < cell.x + w) return false;
+    }
+  }
+  return true;
+}
+
 int countEdgeSpacingViolations(const Design& design) {
   const auto rows = buildRowOccupancy(design);
   int violations = 0;
   for (std::int64_t y = 0; y < design.numRows; ++y) {
-    const auto& row = rows[static_cast<std::size_t>(y)];
-    for (std::size_t i = 0; i + 1 < row.size(); ++i) {
-      const auto& a = row[i];
-      const auto& b = row[i + 1];
-      const std::int64_t gap = b.x - (a.x + a.w);
-      const int need = design.spacingBetween(a.cell, b.cell);
-      if (gap >= 0 && gap < need) {
-        if (y == std::max(a.bottomY, b.bottomY)) ++violations;
-      }
+    violations += rowEdgeSpacingViolations(design, y,
+                                           rows[static_cast<std::size_t>(y)]);
+  }
+  return violations;
+}
+
+int rowEdgeSpacingViolations(const Design& design, std::int64_t y,
+                             std::span<const RowCellEntry> row) {
+  int violations = 0;
+  for (std::size_t i = 0; i + 1 < row.size(); ++i) {
+    const auto& a = row[i];
+    const auto& b = row[i + 1];
+    const std::int64_t gap = b.x - (a.x + a.w);
+    const int need = design.spacingBetween(a.cell, b.cell);
+    if (gap >= 0 && gap < need) {
+      if (y == std::max(a.bottomY, b.bottomY)) ++violations;
     }
   }
   return violations;
@@ -238,7 +293,8 @@ int countIoOverlaps(const Design& design, TypeId type, std::int64_t x,
 }
 
 std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,
-                                      std::int64_t y) {
+                                      std::int64_t y,
+                                      std::span<const std::int32_t> ioPins) {
   std::vector<Interval> forbidden;
   const auto& cellType = design.types[static_cast<std::size_t>(type)];
   const std::int64_t fy = y * Design::kFine;
@@ -247,7 +303,8 @@ std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,
     const Rect shape = pin.rectInOrient(orient, cellType.height);
     const std::int64_t ylo = shape.ylo + fy;
     const std::int64_t yhi = shape.yhi + fy;
-    for (const auto& io : design.ioPins) {
+    for (const std::int32_t i : ioPins) {
+      const IoPin& io = design.ioPins[static_cast<std::size_t>(i)];
       bool isShort = false;
       if (!layerConflicts(pin.layer, io.layer, &isShort)) continue;
       if (io.rect.yhi <= ylo || io.rect.ylo >= yhi) continue;
@@ -260,18 +317,14 @@ std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,
       if (loX <= hiX) forbidden.push_back({loX, hiX + 1});
     }
   }
-  if (forbidden.empty()) return forbidden;
-  std::sort(forbidden.begin(), forbidden.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> merged;
-  for (const auto& iv : forbidden) {
-    if (!merged.empty() && iv.lo <= merged.back().hi) {
-      merged.back().hi = std::max(merged.back().hi, iv.hi);
-    } else {
-      merged.push_back(iv);
-    }
-  }
-  return merged;
+  return mergeIntervals(std::move(forbidden));
+}
+
+std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,
+                                      std::int64_t y) {
+  std::vector<std::int32_t> all(design.ioPins.size());
+  std::iota(all.begin(), all.end(), 0);
+  return ioPinForbiddenX(design, type, y, all);
 }
 
 std::vector<Interval> verticalRailForbiddenX(const Design& design, TypeId type,
@@ -293,18 +346,7 @@ std::vector<Interval> verticalRailForbiddenX(const Design& design, TypeId type,
       if (loX <= hiX) forbidden.push_back({loX, hiX + 1});
     }
   }
-  if (forbidden.empty()) return forbidden;
-  std::sort(forbidden.begin(), forbidden.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> merged;
-  for (const auto& iv : forbidden) {
-    if (!merged.empty() && iv.lo <= merged.back().hi) {
-      merged.back().hi = std::max(merged.back().hi, iv.hi);
-    } else {
-      merged.push_back(iv);
-    }
-  }
-  return merged;
+  return mergeIntervals(std::move(forbidden));
 }
 
 }  // namespace mclg

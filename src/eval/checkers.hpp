@@ -7,9 +7,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "db/design.hpp"
+#include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
 
 namespace mclg {
@@ -31,9 +33,33 @@ struct LegalityReport {
 /// movable or fixed cells), P/G parity satisfied, fences respected.
 LegalityReport checkLegality(const Design& design, const SegmentMap& segments);
 
+/// The O(Δ) form of checkLegality for a placement that was legal before
+/// `cells` changed: true iff every listed cell is placed, inside the core,
+/// parity-legal, inside a segment of its fence in every row it spans (so
+/// clear of fixed cells) and clear of both neighbours in each of its rows
+/// of the occupancy index. When every unlisted movable cell is placed and
+/// legal, true implies checkLegality() reports no violation; on false,
+/// callers run checkLegality() for the exact report.
+bool cellsLegal(const PlacementState& state, const SegmentMap& segments,
+                const std::vector<CellId>& cells);
+
 /// Count of adjacent cell pairs violating the edge-spacing table. A pair
 /// abutting in several rows counts once.
 int countEdgeSpacingViolations(const Design& design);
+
+/// One placed cell (movable or fixed) in a row listing.
+struct RowCellEntry {
+  std::int64_t x;
+  std::int64_t w;
+  CellId cell;
+  std::int64_t bottomY;
+};
+
+/// The edge-spacing violations countEdgeSpacingViolations counts at row y:
+/// x-adjacent pairs of `row` (row y's cells, sorted by x) closer than the
+/// table allows, each pair counted at its lowest shared row only.
+int rowEdgeSpacingViolations(const Design& design, std::int64_t y,
+                             std::span<const RowCellEntry> row);
 
 struct PinViolationReport {
   int shorts = 0;   // signal pin overlapping a rail/IO pin on its own layer
@@ -75,5 +101,12 @@ int countIoOverlaps(const Design& design, TypeId type, std::int64_t x,
 /// intersection of the row segment and the P/G rails or IO pins").
 std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,
                                       std::int64_t y);
+
+/// ioPinForbiddenX over only the IO pins `ioPins` (indexes into
+/// design.ioPins): ForbiddenXIndex (legal/refine/feasible_range.hpp)
+/// passes the pins that can reach row y.
+std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,
+                                      std::int64_t y,
+                                      std::span<const std::int32_t> ioPins);
 
 }  // namespace mclg

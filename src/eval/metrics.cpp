@@ -1,6 +1,8 @@
 #include "eval/metrics.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -30,38 +32,42 @@ DisplacementStats displacementStats(const Design& design) {
   return stats;
 }
 
+double netHpwl(const Design& design, const Net& net, bool useGp) {
+  const double fine = static_cast<double>(Design::kFine);
+  double xlo = std::numeric_limits<double>::infinity(), xhi = -xlo;
+  double ylo = xlo, yhi = -xlo;
+  for (const auto& conn : net.conns) {
+    const auto& cell = design.cells[conn.cell];
+    const auto& type = design.typeOf(conn.cell);
+    const auto& pin = type.pins[static_cast<std::size_t>(conn.pin)];
+    const bool atGp = useGp || (!cell.placed && !cell.fixed);
+    const double cx = atGp ? cell.gpX : static_cast<double>(cell.x);
+    const double cy = atGp ? cell.gpY : static_cast<double>(cell.y);
+    // Pin center offset in site units (legal positions honor the
+    // row-implied orientation; GP has none, so use N).
+    const Rect shape = atGp ? pin.rect
+                            : pin.rectInOrient(
+                                  design.orientationAt(cell.type, cell.y),
+                                  type.height);
+    const double px =
+        cx + static_cast<double>(shape.xlo + shape.xhi) / (2.0 * fine);
+    const double py =
+        cy + static_cast<double>(shape.ylo + shape.yhi) / (2.0 * fine);
+    xlo = std::min(xlo, px);
+    xhi = std::max(xhi, px);
+    ylo = std::min(ylo, py);
+    yhi = std::max(yhi, py);
+  }
+  // y in rows; convert to site units via the site-width factor so both
+  // axes share a unit.
+  return (xhi - xlo) + (yhi - ylo) / design.siteWidthFactor;
+}
+
 double hpwl(const Design& design, bool useGp) {
   double total = 0.0;
-  const double fine = static_cast<double>(Design::kFine);
   for (const auto& net : design.nets) {
     if (net.conns.size() < 2) continue;
-    double xlo = std::numeric_limits<double>::infinity(), xhi = -xlo;
-    double ylo = xlo, yhi = -xlo;
-    for (const auto& conn : net.conns) {
-      const auto& cell = design.cells[conn.cell];
-      const auto& type = design.typeOf(conn.cell);
-      const auto& pin = type.pins[static_cast<std::size_t>(conn.pin)];
-      const bool atGp = useGp || (!cell.placed && !cell.fixed);
-      const double cx = atGp ? cell.gpX : static_cast<double>(cell.x);
-      const double cy = atGp ? cell.gpY : static_cast<double>(cell.y);
-      // Pin center offset in site units (legal positions honor the
-      // row-implied orientation; GP has none, so use N).
-      const Rect shape = atGp ? pin.rect
-                              : pin.rectInOrient(
-                                    design.orientationAt(cell.type, cell.y),
-                                    type.height);
-      const double px =
-          cx + static_cast<double>(shape.xlo + shape.xhi) / (2.0 * fine);
-      const double py =
-          cy + static_cast<double>(shape.ylo + shape.yhi) / (2.0 * fine);
-      xlo = std::min(xlo, px);
-      xhi = std::max(xhi, px);
-      ylo = std::min(ylo, py);
-      yhi = std::max(yhi, py);
-    }
-    // y in rows; convert to site units via the site-width factor so both
-    // axes share a unit.
-    total += (xhi - xlo) + (yhi - ylo) / design.siteWidthFactor;
+    total += netHpwl(design, net, useGp);
   }
   return total;
 }
@@ -74,12 +80,27 @@ double hpwlIncreaseRatio(const Design& design) {
 }
 
 std::uint64_t placementHash(const Design& design) {
+  constexpr std::uint64_t kPrime = 1099511628211ULL;  // FNV prime
+  // kPrime^k mod 2^64. XOR-ing a zero byte leaves the state as it is, so
+  // the k high zero bytes of a value fold into one multiply by kPrime^k:
+  // the same FNV-1a over all 8 bytes, at a third of the multiplies for the
+  // small coordinates of a placement (this runs once per serve request).
+  static constexpr std::array<std::uint64_t, 9> kPrimePower = [] {
+    std::array<std::uint64_t, 9> power{};
+    power[0] = 1;
+    for (std::size_t k = 1; k < power.size(); ++k) {
+      power[k] = power[k - 1] * kPrime;
+    }
+    return power;
+  }();
   std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
   auto mix = [&h](std::uint64_t v) {
-    for (int byte = 0; byte < 8; ++byte) {
+    const int bytes = (std::bit_width(v) + 7) / 8;
+    for (int byte = 0; byte < bytes; ++byte) {
       h ^= (v >> (8 * byte)) & 0xFF;
-      h *= 1099511628211ULL;  // FNV prime
+      h *= kPrime;
     }
+    h *= kPrimePower[static_cast<std::size_t>(8 - bytes)];
   };
   for (const auto& cell : design.cells) {
     mix(cell.placed ? 1 : 0);

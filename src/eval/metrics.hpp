@@ -23,6 +23,12 @@ DisplacementStats displacementStats(const Design& design);
 /// legal positions (GP positions when useGp).
 double hpwl(const Design& design, bool useGp);
 
+/// One net's term of hpwl(): its half-perimeter in site units. hpwl() sums
+/// this over the nets with two or more pins, in net order, so a caller that
+/// caches the per-net terms and re-sums them the same way gets the same
+/// double bit for bit.
+double netHpwl(const Design& design, const Net& net, bool useGp);
+
 /// HPWL increase ratio of the legal placement over the GP placement
 /// (the S_hpwl term of Eq. 10); 0 when the design has no nets.
 double hpwlIncreaseRatio(const Design& design);

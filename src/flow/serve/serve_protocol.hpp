@@ -83,18 +83,19 @@ struct EcoOp {
   std::string fence;      ///< Add (empty = no fence)
 };
 
-/// EcoDelta: apply the ops to a scratch copy of the tenant's design and
-/// ECO-relegalize it against the committed snapshot. On Ok/Degraded the
-/// scratch copy becomes the tenant's current placement (still uncommitted
-/// until Commit); on any failure the tenant is untouched.
+/// EcoDelta: apply the ops to the tenant's design and ECO-relegalize it
+/// against the committed placement. On Ok/Degraded the result is the
+/// tenant's current placement (still uncommitted until Commit); on any
+/// failure the request is undone and the tenant is as it was.
 struct EcoDeltaRequest {
   std::uint64_t id = 0;
   std::string tenant;
   std::vector<EcoOp> ops;
 };
 
-/// Commit / Rollback: promote the current placement to the snapshot, or
-/// restore the snapshot as current. Both always succeed on a known tenant.
+/// Commit / Rollback: make the current placement the committed one, or
+/// restore the committed placement as current. Both always succeed on a
+/// known tenant.
 struct TenantRequest {
   std::uint64_t id = 0;
   std::string tenant;

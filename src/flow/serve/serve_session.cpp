@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
@@ -70,14 +71,15 @@ std::unique_ptr<ServeSession> ServeSession::load(
   PipelineStats stats;
   ScoreBreakdown score;
   try {
-    SegmentMap segments(session->current_);
-    PlacementState state(session->current_);
+    session->segments_.emplace(session->current_);
+    session->state_.emplace(session->current_);
     // The load deadline only bounds this run — config_ stays deadline-free
     // for the ECO requests that follow.
     PipelineConfig runConfig = session->config_;
     runConfig.guard.requestDeadline = config.requestDeadline;
-    stats = legalize(state, segments, runConfig);
-    score = evaluateScore(session->current_, segments);
+    stats = legalize(*session->state_, *session->segments_, runConfig);
+    session->terms_.emplace(*session->state_, *session->segments_);
+    score = session->terms_->evaluate();
   } catch (const std::exception& e) {
     response->status = ServeStatus::Internal;
     response->error = e.what();
@@ -101,23 +103,28 @@ std::unique_ptr<ServeSession> ServeSession::load(
   response->status =
       stats.guard.degraded ? ServeStatus::Degraded : ServeStatus::Ok;
 
-  session->snapshot_ = session->current_;
-  session->lastScore_ = score.score;
-  session->lastReport_ =
+  // From here on every edit goes through the undo log and the resident
+  // score terms.
+  session->log_.emplace(session->current_);
+  session->state_->setListener(&*session->log_);
+  session->exposed_.score = score;
+  session->exposed_.report =
       obs::renderRunReport(provenanceFor(session->current_, session->preset_,
                                          session->threads_, session->config_),
                            stats, &score, /*includeMetrics=*/false);
+  session->exposed_.hash = placementHash(session->current_);
+  session->committed_ = session->exposed_;
 
-  response->hash = placementHash(session->current_);
+  response->hash = session->exposed_.hash;
   response->score = score.score;
   response->cells = session->current_.numCells();
   response->seconds = timer.seconds();
-  response->body = session->lastReport_;
+  response->body = session->exposed_.report;
   return session;
 }
 
-bool ServeSession::applyOp(Design& design, const EcoOp& op,
-                           std::string* error) {
+bool ServeSession::applyOp(const EcoOp& op, std::string* error) {
+  Design& design = current_;
   const auto typeByName = [&](const std::string& name) -> TypeId {
     for (TypeId t = 0; t < design.numTypes(); ++t) {
       if (design.types[t].name == name) return t;
@@ -143,6 +150,7 @@ bool ServeSession::applyOp(Design& design, const EcoOp& op,
         *error = "move: GP target outside the core";
         return false;
       }
+      log_->record(op.cell);
       cell.gpX = op.gpX;
       cell.gpY = op.gpY;
       return true;
@@ -166,8 +174,8 @@ bool ServeSession::applyOp(Design& design, const EcoOp& op,
       // list; a type with fewer pins would leave those indexes dangling
       // (the file parser rejects exactly this as "net pin index out of
       // range", so the in-memory path must too).
-      for (const Net& net : design.nets) {
-        for (const Net::Conn& conn : net.conns) {
+      for (const NetId n : terms_->netsOf(op.cell)) {
+        for (const Net::Conn& conn : design.nets[n].conns) {
           if (conn.cell == op.cell &&
               conn.pin >=
                   static_cast<int>(design.types[type].pins.size())) {
@@ -179,6 +187,11 @@ bool ServeSession::applyOp(Design& design, const EcoOp& op,
           }
         }
       }
+      // The occupancy index knows the cell by its old footprint: take it
+      // out before the type changes (seedFromLog re-places it if the
+      // resize leaves it clean).
+      log_->record(op.cell);
+      if (cell.placed) state_->remove(op.cell);
       cell.type = type;
       return true;
     }
@@ -218,6 +231,12 @@ bool ServeSession::applyOp(Design& design, const EcoOp& op,
   return false;
 }
 
+void ServeSession::undoRequest() {
+  const std::vector<CellId> changed = log_->requestChanges();
+  log_->undoRequest(*state_);
+  terms_->refresh(changed);
+}
+
 ServeResponse ServeSession::applyDelta(const EcoDeltaRequest& request,
                                        const Deadline& requestDeadline) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -225,81 +244,90 @@ ServeResponse ServeSession::applyDelta(const EcoDeltaRequest& request,
   response.id = request.id;
   response.tenant = tenant_;
   Timer timer;
-
-  // Transaction: ops + relegalization run on a scratch copy; only an
-  // Ok/Degraded outcome is adopted.
-  Design scratch = current_;
-  for (const EcoOp& op : request.ops) {
-    std::string error;
-    if (!applyOp(scratch, op, &error)) {
-      response.status = ServeStatus::Malformed;
-      response.error = error;
-      response.seconds = timer.seconds();
-      return response;
-    }
-  }
-  scratch.invalidateCaches();
-
-  // The edited design must satisfy every invariant the file parser
-  // enforces (a design only reachable through serve must not behave
-  // differently from one reachable through a file): re-check before the
-  // expensive run so a bad delta degrades to Malformed, not to undefined
-  // behavior in a stage.
-  std::string invalid;
-  if (!scratch.check(&invalid)) {
-    response.status = ServeStatus::Malformed;
-    response.error = invalid;
+  const auto fail = [&](ServeStatus status, std::string error) {
+    undoRequest();
+    response.status = status;
+    response.error = std::move(error);
     response.seconds = timer.seconds();
     return response;
+  };
+
+  // Transaction: ops + relegalization edit the resident design in place
+  // while the undo log records every first touch; anything but an
+  // Ok/Degraded outcome undoes the request.
+  for (const EcoOp& op : request.ops) {
+    std::string error;
+    if (!applyOp(op, &error)) return fail(ServeStatus::Malformed, error);
+  }
+  // The edited design must satisfy every invariant the file parser
+  // enforces (a design only reachable through serve must not behave
+  // differently from one reachable through a file). applyOp checked each
+  // op; what Design::check would still catch is a placed cell resized past
+  // the core edge at the position it held when the request began.
+  for (const EcoOp& op : request.ops) {
+    if (op.kind != EcoOp::Kind::Resize ||
+        op.cell >= log_->requestStartCells()) {
+      continue;
+    }
+    const Cell& start = log_->atRequestStart(op.cell);
+    if (start.placed &&
+        (start.x + current_.widthOf(op.cell) > current_.numSitesX ||
+         start.y + current_.heightOf(op.cell) > current_.numRows)) {
+      return fail(ServeStatus::Malformed, "placed movable cell outside core");
+    }
+  }
+  // Per-height cell counts and the other cached statistics change only
+  // when a cell changes type or joins the design.
+  if (std::any_of(request.ops.begin(), request.ops.end(),
+                  [](const EcoOp& op) {
+                    return op.kind != EcoOp::Kind::Move;
+                  })) {
+    current_.invalidateCaches();
   }
 
   EcoStats eco;
   ScoreBreakdown score;
   try {
-    SegmentMap segments(scratch);
-    PlacementState state(scratch);
     EcoConfig ecoConfig;
     ecoConfig.pipeline = config_;
+    ecoConfig.pipeline.mgl.insertion.arena = &searchArena_;
     ecoConfig.requestDeadline = requestDeadline;
-    eco = ecoRelegalize(state, segments, snapshot_, ecoConfig);
-    score = evaluateScore(scratch, segments);
+    eco = ecoRelegalize(*state_, *segments_, seedFromLog(*state_, *log_),
+                        ecoConfig);
+    const std::vector<CellId> changed = log_->requestChanges();
+    terms_->refresh(changed);
+    score = terms_->evaluate(&changed);
   } catch (const MclgError& e) {
-    response.status = e.kind() == ErrorKind::Timeout ? ServeStatus::Rejected
-                                                     : ServeStatus::Internal;
-    response.error = e.what();
-    response.seconds = timer.seconds();
-    return response;
+    return fail(e.kind() == ErrorKind::Timeout ? ServeStatus::Rejected
+                                               : ServeStatus::Internal,
+                e.what());
   } catch (const std::exception& e) {
-    response.status = ServeStatus::Internal;
-    response.error = e.what();
-    response.seconds = timer.seconds();
-    return response;
+    return fail(ServeStatus::Internal, e.what());
   }
 
   if (!score.legality.legal()) {
-    response.status = ServeStatus::Infeasible;
-    response.error = std::to_string(score.legality.unplacedCells) +
-                     " cells unplaced or placement not legal";
-    response.seconds = timer.seconds();
-    return response;
+    return fail(ServeStatus::Infeasible,
+                std::to_string(score.legality.unplacedCells) +
+                    " cells unplaced or placement not legal");
   }
 
-  // Adopt: the scratch copy becomes the (uncommitted) current placement.
-  current_ = std::move(scratch);
+  // Adopt: the edited design is the (uncommitted) current placement.
+  log_->acceptRequest();
   response.status =
       eco.usedFullRun ? ServeStatus::Degraded : ServeStatus::Ok;
   PipelineStats stats;
   stats.mgl = eco.mgl;
   stats.secondsMgl = eco.secondsIncremental;
-  lastScore_ = score.score;
-  lastReport_ =
+  exposed_.score = score;
+  exposed_.report =
       obs::renderRunReport(provenanceFor(current_, preset_, threads_, config_),
                            stats, &score, /*includeMetrics=*/false, &eco);
-  response.hash = placementHash(current_);
+  exposed_.hash = placementHash(current_);
+  response.hash = exposed_.hash;
   response.score = score.score;
   response.cells = current_.numCells();
   response.seconds = timer.seconds();
-  response.body = lastReport_;
+  response.body = exposed_.report;
   return response;
 }
 
@@ -309,10 +337,11 @@ ServeResponse ServeSession::commit(const TenantRequest& request) {
   response.id = request.id;
   response.tenant = tenant_;
   Timer timer;
-  snapshot_ = current_;
+  log_->commit();
+  committed_ = exposed_;
   response.status = ServeStatus::Ok;
-  response.hash = placementHash(current_);
-  response.score = lastScore_;
+  response.hash = exposed_.hash;
+  response.score = exposed_.score.score;
   response.cells = current_.numCells();
   response.seconds = timer.seconds();
   return response;
@@ -324,9 +353,13 @@ ServeResponse ServeSession::rollback(const TenantRequest& request) {
   response.id = request.id;
   response.tenant = tenant_;
   Timer timer;
-  current_ = snapshot_;
+  const std::vector<CellId> changed = log_->commitChanges();
+  log_->undoCommit(*state_);
+  terms_->refresh(changed);
+  exposed_ = committed_;
   response.status = ServeStatus::Ok;
-  response.hash = placementHash(current_);
+  response.hash = exposed_.hash;
+  response.score = exposed_.score.score;
   response.cells = current_.numCells();
   response.seconds = timer.seconds();
   return response;
@@ -338,21 +371,18 @@ ServeResponse ServeSession::query(const QueryRequest& request) {
   response.id = request.id;
   response.tenant = tenant_;
   Timer timer;
-  response.hash = placementHash(current_);
-  response.score = lastScore_;
+  response.hash = exposed_.hash;
+  response.score = exposed_.score.score;
   response.cells = current_.numCells();
   if (request.key == "report") {
     response.status = ServeStatus::Ok;
-    response.body = lastReport_;
+    response.body = exposed_.report;
   } else if (request.key == "design") {
     response.status = ServeStatus::Ok;
     response.body = writeSimpleFormat(current_);
   } else if (request.key == "score") {
-    SegmentMap segments(current_);
-    const ScoreBreakdown score = evaluateScore(current_, segments);
     response.status = ServeStatus::Ok;
-    response.score = score.score;
-    response.body = summarize(current_, score) + "\n";
+    response.body = summarize(current_, exposed_.score) + "\n";
   } else {
     response.status = ServeStatus::Malformed;
     response.error = "unknown query key " + request.key;

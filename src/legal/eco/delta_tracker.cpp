@@ -39,6 +39,17 @@ bool sameFences(const Design& a, const Design& b) {
 
 }  // namespace
 
+CellEdit classifyEdit(const Cell& current, const Cell& old) {
+  if (current.fence != old.fence) return CellEdit::Moved;
+  if (current.type != old.type) return CellEdit::Resized;
+  if (current.gpX != old.gpX || current.gpY != old.gpY) return CellEdit::Moved;
+  if (current.placed != old.placed ||
+      (current.placed && (current.x != old.x || current.y != old.y))) {
+    return CellEdit::Moved;
+  }
+  return CellEdit::Clean;
+}
+
 std::vector<CellId> DeltaSet::dirtyCells() const {
   std::vector<CellId> out;
   out.reserve(moved.size() + resized.size() + added.size());
@@ -132,24 +143,15 @@ DeltaSet DeltaTracker::diff(const Design& current, const Design& snapshot) {
       }
       continue;
     }
-    if (cur.fence != old.fence) {
-      // A fence reassignment invalidates the cell's legal position but not
-      // the rest of the design: treat it as a move.
-      delta.moved.push_back(c);
-      continue;
-    }
-    if (cur.type != old.type) {
-      delta.resized.push_back(c);
-      continue;
-    }
-    if (cur.gpX != old.gpX || cur.gpY != old.gpY) {
-      delta.moved.push_back(c);
-      continue;
-    }
-    // Same target, but the legal position was lost or edited directly.
-    if (cur.placed != old.placed ||
-        (cur.placed && (cur.x != old.x || cur.y != old.y))) {
-      delta.moved.push_back(c);
+    switch (classifyEdit(cur, old)) {
+      case CellEdit::Moved:
+        delta.moved.push_back(c);
+        break;
+      case CellEdit::Resized:
+        delta.resized.push_back(c);
+        break;
+      case CellEdit::Clean:
+        break;
     }
   }
   for (CellId c = snapshot.numCells(); c < current.numCells(); ++c) {

@@ -44,21 +44,46 @@ struct DeltaSet {
   std::vector<CellId> dirtyCells() const;
 };
 
+/// How a movable cell differs from `old`, its value in the last legal
+/// snapshot. A fence reassignment invalidates the cell's legal position
+/// but not the rest of the design, so it counts as a move; a type change is
+/// a resize; a changed GP target, or a legal position that was lost or
+/// edited directly, is a move.
+enum class CellEdit { Clean, Moved, Resized };
+CellEdit classifyEdit(const Cell& current, const Cell& old);
+
 /// Touched-cell recorder, attachable to a PlacementState.
 ///
 /// mark() is lock-free (one relaxed atomic flag per cell); takeTouched()
 /// returns ids in ascending order, so the collected set does not depend on
-/// the order in which cells were marked.
+/// the order in which cells were marked. PlacementState has one listener
+/// slot, so a tracker forwards every notification to `next` (the listener
+/// it displaced, e.g. a serve session's undo log) when one is given.
 class DeltaTracker final : public PlacementListener {
  public:
-  explicit DeltaTracker(int numCells = 0) { reset(numCells); }
+  explicit DeltaTracker(int numCells = 0, PlacementListener* next = nullptr)
+      : next_(next) {
+    reset(numCells);
+  }
 
   /// Clear all marks and resize to `numCells` slots.
   void reset(int numCells);
 
-  void onPlace(CellId c) override { mark(c); }
-  void onRemove(CellId c) override { mark(c); }
-  void onShift(CellId c) override { mark(c); }
+  void beforeChange(CellId c) override {
+    if (next_ != nullptr) next_->beforeChange(c);
+  }
+  void onPlace(CellId c) override {
+    mark(c);
+    if (next_ != nullptr) next_->onPlace(c);
+  }
+  void onRemove(CellId c) override {
+    mark(c);
+    if (next_ != nullptr) next_->onRemove(c);
+  }
+  void onShift(CellId c) override {
+    mark(c);
+    if (next_ != nullptr) next_->onShift(c);
+  }
   /// Explicit mark for edits the listener cannot observe (ECO cell adds,
   /// GP-position updates applied directly to the Design).
   void mark(CellId c);
@@ -79,6 +104,7 @@ class DeltaTracker final : public PlacementListener {
  private:
   std::unique_ptr<std::atomic<unsigned char>[]> flags_;
   int size_ = 0;
+  PlacementListener* next_ = nullptr;
   std::atomic<long long> events_{0};
 };
 

@@ -56,53 +56,26 @@ void fullRun(PlacementState& state, const SegmentMap& segments,
 
 }  // namespace
 
-EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
-                       const Design& snapshot, const EcoConfig& userConfig) {
-  // Stage configs are copied out of config.pipeline below; propagating the
-  // executor here once covers all of them (and the full-run bailout path).
-  EcoConfig config = userConfig;
-  config.pipeline.propagateExecutor();
-  // The request-scoped budget also bounds any guarded full-run fallback or
-  // shadow run: fold it into the guard's per-stage deadline.
-  config.pipeline.guard.requestDeadline = Deadline::earliest(
-      config.pipeline.guard.requestDeadline, config.requestDeadline);
-  Design& design = state.design();
-  EcoStats stats;
-  Timer incrementalTimer;
-  MCLG_TRACE_SCOPE("eco/relegalize");
-
-  // 1. Classify the edits.
-  const DeltaSet delta = DeltaTracker::diff(design, snapshot);
-  stats.movedCells = static_cast<int>(delta.moved.size());
-  stats.resizedCells = static_cast<int>(delta.resized.size());
-  stats.addedCells = static_cast<int>(delta.added.size());
-  const std::vector<CellId> dirty = delta.dirtyCells();
-  stats.dirtyCells = static_cast<int>(dirty.size());
-
-  if (delta.structural) {
-    fullRun(state, segments, config, &stats,
-            delta.structuralReason.c_str());
-    stats.secondsIncremental = incrementalTimer.seconds();
-    return stats;
+EcoSeed seedFromSnapshot(PlacementState& state, const Design& snapshot) {
+  Timer timer;
+  const Design& design = state.design();
+  EcoSeed seed;
+  seed.delta = DeltaTracker::diff(design, snapshot);
+  if (seed.delta.structural) {
+    seed.seconds = timer.seconds();
+    return seed;
   }
-
-  config.requestDeadline.checkpoint("eco/diff");
-
-  // 2. Plan the dirty regions (reporting + the covers-core bailout).
-  const EcoPlan plan =
-      planEcoRegions(design, snapshot, dirty, config.pipeline.mgl.window,
-                     config.haloSites, config.haloRows);
-  stats.dirtyWindows = plan.dirtyWindows;
-  stats.reusedWindows = plan.reusedTiles;
-  if (plan.coversCore) {
-    fullRun(state, segments, config, &stats, "dirty region covers the core");
-    stats.secondsIncremental = incrementalTimer.seconds();
-    return stats;
-  }
-
-  // Seed: clean cells at their snapshot positions, dirty cells unplaced.
+  const std::vector<CellId> dirty = seed.delta.dirtyCells();
   std::vector<char> isDirty(static_cast<std::size_t>(design.numCells()), 0);
-  for (const CellId c : dirty) isDirty[static_cast<std::size_t>(c)] = 1;
+  for (const CellId c : dirty) {
+    isDirty[static_cast<std::size_t>(c)] = 1;
+    const bool old = c < snapshot.numCells();
+    seed.previous.push_back(old ? PlacementSnapshot::CellPos{
+                                      snapshot.cells[c].x, snapshot.cells[c].y,
+                                      snapshot.cells[c].placed}
+                                : PlacementSnapshot::CellPos{});
+  }
+  // Clean cells at their snapshot positions, dirty cells unplaced.
   unplaceAllMovable(state);
   for (CellId c = 0; c < snapshot.numCells(); ++c) {
     const Cell& old = snapshot.cells[c];
@@ -114,21 +87,145 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
     } else {
       // The snapshot position is not replayable (corrupt file, overlap with
       // an edited fixed region): let MGL find this cell a spot instead.
-      isDirty[static_cast<std::size_t>(c)] = 1;
-      ++stats.dirtyCells;
+      seed.unreplayable.push_back(c);
     }
+  }
+  seed.seconds = timer.seconds();
+  return seed;
+}
+
+EcoSeed seedFromLog(PlacementState& state, const EditLog& log) {
+  Timer timer;
+  const Design& design = state.design();
+  EcoSeed seed;
+  seed.cleanCellsLegal = true;
+  // Only a cell logged since the commit can differ from the committed
+  // placement. DeltaTracker::diff classifies the design *before* seeding,
+  // when a resized cell still held its request-start position, so classify
+  // the GP target / type / fence of now with the placed / x / y of the
+  // request start.
+  DeltaSet& delta = seed.delta;
+  std::vector<CellId> clean;
+  for (const CellId c : log.commitChanges()) {
+    if (c >= log.committedCells()) {
+      delta.added.push_back(c);
+      continue;
+    }
+    Cell view = design.cells[c];
+    const Cell& start = log.atRequestStart(c);
+    view.placed = start.placed;
+    view.x = start.x;
+    view.y = start.y;
+    switch (classifyEdit(view, log.atCommit(c))) {
+      case CellEdit::Moved:
+        delta.moved.push_back(c);
+        break;
+      case CellEdit::Resized:
+        delta.resized.push_back(c);
+        break;
+      case CellEdit::Clean:
+        clean.push_back(c);
+        break;
+    }
+  }
+  for (const CellId c : delta.dirtyCells()) {
+    const Cell& old = c < log.committedCells() ? log.atCommit(c) : Cell{};
+    seed.previous.push_back({old.x, old.y, old.placed});
+    if (design.cells[c].placed) state.remove(c);
+  }
+
+  // Every clean cell sits at its committed spot, except one a resize op
+  // took out of the index and a later op resized back: re-place it there.
+  // Clean cells hold their committed spots with their committed types,
+  // which did not overlap, so the snapshot seeding's placeable() test
+  // passes for each of them (checked all the same, as it is there).
+  for (const CellId c : clean) {
+    const Cell& cell = design.cells[c];
+    if (cell.placed || !log.atCommit(c).placed) continue;
+    if (placeable(state, c, cell.x, cell.y)) {
+      state.place(c, cell.x, cell.y);
+    } else {
+      seed.unreplayable.push_back(c);
+    }
+  }
+  seed.seconds = timer.seconds();
+  return seed;
+}
+
+EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
+                       const Design& snapshot, const EcoConfig& config) {
+  return ecoRelegalize(state, segments, seedFromSnapshot(state, snapshot),
+                       config);
+}
+
+EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
+                       const EcoSeed& seed, const EcoConfig& userConfig) {
+  // Stage configs are copied out of config.pipeline below; propagating the
+  // executor here once covers all of them (and the full-run bailout path).
+  EcoConfig config = userConfig;
+  config.pipeline.propagateExecutor();
+  // The request-scoped budget also bounds any guarded full-run fallback or
+  // shadow run: fold it into the guard's per-stage deadline.
+  config.pipeline.guard.requestDeadline = Deadline::earliest(
+      config.pipeline.guard.requestDeadline, config.requestDeadline);
+  Design& design = state.design();
+  EcoStats stats;
+  Timer incrementalTimer;
+  const auto incrementalSeconds = [&] {
+    return seed.seconds + incrementalTimer.seconds();
+  };
+  MCLG_TRACE_SCOPE("eco/relegalize");
+
+  // 1. The classified edits.
+  const DeltaSet& delta = seed.delta;
+  stats.movedCells = static_cast<int>(delta.moved.size());
+  stats.resizedCells = static_cast<int>(delta.resized.size());
+  stats.addedCells = static_cast<int>(delta.added.size());
+  const std::vector<CellId> dirty = delta.dirtyCells();
+  stats.dirtyCells = static_cast<int>(dirty.size());
+
+  if (delta.structural) {
+    fullRun(state, segments, config, &stats,
+            delta.structuralReason.c_str());
+    stats.secondsIncremental = incrementalSeconds();
+    return stats;
+  }
+
+  config.requestDeadline.checkpoint("eco/diff");
+
+  // 2. Plan the dirty regions (reporting + the covers-core bailout).
+  const EcoPlan plan =
+      planEcoRegions(design, dirty, seed.previous, config.pipeline.mgl.window,
+                     config.haloSites, config.haloRows);
+  stats.dirtyWindows = plan.dirtyWindows;
+  stats.reusedWindows = plan.reusedTiles;
+  if (plan.coversCore) {
+    fullRun(state, segments, config, &stats, "dirty region covers the core");
+    stats.secondsIncremental = incrementalSeconds();
+    return stats;
+  }
+
+  std::vector<char> isDirty(static_cast<std::size_t>(design.numCells()), 0);
+  for (const CellId c : dirty) isDirty[static_cast<std::size_t>(c)] = 1;
+  for (const CellId c : seed.unreplayable) {
+    isDirty[static_cast<std::size_t>(c)] = 1;
+    ++stats.dirtyCells;
   }
 
   // 3. Stage 1 on the dirty set only (MGL legalizes the unplaced cells),
-  // with a tracker recording the spill onto clean neighbors.
-  DeltaTracker tracker(design.numCells());
+  // with a tracker recording the spill onto clean neighbors. The tracker
+  // takes the state's one listener slot and forwards to whatever listener
+  // it displaced (a serve session's undo log), which sees every change.
+  PlacementListener* const outerListener = state.listener();
+  DeltaTracker tracker(design.numCells(), outerListener);
   state.setListener(&tracker);
   // A request-budget checkpoint below may throw out of this function;
   // never leave the caller's state pointing at the local tracker.
   struct DetachListener {
     PlacementState& state;
-    ~DetachListener() { state.setListener(nullptr); }
-  } detachListener{state};
+    PlacementListener* outer;
+    ~DetachListener() { state.setListener(outer); }
+  } detachListener{state, outerListener};
   config.requestDeadline.checkpoint("eco/stage1");
   {
     MCLG_TRACE_SCOPE("eco/stage1");
@@ -140,8 +237,8 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
   // cell the incremental stages have displaced so far.
   auto touchedFocus = [&]() {
     std::vector<char> focus = isDirty;
-    for (CellId c = 0; c < design.numCells(); ++c) {
-      if (tracker.isTouched(c)) focus[static_cast<std::size_t>(c)] = 1;
+    for (const CellId c : tracker.touched()) {
+      focus[static_cast<std::size_t>(c)] = 1;
     }
     return focus;
   };
@@ -201,10 +298,20 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
     stats.matchedCellsMoved =
         optimizeMaxDisplacementFocused(state, matchConfig, focus).cellsMoved;
   }
-  state.setListener(nullptr);
+  state.setListener(outerListener);
   const std::vector<CellId> touched = tracker.touched();
   for (const CellId c : touched) {
     if (!isDirty[static_cast<std::size_t>(c)]) ++stats.spilledCells;
+  }
+
+  // The audit re-checks every cell this run placed or moved; stage 3 adds
+  // the subsets it solves.
+  std::vector<CellId> audited;
+  if (seed.cleanCellsLegal) {
+    audited = dirty;
+    audited.insert(audited.end(), seed.unreplayable.begin(),
+                   seed.unreplayable.end());
+    audited.insert(audited.end(), touched.begin(), touched.end());
   }
 
   // 4. Stage 3 per dirty constraint component, warm-restarted across
@@ -217,27 +324,35 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
     FixedRowOrderConfig froConfig = config.pipeline.fixedRowOrder;
     froConfig.maxDispWeight = 0.0;
     froConfig.numThreads = 1;
-    auto isComponentDirty = [&](const std::vector<CellId>& component) {
-      for (const CellId c : component) {
-        if (isDirty[static_cast<std::size_t>(c)] || tracker.isTouched(c)) {
-          return true;
-        }
-      }
-      return false;
-    };
-    const std::vector<std::vector<CellId>> components =
-        fixedRowOrderComponents(state);
+    // The dirty components are those holding a dirty or touched cell.
     // Delta-local trimming: on a dense design the constraint components
     // span most of the netlist, so solving a whole component per request
     // would cost as much as a cold full-design stage 3. Keep only the
-    // cells within froChainHalo chain positions of a dirty/touched cell;
-    // everything further acts as a fixed wall (range clamp) in the solve.
-    std::vector<char> keep;
+    // cells within froChainHalo chain positions of a dirty/touched cell —
+    // they share its row, hence its component — and solve each dirty
+    // component's kept cells; everything further acts as a fixed wall
+    // (range clamp) in the solve. Only the rows holding a dirty or touched
+    // cell can keep anything.
+    const auto isDirtyOrTouched = [&](CellId c) {
+      return isDirty[static_cast<std::size_t>(c)] != 0 || tracker.isTouched(c);
+    };
+    std::vector<CellId> kept;
     if (config.froChainHalo > 0) {
-      keep.assign(static_cast<std::size_t>(design.numCells()), 0);
+      std::vector<char> rowHit(static_cast<std::size_t>(design.numRows), 0);
+      for (const std::vector<CellId>* cells :
+           {&dirty, &seed.unreplayable, &touched}) {
+        for (const CellId c : *cells) {
+          const Cell& cell = design.cells[c];
+          if (!cell.placed) continue;
+          for (std::int64_t y = cell.y; y < cell.y + design.heightOf(c); ++y) {
+            rowHit[static_cast<std::size_t>(y)] = 1;
+          }
+        }
+      }
       const int halo = config.froChainHalo;
       std::vector<CellId> row;
       for (std::int64_t y = 0; y < design.numRows; ++y) {
+        if (rowHit[static_cast<std::size_t>(y)] == 0) continue;
         row.clear();
         for (const auto& [x, c] : state.rowCells(y)) {
           (void)x;
@@ -245,28 +360,24 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
         }
         const int n = static_cast<int>(row.size());
         for (int j = 0; j < n; ++j) {
-          const CellId c = row[static_cast<std::size_t>(j)];
-          if (!isDirty[static_cast<std::size_t>(c)] && !tracker.isTouched(c)) {
-            continue;
-          }
+          if (!isDirtyOrTouched(row[static_cast<std::size_t>(j)])) continue;
           const int hi = std::min(n - 1, j + halo);
           for (int t = std::max(0, j - halo); t <= hi; ++t) {
-            keep[static_cast<std::size_t>(row[static_cast<std::size_t>(t)])] =
-                1;
+            kept.push_back(row[static_cast<std::size_t>(t)]);
           }
         }
       }
     }
-    for (const auto& component : components) {
-      if (!isComponentDirty(component)) continue;
+    const std::vector<std::vector<CellId>> subsets = fixedRowOrderComponents(
+        state, config.froChainHalo > 0 ? &kept : nullptr);
+    for (const auto& subset : subsets) {
+      if (config.froChainHalo <= 0 &&
+          std::none_of(subset.begin(), subset.end(), isDirtyOrTouched)) {
+        continue;
+      }
       ++stats.dirtySegments;
-      std::vector<CellId> subset;
-      if (keep.empty()) {
-        subset = component;
-      } else {
-        for (const CellId c : component) {
-          if (keep[static_cast<std::size_t>(c)]) subset.push_back(c);
-        }
+      if (seed.cleanCellsLegal) {
+        audited.insert(audited.end(), subset.begin(), subset.end());
       }
       FroSolverReuse reuse;
       for (int pass = 0; pass < std::max(1, config.mcfPasses); ++pass) {
@@ -282,13 +393,18 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
 
   config.requestDeadline.checkpoint("eco/audit");
 
-  // 5. Audit: any hard violation degrades to the full pipeline.
-  const LegalityReport audit = checkLegality(design, segments);
-  if (audit.overlaps > 0 || audit.outOfCore > 0 ||
-      audit.parityViolations > 0 || audit.fenceViolations > 0) {
-    fullRun(state, segments, config, &stats, "incremental audit failed");
+  // 5. Audit: any hard violation degrades to the full pipeline. With a
+  // seed that vouches for its clean cells, the cells this run placed or
+  // moved are the only ones that can be illegal; only when one of them is
+  // does the whole-design check decide.
+  if (!seed.cleanCellsLegal || !cellsLegal(state, segments, audited)) {
+    const LegalityReport audit = checkLegality(design, segments);
+    if (audit.overlaps > 0 || audit.outOfCore > 0 ||
+        audit.parityViolations > 0 || audit.fenceViolations > 0) {
+      fullRun(state, segments, config, &stats, "incremental audit failed");
+    }
   }
-  stats.secondsIncremental = incrementalTimer.seconds();
+  stats.secondsIncremental = incrementalSeconds();
 
   // 6. Exactness: shadow full run on a scratch copy; adopt it in exact
   // mode so the output is byte-identical to a full re-run.

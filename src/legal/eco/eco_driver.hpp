@@ -4,19 +4,23 @@
 // legalization after editing a small fraction of the cells of an already
 // legal placement. Instead of re-legalizing the whole design, the driver
 //
-//  1. diffs the current design against the last legal snapshot
-//     (DeltaTracker::diff) — moved / resized / added cells are *dirty*;
-//  2. seeds the placement: clean cells keep their snapshot positions, dirty
-//     cells start unplaced (EcoPlanner bounds the affected window set and
-//     feeds the eco.* report fields);
-//  3. re-runs Stage 1 (MGL window insertion, §3.1) — which only processes
+//  1. starts from a *seed* (EcoSeed): the moved / resized / added cells —
+//     the *dirty* set — classified, and the placement seeded so that clean
+//     cells keep their last legal positions and dirty cells start unplaced.
+//     Two builders make a seed and callers differ only in which one they
+//     use: seedFromSnapshot() diffs the design against a legal snapshot
+//     (DeltaTracker::diff; the CLI's --eco-from, bench_eco, tests), and
+//     seedFromLog() reads a resident design's undo log (EditLog; the serve
+//     session, O(Δ)). EcoPlanner bounds the affected window set and feeds
+//     the eco.* report fields;
+//  2. re-runs Stage 1 (MGL window insertion, §3.1) — which only processes
 //     unplaced cells, i.e. exactly the dirty set — with a DeltaTracker
 //     listener recording the displacement spill onto clean neighbors, then
 //     Stage 2 (§3.2 matching) focused on the touched (type × fence)
 //     groups, then a rip-up & re-insert pass over the worst-displaced
 //     cells, so a far-flung insertion can swap with a same-type neighbor
 //     or re-run its window search against the freed displacement;
-//  4. re-runs Stage 3 (fixed-row/fixed-order MCF, §3.3) only on the
+//  3. re-runs Stage 3 (fixed-row/fixed-order MCF, §3.3) only on the
 //     constraint-graph components containing dirty or spilled cells — each
 //     trimmed to the `froChainHalo` chain neighborhood of those cells,
 //     with everything beyond the trim acting as a fixed wall, so the solve
@@ -25,9 +29,11 @@
 //     component: pass 1 solves cold and retains the basis, later passes
 //     warm-restart on the same topology with drifted costs (cold fallback
 //     on validation failure is automatic and counted);
-//  5. audits the result (legality + placed-count); any violation — or a
-//     structural diff the delta model cannot express — degrades to a full
-//     pipeline run, never to a worse-than-full result.
+//  4. audits the result (legality + placed-count) — only the cells the run
+//     placed or moved when the seed vouches for its clean cells, the whole
+//     design otherwise; any violation — or a structural diff the delta
+//     model cannot express — degrades to a full pipeline run, never to a
+//     worse-than-full result.
 //
 // Exactness knobs: `validate` additionally runs the full pipeline on a
 // scratch copy and checks the EcoEquivalence invariant (legal + score
@@ -47,9 +53,12 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
+#include "legal/eco/delta_tracker.hpp"
+#include "legal/eco/edit_log.hpp"
 #include "legal/pipeline.hpp"
 #include "util/deadline.hpp"
 
@@ -92,7 +101,8 @@ struct EcoConfig {
   /// guard's per-stage deadline for any full-run fallback. Expiry throws
   /// MclgError(Timeout) out of ecoRelegalize — callers that set a limited
   /// deadline must treat the state as dirty and roll back (the serve
-  /// session runs each request on a scratch copy for exactly this reason).
+  /// session undoes the request through its EditLog for exactly this
+  /// reason).
   /// Unlimited by default, so CLI/batch ECO runs are unaffected.
   Deadline requestDeadline;
 };
@@ -128,14 +138,57 @@ struct EcoStats {
   double secondsShadow = 0.0;
 };
 
-/// Incrementally re-legalize `state` (whose design carries the ECO edits)
-/// against the last legal `snapshot` of the same design.
-/// \pre  `snapshot` is a legal placement of a structurally compatible
-///       design (same core, types, fences, rails, fixed cells; see
+/// ecoRelegalize's precondition: the classified delta, with the state seeded
+/// — every clean cell at its last legal position, every dirty cell
+/// unplaced. Both builders below produce the same seed (and so the same
+/// ECO result) for the same edit.
+struct EcoSeed {
+  /// The classified edit. When `structural`, the state is left unseeded and
+  /// ecoRelegalize runs the full pipeline.
+  DeltaSet delta;
+  /// Last legal placement of each delta.dirtyCells() entry, in that order
+  /// (not placed for an added cell): the planner's vacated-spot windows.
+  std::vector<PlacementSnapshot::CellPos> previous;
+  /// Clean cells whose last legal position is not replayable (a corrupt
+  /// snapshot): left unplaced and re-placed like dirty cells.
+  std::vector<CellId> unreplayable;
+  /// Every clean cell is known to be placed legally (an in-memory placement
+  /// that passed checkLegality), so the audit re-checks only the cells the
+  /// run placed or moved. False — a snapshot read from a file — audits the
+  /// whole design.
+  bool cleanCellsLegal = false;
+  /// Seconds the builder took (part of EcoStats::secondsIncremental).
+  double seconds = 0.0;
+};
+
+/// Seed `state` (whose design carries the ECO edits) from the last legal
+/// `snapshot` of the same design: DeltaTracker::diff, then every movable
+/// cell unplaced and the clean ones re-placed at their snapshot positions.
+/// O(design). A structural diff leaves the state as it is.
+EcoSeed seedFromSnapshot(PlacementState& state, const Design& snapshot);
+
+/// Seed a resident design from its undo log, in O(cells logged since the
+/// last commit): the same classification DeltaTracker::diff would make
+/// against the committed placement, the same occupancy the snapshot
+/// seeding would leave. \pre `log` is the state's listener and has logged
+/// the current request's edits (ops applied; a resized cell was removed
+/// from the occupancy index before its type changed); the placement was
+/// legal when the request began.
+EcoSeed seedFromLog(PlacementState& state, const EditLog& log);
+
+/// Incrementally re-legalize a seeded `state` (see EcoSeed).
+/// \pre  `seed` was built on `state` by one of the builders above, and the
+///       last legal placement it seeded from is structurally compatible
+///       (same core, types, fences, rails, fixed cells; see
 ///       DeltaTracker::diff) — structural mismatch degrades to a full run.
 /// \post The design behind `state` is legal (or, on an infeasible design,
 ///       as placed as a full run would leave it); stats.usedFullRun tells
-///       which path produced it. Never aborts on a bad snapshot.
+///       which path produced it. Never aborts on a bad snapshot. Every
+///       placement change reaches the listener registered on `state`.
+EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
+                       const EcoSeed& seed, const EcoConfig& config);
+
+/// seedFromSnapshot + ecoRelegalize: the CLI's --eco-from path.
 EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
                        const Design& snapshot, const EcoConfig& config);
 

@@ -13,8 +13,9 @@ Rect inflate(const Rect& r, std::int64_t dx, std::int64_t dy,
 
 }  // namespace
 
-EcoPlan planEcoRegions(const Design& current, const Design& snapshot,
+EcoPlan planEcoRegions(const Design& current,
                        const std::vector<CellId>& dirtyCells,
+                       const std::vector<PlacementSnapshot::CellPos>& previous,
                        const WindowParams& params, int haloSites,
                        int haloRows) {
   EcoPlan plan;
@@ -45,13 +46,13 @@ EcoPlan planEcoRegions(const Design& current, const Design& snapshot,
     }
   };
 
-  for (const CellId c : dirtyCells) {
+  for (std::size_t i = 0; i < dirtyCells.size(); ++i) {
+    const CellId c = dirtyCells[i];
     const Cell& cell = current.cells[c];
     const CellType& type = current.typeOf(c);
     markWindow(makeWindow(current, cell.gpX, cell.gpY, type, params, 0));
-    if (c < snapshot.numCells() && snapshot.cells[c].placed) {
+    if (const PlacementSnapshot::CellPos& old = previous[i]; old.placed) {
       // The vacated old position also disturbs its neighborhood.
-      const Cell& old = snapshot.cells[c];
       markWindow(makeWindow(current, static_cast<double>(old.x),
                             static_cast<double>(old.y), type, params, 0));
     }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "db/design.hpp"
+#include "db/placement_state.hpp"
 #include "geometry/rect.hpp"
 #include "legal/mgl/window.hpp"
 
@@ -43,13 +44,14 @@ struct EcoPlan {
 };
 
 /// Plan the dirty regions for `dirtyCells` (ids into `current`).
-/// `snapshot` supplies the previous legal positions; ids beyond its cell
-/// count (ECO additions) seed a window at their GP target only.
-/// \pre  DeltaTracker::diff(current, snapshot) was not structural.
+/// `previous[i]` is the last legal placement of `dirtyCells[i]`; a cell
+/// that had none (an ECO addition) seeds a window at its GP target only.
+/// \pre  previous.size() == dirtyCells.size().
 /// \post regions are sorted by (ylo, xlo);
 ///       dirtyTiles + reusedTiles == totalTiles. Deterministic.
-EcoPlan planEcoRegions(const Design& current, const Design& snapshot,
+EcoPlan planEcoRegions(const Design& current,
                        const std::vector<CellId>& dirtyCells,
+                       const std::vector<PlacementSnapshot::CellPos>& previous,
                        const WindowParams& params, int haloSites,
                        int haloRows);
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <set>
 
 #include "flow/bipartite_matching.hpp"
 #include "flow/hungarian.hpp"
@@ -227,6 +228,31 @@ void applyMoves(PlacementState& state,
 
 namespace {
 
+/// A cell with its (row, x) position: chunks are cut from a group sorted
+/// by (row, x, id). Sorting flat keys instead of chasing each cell keeps
+/// the sort cache-friendly on groups of thousands of cells.
+struct RowMajorKey {
+  std::int64_t y;
+  std::int64_t x;
+  CellId cell;
+
+  bool operator<(const RowMajorKey& o) const {
+    if (y != o.y) return y < o.y;
+    if (x != o.x) return x < o.x;
+    return cell < o.cell;
+  }
+};
+
+void sortRowMajor(const Design& design, std::vector<CellId>& cells) {
+  std::vector<RowMajorKey> keys;
+  keys.reserve(cells.size());
+  for (const CellId c : cells) {
+    keys.push_back({design.cells[c].y, design.cells[c].x, c});
+  }
+  std::sort(keys.begin(), keys.end());
+  for (std::size_t i = 0; i < keys.size(); ++i) cells[i] = keys[i].cell;
+}
+
 /// Shared body of the full and focused entry points: when `focus` is
 /// non-null, chunks without a focused cell are dropped after grouping (and
 /// the stats count only the surviving chunks).
@@ -235,13 +261,19 @@ MaxDispStats optimizeMaxDisplacementImpl(PlacementState& state,
                                          const std::vector<char>* focus) {
   auto& design = state.design();
   MaxDispStats stats;
+  const auto publish = [&stats] {
+    if (obs::metricsEnabled()) {
+      obs::counter("maxdisp.groups").add(stats.groups);
+      obs::counter("maxdisp.cells_moved").add(stats.cellsMoved);
+    }
+    return stats;
+  };
 
   // Group movable placed cells by (type, fence) — or by interchangeable
   // footprint when pin geometry is irrelevant.
-  std::map<std::pair<std::int64_t, FenceId>, std::vector<CellId>> groups;
-  for (CellId c = 0; c < design.numCells(); ++c) {
+  using GroupKey = std::pair<std::int64_t, FenceId>;
+  const auto groupKey = [&](CellId c) -> GroupKey {
     const auto& cell = design.cells[c];
-    if (cell.fixed || !cell.placed) continue;
     std::int64_t key = cell.type;
     if (config.groupByFootprint) {
       const auto& type = design.typeOf(c);
@@ -252,7 +284,26 @@ MaxDispStats optimizeMaxDisplacementImpl(PlacementState& state,
                 64 +
             type.rightEdge;
     }
-    groups[{key, cell.fence}].push_back(c);
+    return {key, cell.fence};
+  };
+  // With a focus, only the groups holding a focused cell can keep a chunk:
+  // find their keys first and group only those.
+  std::set<GroupKey> focusKeys;
+  if (focus != nullptr) {
+    for (CellId c = 0; c < design.numCells(); ++c) {
+      if ((*focus)[static_cast<std::size_t>(c)] == 0) continue;
+      const auto& cell = design.cells[c];
+      if (!cell.fixed && cell.placed) focusKeys.insert(groupKey(c));
+    }
+    if (focusKeys.empty()) return publish();
+  }
+  std::map<GroupKey, std::vector<CellId>> groups;
+  for (CellId c = 0; c < design.numCells(); ++c) {
+    const auto& cell = design.cells[c];
+    if (cell.fixed || !cell.placed) continue;
+    const GroupKey key = groupKey(c);
+    if (focus != nullptr && focusKeys.count(key) == 0) continue;
+    groups[key].push_back(c);
   }
 
   // Flatten into chunks (oversized groups split into spatially coherent
@@ -266,13 +317,7 @@ MaxDispStats optimizeMaxDisplacementImpl(PlacementState& state,
       chunks.push_back(std::move(cells));
       continue;
     }
-    std::sort(cells.begin(), cells.end(), [&](CellId a, CellId b) {
-      const auto& ca = design.cells[a];
-      const auto& cb = design.cells[b];
-      if (ca.y != cb.y) return ca.y < cb.y;
-      if (ca.x != cb.x) return ca.x < cb.x;
-      return a < b;
-    });
+    sortRowMajor(design, cells);
     for (std::size_t start = 0; start < cells.size();
          start += static_cast<std::size_t>(config.maxGroupSize)) {
       const std::size_t end = std::min(
@@ -296,13 +341,7 @@ MaxDispStats optimizeMaxDisplacementImpl(PlacementState& state,
       // rest. A sub-chunk matching is still a permutation of existing
       // positions, so legality is preserved.
       for (auto& chunk : chunks) {
-        std::sort(chunk.begin(), chunk.end(), [&](CellId a, CellId b) {
-          const auto& ca = design.cells[a];
-          const auto& cb = design.cells[b];
-          if (ca.y != cb.y) return ca.y < cb.y;
-          if (ca.x != cb.x) return ca.x < cb.x;
-          return a < b;
-        });
+        sortRowMajor(design, chunk);
         const int n = static_cast<int>(chunk.size());
         std::vector<char> keep(static_cast<std::size_t>(n), 0);
         for (int j = 0; j < n; ++j) {
@@ -352,11 +391,7 @@ MaxDispStats optimizeMaxDisplacementImpl(PlacementState& state,
     applyMoves(state, moves);
     stats.cellsMoved += static_cast<int>(moves.size());
   }
-  if (obs::metricsEnabled()) {
-    obs::counter("maxdisp.groups").add(stats.groups);
-    obs::counter("maxdisp.cells_moved").add(stats.cellsMoved);
-  }
-  return stats;
+  return publish();
 }
 
 }  // namespace

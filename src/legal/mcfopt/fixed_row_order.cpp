@@ -1,9 +1,9 @@
 #include "legal/mcfopt/fixed_row_order.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <functional>
-#include <unordered_map>
+#include <iterator>
 #include <unordered_set>
 
 #include "legal/refine/feasible_range.hpp"
@@ -92,6 +92,7 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
 
   std::vector<CostValue> gpX(static_cast<std::size_t>(m), 0);
   net.ranges.resize(static_cast<std::size_t>(m));
+  const ForbiddenXIndex forbidden(design);
   CostValue maxDy = 0;
   std::vector<CostValue> dy(static_cast<std::size_t>(m), 0);
   for (int i = 0; i < m; ++i) {
@@ -99,13 +100,49 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
     const auto& cell = design.cells[c];
     gpX[static_cast<std::size_t>(i)] = std::llround(cell.gpX);
     net.ranges[static_cast<std::size_t>(i)] =
-        feasibleRange(design, segments, c, config.routability);
+        feasibleRange(design, segments, c,
+                      config.routability ? &forbidden : nullptr);
     // y displacement in site units so all costs share one unit.
     dy[static_cast<std::size_t>(i)] = std::llround(
         std::abs(static_cast<double>(cell.y) - cell.gpY) /
         design.siteWidthFactor);
     maxDy = std::max(maxDy, dy[static_cast<std::size_t>(i)]);
   }
+
+  // Only the stretch of a row from the neighbour left of its leftmost
+  // subset cell to the neighbour right of its rightmost one can contribute
+  // a clamp or an arc. Visiting just those stretches, rows ascending and
+  // each left to right, adds the same arcs in the same order as a sweep
+  // over every row — at a cost proportional to the subset.
+  struct RowSpan {
+    std::int64_t y, xlo, xhi;
+  };
+  std::vector<RowSpan> spans;
+  for (const CellId c : net.cells) {
+    const Cell& cell = design.cells[c];
+    for (std::int64_t r = cell.y; r < cell.y + design.heightOf(c); ++r) {
+      spans.push_back({r, cell.x, cell.x});
+    }
+  }
+  std::sort(spans.begin(), spans.end(), [](const RowSpan& a, const RowSpan& b) {
+    return a.y != b.y ? a.y < b.y : a.xlo < b.xlo;
+  });
+  std::vector<RowSpan> rows;
+  for (const RowSpan& span : spans) {
+    if (!rows.empty() && rows.back().y == span.y) {
+      rows.back().xhi = span.xhi;
+    } else {
+      rows.push_back(span);
+    }
+  }
+  const auto stretch = [&](const RowSpan& row) {
+    const auto& rowMap = state.rowCells(row.y);
+    auto first = rowMap.lower_bound(row.xlo);
+    if (first != rowMap.begin()) --first;
+    auto last = rowMap.upper_bound(row.xhi);
+    if (last != rowMap.end()) ++last;
+    return std::make_pair(first, last);
+  };
 
   // Wall clamping for partial subsets: a subset cell abutting a cell
   // outside the subset must keep the pair's separation even though no arc
@@ -114,11 +151,12 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
   // current x is exact. Runs before the range arcs below so li / ri pick
   // up the clamp; for component/full subsets no pair qualifies and the
   // ranges (and thus the arc sequence) are untouched.
-  for (std::int64_t y = 0; y < design.numRows; ++y) {
-    const auto& rowMap = state.rowCells(y);
+  for (const RowSpan& row : rows) {
+    const auto [first, last] = stretch(row);
     CellId prev = kInvalidCell;
     std::int64_t prevX = 0;
-    for (const auto& [x, c] : rowMap) {
+    for (auto it = first; it != last; ++it) {
+      const auto& [x, c] = *it;
       if (prev != kInvalidCell) {
         const int inPrev = indexOf[static_cast<std::size_t>(prev)];
         const int inC = indexOf[static_cast<std::size_t>(c)];
@@ -183,11 +221,12 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
   // (a pair abutting in several rows yields one constraint; the spacing is
   // identical in each row since it depends only on the two types).
   std::unordered_set<std::uint64_t> seenPairs;
-  for (std::int64_t y = 0; y < design.numRows; ++y) {
-    const auto& rowMap = state.rowCells(y);
+  for (const RowSpan& row : rows) {
+    const auto [first, last] = stretch(row);
     CellId prev = kInvalidCell;
     std::int64_t prevX = 0;
-    for (const auto& [x, c] : rowMap) {
+    for (auto it = first; it != last; ++it) {
+      const auto& [x, c] = *it;
       if (prev != kInvalidCell) {
         const std::uint64_t key =
             (static_cast<std::uint64_t>(static_cast<std::uint32_t>(prev))
@@ -294,47 +333,63 @@ void finishStats(const Design& design, const std::vector<CellId>& cells,
       weightedObjective(design, cells, config.contestWeights);
   if (stats->objectiveAfter > stats->objectiveBefore + 1e-6) {
     // Only possible through the integer rounding of GP positions and
-    // weights; should stay within rounding noise.
-    MCLG_LOG_WARN() << "fixed-row-order objective regressed: "
-                    << stats->objectiveBefore << " -> "
-                    << stats->objectiveAfter;
+    // weights; should stay within rounding noise. A resident daemon hits
+    // it on a few percent of its requests, so it is counted, and logged at
+    // WARN once per process and at debug after that.
+    if (obs::metricsEnabled()) {
+      obs::counter("mcfopt.objective_regressions").add();
+    }
+    static std::atomic<bool> warned{false};
+    LogLine(warned.exchange(true) ? LogLevel::Debug : LogLevel::Warn)
+        << "fixed-row-order objective regressed: " << stats->objectiveBefore
+        << " -> " << stats->objectiveAfter
+        << " (counted in mcfopt.objective_regressions; later ones log at "
+           "debug)";
   }
 }
 
 }  // namespace
 
 std::vector<std::vector<CellId>> fixedRowOrderComponents(
-    const PlacementState& state) {
+    const PlacementState& state, const std::vector<CellId>* cells) {
   const auto& design = state.design();
-  // Union-find over the neighbor constraint graph.
-  std::vector<CellId> parent(static_cast<std::size_t>(design.numCells()));
-  for (CellId c = 0; c < design.numCells(); ++c) parent[static_cast<std::size_t>(c)] = c;
-  std::function<CellId(CellId)> find = [&](CellId c) {
-    while (parent[static_cast<std::size_t>(c)] != c) {
-      parent[static_cast<std::size_t>(c)] =
-          parent[static_cast<std::size_t>(parent[static_cast<std::size_t>(c)])];
-      c = parent[static_cast<std::size_t>(c)];
-    }
-    return c;
-  };
+  const auto numRows = static_cast<std::size_t>(design.numRows);
+  // Every placed cell of a row is chained to its row neighbours, so a
+  // component is a run of consecutive rows, each linked to the next by a
+  // cell spanning both; a run is named by its first row.
+  std::vector<std::int64_t> runOf(numRows);
   for (std::int64_t y = 0; y < design.numRows; ++y) {
-    CellId prev = kInvalidCell;
-    for (const auto& [x, c] : state.rowCells(y)) {
-      (void)x;
-      if (prev != kInvalidCell) {
-        parent[static_cast<std::size_t>(find(prev))] = find(c);
-      }
-      prev = c;
+    runOf[static_cast<std::size_t>(y)] =
+        y > 0 && state.cellsSpanning(y - 1) > 0
+            ? runOf[static_cast<std::size_t>(y - 1)]
+            : y;
+  }
+
+  std::vector<std::pair<std::int64_t, CellId>> keyed;
+  const auto add = [&](CellId c) {
+    const Cell& cell = design.cells[c];
+    if (!cell.fixed && cell.placed) {
+      keyed.emplace_back(runOf[static_cast<std::size_t>(cell.y)], c);
     }
+  };
+  if (cells == nullptr) {
+    for (CellId c = 0; c < design.numCells(); ++c) add(c);
+  } else {
+    for (const CellId c : *cells) add(c);
   }
-  std::unordered_map<CellId, std::size_t> componentIndex;
+  std::sort(keyed.begin(), keyed.end());
+  keyed.erase(std::unique(keyed.begin(), keyed.end()), keyed.end());
   std::vector<std::vector<CellId>> components;
-  for (const CellId c : placedMovableCells(design)) {
-    const CellId root = find(c);
-    auto [it, inserted] = componentIndex.emplace(root, components.size());
-    if (inserted) components.emplace_back();
-    components[it->second].push_back(c);
+  for (std::size_t i = 0; i < keyed.size(); ++i) {
+    if (i == 0 || keyed[i].first != keyed[i - 1].first) {
+      components.emplace_back();
+    }
+    components.back().push_back(keyed[i].second);
   }
+  std::sort(components.begin(), components.end(),
+            [](const std::vector<CellId>& a, const std::vector<CellId>& b) {
+              return a.front() < b.front();
+            });
   return components;
 }
 

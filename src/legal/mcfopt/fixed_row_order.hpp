@@ -90,12 +90,15 @@ struct FroSolverReuse {
 };
 
 /// Connected components of the neighbor-constraint graph over the placed
-/// movable cells (cells linked by a same-row adjacency, transitively).
-/// Deterministic: components ordered by their lowest-id cell's first
-/// appearance in ascending cell-id order; cells ascend within a component's
-/// discovery order.
+/// movable cells (cells linked by a same-row adjacency, transitively) —
+/// or, given `cells`, those of its placed movable cells grouped by the
+/// component holding them (the ECO driver's trimmed dirty components).
+/// Every placed cell of a row is chained to its row neighbours, so a
+/// component is a run of rows linked by multi-row cells: the grouping
+/// walks rows, and costs O(|cells| log |cells|) plus the rows it walks.
+/// Deterministic: groups ordered by their lowest cell id; cells ascending.
 std::vector<std::vector<CellId>> fixedRowOrderComponents(
-    const PlacementState& state);
+    const PlacementState& state, const std::vector<CellId>* cells = nullptr);
 
 /// Run the optimization on `subset` only, optionally through a persistent
 /// warm-startable solver. The subset may be *any* selection of placed

@@ -44,22 +44,26 @@ bool InsertionSearcher::isLocal(CellId c, const Rect& window) const {
 }
 
 void InsertionSearcher::beginWindow() {
-  ++windowEpoch_;
-  const auto& design = state_.design();
-  if (rowSnaps_.size() < static_cast<std::size_t>(design.numRows)) {
-    rowSnaps_.resize(static_cast<std::size_t>(design.numRows));
+  if (arena_ == nullptr) {
+    ownArena_ = std::make_unique<SearchArena>();
+    arena_ = ownArena_.get();
   }
-  if (cellSlots_.size() < static_cast<std::size_t>(design.numCells())) {
-    cellSlots_.resize(static_cast<std::size_t>(design.numCells()));
+  ++arena_->windowEpoch;
+  const auto& design = state_.design();
+  if (arena_->rowSnaps.size() < static_cast<std::size_t>(design.numRows)) {
+    arena_->rowSnaps.resize(static_cast<std::size_t>(design.numRows));
+  }
+  if (arena_->cellSlots.size() < static_cast<std::size_t>(design.numCells())) {
+    arena_->cellSlots.resize(static_cast<std::size_t>(design.numCells()));
   }
   spanIndex_.clear();
   dupSkipped_ = 0;
 }
 
 InsertionSearcher::CellSlot& InsertionSearcher::windowSlot(CellId j) const {
-  CellSlot& slot = cellSlots_[static_cast<std::size_t>(j)];
-  if (slot.windowEpoch != windowEpoch_) {
-    slot.windowEpoch = windowEpoch_;
+  CellSlot& slot = arena_->cellSlots[static_cast<std::size_t>(j)];
+  if (slot.windowEpoch != arena_->windowEpoch) {
+    slot.windowEpoch = arena_->windowEpoch;
     slot.spanBase = -1;
     slot.hasCurve = false;
     slot.leftState = Reach::Unknown;
@@ -137,14 +141,14 @@ std::int64_t InsertionSearcher::pushReach(CellId j, bool left,
     state = Reach::Known;
     stack.pop_back();
   }
-  const CellSlot& slot = cellSlots_[static_cast<std::size_t>(j)];
+  const CellSlot& slot = arena_->cellSlots[static_cast<std::size_t>(j)];
   return left ? slot.leftReach : slot.rightReach;
 }
 
 const InsertionSearcher::RowSnap& InsertionSearcher::buildRowSnap(
     std::int64_t r, const Rect& window) const {
-  RowSnap& snap = rowSnaps_[static_cast<std::size_t>(r)];
-  snap.epoch = windowEpoch_;
+  RowSnap& snap = arena_->rowSnaps[static_cast<std::size_t>(r)];
+  snap.epoch = arena_->windowEpoch;
   snap.winBegin = 0;
   snap.x.clear();
   snap.center.clear();
@@ -191,27 +195,14 @@ const InsertionSearcher::RowSnap& InsertionSearcher::buildRowSnap(
 
 std::int32_t InsertionSearcher::snapIndex(const RowSnap& snap, CellId j,
                                           std::int64_t r) const {
-  const CellSlot& slot = cellSlots_[static_cast<std::size_t>(j)];
-  MCLG_ASSERT(slot.windowEpoch == windowEpoch_ && slot.spanBase >= 0,
+  const CellSlot& slot = arena_->cellSlots[static_cast<std::size_t>(j)];
+  MCLG_ASSERT(slot.windowEpoch == arena_->windowEpoch && slot.spanBase >= 0,
               "pushed cell missing from the window snapshots");
   const std::int32_t i = spanIndex_[static_cast<std::size_t>(
       slot.spanBase + (r - state_.design().cells[j].y))];
   MCLG_ASSERT(i >= 0 && snap.cell[static_cast<std::size_t>(i)] == j,
               "occupancy out of sync in commit");
   return i;
-}
-
-const std::vector<Interval>& InsertionSearcher::forbiddenX(
-    TypeId type) const {
-  const auto& design = state_.design();
-  const auto t = static_cast<std::size_t>(type);
-  if (forbiddenByType_.size() <= t) {
-    forbiddenByType_.resize(static_cast<std::size_t>(design.numTypes()));
-  }
-  auto& forbidden = forbiddenByType_[t];
-  // verticalRailForbiddenX ignores the row: any y gives the same answer.
-  if (!forbidden) forbidden = verticalRailForbiddenX(design, type, 0);
-  return *forbidden;
 }
 
 const InsertionSearcher::CellSlot& InsertionSearcher::curveData(
@@ -249,9 +240,9 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
   // index for this seed.
   auto& entries = entryScratch_;
   entries.clear();
-  const std::uint64_t seedEpoch = ++stepEpoch_;
+  const std::uint64_t seedEpoch = ++arena_->stepEpoch;
   auto addEntry = [&](CellId j, std::int64_t off, bool left) {
-    CellSlot& slot = cellSlots_[static_cast<std::size_t>(j)];
+    CellSlot& slot = arena_->cellSlots[static_cast<std::size_t>(j)];
     if (slot.stepEpoch != seedEpoch) {
       slot.stepEpoch = seedEpoch;
       slot.step = static_cast<std::int64_t>(entries.size());
@@ -362,7 +353,7 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
   if (config_.routability) {
     // Dodge vertical-rail conflicts: move to the nearest clean site. The
     // forbidden intervals depend only on the type.
-    const auto& forbidden = forbiddenX(target.type);
+    const auto& forbidden = forbidden_.rails(target.type);
     auto inForbidden = [&](std::int64_t x) -> const Interval* {
       for (const auto& iv : forbidden) {
         if (iv.contains(x)) return &iv;
@@ -686,15 +677,15 @@ void InsertionSearcher::commit(CellId c, const Candidate& cand,
 
   // Replay the requests reachable() seeded. A cell's step slot holds its
   // simulated x for this attempt.
-  const std::uint64_t attemptEpoch = ++stepEpoch_;
+  const std::uint64_t attemptEpoch = ++arena_->stepEpoch;
   auto& moved = movedScratch_;
   moved.clear();
   auto curX = [&](CellId j) {
-    const CellSlot& slot = cellSlots_[static_cast<std::size_t>(j)];
+    const CellSlot& slot = arena_->cellSlots[static_cast<std::size_t>(j)];
     return slot.stepEpoch == attemptEpoch ? slot.step : design.cells[j].x;
   };
   auto setX = [&](CellId j, std::int64_t nx) {
-    CellSlot& slot = cellSlots_[static_cast<std::size_t>(j)];
+    CellSlot& slot = arena_->cellSlots[static_cast<std::size_t>(j)];
     if (slot.stepEpoch != attemptEpoch) {
       slot.stepEpoch = attemptEpoch;
       moved.push_back(j);
@@ -752,7 +743,7 @@ void InsertionSearcher::commit(CellId c, const Candidate& cand,
   leftShifts.clear();
   rightShifts.clear();
   for (const CellId j : moved) {
-    const std::int64_t nx = cellSlots_[static_cast<std::size_t>(j)].step;
+    const std::int64_t nx = arena_->cellSlots[static_cast<std::size_t>(j)].step;
     if (nx < design.cells[j].x) {
       leftShifts.emplace_back(j, nx);
     } else if (nx > design.cells[j].x) {

@@ -25,7 +25,7 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -34,8 +34,11 @@
 #include "geometry/disp_curve.hpp"
 #include "geometry/interval.hpp"
 #include "geometry/rect.hpp"
+#include "legal/refine/feasible_range.hpp"
 
 namespace mclg {
+
+struct SearchArena;
 
 struct InsertionConfig {
   /// true: displacement measured from GP positions (MGL); false: from the
@@ -63,13 +66,26 @@ struct InsertionConfig {
   /// (weighted regional displacement delta). The rip-up refinement uses it
   /// to re-insert a cell only where it is a net win.
   double costCeiling = std::numeric_limits<double>::infinity();
+  /// Scratch for the searchers built with this config, not a tuning knob.
+  /// nullptr: each searcher allocates its own, one slot per design cell. A
+  /// caller that builds searchers per request (the serve session) passes
+  /// one arena that lives as long as its design, so the searchers of a
+  /// request do not each allocate and clear one. Searchers sharing an
+  /// arena must run one tryInsert at a time.
+  SearchArena* arena = nullptr;
 };
 
 class InsertionSearcher {
+  friend struct SearchArena;
+
  public:
   InsertionSearcher(PlacementState& state, const SegmentMap& segments,
                     const InsertionConfig& config)
-      : state_(state), segments_(segments), config_(config) {}
+      : state_(state),
+        segments_(segments),
+        config_(config),
+        arena_(config.arena),
+        forbidden_(state.design()) {}
 
   /// Search the window for the cheapest legal insertion of cell c and commit
   /// it (placing c and shifting local cells). Returns false if no candidate
@@ -183,11 +199,10 @@ class InsertionSearcher {
   /// `stepEpoch` tags `step`, whose meaning depends on the phase: during
   /// seed evaluation it is the cell's index in the chain-entry list, during
   /// the commit the simulated new x. Both phases draw from one counter and
-  /// never overlap within a window, so one tag serves both. Every searcher
-  /// holds one slot per design cell and the ECO path builds searchers per
-  /// request, so the slot is kept at 72 bytes: the slide range is not
-  /// cached (the push reach reads it once per cell and direction, the
-  /// commit's assertions once per simulated push).
+  /// never overlap within a window, so one tag serves both. The arena holds
+  /// one slot per design cell, so the slot is kept at 72 bytes: the slide
+  /// range is not cached (the push reach reads it once per cell and
+  /// direction, the commit's assertions once per simulated push).
   struct CellSlot {
     std::uint64_t windowEpoch = 0;
     std::uint64_t stepEpoch = 0;
@@ -208,10 +223,7 @@ class InsertionSearcher {
 
   /// Fetch the snapshot of row r for the current epoch, building it on
   /// first use.
-  const RowSnap& rowSnap(std::int64_t r, const Rect& window) const {
-    const RowSnap& snap = rowSnaps_[static_cast<std::size_t>(r)];
-    return snap.epoch == windowEpoch_ ? snap : buildRowSnap(r, window);
-  }
+  const RowSnap& rowSnap(std::int64_t r, const Rect& window) const;
   const RowSnap& buildRowSnap(std::int64_t r, const Rect& window) const;
 
   /// The arena slot of cell j, with its window-scoped fields reset when
@@ -228,11 +240,8 @@ class InsertionSearcher {
   /// (recorded when the snapshot was built; no search).
   std::int32_t snapIndex(const RowSnap& snap, CellId j, std::int64_t r) const;
 
-  /// Vertical-rail forbidden x intervals of a cell type (row-independent),
-  /// computed once per searcher.
-  const std::vector<Interval>& forbiddenX(TypeId type) const;
-
-  /// Bump the epoch and lazily size the arenas; called on tryInsert entry.
+  /// Bump the epoch and lazily allocate and size the arena; called on
+  /// tryInsert entry.
   void beginWindow();
 
   PlacementState& state_;
@@ -240,16 +249,12 @@ class InsertionSearcher {
   InsertionConfig config_;
   CommitInfo lastCommit_;
 
-  mutable std::uint64_t windowEpoch_ = 0;
-  mutable std::uint64_t stepEpoch_ = 0;
-  mutable std::vector<RowSnap> rowSnaps_;         // indexed by row
-  mutable std::vector<CellSlot> cellSlots_;       // indexed by cell
+  SearchArena* arena_;                     // config_.arena or ownArena_
+  std::unique_ptr<SearchArena> ownArena_;  // allocated on first use
   mutable std::vector<std::int32_t> spanIndex_;   // see CellSlot::spanBase
   mutable std::vector<RowCtx> rowCtxScratch_;      // current seed's contexts
   mutable std::vector<RowCtx> prevRowCtxScratch_;  // previous seed's contexts
-  // forbiddenX cache, indexed by type; rails are fixed while a searcher
-  // lives.
-  mutable std::vector<std::optional<std::vector<Interval>>> forbiddenByType_;
+  ForbiddenXIndex forbidden_;  // vertical-rail intervals per type
   // Aggregated locally, flushed to the metrics registry once per window.
   mutable std::size_t dupSkipped_ = 0;
   mutable std::size_t curveHits_ = 0;
@@ -284,5 +289,21 @@ class InsertionSearcher {
   std::vector<std::pair<CellId, std::int64_t>> leftShiftScratch_;
   std::vector<std::pair<CellId, std::int64_t>> rightShiftScratch_;
 };
+
+/// An InsertionSearcher's row snapshots and cell slots with their epoch
+/// counters (see InsertionConfig::arena). The epochs only grow, so
+/// whatever an earlier searcher left in a slot is simply stale.
+struct SearchArena {
+  std::uint64_t windowEpoch = 0;
+  std::uint64_t stepEpoch = 0;
+  std::vector<InsertionSearcher::RowSnap> rowSnaps;    // indexed by row
+  std::vector<InsertionSearcher::CellSlot> cellSlots;  // indexed by cell
+};
+
+inline const InsertionSearcher::RowSnap& InsertionSearcher::rowSnap(
+    std::int64_t r, const Rect& window) const {
+  const RowSnap& snap = arena_->rowSnaps[static_cast<std::size_t>(r)];
+  return snap.epoch == arena_->windowEpoch ? snap : buildRowSnap(r, window);
+}
 
 }  // namespace mclg

@@ -7,8 +7,57 @@
 
 namespace mclg {
 
+ForbiddenXIndex::ForbiddenXIndex(const Design& design)
+    : design_(&design),
+      types_(static_cast<std::size_t>(design.numTypes())) {
+  for (std::size_t i = 0; i < design.ioPins.size(); ++i) {
+    ioByYlo_.push_back(static_cast<std::int32_t>(i));
+    maxIoHeight_ = std::max(maxIoHeight_, design.ioPins[i].rect.height());
+  }
+  std::sort(ioByYlo_.begin(), ioByYlo_.end(),
+            [&](std::int32_t a, std::int32_t b) {
+              return design.ioPins[static_cast<std::size_t>(a)].rect.ylo <
+                     design.ioPins[static_cast<std::size_t>(b)].rect.ylo;
+            });
+}
+
+const ForbiddenXIndex::TypeData& ForbiddenXIndex::typeData(TypeId t) const {
+  std::optional<TypeData>& slot = types_[static_cast<std::size_t>(t)];
+  if (slot) return *slot;
+  TypeData& data = slot.emplace();
+  data.rails = verticalRailForbiddenX(*design_, t, 0);
+  const CellType& type = design_->types[static_cast<std::size_t>(t)];
+  for (const PinShape& pin : type.pins) {
+    for (const Orient orient : {Orient::N, Orient::FS}) {
+      const Rect shape = pin.rectInOrient(orient, type.height);
+      data.pinYlo = std::min(data.pinYlo, shape.ylo);
+      data.pinYhi = std::max(data.pinYhi, shape.yhi);
+    }
+  }
+  return data;
+}
+
+std::vector<Interval> ForbiddenXIndex::io(TypeId type, std::int64_t y) const {
+  const TypeData& data = typeData(type);
+  const std::int64_t fy = y * Design::kFine;
+  // Candidates: IO pins overlapping the fine rows any pin of the type can
+  // cover here, i.e. ylo < fy + pinYhi and yhi > fy + pinYlo (so ylo >
+  // fy + pinYlo - maxIoHeight): a contiguous stretch of ioByYlo_.
+  const auto ylo = [&](std::int32_t i) {
+    return design_->ioPins[static_cast<std::size_t>(i)].rect.ylo;
+  };
+  const auto end = std::lower_bound(
+      ioByYlo_.begin(), ioByYlo_.end(), fy + data.pinYhi,
+      [&](std::int32_t i, std::int64_t v) { return ylo(i) < v; });
+  const auto begin = std::upper_bound(
+      ioByYlo_.begin(), end, fy + data.pinYlo - maxIoHeight_,
+      [&](std::int64_t v, std::int32_t i) { return v < ylo(i); });
+  return ioPinForbiddenX(*design_, type, y,
+                         std::span<const std::int32_t>(begin, end));
+}
+
 Interval feasibleRange(const Design& design, const SegmentMap& segments,
-                       CellId c, bool routability) {
+                       CellId c, const ForbiddenXIndex* routability) {
   const auto& cell = design.cells[c];
   MCLG_ASSERT(cell.placed && !cell.fixed, "feasibleRange needs a placed cell");
   const int h = design.heightOf(c);
@@ -20,12 +69,11 @@ Interval feasibleRange(const Design& design, const SegmentMap& segments,
   std::int64_t hi = seg.hi - w;
   if (hi < lo) return {cell.x, cell.x + 1};  // degenerate; stay put
 
-  if (routability) {
+  if (routability != nullptr) {
     // §3.4: the movement range is the largest interval around the current x
-    // that is clean of vertical-rail *and* IO-pin conflicts.
-    for (const auto& forbidden :
-         {verticalRailForbiddenX(design, cell.type, cell.y),
-          ioPinForbiddenX(design, cell.type, cell.y)}) {
+    // that is clean of vertical-rail *and* IO-pin conflicts. Returns false
+    // when the current position already conflicts.
+    const auto clip = [&](const std::vector<Interval>& forbidden) {
       for (const auto& iv : forbidden) {
         if (iv.hi <= cell.x) {
           lo = std::max(lo, iv.hi);
@@ -33,10 +81,14 @@ Interval feasibleRange(const Design& design, const SegmentMap& segments,
           hi = std::min(hi, iv.lo - 1);
           break;  // intervals are sorted
         } else {
-          // Current position already conflicts; freeze the cell.
-          return {cell.x, cell.x + 1};
+          return false;
         }
       }
+      return true;
+    };
+    if (!clip(routability->rails(cell.type)) ||
+        !clip(routability->io(cell.type, cell.y))) {
+      return {cell.x, cell.x + 1};  // freeze the cell
     }
   }
   lo = std::min(lo, cell.x);

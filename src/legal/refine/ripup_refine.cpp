@@ -43,11 +43,11 @@ RipupStats ripupRefine(PlacementState& state, const SegmentMap& segments,
     // Candidates: most displaced first.
     std::vector<std::pair<double, CellId>> worst;
     for (CellId c = 0; c < design.numCells(); ++c) {
-      const auto& cell = design.cells[c];
-      if (cell.fixed || !cell.placed) continue;
       if (focus != nullptr && (*focus)[static_cast<std::size_t>(c)] == 0) {
         continue;
       }
+      const auto& cell = design.cells[c];
+      if (cell.fixed || !cell.placed) continue;
       const double disp = design.displacement(c);
       if (disp > config.displacementThreshold) worst.emplace_back(disp, c);
     }

@@ -59,6 +59,7 @@ WirelengthRecoveryStats recoverWirelength(
     }
   }
 
+  const ForbiddenXIndex forbidden(design);
   for (int pass = 0; pass < config.passes; ++pass) {
     int movedThisPass = 0;
     for (CellId c = 0; c < design.numCells(); ++c) {
@@ -70,7 +71,8 @@ WirelengthRecoveryStats recoverWirelength(
       const int h = design.heightOf(c);
 
       // Allowed left-edge interval: §3.4 range ∩ neighbor gaps ∩ budget.
-      Interval range = feasibleRange(design, segments, c, config.routability);
+      Interval range = feasibleRange(design, segments, c,
+                                     config.routability ? &forbidden : nullptr);
       std::int64_t lo = range.lo;
       std::int64_t hi = range.hi - 1;
       for (std::int64_t r = cell.y; r < cell.y + h; ++r) {

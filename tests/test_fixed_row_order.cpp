@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
@@ -400,6 +401,61 @@ TEST(FixedRowOrder, ParallelComponentsMatchSequential) {
   }
 }
 
+TEST(FixedRowOrder, ComponentsMatchNeighborGraph) {
+  // fixedRowOrderComponents groups cells by runs of rows; check it against
+  // a union-find over the explicit neighbor pairs, for whole components
+  // and for a subset of cells. Single-height designs have one component
+  // per non-empty row; mixed heights link rows.
+  for (const int tall : {0, 40}) {
+    GenSpec spec;
+    spec.cellsPerHeight = {300, tall, tall / 4, 0};
+    spec.density = 0.5;
+    spec.numFences = 2;
+    spec.seed = 71;
+    Design design = generate(spec);
+    SegmentMap segments(design);
+    PlacementState state(design);
+    MglLegalizer legalizer(state, segments, {});
+    ASSERT_EQ(legalizer.run().failed, 0);
+
+    std::vector<CellId> parent(static_cast<std::size_t>(design.numCells()));
+    for (CellId c = 0; c < design.numCells(); ++c) parent[c] = c;
+    const auto find = [&parent](CellId c) {
+      while (parent[c] != c) c = parent[c] = parent[parent[c]];
+      return c;
+    };
+    for (std::int64_t y = 0; y < design.numRows; ++y) {
+      CellId prev = kInvalidCell;
+      for (const auto& [x, c] : state.rowCells(y)) {
+        (void)x;
+        if (prev != kInvalidCell) parent[find(prev)] = find(c);
+        prev = c;
+      }
+    }
+    std::vector<CellId> subset;
+    for (CellId c = 0; c < design.numCells(); c += 3) subset.push_back(c);
+    for (const std::vector<CellId>* cells :
+         {static_cast<const std::vector<CellId>*>(nullptr),
+          static_cast<const std::vector<CellId>*>(&subset)}) {
+      std::map<CellId, std::vector<CellId>> byRoot;  // root -> ascending ids
+      for (CellId c = 0; c < design.numCells(); ++c) {
+        const Cell& cell = design.cells[c];
+        if (cell.fixed || !cell.placed) continue;
+        if (cells != nullptr && c % 3 != 0) continue;
+        byRoot[find(c)].push_back(c);
+      }
+      std::vector<std::vector<CellId>> expected;
+      for (auto& [root, members] : byRoot) expected.push_back(members);
+      std::sort(expected.begin(), expected.end());
+      EXPECT_EQ(expected, fixedRowOrderComponents(state, cells))
+          << "tall cells " << tall;
+      if (tall == 0 && cells == nullptr) {
+        EXPECT_GT(expected.size(), 1u);
+      }
+    }
+  }
+}
+
 TEST(FeasibleRange, SegmentOnly) {
   Design d = smallDesign();
   testing::addFixed(d, 2, 20, 3);
@@ -407,7 +463,7 @@ TEST(FeasibleRange, SegmentOnly) {
   SegmentMap segments(d);
   PlacementState state(d);
   state.place(c, 5, 4);
-  const Interval range = feasibleRange(d, segments, c, /*routability=*/false);
+  const Interval range = feasibleRange(d, segments, c, /*routability=*/nullptr);
   EXPECT_EQ(range.lo, 0);
   EXPECT_EQ(range.hi, 19);  // left edge max = 18, half-open 19
 }
@@ -420,10 +476,33 @@ TEST(FeasibleRange, VerticalRailClipsRange) {
   SegmentMap segments(d);
   PlacementState state(d);
   state.place(c, 5, 4);
-  const Interval range = feasibleRange(d, segments, c, /*routability=*/true);
+  const ForbiddenXIndex forbidden(d);
+  const Interval range = feasibleRange(d, segments, c, &forbidden);
   // The stripe forbids x where [8x, 8x+2) overlaps [160, 162): x = 20.
   EXPECT_LE(range.hi - 1, 19);
   EXPECT_TRUE(range.contains(5));
+}
+
+TEST(FeasibleRange, IndexMatchesDirectForbiddenIntervals) {
+  // The per-(type, orientation) index must reproduce the checkers' rail and
+  // IO-pin intervals exactly, for every type at every bottom row.
+  GenSpec spec;
+  spec.cellsPerHeight = {300, 60, 20, 10};
+  spec.numIoPins = 400;
+  spec.seed = 11;
+  const Design d = generate(spec);
+  ASSERT_FALSE(d.ioPins.empty());
+  const ForbiddenXIndex index(d);
+  int ioHits = 0;
+  for (TypeId t = 0; t < d.numTypes(); ++t) {
+    for (std::int64_t y = 0; y < d.numRows; ++y) {
+      EXPECT_EQ(verticalRailForbiddenX(d, t, y), index.rails(t));
+      const std::vector<Interval> io = ioPinForbiddenX(d, t, y);
+      ASSERT_EQ(io, index.io(t, y)) << "type " << t << " row " << y;
+      ioHits += io.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_GT(ioHits, 0);
 }
 
 }  // namespace

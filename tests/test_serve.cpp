@@ -6,8 +6,9 @@
 // and the headline identity property — four concurrent tenants streaming
 // 100+ interleaved EcoDelta/Commit/Rollback requests each produce
 // placement hashes byte-identical to an independent solo replay of the
-// same request sequence, plus an end-to-end run against the real
-// mclg_serve and mclg_cli binaries.
+// same request sequence, and scores bit-identical to its from-scratch
+// evaluateScore — plus an end-to-end run against the real mclg_serve and
+// mclg_cli binaries.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -156,40 +158,52 @@ class SoloReference {
     PlacementState state(current_);
     legalize(state, segments, tenantConfig());
     snapshot_ = current_;
+    score_ = snapshotScore_ = evaluateScore(current_, segments).score;
   }
 
   std::uint64_t loadHash() const { return placementHash(current_); }
 
-  /// Returns the hash the daemon reports for this request (0 for an eco
-  /// that was not adopted).
-  std::uint64_t apply(const ScheduledRequest& request) {
+  /// What the daemon reports for one request.
+  struct Outcome {
+    std::uint64_t hash = 0;  ///< 0 for an eco that was not adopted
+    double score = 0.0;      ///< from-scratch evaluateScore of the placement
+  };
+
+  Outcome apply(const ScheduledRequest& request) {
     switch (request.kind) {
       case ScheduledRequest::Kind::Commit:
         snapshot_ = current_;
-        return placementHash(current_);
+        snapshotScore_ = score_;
+        return {placementHash(current_), score_};
       case ScheduledRequest::Kind::Rollback:
         current_ = snapshot_;
-        return placementHash(current_);
+        score_ = snapshotScore_;
+        return {placementHash(current_), score_};
       case ScheduledRequest::Kind::Eco:
         break;
     }
     Design scratch = current_;
     for (const EcoOp& op : request.ops) {
-      if (!applyOp(scratch, op)) return 0;
+      if (!applyOp(scratch, op)) return {};
     }
     scratch.invalidateCaches();
+    // The daemon holds an edited design to the file parser's invariants.
+    if (!scratch.check()) return {};
+    ScoreBreakdown score;
     try {
       SegmentMap segments(scratch);
       PlacementState state(scratch);
       EcoConfig eco;
       eco.pipeline = tenantConfig();
       ecoRelegalize(state, segments, snapshot_, eco);
-      if (!evaluateScore(scratch, segments).legality.legal()) return 0;
+      score = evaluateScore(scratch, segments);
+      if (!score.legality.legal()) return {};
     } catch (const std::exception&) {
-      return 0;
+      return {};
     }
     current_ = std::move(scratch);
-    return placementHash(current_);
+    score_ = score.score;
+    return {placementHash(current_), score_};
   }
 
   /// Mirror of ServeSession's op application (kept local on purpose: the
@@ -244,7 +258,12 @@ class SoloReference {
  private:
   Design current_;
   Design snapshot_;
+  double score_ = 0.0;
+  double snapshotScore_ = 0.0;
 };
+
+/// Bit pattern of a double, so score checks are exact to the last bit.
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
 
 // ---- Socketpair harness ----------------------------------------------------
 
@@ -688,11 +707,19 @@ TEST_F(ServeServerTest, SingleTenantLifecycle) {
   EXPECT_NE(h0, eco1.hash);
   EXPECT_NE(std::string::npos, eco1.body.find("\"eco\""));
 
-  // Rollback before commit: the uncommitted ECO result is discarded.
+  // Rollback before commit: the uncommitted ECO result is discarded, and
+  // with it its score and run report.
   const ServeResponse rolled =
       roundTrip(client, FrameType::Rollback, tenantPayload("t0"));
   ASSERT_EQ(ServeStatus::Ok, rolled.status);
   EXPECT_EQ(h0, rolled.hash);
+  EXPECT_EQ(bits(loaded.score), bits(rolled.score));
+  const ServeResponse reportAfterRollback =
+      roundTrip(client, FrameType::Query, queryPayload("t0", "report"));
+  ASSERT_EQ(ServeStatus::Ok, reportAfterRollback.status);
+  EXPECT_EQ(loaded.body, reportAfterRollback.body)
+      << "Query report must describe the restored placement";
+  EXPECT_EQ(bits(loaded.score), bits(reportAfterRollback.score));
 
   // Same delta again, then commit: the snapshot advances.
   const ServeResponse eco2 = roundTrip(
@@ -704,9 +731,14 @@ TEST_F(ServeServerTest, SingleTenantLifecycle) {
       roundTrip(client, FrameType::Commit, tenantPayload("t0"));
   ASSERT_EQ(ServeStatus::Ok, committed.status);
   EXPECT_EQ(eco2.hash, committed.hash);
+  EXPECT_EQ(bits(eco2.score), bits(committed.score));
   const ServeResponse rolledAfterCommit =
       roundTrip(client, FrameType::Rollback, tenantPayload("t0"));
   EXPECT_EQ(eco2.hash, rolledAfterCommit.hash);
+  EXPECT_EQ(bits(eco2.score), bits(rolledAfterCommit.score));
+  EXPECT_EQ(eco2.body,
+            roundTrip(client, FrameType::Query, queryPayload("t0", "report"))
+                .body);
 
   // A malformed op leaves the tenant untouched (Malformed, hash unchanged).
   const ServeResponse badEco =
@@ -910,23 +942,173 @@ TEST_F(ServeServerTest, EcoBudgetExpiryRollsTenantBack) {
   ServeResponse response;
   auto session = ServeSession::load(load, ServeSessionConfig{}, &response);
   ASSERT_NE(nullptr, session) << response.error;
-  const std::uint64_t h0 = response.hash;
+
+  // The expired request follows an accepted but uncommitted delta, so the
+  // rollback must restore that delta's placement, not the committed one.
+  const std::vector<CellId> movable = movableCells(design_);
+  ScheduledRequest first;
+  first.ops = {moveOp(movable[1], 20, 6), moveOp(movable[2], 4, 9)};
+  ScheduledRequest expired;
+  expired.ops = {moveOp(movable[0], 3, 3)};
+  ScheduledRequest next;
+  next.ops = {moveOp(movable[0], 3, 3), moveOp(movable[3], 11, 2)};
 
   EcoDeltaRequest eco;
   eco.id = 2;
   eco.tenant = "t";
-  eco.ops = {moveOp(movableCells(design_)[0], 3, 3)};
+  eco.ops = first.ops;
+  const ServeResponse accepted = session->applyDelta(eco, Deadline());
+  ASSERT_TRUE(serveStatusOk(accepted.status)) << accepted.error;
+
+  eco.id = 3;
+  eco.ops = expired.ops;
   const ServeResponse rejected =
       session->applyDelta(eco, Deadline::after(1e-9));
   EXPECT_EQ(ServeStatus::Rejected, rejected.status);
   EXPECT_NE(std::string::npos, rejected.error.find("budget exhausted"));
 
   QueryRequest query;
-  query.id = 3;
+  query.id = 4;
   query.tenant = "t";
   query.key = "score";
   const ServeResponse after = session->query(query);
-  EXPECT_EQ(h0, after.hash) << "expired request must leave the tenant as-is";
+  EXPECT_EQ(accepted.hash, after.hash)
+      << "expired request must leave the tenant as-is";
+  EXPECT_EQ(bits(accepted.score), bits(after.score));
+
+  // The next request sees exactly the first delta's placement: its result
+  // matches a solo replay in which the expired request never happened.
+  eco.id = 5;
+  eco.ops = next.ops;
+  const ServeResponse resumed = session->applyDelta(eco, Deadline());
+  ASSERT_TRUE(serveStatusOk(resumed.status)) << resumed.error;
+  SoloReference reference(designText_);
+  EXPECT_EQ(accepted.hash, reference.apply(first).hash);
+  const SoloReference::Outcome expected = reference.apply(next);
+  EXPECT_EQ(expected.hash, resumed.hash);
+  EXPECT_EQ(bits(expected.score), bits(resumed.score));
+}
+
+TEST_F(ServeServerTest, ResizeRoundTripsAndFailedRequestsMatchSoloReplay) {
+  // The corner cases of seeding an ECO run from the session's undo log: a
+  // cell resized away and then back to its committed type inside one
+  // uncommitted chain (clean again, so it must be re-placed at its
+  // committed spot, or become unreplayable when a neighbor took it), cells
+  // added and then edited by later requests, and requests that fail on
+  // their last op after earlier ops already edited the resident design.
+  LoadDesignRequest load;
+  load.id = 1;
+  load.tenant = "t";
+  load.designText = designText_;
+  ServeResponse loaded;
+  auto session = ServeSession::load(load, ServeSessionConfig{}, &loaded);
+  ASSERT_NE(nullptr, session) << loaded.error;
+  SoloReference reference(designText_);
+  ASSERT_EQ(reference.loadHash(), loaded.hash);
+
+  const std::vector<CellId> movable = movableCells(design_);
+  const auto alternativeType = [&](CellId c) -> std::string {
+    const CellType& now = design_.types[design_.cells[c].type];
+    for (const CellType& type : design_.types) {
+      if (type.name != now.name && type.height == now.height &&
+          type.parity == now.parity && type.pins.size() >= now.pins.size()) {
+        return type.name;
+      }
+    }
+    return now.name;
+  };
+
+  std::vector<ScheduledRequest> schedule;
+  int eco = 0;
+  for (int k = 0; k < 40; ++k) {
+    ScheduledRequest request;
+    if (k % 9 == 8) {
+      request.kind = k % 18 == 8 ? ScheduledRequest::Kind::Rollback
+                                 : ScheduledRequest::Kind::Commit;
+      schedule.push_back(std::move(request));
+      continue;
+    }
+    // Requests come in pairs: the first resizes a cell away from its
+    // type, the second resizes it back.
+    const int pair = eco / 2;
+    const bool back = eco % 2 == 1;
+    ++eco;
+    const CellId cell =
+        movable[static_cast<std::size_t>(pair * 53) % movable.size()];
+    EcoOp resize;
+    resize.kind = EcoOp::Kind::Resize;
+    resize.cell = cell;
+    resize.type = back ? design_.types[design_.cells[cell].type].name
+                       : alternativeType(cell);
+    request.ops.push_back(resize);
+    request.ops.push_back(moveOp(
+        movable[static_cast<std::size_t>(k * 29 + 7) % movable.size()],
+        static_cast<double>((k * 17) % (design_.numSitesX - 1)),
+        static_cast<double>((k * 5) % (design_.numRows - 1))));
+    if (k % 5 == 2) {
+      EcoOp add;
+      add.kind = EcoOp::Kind::Add;
+      add.type = design_.types[static_cast<std::size_t>(k) %
+                               design_.types.size()]
+                     .name;
+      add.gpX = static_cast<double>((k * 31) % (design_.numSitesX - 1));
+      add.gpY = static_cast<double>((k * 11) % (design_.numRows - 1));
+      request.ops.push_back(add);
+    }
+    if (k % 5 == 4) {
+      // Edit the first cell a request added (malformed if none survived).
+      request.ops.push_back(moveOp(design_.numCells(), 12, 3));
+    }
+    if (k % 7 == 5) {
+      // Fails on the last op, after the others edited the design.
+      request.ops.push_back(moveOp(design_.numCells() + 5000, 1, 1));
+    }
+    schedule.push_back(std::move(request));
+  }
+
+  std::uint64_t id = 2;
+  for (std::size_t k = 0; k < schedule.size(); ++k) {
+    const ScheduledRequest& request = schedule[k];
+    ServeResponse response;
+    switch (request.kind) {
+      case ScheduledRequest::Kind::Eco: {
+        EcoDeltaRequest delta;
+        delta.id = id;
+        delta.tenant = "t";
+        delta.ops = request.ops;
+        response = session->applyDelta(delta, Deadline());
+        break;
+      }
+      case ScheduledRequest::Kind::Commit:
+      case ScheduledRequest::Kind::Rollback: {
+        TenantRequest tenant;
+        tenant.id = id;
+        tenant.tenant = "t";
+        response = request.kind == ScheduledRequest::Kind::Commit
+                       ? session->commit(tenant)
+                       : session->rollback(tenant);
+        break;
+      }
+    }
+    ++id;
+    const SoloReference::Outcome expected = reference.apply(request);
+    const bool ok = serveStatusOk(response.status);
+    ASSERT_EQ(expected.hash, ok ? response.hash : 0)
+        << "request " << k << ": " << response.error;
+    ASSERT_EQ(bits(expected.score), bits(ok ? response.score : 0.0))
+        << "request " << k;
+  }
+
+  QueryRequest query;
+  query.id = id;
+  query.tenant = "t";
+  query.key = "design";
+  const auto placed = readSimpleFormat(session->query(query).body);
+  ASSERT_TRUE(placed.has_value());
+  query.key = "score";
+  const SegmentMap segments(*placed);
+  EXPECT_EQ(bits(evaluateScore(*placed, segments).score),
+            bits(session->query(query).score));
 }
 
 TEST_F(ServeServerTest, ResizeDroppingNetPinIsMalformed) {
@@ -996,9 +1178,12 @@ TEST_F(ServeServerTest, FourConcurrentTenantsMatchSoloReplayByteForByte) {
       buildSchedule(design_, kRequests);
   SoloReference reference(designText_);
   std::vector<std::uint64_t> expected;
+  std::vector<std::uint64_t> expectedScores;
   expected.push_back(reference.loadHash());
   for (const ScheduledRequest& request : schedule) {
-    expected.push_back(reference.apply(request));
+    const SoloReference::Outcome outcome = reference.apply(request);
+    expected.push_back(outcome.hash);
+    expectedScores.push_back(bits(outcome.score));
   }
 
   Executor executor(kTenants);
@@ -1008,6 +1193,10 @@ TEST_F(ServeServerTest, FourConcurrentTenantsMatchSoloReplayByteForByte) {
   ServeServer server(config);
 
   std::vector<std::vector<std::uint64_t>> got(kTenants);
+  std::vector<std::vector<std::uint64_t>> gotScores(kTenants);
+  // Per tenant: Query score after each Commit/Rollback vs a from-scratch
+  // evaluateScore of Query design.
+  std::vector<int> scoreQueryMismatches(kTenants, 0);
   std::vector<std::thread> tenants;
   for (int t = 0; t < kTenants; ++t) {
     tenants.emplace_back([&, t] {
@@ -1035,7 +1224,25 @@ TEST_F(ServeServerTest, FourConcurrentTenantsMatchSoloReplayByteForByte) {
             break;
         }
         EXPECT_EQ(id, response.id);
-        got[t].push_back(serveStatusOk(response.status) ? response.hash : 0);
+        const bool ok = serveStatusOk(response.status);
+        got[t].push_back(ok ? response.hash : 0);
+        gotScores[t].push_back(ok ? bits(response.score) : bits(0.0));
+        if (request.kind != ScheduledRequest::Kind::Eco) {
+          const ServeResponse cached = roundTrip(
+              client, FrameType::Query, queryPayload(tenant, "score"));
+          const ServeResponse placed = roundTrip(
+              client, FrameType::Query, queryPayload(tenant, "design"));
+          const auto parsed = readSimpleFormat(placed.body);
+          if (!parsed) {
+            ++scoreQueryMismatches[t];
+          } else {
+            const SegmentMap segments(*parsed);
+            if (bits(evaluateScore(*parsed, segments).score) !=
+                bits(cached.score)) {
+              ++scoreQueryMismatches[t];
+            }
+          }
+        }
         ++id;
       }
     });
@@ -1050,6 +1257,14 @@ TEST_F(ServeServerTest, FourConcurrentTenantsMatchSoloReplayByteForByte) {
           << "tenant " << t << " diverged from the solo replay at request "
           << k;
     }
+    // The resident score terms match a from-scratch evaluation bit for bit.
+    ASSERT_EQ(expectedScores.size(), gotScores[t].size()) << "tenant " << t;
+    for (std::size_t k = 0; k < expectedScores.size(); ++k) {
+      ASSERT_EQ(expectedScores[k], gotScores[t][k])
+          << "tenant " << t << " score diverged from evaluateScore at "
+          << "request " << k + 1;
+    }
+    EXPECT_EQ(0, scoreQueryMismatches[t]) << "tenant " << t;
   }
   EXPECT_EQ(kTenants, server.tenants());
 }
@@ -1097,7 +1312,9 @@ TEST(ServeEndToEnd, StdioDaemonMatchesCliEcoRuns) {
   ASSERT_TRUE(current.has_value());
   Design snapshot = *current;
 
-  const std::vector<ScheduledRequest> schedule = buildSchedule(base, 5);
+  // 12 requests: a chain of six uncommitted deltas, a Rollback (k = 6), two
+  // more deltas, a Commit (k = 9) and two deltas on the new snapshot.
+  const std::vector<ScheduledRequest> schedule = buildSchedule(base, 12);
   std::vector<std::uint64_t> cliHashes;
   cliHashes.push_back(placementHash(*current));
   for (std::size_t k = 0; k < schedule.size(); ++k) {
