@@ -19,18 +19,6 @@ namespace mclg {
 
 namespace {
 
-/// The CLI's config construction (tools/mclg_cli.cpp cmdLegalize), minus
-/// the flag overrides: preset, guard on, thread budget. Byte-identity of
-/// serve responses with solo CLI runs depends on this staying in sync.
-PipelineConfig cliEquivalentConfig(const std::string& preset, int threads) {
-  PipelineConfig config = preset == "totaldisp"
-                              ? PipelineConfig::totalDisplacement()
-                              : PipelineConfig::contest();
-  config.guard.enabled = true;
-  config.setThreads(threads);
-  return config;
-}
-
 obs::RunProvenance provenanceFor(const Design& design,
                                  const std::string& preset, int threads,
                                  const PipelineConfig& config) {
@@ -52,6 +40,17 @@ std::unique_ptr<ServeSession> ServeSession::load(
   response->tenant = request.tenant;
   Timer timer;
 
+  // The CLI's config construction (tools/mclg_cli.cpp cmdLegalize), minus
+  // the flag overrides: preset, guard on, thread budget. Byte-identity of
+  // serve responses with solo CLI runs depends on this staying in sync.
+  auto pipeline = PipelineConfig::preset(config.preset);
+  if (!pipeline) {
+    response->status = ServeStatus::Malformed;
+    response->error = "unknown preset '" + config.preset + "'";
+    return nullptr;
+  }
+  pipeline->guard.enabled = true;
+
   std::string parseError;
   auto design = readSimpleFormat(request.designText, &parseError);
   if (!design) {
@@ -64,7 +63,8 @@ std::unique_ptr<ServeSession> ServeSession::load(
   session->tenant_ = request.tenant;
   session->preset_ = config.preset;
   session->threads_ = std::max(1, config.threads);
-  session->config_ = cliEquivalentConfig(config.preset, session->threads_);
+  session->config_ = std::move(*pipeline);
+  session->config_.setThreads(session->threads_);
   session->config_.executor = config.executor;
   session->current_ = std::move(*design);
 

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <thread>
+#include <utility>
 
 #include <fcntl.h>
 #include <poll.h>
@@ -150,10 +151,13 @@ int supervisorWorkerMain(int argc, char** argv) {
   }
   if (args.name.empty()) args.name = baseNameOf(args.input);
 
+  auto preset = PipelineConfig::preset(args.preset);
+  if (!preset) {
+    std::fprintf(stderr, "worker: unknown preset '%s'\n", args.preset.c_str());
+    return static_cast<int>(GuardExitCode::Usage);
+  }
   BatchRunConfig config;
-  config.pipeline = args.preset == "totaldisp"
-                        ? PipelineConfig::totalDisplacement()
-                        : PipelineConfig::contest();
+  config.pipeline = std::move(*preset);
   config.threadsPerDesign = args.threads;
   config.evaluateScores = args.scores;
 

@@ -3,13 +3,13 @@
 // kill poisons only that design, never the batch.
 //
 // The supervisor fork/execs one worker per design (mclg_batch --worker, or
-// any mclg_cli-equivalent command configured via workerCommand), up to
-// maxConcurrent at a time. Each worker inherits a pipe and streams its
-// result and versioned run report back as length-prefixed frames
-// (flow/worker_protocol.hpp); the supervisor multiplexes the pipes with
-// poll(), reaps with waitpid, and folds what only it can observe — exit
-// code, terminating signal, wall-clock timeout — into the per-design
-// WorkerStatus of the BatchDesignResult.
+// any binary whose main dispatches to supervisorWorkerMain, configured via
+// workerCommand), up to maxConcurrent at a time. Each worker inherits a
+// pipe and streams its result and versioned run report back as
+// length-prefixed frames (flow/worker_protocol.hpp); the supervisor
+// multiplexes the pipes with poll(), reaps with waitpid, and folds what
+// only it can observe — exit code, terminating signal, wall-clock timeout —
+// into the per-design WorkerStatus of the BatchDesignResult.
 //
 // Failure policy:
 //  * A worker past designTimeoutSeconds gets SIGTERM, then SIGKILL after

@@ -196,7 +196,7 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
   // 2. Plan the dirty regions (reporting + the covers-core bailout).
   const EcoPlan plan =
       planEcoRegions(design, dirty, seed.previous, config.pipeline.mgl.window,
-                     config.haloSites, config.haloRows);
+                     config.haloSites, std::max(2, config.haloSites / 4));
   stats.dirtyWindows = plan.dirtyWindows;
   stats.reusedWindows = plan.reusedTiles;
   if (plan.coversCore) {
@@ -294,7 +294,7 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
     // One locality knob for both recovery solvers: the matching, like
     // stage 3 below, only needs the delta's neighborhood, not the whole
     // chunk a stranded cell happens to share a type with.
-    matchConfig.focusTrim = config.froChainHalo;
+    matchConfig.focusTrim = kEcoChainHalo;
     stats.matchedCellsMoved =
         optimizeMaxDisplacementFocused(state, matchConfig, focus).cellsMoved;
   }
@@ -328,7 +328,7 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
     // Delta-local trimming: on a dense design the constraint components
     // span most of the netlist, so solving a whole component per request
     // would cost as much as a cold full-design stage 3. Keep only the
-    // cells within froChainHalo chain positions of a dirty/touched cell —
+    // cells within kEcoChainHalo chain positions of a dirty/touched cell —
     // they share its row, hence its component — and solve each dirty
     // component's kept cells; everything further acts as a fixed wall
     // (range clamp) in the solve. Only the rows holding a dirty or touched
@@ -336,51 +336,44 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
     const auto isDirtyOrTouched = [&](CellId c) {
       return isDirty[static_cast<std::size_t>(c)] != 0 || tracker.isTouched(c);
     };
-    std::vector<CellId> kept;
-    if (config.froChainHalo > 0) {
-      std::vector<char> rowHit(static_cast<std::size_t>(design.numRows), 0);
-      for (const std::vector<CellId>* cells :
-           {&dirty, &seed.unreplayable, &touched}) {
-        for (const CellId c : *cells) {
-          const Cell& cell = design.cells[c];
-          if (!cell.placed) continue;
-          for (std::int64_t y = cell.y; y < cell.y + design.heightOf(c); ++y) {
-            rowHit[static_cast<std::size_t>(y)] = 1;
-          }
-        }
-      }
-      const int halo = config.froChainHalo;
-      std::vector<CellId> row;
-      for (std::int64_t y = 0; y < design.numRows; ++y) {
-        if (rowHit[static_cast<std::size_t>(y)] == 0) continue;
-        row.clear();
-        for (const auto& [x, c] : state.rowCells(y)) {
-          (void)x;
-          row.push_back(c);
-        }
-        const int n = static_cast<int>(row.size());
-        for (int j = 0; j < n; ++j) {
-          if (!isDirtyOrTouched(row[static_cast<std::size_t>(j)])) continue;
-          const int hi = std::min(n - 1, j + halo);
-          for (int t = std::max(0, j - halo); t <= hi; ++t) {
-            kept.push_back(row[static_cast<std::size_t>(t)]);
-          }
+    std::vector<char> rowHit(static_cast<std::size_t>(design.numRows), 0);
+    for (const std::vector<CellId>* cells :
+         {&dirty, &seed.unreplayable, &touched}) {
+      for (const CellId c : *cells) {
+        const Cell& cell = design.cells[c];
+        if (!cell.placed) continue;
+        for (std::int64_t y = cell.y; y < cell.y + design.heightOf(c); ++y) {
+          rowHit[static_cast<std::size_t>(y)] = 1;
         }
       }
     }
-    const std::vector<std::vector<CellId>> subsets = fixedRowOrderComponents(
-        state, config.froChainHalo > 0 ? &kept : nullptr);
-    for (const auto& subset : subsets) {
-      if (config.froChainHalo <= 0 &&
-          std::none_of(subset.begin(), subset.end(), isDirtyOrTouched)) {
-        continue;
+    std::vector<CellId> kept;
+    std::vector<CellId> row;
+    for (std::int64_t y = 0; y < design.numRows; ++y) {
+      if (rowHit[static_cast<std::size_t>(y)] == 0) continue;
+      row.clear();
+      for (const auto& [x, c] : state.rowCells(y)) {
+        (void)x;
+        row.push_back(c);
       }
+      const int n = static_cast<int>(row.size());
+      for (int j = 0; j < n; ++j) {
+        if (!isDirtyOrTouched(row[static_cast<std::size_t>(j)])) continue;
+        const int hi = std::min(n - 1, j + kEcoChainHalo);
+        for (int t = std::max(0, j - kEcoChainHalo); t <= hi; ++t) {
+          kept.push_back(row[static_cast<std::size_t>(t)]);
+        }
+      }
+    }
+    const std::vector<std::vector<CellId>> subsets =
+        fixedRowOrderComponents(state, &kept);
+    for (const auto& subset : subsets) {
       ++stats.dirtySegments;
       if (seed.cleanCellsLegal) {
         audited.insert(audited.end(), subset.begin(), subset.end());
       }
       FroSolverReuse reuse;
-      for (int pass = 0; pass < std::max(1, config.mcfPasses); ++pass) {
+      for (int pass = 0; pass < kEcoMcfPasses; ++pass) {
         const auto froStats = optimizeFixedRowOrderSubset(
             state, segments, froConfig, subset, &reuse);
         stats.mcfCellsMoved += froStats.cellsMoved;

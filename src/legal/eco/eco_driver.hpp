@@ -22,10 +22,10 @@
 //     or re-run its window search against the freed displacement;
 //  3. re-runs Stage 3 (fixed-row/fixed-order MCF, §3.3) only on the
 //     constraint-graph components containing dirty or spilled cells — each
-//     trimmed to the `froChainHalo` chain neighborhood of those cells,
+//     trimmed to the `kEcoChainHalo` chain neighborhood of those cells,
 //     with everything beyond the trim acting as a fixed wall, so the solve
 //     is delta-sized even when the component spans the netlist — in
-//     `mcfPasses` passes through one persistent NetworkSimplexSolver per
+//     `kEcoMcfPasses` passes through one persistent NetworkSimplexSolver per
 //     component: pass 1 solves cold and retains the basis, later passes
 //     warm-restart on the same topology with drifted costs (cold fallback
 //     on validation failure is automatic and counted);
@@ -64,28 +64,29 @@
 
 namespace mclg {
 
+/// Stage-3 passes per dirty component. Pass 1 is cold; later passes
+/// warm-restart (and are skipped once a pass moves nothing).
+inline constexpr int kEcoMcfPasses = 2;
+/// Stage-3 locality: before solving a dirty component, trim it to the
+/// cells within this many chain positions (per row, in row order) of a
+/// dirty or touched cell. Cells outside the trimmed subset become fixed
+/// walls — their separation clamps the boundary cells' feasible ranges
+/// (optimizeFixedRowOrderSubset) — so the solve cost is proportional to
+/// the delta rather than to the enclosing component, which on a dense
+/// design is most of the netlist. The wall approximation is covered by the
+/// same score tolerance as the other incremental shortcuts. The focused
+/// §3.2 matching trims its chunks to the same halo.
+inline constexpr int kEcoChainHalo = 24;
+
 struct EcoConfig {
   /// Stage configs for the incremental stages and for any full-pipeline
   /// fallback / shadow run. guard.enabled additionally wraps the fallback
   /// full run in the stage transactions.
   PipelineConfig pipeline;
-  /// Halo (sites x rows) added around each dirty cell's windows to bound
-  /// the displacement spill region (eco_planner.hpp).
+  /// Halo added around each dirty cell's windows to bound the
+  /// displacement spill region (eco_planner.hpp): haloSites sites wide and
+  /// max(2, haloSites / 4) rows tall.
   int haloSites = 48;
-  int haloRows = 12;
-  /// Stage-3 passes per dirty component. Pass 1 is cold; passes >= 2
-  /// warm-restart (and are skipped once a pass moves nothing).
-  int mcfPasses = 2;
-  /// Stage-3 locality: before solving a dirty component, trim it to the
-  /// cells within this many chain positions (per row, in row order) of a
-  /// dirty or touched cell. Cells outside the trimmed subset become fixed
-  /// walls — their separation clamps the boundary cells' feasible ranges
-  /// (optimizeFixedRowOrderSubset) — so the solve cost is proportional to
-  /// the delta rather than to the enclosing component, which on a dense
-  /// design is most of the netlist. The wall approximation is covered by
-  /// the same score tolerance as the other incremental shortcuts. 0 solves
-  /// whole components.
-  int froChainHalo = 24;
   /// Rip-up threshold (row heights) for the post-insertion recovery pass —
   /// lower than the standalone refiner's default because the incremental
   /// insertion is exactly what strands cells.

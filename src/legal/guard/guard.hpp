@@ -117,13 +117,8 @@ struct GuardConfig {
   /// Eq. 10 at every stage boundary, which costs a full-design audit per
   /// stage. The CLI turns it on by default (--no-guard opts out).
   bool enabled = false;
-  /// Audit overlap / core / parity / fence and placed-count monotonicity
-  /// after each stage.
-  bool validateLegality = true;
-  /// Audit Eq. 10 non-regression after each post-MGL stage (before MGL the
-  /// cells are unplaced, so the score is undefined).
-  bool validateScore = true;
-  /// Allowed relative Eq. 10 regression per stage before rollback.
+  /// Allowed relative Eq. 10 regression per post-MGL stage before rollback
+  /// (before MGL the cells are unplaced, so the score is undefined).
   double scoreTolerance = 0.05;
   /// Wall-clock budget per stage attempt; <= 0 means unlimited. MGL
   /// cancels cooperatively at batch boundaries; the single-threaded stages
@@ -136,10 +131,10 @@ struct GuardConfig {
   /// burning the remaining stages' budgets. Unlimited by default — batch
   /// and CLI runs are unaffected.
   Deadline requestDeadline;
-  /// Attempts per stage (1 initial + retries after rollback).
+  /// Attempts per stage (1 initial + retries after rollback, relaxed where
+  /// the stage has a relaxation). An optional stage that fails every
+  /// attempt is skipped.
   int maxAttempts = 2;
-  bool allowRetry = true;     // re-run after rollback, relaxed if possible
-  bool allowSkip = true;      // optional stages may be skipped on failure
   bool allowFallback = true;  // Tetris baseline if MGL fails every attempt
   FaultPlan faults;           // test-only deterministic fault injection
 };

@@ -26,44 +26,39 @@ int countUnplacedMovable(const Design& design) {
 
 InvariantResult checkStageInvariants(const Design& design,
                                      const SegmentMap& segments,
-                                     const GuardConfig& config,
+                                     double scoreTolerance,
                                      PipelineStage stage, int unplacedBefore,
                                      double scoreBefore) {
   InvariantResult result;
-  if (config.validateLegality) {
-    const LegalityReport legality = checkLegality(design, segments);
-    if (legality.overlaps > 0) {
-      result.violation = describe("overlapping cell pairs", legality.overlaps);
-    } else if (legality.outOfCore > 0) {
-      result.violation = describe("cells outside the core", legality.outOfCore);
-    } else if (legality.parityViolations > 0) {
-      result.violation =
-          describe("P/G parity violations", legality.parityViolations);
-    } else if (legality.fenceViolations > 0) {
-      result.violation =
-          describe("fence violations", legality.fenceViolations);
-    } else if (legality.unplacedCells > unplacedBefore) {
-      result.violation = "stage unplaced cells (" +
-                         std::to_string(unplacedBefore) + " -> " +
-                         std::to_string(legality.unplacedCells) + ")";
-    }
-    if (!result.violation.empty()) {
-      result.ok = false;
-      return result;
-    }
+  const LegalityReport legality = checkLegality(design, segments);
+  if (legality.overlaps > 0) {
+    result.violation = describe("overlapping cell pairs", legality.overlaps);
+  } else if (legality.outOfCore > 0) {
+    result.violation = describe("cells outside the core", legality.outOfCore);
+  } else if (legality.parityViolations > 0) {
+    result.violation =
+        describe("P/G parity violations", legality.parityViolations);
+  } else if (legality.fenceViolations > 0) {
+    result.violation = describe("fence violations", legality.fenceViolations);
+  } else if (legality.unplacedCells > unplacedBefore) {
+    result.violation = "stage unplaced cells (" +
+                       std::to_string(unplacedBefore) + " -> " +
+                       std::to_string(legality.unplacedCells) + ")";
   }
-  if (config.validateScore) {
-    result.score = evaluateScore(design, segments).score;
-    // Regression check only when a pre-stage score exists (post-MGL stages);
-    // MGL itself turns an unscoreable GP input into a placement.
-    if (stage != PipelineStage::Mgl && scoreBefore >= 0.0 &&
-        result.score > scoreBefore * (1.0 + config.scoreTolerance) + 1e-9) {
-      result.ok = false;
-      result.violation = "Eq. 10 score regressed " +
-                         std::to_string(scoreBefore) + " -> " +
-                         std::to_string(result.score) + " (tolerance " +
-                         std::to_string(config.scoreTolerance) + ")";
-    }
+  if (!result.violation.empty()) {
+    result.ok = false;
+    return result;
+  }
+  result.score = evaluateScore(design, segments).score;
+  // Regression check only when a pre-stage score exists (post-MGL stages);
+  // MGL itself turns an unscoreable GP input into a placement.
+  if (stage != PipelineStage::Mgl && scoreBefore >= 0.0 &&
+      result.score > scoreBefore * (1.0 + scoreTolerance) + 1e-9) {
+    result.ok = false;
+    result.violation = "Eq. 10 score regressed " +
+                       std::to_string(scoreBefore) + " -> " +
+                       std::to_string(result.score) + " (tolerance " +
+                       std::to_string(scoreTolerance) + ")";
   }
   return result;
 }

@@ -28,12 +28,14 @@ struct InvariantResult {
   double score = -1.0;    // Eq. 10 of the audited placement; -1 = not measured
 };
 
-/// Post-stage audit per GuardConfig. `unplacedBefore` is the movable
-/// unplaced count entering the stage; `scoreBefore` the Eq. 10 score
-/// entering it (-1 when unavailable, which disables the regression check).
+/// Post-stage audit: hard legality, placed-count monotonicity, and Eq. 10
+/// within `scoreTolerance` (relative) of `scoreBefore`. `unplacedBefore` is
+/// the movable unplaced count entering the stage; `scoreBefore` the Eq. 10
+/// score entering it (-1 when unavailable, which disables the regression
+/// check).
 InvariantResult checkStageInvariants(const Design& design,
                                      const SegmentMap& segments,
-                                     const GuardConfig& config,
+                                     double scoreTolerance,
                                      PipelineStage stage, int unplacedBefore,
                                      double scoreBefore);
 

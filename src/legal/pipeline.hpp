@@ -7,6 +7,9 @@
 // This is the library's primary entry point.
 #pragma once
 
+#include <optional>
+#include <string>
+
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
 #include "legal/guard/guard.hpp"
@@ -56,6 +59,9 @@ struct PipelineConfig {
   /// Total-displacement setup (Table 2): unit weights, fences present but
   /// routability constraints ignored, no max-displacement weighting.
   static PipelineConfig totalDisplacement();
+  /// The preset named `name` ("contest" or "totaldisp"); nothing for any
+  /// other name. Every front end resolves --preset / `preset =` here.
+  static std::optional<PipelineConfig> preset(const std::string& name);
 };
 
 struct PipelineStats {
@@ -97,7 +103,10 @@ class StageClock {
   double cpuStart_;
 };
 
-/// Legalize all unplaced movable cells of the design behind `state`.
+/// Legalize all unplaced movable cells of the design behind `state` by
+/// running the enabled stages in order: each once when config.guard is off
+/// (a stage exception propagates), each as a guarded transaction when it
+/// is on (legal/guard/guard.hpp).
 /// \pre  every placed cell (fixed or previously legalized) is overlap-free;
 ///       unplaced movable cells carry their GP targets in gpX/gpY.
 /// \post all movable cells are placed and legal unless the design is

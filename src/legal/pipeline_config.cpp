@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 namespace mclg {
 namespace {
@@ -67,13 +68,9 @@ bool applyConfigText(const std::string& text, PipelineConfig* config,
     double okDouble = 0.0;
     int okInt = 0;
     if (key == "preset") {
-      if (value == "contest") {
-        *config = PipelineConfig::contest();
-      } else if (value == "totaldisp") {
-        *config = PipelineConfig::totalDisplacement();
-      } else {
-        return fail("unknown preset '" + value + "'");
-      }
+      auto preset = PipelineConfig::preset(value);
+      if (!preset) return fail("unknown preset '" + value + "'");
+      *config = std::move(*preset);
     } else if (key == "mgl.window.w" && parseInt(value, &okInt)) {
       config->mgl.window.initialW = okInt;
     } else if (key == "mgl.window.h" && parseInt(value, &okInt)) {
@@ -139,20 +136,12 @@ bool applyConfigText(const std::string& text, PipelineConfig* config,
       config->recovery.passes = okInt;
     } else if (key == "guard.run" && parseBool(value, &okBool)) {
       config->guard.enabled = okBool;
-    } else if (key == "guard.validate_legality" && parseBool(value, &okBool)) {
-      config->guard.validateLegality = okBool;
-    } else if (key == "guard.validate_score" && parseBool(value, &okBool)) {
-      config->guard.validateScore = okBool;
     } else if (key == "guard.score_tolerance" && parseDouble(value, &okDouble)) {
       config->guard.scoreTolerance = okDouble;
     } else if (key == "guard.stage_budget" && parseDouble(value, &okDouble)) {
       config->guard.stageBudgetSeconds = okDouble;
     } else if (key == "guard.max_attempts" && parseInt(value, &okInt)) {
       config->guard.maxAttempts = okInt;
-    } else if (key == "guard.allow_retry" && parseBool(value, &okBool)) {
-      config->guard.allowRetry = okBool;
-    } else if (key == "guard.allow_skip" && parseBool(value, &okBool)) {
-      config->guard.allowSkip = okBool;
     } else if (key == "guard.allow_fallback" && parseBool(value, &okBool)) {
       config->guard.allowFallback = okBool;
     } else if (key == "guard.fault_seed" && parseInt(value, &okInt)) {
@@ -211,14 +200,9 @@ std::string configToText(const PipelineConfig& config) {
   out << "recovery.budget = " << config.recovery.maxAddedDisplacement << "\n";
   out << "recovery.passes = " << config.recovery.passes << "\n";
   out << "guard.run = " << b(config.guard.enabled) << "\n";
-  out << "guard.validate_legality = " << b(config.guard.validateLegality)
-      << "\n";
-  out << "guard.validate_score = " << b(config.guard.validateScore) << "\n";
   out << "guard.score_tolerance = " << config.guard.scoreTolerance << "\n";
   out << "guard.stage_budget = " << config.guard.stageBudgetSeconds << "\n";
   out << "guard.max_attempts = " << config.guard.maxAttempts << "\n";
-  out << "guard.allow_retry = " << b(config.guard.allowRetry) << "\n";
-  out << "guard.allow_skip = " << b(config.guard.allowSkip) << "\n";
   out << "guard.allow_fallback = " << b(config.guard.allowFallback) << "\n";
   return out.str();
 }

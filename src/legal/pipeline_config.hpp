@@ -22,7 +22,8 @@
 //   guard.run = false            # transactional stage guard (legal/guard/)
 //   guard.score_tolerance = 0.05
 //   guard.stage_budget = 0       # seconds per stage attempt; 0 = unlimited
-//   guard.max_attempts = 2
+//   guard.max_attempts = 2       # 1 = no retry; failed optional stages skip
+//   guard.allow_fallback = true  # Tetris baseline if MGL fails every attempt
 //   guard.fault_seed = 42        # arm one deterministic injected fault
 #pragma once
 

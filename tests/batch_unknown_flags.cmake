@@ -56,6 +56,17 @@ expect_cli_exit(1 evaluate --in ${missing_design} --limit 5)
 expect_cli_exit(1 violations --in ${missing_design} stray)
 expect_cli_exit(1 generate --cells 100 --density)
 expect_cli_exit(1 svg --in)
+# Values no run can honour are usage errors too, raised before the design
+# is read: an unknown preset, and the full-run --ripup / --recover-hpwl
+# stages on an incremental --eco-from run.
+expect_cli_exit(1 legalize --in ${missing_design} --preset typo)
+if(NOT last_stderr MATCHES "unknown preset 'typo'")
+  message(FATAL_ERROR "no unknown-preset message:\n${last_stderr}")
+endif()
+expect_cli_exit(1 legalize --in ${missing_design} --eco-from ${missing_design}
+                --ripup)
+expect_cli_exit(1 legalize --in ${missing_design} --eco-from ${missing_design}
+                --recover-hpwl)
 
 # Known flags, including --log-json on any subcommand, get past parsing and
 # fail on the missing design.

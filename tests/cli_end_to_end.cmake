@@ -63,6 +63,19 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   if(report_err OR committed LESS 1)
     message(FATAL_ERROR "run.json counters missing mgl.insert.committed")
   endif()
+  # --ripup and --recover-hpwl turn on pipeline stages, so the run report
+  # records them like any other stage: one clean guarded attempt each.
+  foreach(stage ripup recovery)
+    string(JSON stage_status ERROR_VARIABLE status_err
+           GET "${report_text}" stages ${stage} status)
+    string(JSON stage_attempts ERROR_VARIABLE attempts_err
+           GET "${report_text}" stages ${stage} attempts)
+    if(status_err OR attempts_err OR NOT stage_status STREQUAL "ok"
+       OR NOT stage_attempts EQUAL 1)
+      message(FATAL_ERROR "run.json stages.${stage}: status "
+              "'${stage_status}', attempts '${stage_attempts}'; want ok, 1")
+    endif()
+  endforeach()
 endif()
 run_cli(svg --in ${WORKDIR}/legal.mclg --out ${WORKDIR}/legal.svg)
 

@@ -176,7 +176,7 @@ struct GuardedRun {
   int unplaced = 0;
 };
 
-GuardedRun legalizeGuarded(Design& design, int threads) {
+GuardedRun runGuarded(Design& design, int threads) {
   const SegmentMap segments(design);
   PlacementState state(design);
   PipelineConfig config = PipelineConfig::contest();
@@ -195,12 +195,12 @@ TEST(ExecutorDeterminism, PlacementDoesNotDependOnThreadCount) {
       2 * static_cast<int>(std::thread::hardware_concurrency()) + 5;
   for (const double density : {0.6, 0.9}) {
     Design reference = generate(spec(502, density));
-    const GuardedRun expected = legalizeGuarded(reference, 1);
+    const GuardedRun expected = runGuarded(reference, 1);
     EXPECT_TRUE(expected.legal) << "density " << density;
     EXPECT_EQ(expected.unplaced, 0) << "density " << density;
     for (const int threads : {2, 3, 7, oversubscribed}) {
       Design design = generate(spec(502, density));
-      EXPECT_EQ(legalizeGuarded(design, threads).hash, expected.hash)
+      EXPECT_EQ(runGuarded(design, threads).hash, expected.hash)
           << "density " << density << " threads " << threads;
     }
   }

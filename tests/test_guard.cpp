@@ -1,7 +1,7 @@
 // Pipeline guard tests: every FaultPlan injection point, transactional
 // rollback (byte-identical PlacementState restore), degradation policies
 // (retry / skip / Tetris fallback), budget exhaustion, and the per-stage
-// records of unguarded runs.
+// records and exception propagation of unguarded runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -315,6 +315,30 @@ TEST(Guard, UnguardedRunRecordsStageOutcomes) {
             StageStatus::Disabled);
   EXPECT_EQ(stats.guard.at(PipelineStage::FixedRowOrder).attempts, 0);
   EXPECT_EQ(stats.guard.infeasibleCells, 0);
+}
+
+// Guard off, a stage exception leaves legalize() as thrown: one attempt,
+// no rollback to the GP input, no retry and no Tetris fallback.
+TEST(Guard, UnguardedStageExceptionPropagates) {
+  Design design = generate(guardSpec(21));
+  SegmentMap segments(design);
+  PlacementState state(design);
+  const int unplacedBefore = countUnplacedMovable(design);
+  PipelineConfig config = PipelineConfig::contest();
+  ASSERT_FALSE(config.guard.enabled);
+  constexpr int kFaultTask = 10;
+  int calls = 0;
+  config.mgl.taskHook = [&calls](int task) {
+    ++calls;
+    if (task == kFaultTask) {
+      throw MclgError("task fault", ErrorKind::Injected);
+    }
+  };
+  EXPECT_THROW(legalize(state, segments, config), MclgError);
+  EXPECT_EQ(calls, kFaultTask + 1);  // tasks 0..10, once each
+  const int unplacedAfter = countUnplacedMovable(design);
+  EXPECT_LT(unplacedAfter, unplacedBefore);  // no rollback
+  EXPECT_GT(unplacedAfter, 0);               // no fallback completed it
 }
 
 TEST(Guard, SummaryTableListsEveryStage) {

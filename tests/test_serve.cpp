@@ -66,8 +66,8 @@ std::vector<CellId> movableCells(const Design& design) {
   return out;
 }
 
-/// The config the daemon builds per tenant (serve_session.cpp
-/// cliEquivalentConfig): contest preset, guard on, single-threaded.
+/// The config the daemon builds per tenant (ServeSession::load): contest
+/// preset, guard on, single-threaded.
 PipelineConfig tenantConfig() {
   PipelineConfig config = PipelineConfig::contest();
   config.guard.enabled = true;
@@ -816,6 +816,30 @@ TEST_F(ServeServerTest, MalformedAndUnexpectedFramesAnswerMalformed) {
             roundTrip(client, FrameType::Heartbeat, "pid=1\n").status);
   EXPECT_EQ(ServeStatus::Malformed,
             roundTrip(client, FrameType::Result, "status=ok\n").status);
+}
+
+// An unknown preset is refused before any legalization: no session opens,
+// and the tenant name stays free for a corrected load.
+TEST_F(ServeServerTest, UnknownPresetOpensNoSession) {
+  ServeServer server{ServeConfig{}};
+  Client client(server);
+  LoadDesignRequest typo;
+  typo.id = 1;
+  typo.tenant = "t0";
+  typo.preset = "typo";
+  typo.designText = designText_;
+  const ServeResponse refused = roundTrip(client, FrameType::LoadDesign,
+                                          serializeLoadDesign(typo));
+  EXPECT_EQ(ServeStatus::Malformed, refused.status);
+  EXPECT_NE(std::string::npos, refused.error.find("unknown preset 'typo'"));
+  EXPECT_EQ(0, server.tenants());
+  EXPECT_EQ(ServeStatus::UnknownTenant,
+            roundTrip(client, FrameType::Commit, tenantPayload("t0")).status);
+
+  const ServeResponse loaded =
+      roundTrip(client, FrameType::LoadDesign, loadPayload("t0", designText_));
+  EXPECT_EQ(ServeStatus::Ok, loaded.status) << loaded.error;
+  EXPECT_EQ(1, server.tenants());
 }
 
 TEST_F(ServeServerTest, CorruptStreamGetsOneAnswerThenHangup) {

@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
   }
 
   const std::string presetName = args.value("--preset").value_or("contest");
-  if (presetName != "contest" && presetName != "totaldisp") {
+  if (!PipelineConfig::preset(presetName)) {
     std::fprintf(stderr, "unknown preset '%s'\n", presetName.c_str());
     return kExitUsage;
   }

@@ -26,8 +26,6 @@
 //   4  structured parse error in an input file
 //   5  internal error (unrecoverable stage failure or unexpected exception)
 
-#include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -36,10 +34,10 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
-#include "flow/worker_protocol.hpp"
 #include "eval/report.hpp"
 #include "eval/design_stats.hpp"
 #include "eval/metrics.hpp"
@@ -55,9 +53,6 @@
 #include "obs/obs.hpp"
 #include "obs/run_report.hpp"
 #include "parsers/parse_error.hpp"
-#include "legal/refine/ripup_refine.hpp"
-#include "legal/refine/wirelength_recovery.hpp"
-#include "util/timer.hpp"
 #include "parsers/bookshelf.hpp"
 #include "parsers/def_parser.hpp"
 #include "parsers/lef_parser.hpp"
@@ -150,10 +145,6 @@ const char kHelp[] =
     "              [--report-out r.json]  versioned machine-readable run\n"
     "                                     report (stats + metrics + quality\n"
     "                                     + provenance)\n"
-    "              [--report-fd N]        stream the result + run report as\n"
-    "                                     length-prefixed frames over the\n"
-    "                                     inherited fd N (supervisor worker\n"
-    "                                     protocol, docs/ROBUSTNESS.md)\n"
     "              incremental ECO mode (see docs/ECO.md):\n"
     "              [--eco-from legal.mclg] re-legalize only the cells that\n"
     "                                     changed vs. this legal snapshot\n"
@@ -165,6 +156,9 @@ const char kHelp[] =
     "              [--eco-tolerance T]    allowed relative score regression\n"
     "              [--eco-ripup-threshold D] rip up touched cells displaced\n"
     "                                     more than D row heights\n"
+    "                                     (--ripup and --recover-hpwl are\n"
+    "                                     full-run stages: a usage error\n"
+    "                                     with --eco-from)\n"
     "  evaluate    --in legal.mclg\n"
     "  violations  --in legal.mclg [--limit N]\n"
     "  stats       --in design.mclg\n"
@@ -253,6 +247,21 @@ int cmdGenerate(const Args& args) {
 }
 
 int cmdLegalize(const Args& args) {
+  const std::string presetName =
+      args.get("--preset").value_or("contest");
+  auto preset = PipelineConfig::preset(presetName);
+  if (!preset) {
+    std::fprintf(stderr, "unknown preset '%s' (contest or totaldisp)\n",
+                 presetName.c_str());
+    return kExitUsage;
+  }
+  if (args.get("--eco-from") &&
+      (args.has("--ripup") || args.has("--recover-hpwl"))) {
+    std::fprintf(stderr,
+                 "--ripup and --recover-hpwl cannot be combined with "
+                 "--eco-from (see --eco-ripup-threshold)\n");
+    return kExitUsage;
+  }
   int exitCode = kExitUsage;
   auto design = loadInput(args, &exitCode);
   if (!design) return exitCode;
@@ -261,37 +270,16 @@ int cmdLegalize(const Args& args) {
   // corresponding collection before the pipeline runs.
   const auto traceOut = args.get("--trace-out");
   const auto reportOut = args.get("--report-out");
-  // --report-fd: stream the result + run report over an inherited pipe fd
-  // using the supervisor worker protocol (flow/worker_protocol.hpp), which
-  // makes any `mclg_cli legalize` invocation usable as a supervised worker.
-  int reportFd = -1;
-  if (const auto fdText = args.get("--report-fd")) {
-    errno = 0;
-    char* end = nullptr;
-    const long parsed = std::strtol(fdText->c_str(), &end, 10);
-    if (end == fdText->c_str() || *end != '\0' || errno == ERANGE ||
-        parsed < 3 || parsed > 4096) {
-      std::fprintf(stderr,
-                   "invalid --report-fd '%s' (want an inherited fd >= 3)\n",
-                   fdText->c_str());
-      return kExitUsage;
-    }
-    reportFd = static_cast<int>(parsed);
-  }
   if (traceOut) {
     obs::setTracingEnabled(true);
     obs::traceReset();
   }
-  if (reportOut || reportFd >= 0) {
+  if (reportOut) {
     obs::setMetricsEnabled(true);
     obs::metricsReset();
   }
 
-  const std::string presetName =
-      args.get("--preset").value_or("contest");
-  PipelineConfig config = presetName == "totaldisp"
-                              ? PipelineConfig::totalDisplacement()
-                              : PipelineConfig::contest();
+  PipelineConfig config = std::move(*preset);
   // The CLI runs guarded by default: every stage is a transaction with
   // rollback + degradation, and the run ends with a GuardReport summary.
   config.guard.enabled = true;
@@ -327,6 +315,16 @@ int cmdLegalize(const Args& args) {
   config.maxDisp.delta0 = args.getDouble("--delta0", config.maxDisp.delta0);
   config.fixedRowOrder.maxDispWeight =
       args.getDouble("--n0", config.fixedRowOrder.maxDispWeight);
+  if (args.has("--ripup")) {
+    config.runRipup = true;
+    config.ripup.displacementThreshold = args.getDouble(
+        "--ripup-threshold", config.ripup.displacementThreshold);
+  }
+  if (args.has("--recover-hpwl")) {
+    config.runWirelengthRecovery = true;
+    config.recovery.maxAddedDisplacement = args.getDouble(
+        "--hpwl-budget", config.recovery.maxAddedDisplacement);
+  }
 
   SegmentMap segments(*design);
   PlacementState state(*design);
@@ -345,7 +343,6 @@ int cmdLegalize(const Args& args) {
     eco.exact = args.has("--eco-exact");
     eco.validate = args.has("--eco-validate");
     eco.haloSites = static_cast<int>(args.getInt("--eco-halo", eco.haloSites));
-    eco.haloRows = std::max(2, eco.haloSites / 4);
     eco.scoreTolerance =
         args.getDouble("--eco-tolerance", eco.scoreTolerance);
     eco.ripupThreshold =
@@ -376,27 +373,18 @@ int cmdLegalize(const Args& args) {
         stats.secondsMgl, stats.mgl.placed, stats.mgl.fallbackPlaced,
         stats.mgl.failed, stats.secondsMaxDisp, stats.maxDisp.cellsMoved,
         stats.secondsFixedRowOrder, stats.fixedRowOrder.cellsMoved);
+    if (config.runRipup) {
+      std::printf("ripup %.2fs (attempted %d, improved %d, gain %.3f)\n",
+                  stats.secondsRipup, stats.ripup.attempted,
+                  stats.ripup.improved, stats.ripup.gain);
+    }
+    if (config.runWirelengthRecovery) {
+      std::printf("hpwl recovery %.2fs (moved %d, HPWL %.0f -> %.0f)\n",
+                  stats.secondsRecovery, stats.recovery.cellsMoved,
+                  stats.recovery.hpwlBefore, stats.recovery.hpwlAfter);
+    }
   }
 
-  if (args.has("--ripup")) {
-    RipupConfig ripup;
-    ripup.displacementThreshold = args.getDouble("--ripup-threshold", 5.0);
-    ripup.insertion = config.mgl.insertion;
-    Timer timer;
-    const auto ripupStats = ripupRefine(state, segments, ripup);
-    std::printf("ripup %.2fs (attempted %d, improved %d, gain %.3f)\n",
-                timer.seconds(), ripupStats.attempted, ripupStats.improved,
-                ripupStats.gain);
-  }
-  if (args.has("--recover-hpwl")) {
-    WirelengthRecoveryConfig recovery;
-    recovery.maxAddedDisplacement = args.getDouble("--hpwl-budget", 2.0);
-    Timer timer;
-    const auto recoveryStats = recoverWirelength(state, segments, recovery);
-    std::printf("hpwl recovery %.2fs (moved %d, HPWL %.0f -> %.0f)\n",
-                timer.seconds(), recoveryStats.cellsMoved,
-                recoveryStats.hpwlBefore, recoveryStats.hpwlAfter);
-  }
   if (args.has("--fillers")) {
     const auto fillerStats = insertFillers(state, segments);
     std::printf("fillers: %d cells covering %lld sites\n",
@@ -466,36 +454,6 @@ int cmdLegalize(const Args& args) {
     exitCode = kExitDegraded;
   }
 
-  if (reportFd >= 0) {
-    WorkerResult wire;
-    wire.status = workerStatusFromExit(exitCode);
-    wire.seconds = stats.secondsTotal();
-    wire.placementHash = placementHash(*design);
-    wire.score = score.score;
-    wire.numCells = design->numCells();
-    if (exitCode == kExitInfeasible) {
-      wire.error = std::to_string(std::max(guard.infeasibleCells,
-                                           score.legality.unplacedCells)) +
-                   " cells unplaced or placement not legal";
-    } else if (exitCode == kExitInternal) {
-      wire.error = "guard: unrecoverable stage failure";
-    }
-    obs::RunProvenance provenance;
-    provenance.design = design->name;
-    provenance.numCells = design->numCells();
-    provenance.preset = presetName;
-    provenance.threads = threads;
-    provenance.guardEnabled = config.guard.enabled;
-    if (!writeFrame(reportFd, FrameType::Result,
-                    serializeWorkerResult(wire)) ||
-        !writeFrame(reportFd, FrameType::Report,
-                    obs::renderRunReport(provenance, stats, &score,
-                                         /*includeMetrics=*/true,
-                                         ecoStats ? &*ecoStats : nullptr))) {
-      std::fprintf(stderr, "cannot write frames to --report-fd %d\n",
-                   reportFd);
-    }
-  }
   return exitCode;
 }
 
@@ -677,7 +635,7 @@ const Command kCommands[] = {
      {"--in", "--out", "--preset", "--config", "--threads", "--delta0",
       "--n0", "--ripup-threshold", "--hpwl-budget", "--guard-budget",
       "--guard-attempts", "--fault-seed", "--trace-out", "--report-out",
-      "--report-fd", "--eco-from", "--eco-halo", "--eco-tolerance",
+      "--eco-from", "--eco-halo", "--eco-tolerance",
       "--eco-ripup-threshold"},
      {"--no-maxdisp", "--no-mcf", "--ripup", "--recover-hpwl", "--fillers",
       "--no-guard", "--eco-exact", "--eco-validate"}},
