@@ -7,49 +7,13 @@
 
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
+#include "eval/checkers.hpp"
 #include "eval/metrics.hpp"
 #include "eval/score.hpp"
 #include "parsers/simple_format.hpp"
 #include "util/timer.hpp"
 
 namespace mclg {
-namespace {
-
-void legalizeOne(Design& design, const PipelineConfig& pipeline,
-                 bool evaluateScores, BatchDesignResult* result) {
-  result->numCells = design.numCells();
-  try {
-    Timer timer;
-    SegmentMap segments(design);
-    PlacementState state(design);
-    result->stats = legalize(state, segments, pipeline);
-    result->seconds = timer.seconds();
-    result->placementHash = placementHash(design);
-    if (evaluateScores) result->score = evaluateScore(design, segments).score;
-    if (result->stats.guard.failed) {
-      result->status = WorkerStatus::Exception;
-      result->error = "guard: unrecoverable stage failure";
-    } else if (result->stats.mgl.failed > 0 ||
-               result->stats.guard.infeasibleCells > 0) {
-      result->status = WorkerStatus::Infeasible;
-      result->error = std::to_string(std::max(
-                          result->stats.mgl.failed,
-                          result->stats.guard.infeasibleCells)) +
-                      " cells could not be placed";
-    } else if (result->stats.guard.degraded) {
-      result->status = WorkerStatus::GuardDegraded;
-    } else {
-      result->status = WorkerStatus::Ok;
-    }
-  } catch (const std::exception& e) {
-    result->status = WorkerStatus::Exception;
-    result->error = e.what();
-  } catch (...) {
-    result->status = WorkerStatus::Exception;
-    result->error = "unknown error";
-  }
-  result->ok = workerStatusOk(result->status);
-}
 
 std::string manifestNameOf(const std::string& inputPath) {
   const auto slash = inputPath.find_last_of('/');
@@ -59,8 +23,6 @@ std::string manifestNameOf(const std::string& inputPath) {
   if (dot != std::string::npos && dot > 0) base.erase(dot);
   return base;
 }
-
-}  // namespace
 
 bool loadBatchManifest(const std::string& path,
                        std::vector<BatchManifestItem>* items,
@@ -168,7 +130,28 @@ BatchDesignResult runBatchItem(const BatchManifestItem& item,
       result.error = "parse error: " + parseError.str();
       return result;
     }
-    legalizeOne(*design, pipeline, config.evaluateScores, &result);
+    result.numCells = design->numCells();
+    Timer timer;
+    SegmentMap segments(*design);
+    PlacementState state(*design);
+    result.stats = legalize(state, segments, pipeline);
+    result.seconds = timer.seconds();
+    result.placementHash = placementHash(*design);
+    LegalityReport legality;
+    if (config.evaluateScores) {
+      const ScoreBreakdown score = evaluateScore(*design, segments);
+      result.score = score.score;
+      legality = score.legality;
+    } else {
+      legality = checkLegality(*design, segments);
+    }
+    const GuardExitCode outcome =
+        runOutcome(result.stats.guard, legality.legal());
+    result.status = workerStatusFromExit(static_cast<int>(outcome));
+    result.ok = workerStatusOk(result.status);
+    result.error = runOutcomeError(
+        outcome,
+        std::max(result.stats.guard.infeasibleCells, legality.unplacedCells));
     if (result.ok && !item.outputPath.empty() &&
         !saveDesign(*design, item.outputPath)) {
       result.status = WorkerStatus::IoError;

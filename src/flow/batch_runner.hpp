@@ -65,6 +65,9 @@ bool loadBatchManifest(const std::string& path,
                        std::vector<BatchManifestItem>* items,
                        std::string* error);
 
+/// A design's name: its input filename without directory and extension.
+std::string manifestNameOf(const std::string& inputPath);
+
 /// Deterministic manifest shard `index` of `count`: hosts running the same
 /// manifest with i = 0..N-1 partition it exactly (round-robin by manifest
 /// position, order preserved) with no coordination.

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <utility>
 
+#include "legal/guard/guard.hpp"
+
 namespace mclg {
 
 namespace {
@@ -191,6 +193,18 @@ int serveStatusFromName(const std::string& name) {
 
 bool serveStatusOk(ServeStatus status) {
   return status == ServeStatus::Ok || status == ServeStatus::Degraded;
+}
+
+ServeStatus serveStatusFromExit(int exitCode) {
+  switch (static_cast<GuardExitCode>(exitCode)) {
+    case GuardExitCode::Legal: return ServeStatus::Ok;
+    case GuardExitCode::Usage: return ServeStatus::Malformed;
+    case GuardExitCode::Degraded: return ServeStatus::Degraded;
+    case GuardExitCode::Infeasible: return ServeStatus::Infeasible;
+    case GuardExitCode::ParseError: return ServeStatus::ParseError;
+    case GuardExitCode::Internal: return ServeStatus::Internal;
+  }
+  return ServeStatus::Internal;
 }
 
 // ---- LoadDesign ------------------------------------------------------------

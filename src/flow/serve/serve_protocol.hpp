@@ -54,6 +54,9 @@ const char* serveStatusName(ServeStatus status);
 int serveStatusFromName(const std::string& name);
 /// Did the request leave the tenant with a usable placement? (Ok/Degraded.)
 bool serveStatusOk(ServeStatus status);
+/// A run's outcome (GuardExitCode, legal/guard/guard.hpp runOutcome) as
+/// the status a LoadDesign or EcoDelta answers with.
+ServeStatus serveStatusFromExit(int exitCode);
 
 // ---- Requests --------------------------------------------------------------
 

@@ -86,22 +86,15 @@ std::unique_ptr<ServeSession> ServeSession::load(
     return nullptr;
   }
 
-  // The CLI's exit-code classification (guard contract).
-  if (stats.guard.failed) {
-    response->status = ServeStatus::Internal;
-    response->error = "guard: unrecoverable stage failure";
+  const GuardExitCode outcome =
+      runOutcome(stats.guard, score.legality.legal());
+  response->status = serveStatusFromExit(static_cast<int>(outcome));
+  if (!serveStatusOk(response->status)) {
+    response->error = runOutcomeError(
+        outcome,
+        std::max(stats.guard.infeasibleCells, score.legality.unplacedCells));
     return nullptr;
   }
-  if (stats.guard.infeasibleCells > 0 || !score.legality.legal()) {
-    response->status = ServeStatus::Infeasible;
-    response->error =
-        std::to_string(std::max(stats.guard.infeasibleCells,
-                                score.legality.unplacedCells)) +
-        " cells unplaced or placement not legal";
-    return nullptr;
-  }
-  response->status =
-      stats.guard.degraded ? ServeStatus::Degraded : ServeStatus::Ok;
 
   // From here on every edit goes through the undo log and the resident
   // score terms.
@@ -305,23 +298,22 @@ ServeResponse ServeSession::applyDelta(const EcoDeltaRequest& request,
     return fail(ServeStatus::Internal, e.what());
   }
 
-  if (!score.legality.legal()) {
-    return fail(ServeStatus::Infeasible,
-                std::to_string(score.legality.unplacedCells) +
-                    " cells unplaced or placement not legal");
+  const GuardExitCode outcome =
+      runOutcome(GuardReport(), score.legality.legal(), eco.usedFullRun);
+  const ServeStatus status = serveStatusFromExit(static_cast<int>(outcome));
+  if (!serveStatusOk(status)) {
+    return fail(status,
+                runOutcomeError(outcome, score.legality.unplacedCells));
   }
 
   // Adopt: the edited design is the (uncommitted) current placement.
   log_->acceptRequest();
-  response.status =
-      eco.usedFullRun ? ServeStatus::Degraded : ServeStatus::Ok;
-  PipelineStats stats;
-  stats.mgl = eco.mgl;
-  stats.secondsMgl = eco.secondsIncremental;
+  response.status = status;
   exposed_.score = score;
   exposed_.report =
       obs::renderRunReport(provenanceFor(current_, preset_, threads_, config_),
-                           stats, &score, /*includeMetrics=*/false, &eco);
+                           ecoPipelineStats(eco), &score,
+                           /*includeMetrics=*/false, &eco);
   exposed_.hash = placementHash(current_);
   response.hash = exposed_.hash;
   response.score = score.score;

@@ -21,6 +21,7 @@
 #include "obs/sampler.hpp"
 #include "obs/trace_merge.hpp"
 #include "util/executor/executor.hpp"
+#include "util/flags.hpp"
 #include "util/logging.hpp"
 
 namespace mclg {
@@ -42,39 +43,6 @@ constexpr int kWorkerFd = 3;
 
 // ---- Worker side -----------------------------------------------------------
 
-struct WorkerArgs {
-  std::string input;
-  std::string output;
-  std::string name;
-  int fd = -1;
-  int attempt = 0;
-  std::string preset = "contest";
-  int threads = 1;
-  bool scores = false;
-  int telemetryMs = 0;  ///< sampler beat interval; 0 = no telemetry frames
-  bool trace = false;   ///< record spans, ship one TraceChunk at run end
-  std::vector<std::string> faults;
-};
-
-struct FaultSpecParts {
-  std::string design;
-  std::string mode;
-  int count = 0;
-};
-
-bool splitFaultSpec(const std::string& spec, FaultSpecParts* parts) {
-  const auto first = spec.find(':');
-  const auto second = first == std::string::npos
-                          ? std::string::npos
-                          : spec.find(':', first + 1);
-  if (second == std::string::npos) return false;
-  parts->design = spec.substr(0, first);
-  parts->mode = spec.substr(first + 1, second - first - 1);
-  parts->count =
-      static_cast<int>(std::strtol(spec.c_str() + second + 1, nullptr, 10));
-  return !parts->design.empty() && !parts->mode.empty() && parts->count > 0;
-}
-
 /// Die by `sig` with the *default* disposition, bypassing any handler a
 /// sanitizer runtime installed — the supervisor must observe a genuine
 /// signal death, not an ASan exit code.
@@ -95,14 +63,6 @@ bool splitFaultSpec(const std::string& spec, FaultSpecParts* parts) {
   }
 }
 
-std::string baseNameOf(const std::string& path) {
-  const auto slash = path.find_last_of('/');
-  std::string base = slash == std::string::npos ? path : path.substr(slash + 1);
-  const auto dot = base.find_last_of('.');
-  if (dot != std::string::npos && dot > 0) base.erase(dot);
-  return base;
-}
-
 }  // namespace
 
 std::string selfExecutablePath(const std::string& fallback) {
@@ -113,94 +73,100 @@ std::string selfExecutablePath(const std::string& fallback) {
   return std::string(buffer);
 }
 
-int supervisorWorkerMain(int argc, char** argv) {
-  WorkerArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : "";
-    };
-    if (std::strcmp(argv[i], "--worker-input") == 0) {
-      args.input = value();
-    } else if (std::strcmp(argv[i], "--worker-output") == 0) {
-      args.output = value();
-    } else if (std::strcmp(argv[i], "--worker-name") == 0) {
-      args.name = value();
-    } else if (std::strcmp(argv[i], "--worker-fd") == 0) {
-      args.fd = static_cast<int>(std::strtol(value(), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--worker-attempt") == 0) {
-      args.attempt = static_cast<int>(std::strtol(value(), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--preset") == 0) {
-      args.preset = value();
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      args.threads = std::max(
-          1, static_cast<int>(std::strtol(value(), nullptr, 10)));
-    } else if (std::strcmp(argv[i], "--scores") == 0) {
-      args.scores = true;
-    } else if (std::strcmp(argv[i], "--worker-telemetry-ms") == 0) {
-      args.telemetryMs =
-          static_cast<int>(std::strtol(value(), nullptr, 10));
-    } else if (std::strcmp(argv[i], "--worker-trace") == 0) {
-      args.trace = true;
-    } else if (std::strcmp(argv[i], "--worker-fault") == 0) {
-      args.faults.emplace_back(value());
-    }
+bool splitFaultSpec(const std::string& spec, FaultSpecParts* parts) {
+  const auto first = spec.find(':');
+  const auto second = first == std::string::npos
+                          ? std::string::npos
+                          : spec.find(':', first + 1);
+  if (first == 0 || second == std::string::npos) return false;
+  const std::string mode = spec.substr(first + 1, second - first - 1);
+  const std::string count = spec.substr(second + 1);
+  if (mode != "segv" && mode != "abort" && mode != "kill" && mode != "hang" &&
+      mode != "degrade") {
+    return false;
   }
-  if (args.input.empty()) {
+  if (count.empty() || count.size() > 9 ||
+      count.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  parts->design = spec.substr(0, first);
+  parts->mode = mode;
+  parts->count = std::stoi(count);
+  return parts->count > 0;
+}
+
+int supervisorWorkerMain(int argc, char** argv) {
+  using enum FlagKind;
+  static const FlagSpec kWorkerFlags[] = {
+      {"--worker-input", Text}, {"--worker-output", Text},
+      {"--worker-name", Text}, {"--worker-fd", Integer},
+      {"--worker-attempt", Integer}, {"--preset", Text},
+      {"--threads", Integer}, {"--scores", Switch},
+      {"--worker-telemetry-ms", Integer}, {"--worker-trace", Switch},
+      {"--worker-fault", Text},
+  };
+  const auto flags = Flags::parse("worker", kWorkerFlags, argc, argv, 2);
+  if (!flags) return static_cast<int>(GuardExitCode::Usage);
+  const auto input = flags->text("--worker-input");
+  if (!input) {
     std::fprintf(stderr, "worker: missing --worker-input\n");
     return static_cast<int>(GuardExitCode::Usage);
   }
-  if (args.name.empty()) args.name = baseNameOf(args.input);
+  const std::string name =
+      flags->text("--worker-name").value_or(manifestNameOf(*input));
+  const int fd = static_cast<int>(flags->integer("--worker-fd", -1));
+  const int attempt = static_cast<int>(flags->integer("--worker-attempt", 0));
+  const std::string presetName = flags->text("--preset").value_or("contest");
+  const int threads =
+      std::max(1, static_cast<int>(flags->integer("--threads", 1)));
+  const int telemetryMs =
+      static_cast<int>(flags->integer("--worker-telemetry-ms", 0));
+  const bool trace = flags->has("--worker-trace");
 
-  auto preset = PipelineConfig::preset(args.preset);
+  auto preset = PipelineConfig::preset(presetName);
   if (!preset) {
-    std::fprintf(stderr, "worker: unknown preset '%s'\n", args.preset.c_str());
+    std::fprintf(stderr, "worker: unknown preset '%s'\n", presetName.c_str());
     return static_cast<int>(GuardExitCode::Usage);
   }
   BatchRunConfig config;
   config.pipeline = std::move(*preset);
-  config.threadsPerDesign = args.threads;
-  config.evaluateScores = args.scores;
+  config.threadsPerDesign = threads;
+  config.evaluateScores = flags->has("--scores");
 
   // Deterministic fault injection (see supervisor.hpp). Crash modes fire
   // before the pipeline so the death is abrupt; `degrade` arms the guard's
   // FaultPlan instead so the run completes via skip-after-rollback.
-  for (const std::string& spec : args.faults) {
+  for (const std::string& spec : flags->values("--worker-fault")) {
     FaultSpecParts parts;
     if (!splitFaultSpec(spec, &parts)) {
       std::fprintf(stderr, "worker: bad --worker-fault '%s'\n", spec.c_str());
       return static_cast<int>(GuardExitCode::Usage);
     }
-    if (parts.design != args.name || args.attempt >= parts.count) continue;
+    if (parts.design != name || attempt >= parts.count) continue;
     if (parts.mode == "segv") dieBySignal(SIGSEGV);
     if (parts.mode == "abort") dieBySignal(SIGABRT);
     if (parts.mode == "kill") dieBySignal(SIGKILL);
     if (parts.mode == "hang") hangIgnoringSigterm();
-    if (parts.mode == "degrade") {
-      config.pipeline.guard.enabled = true;
-      config.pipeline.guard.maxAttempts = 2;
-      config.pipeline.guard.faults.add(PipelineStage::MaxDisp,
-                                       FaultKind::StageThrow, 0);
-      config.pipeline.guard.faults.add(PipelineStage::MaxDisp,
-                                       FaultKind::StageThrow, 1);
-      continue;
-    }
-    std::fprintf(stderr, "worker: unknown fault mode '%s'\n",
-                 parts.mode.c_str());
-    return static_cast<int>(GuardExitCode::Usage);
+    config.pipeline.guard.enabled = true;  // degrade
+    config.pipeline.guard.maxAttempts = 2;
+    config.pipeline.guard.faults.add(PipelineStage::MaxDisp,
+                                     FaultKind::StageThrow, 0);
+    config.pipeline.guard.faults.add(PipelineStage::MaxDisp,
+                                     FaultKind::StageThrow, 1);
   }
 
   // Metrics populate the streamed run report's metrics block.
   obs::setMetricsEnabled(true);
   obs::metricsReset();
-  if (args.trace) {
+  if (trace) {
     obs::setTracingEnabled(true);
     obs::traceReset();
   }
 
   BatchManifestItem item;
-  item.name = args.name;
-  item.inputPath = args.input;
-  item.outputPath = args.output;
+  item.name = name;
+  item.inputPath = *input;
+  item.outputPath = flags->text("--worker-output").value_or("");
 
   // Telemetry stream: heartbeats + metric deltas from the sampler thread.
   // The sampler writes frames concurrently with the compute thread but is
@@ -210,15 +176,14 @@ int supervisorWorkerMain(int argc, char** argv) {
   // starts, so a hung worker is genuinely silent — exactly the signal the
   // supervisor's stall detection keys on.
   obs::MetricsSampler sampler;
-  if (args.fd >= 0 && args.telemetryMs > 0) {
+  if (fd >= 0 && telemetryMs > 0) {
     obs::SamplerConfig samplerConfig;
-    samplerConfig.intervalMs = args.telemetryMs;
+    samplerConfig.intervalMs = telemetryMs;
     samplerConfig.preSample = [] {
       if (Executor* executor = Executor::globalIfCreated()) {
         executor->sampleGauges();
       }
     };
-    const int fd = args.fd;
     samplerConfig.emit = [fd](const obs::TelemetrySample& sample) {
       WorkerHeartbeat heartbeat;
       heartbeat.pid = static_cast<int>(::getpid());
@@ -244,10 +209,10 @@ int supervisorWorkerMain(int argc, char** argv) {
   // has a single writer again.
   sampler.stop();
 
-  if (args.fd >= 0 && args.trace) {
-    writeFrame(args.fd, FrameType::TraceChunk, obs::serializeTraceChunk());
+  if (fd >= 0 && trace) {
+    writeFrame(fd, FrameType::TraceChunk, obs::serializeTraceChunk());
   }
-  if (args.fd >= 0) {
+  if (fd >= 0) {
     WorkerResult wire;
     wire.status = result.status;
     wire.seconds = result.seconds;
@@ -255,17 +220,17 @@ int supervisorWorkerMain(int argc, char** argv) {
     wire.score = result.score;
     wire.numCells = result.numCells;
     wire.error = result.error;
-    writeFrame(args.fd, FrameType::Result, serializeWorkerResult(wire));
+    writeFrame(fd, FrameType::Result, serializeWorkerResult(wire));
     obs::RunProvenance provenance;
     provenance.design = result.name;
     provenance.numCells = result.numCells;
-    provenance.preset = args.preset;
-    provenance.threads = args.threads;
+    provenance.preset = presetName;
+    provenance.threads = threads;
     provenance.guardEnabled = config.pipeline.guard.enabled;
-    writeFrame(args.fd, FrameType::Report,
+    writeFrame(fd, FrameType::Report,
                obs::renderRunReport(provenance, result.stats, nullptr,
                                     /*includeMetrics=*/true));
-    ::close(args.fd);
+    ::close(fd);
   }
   return workerStatusToExit(result.status);
 }
@@ -439,6 +404,10 @@ WorkerStatus resolveOutcome(const LiveWorker& worker, int waitStatus,
     result->error = readerCorrupted ? "corrupted worker frame stream"
                                     : "worker exited without a result frame";
     return WorkerStatus::Protocol;
+  }
+  if (!sawResult) {
+    result->error = "worker exited " + std::to_string(exitCode) +
+                    " without a result frame";
   }
   // Prefer the worker's own (finer-grained) status when the frame agrees
   // with the exit-code family; fall back to the exit code otherwise.

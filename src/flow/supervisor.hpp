@@ -105,7 +105,8 @@ std::vector<BatchDesignResult> runSupervisedManifest(
 
 /// Entry point for the worker side, shared by mclg_batch's `--worker` mode
 /// and the supervisor tests' self-exec. Parses the worker argv produced by
-/// the supervisor, runs the design via runBatchItem, streams Result +
+/// the supervisor (argv[1] is `--worker`; any flag it does not produce is a
+/// usage error), runs the design via runBatchItem, streams Result +
 /// Report frames over --worker-fd, and returns the GuardExitCode-contract
 /// exit code for its status.
 ///
@@ -117,6 +118,17 @@ std::vector<BatchDesignResult> runSupervisedManifest(
 /// and `degrade` arms the guard's FaultPlan so the run completes via the
 /// skip-after-rollback path (exit 2).
 int supervisorWorkerMain(int argc, char** argv);
+
+/// A fault spec, `<design>:<segv|abort|kill|hang|degrade>:<n>` with n >= 1.
+struct FaultSpecParts {
+  std::string design;
+  std::string mode;
+  int count = 0;
+};
+
+/// The one fault-spec grammar: the worker's --worker-fault and
+/// mclg_batch's --inject-fault. False on anything else.
+bool splitFaultSpec(const std::string& spec, FaultSpecParts* parts);
 
 /// /proc/self/exe when readable, else fallback (typically argv[0]).
 std::string selfExecutablePath(const std::string& fallback);

@@ -446,4 +446,11 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
   return stats;
 }
 
+PipelineStats ecoPipelineStats(const EcoStats& eco) {
+  PipelineStats stats;
+  stats.mgl = eco.mgl;
+  stats.secondsMgl = eco.secondsIncremental;
+  return stats;
+}
+
 }  // namespace mclg

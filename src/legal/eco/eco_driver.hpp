@@ -193,4 +193,9 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
 EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
                        const Design& snapshot, const EcoConfig& config);
 
+/// The run report's `pipeline` block for an ECO run: the incremental
+/// path's MGL stats, with secondsIncremental as the MGL (and so the total)
+/// wall clock.
+PipelineStats ecoPipelineStats(const EcoStats& eco);
+
 }  // namespace mclg

@@ -5,16 +5,26 @@
 
 namespace mclg {
 
-const char* guardExitCodeName(GuardExitCode code) {
-  switch (code) {
-    case GuardExitCode::Legal: return "legal";
-    case GuardExitCode::Usage: return "usage";
-    case GuardExitCode::Degraded: return "degraded";
-    case GuardExitCode::Infeasible: return "infeasible";
-    case GuardExitCode::ParseError: return "parse-error";
-    case GuardExitCode::Internal: return "internal";
+GuardExitCode runOutcome(const GuardReport& guard, bool placementLegal,
+                         bool ecoFellBack) {
+  if (guard.failed) return GuardExitCode::Internal;
+  if (guard.infeasibleCells > 0 || !placementLegal) {
+    return GuardExitCode::Infeasible;
   }
-  return "?";
+  if (guard.degraded || ecoFellBack) return GuardExitCode::Degraded;
+  return GuardExitCode::Legal;
+}
+
+std::string runOutcomeError(GuardExitCode outcome, int unplacedCells) {
+  switch (outcome) {
+    case GuardExitCode::Internal:
+      return "guard: unrecoverable stage failure";
+    case GuardExitCode::Infeasible:
+      return std::to_string(unplacedCells) +
+             " cells unplaced or placement not legal";
+    default:
+      return "";
+  }
 }
 
 const char* stageName(PipelineStage stage) {

@@ -40,7 +40,19 @@ enum class GuardExitCode : int {
   Internal = 5,    ///< unrecoverable stage failure / unexpected exception
 };
 
-const char* guardExitCodeName(GuardExitCode code);
+struct GuardReport;
+
+/// The one run-outcome rule of every front end (mclg_cli's exit code, the
+/// batch worker's WorkerStatus, the serve session's ServeStatus): Internal
+/// when the guard failed, Infeasible when cells are infeasible or the
+/// placement is not legal, Degraded when the guard degraded or an ECO run
+/// fell back to a full run, Legal otherwise.
+GuardExitCode runOutcome(const GuardReport& guard, bool placementLegal,
+                         bool ecoFellBack = false);
+
+/// Why a run ended Internal or Infeasible (`unplacedCells` from the
+/// legality check), for error fields and messages; "" for any other code.
+std::string runOutcomeError(GuardExitCode outcome, int unplacedCells);
 
 /// The five stages of legalize(), in execution order.
 enum class PipelineStage { Mgl, MaxDisp, FixedRowOrder, Ripup, Recovery };

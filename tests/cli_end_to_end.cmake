@@ -94,6 +94,14 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
   if(NOT eco_dirty EQUAL 0)
     message(FATAL_ERROR "self-ECO reported ${eco_dirty} dirty cells")
   endif()
+  # An ECO run's pipeline block is the incremental path, as the serve
+  # session reports it.
+  string(JSON eco_seconds GET "${eco_text}" eco seconds_incremental)
+  string(JSON pipeline_seconds GET "${eco_text}" pipeline seconds_total)
+  if(NOT pipeline_seconds STREQUAL eco_seconds)
+    message(FATAL_ERROR "ECO pipeline.seconds_total ${pipeline_seconds} != "
+                        "eco.seconds_incremental ${eco_seconds}")
+  endif()
 endif()
 
 # violations: exit status reflects whether any exist; just require output.

@@ -1,15 +1,19 @@
 // Pipeline guard tests: every FaultPlan injection point, transactional
 // rollback (byte-identical PlacementState restore), degradation policies
 // (retry / skip / Tetris fallback), budget exhaustion, and the per-stage
-// records and exception propagation of unguarded runs.
+// records and exception propagation of unguarded runs, and the run-outcome
+// rule every front end derives its status from.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
 
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
 #include "eval/checkers.hpp"
+#include "flow/serve/serve_protocol.hpp"
+#include "flow/worker_protocol.hpp"
 #include "gen/benchmark_gen.hpp"
 #include "legal/guard/guard.hpp"
 #include "legal/guard/invariants.hpp"
@@ -353,6 +357,58 @@ TEST(Guard, SummaryTableListsEveryStage) {
     EXPECT_NE(summary.find(stageName(stage)), std::string::npos);
   }
   EXPECT_NE(summary.find("not-run"), std::string::npos);
+}
+
+// The one run-outcome rule, row by row, with the batch worker's and the
+// serve session's status for each row.
+TEST(Guard, RunOutcomeRuleMapsToEveryFrontEnd) {
+  GuardReport clean;
+  GuardReport failed;
+  failed.failed = true;
+  failed.degraded = true;
+  failed.infeasibleCells = 3;
+  GuardReport infeasible;
+  infeasible.infeasibleCells = 2;
+  infeasible.degraded = true;
+  GuardReport degraded;
+  degraded.degraded = true;
+
+  struct Row {
+    const char* name;
+    GuardExitCode outcome;
+    WorkerStatus worker;
+    ServeStatus serve;
+  };
+  const Row rows[] = {
+      {"guard failed", runOutcome(failed, true), WorkerStatus::Exception,
+       ServeStatus::Internal},
+      {"infeasible cells", runOutcome(infeasible, true),
+       WorkerStatus::Infeasible, ServeStatus::Infeasible},
+      {"not legal", runOutcome(clean, false, true), WorkerStatus::Infeasible,
+       ServeStatus::Infeasible},
+      {"guard degraded", runOutcome(degraded, true),
+       WorkerStatus::GuardDegraded, ServeStatus::Degraded},
+      {"ECO fell back", runOutcome(clean, true, true),
+       WorkerStatus::GuardDegraded, ServeStatus::Degraded},
+      {"clean", runOutcome(clean, true), WorkerStatus::Ok, ServeStatus::Ok},
+  };
+  const GuardExitCode want[] = {
+      GuardExitCode::Internal,   GuardExitCode::Infeasible,
+      GuardExitCode::Infeasible, GuardExitCode::Degraded,
+      GuardExitCode::Degraded,   GuardExitCode::Legal};
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    const Row& row = rows[i];
+    EXPECT_EQ(row.outcome, want[i]) << row.name;
+    const int code = static_cast<int>(row.outcome);
+    EXPECT_EQ(workerStatusFromExit(code), row.worker) << row.name;
+    EXPECT_EQ(serveStatusFromExit(code), row.serve) << row.name;
+    EXPECT_EQ(runOutcomeError(row.outcome, 4).empty(),
+              row.outcome == GuardExitCode::Legal ||
+                  row.outcome == GuardExitCode::Degraded)
+        << row.name;
+  }
+  EXPECT_EQ(runOutcomeError(GuardExitCode::Infeasible, 4),
+            "4 cells unplaced or placement not legal");
 }
 
 }  // namespace

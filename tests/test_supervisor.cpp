@@ -631,6 +631,26 @@ TEST(Supervisor, MissingHeartbeatsFlagAHungWorkerBeforeTheTimeout) {
   EXPECT_GE(snapshot.counterValue("supervisor.stalls_detected"), 1);
 }
 
+// A worker argv the worker rejects — an unknown flag, a fault spec outside
+// the grammar — is a usage exit with no Result frame: a non-retried
+// io-error that says how the worker ended.
+TEST(Supervisor, RejectedWorkerArgvIsAnIoErrorWithItsExitCode) {
+  const std::string dir = testing::uniqueTestDir();
+  const auto items = makeManifest(dir, 1, 985);
+  for (const std::vector<std::string>& extra :
+       {std::vector<std::string>{"--worker-bogus"},
+        std::vector<std::string>{"--worker-fault", "d0:segv:0"}}) {
+    SupervisorConfig config = fastSupervisor();
+    config.extraWorkerArgs = extra;
+    const auto results = runSupervisedManifest(items, config);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_EQ(results[0].status, WorkerStatus::IoError) << extra[0];
+    EXPECT_EQ(results[0].attempts, 1) << extra[0];
+    EXPECT_EQ(results[0].error, "worker exited 1 without a result frame")
+        << extra[0];
+  }
+}
+
 TEST(Supervisor, SpawnFailureIsAPerDesignStatus) {
   const std::string dir = testing::uniqueTestDir();
   const auto items = makeManifest(dir, 1, 980);

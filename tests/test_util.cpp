@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 #include <thread>
 
+#include "util/flags.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -146,6 +150,56 @@ TEST(Timer, CpuSecondsTracksWorkNotSleep) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_DOUBLE_EQ(timer.cpuSeconds(), cpuPaused);
   EXPECT_GT(Timer::threadCpuSeconds(), 0.0);
+}
+
+// Parses `args` (argv[0] is the tool) against a small flag table.
+std::optional<Flags> parseFlags(std::vector<std::string> args) {
+  static const FlagSpec kSpecs[] = {
+      {"--on", FlagKind::Switch},
+      {"--name", FlagKind::Text},
+      {"--jobs", FlagKind::Integer, 0},
+      {"--seconds", FlagKind::Number},
+  };
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return Flags::parse("tool", kSpecs, static_cast<int>(argv.size()),
+                      argv.data(), 1);
+}
+
+TEST(Flags, FirstValueWinsAndEveryValueIsKept) {
+  const auto flags = parseFlags({"tool", "--name", "a", "--jobs", "3",
+                                 "--name", "b", "--on", "--seconds", "0.5"});
+  ASSERT_TRUE(flags.has_value());
+  EXPECT_TRUE(flags->has("--on"));
+  EXPECT_EQ(flags->text("--name"), "a");
+  EXPECT_EQ(flags->values("--name"), (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(flags->integer("--jobs", 7), 3);
+  EXPECT_DOUBLE_EQ(flags->number("--seconds", 1.0), 0.5);
+  EXPECT_FALSE(flags->text("--missing").has_value());
+
+  const auto none = parseFlags({"tool"});
+  ASSERT_TRUE(none.has_value());
+  EXPECT_FALSE(none->has("--on"));
+  EXPECT_EQ(none->integer("--jobs", 7), 7);
+  EXPECT_DOUBLE_EQ(none->number("--seconds", 1.5), 1.5);
+}
+
+TEST(Flags, RejectsWhatNoGetterCouldHonour) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{
+           {"tool", "--nmae", "a"},       // unknown flag
+           {"tool", "stray"},             // stray positional
+           {"tool", "--name"},            // dangling value
+           {"tool", "--jobs", "abc"},     // malformed integer
+           {"tool", "--jobs", "2x"},      // trailing junk
+           {"tool", "--jobs", "-1"},      // below the minimum
+           {"tool", "--jobs", "3000000000"},  // beyond int
+           {"tool", "--seconds", "ten"},  // malformed number
+           {"tool", "--seconds", "-1"},   // negative number
+           {"tool", "--seconds", "nan"},
+       }) {
+    EXPECT_FALSE(parseFlags(args).has_value()) << args[1];
+  }
 }
 
 }  // namespace

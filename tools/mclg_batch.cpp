@@ -36,33 +36,24 @@
 // Internal: `mclg_batch --worker ...` is the supervisor's fork/exec target
 // (see supervisorWorkerMain); not part of the public CLI surface.
 
-#include <cerrno>
-#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <map>
-#include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "flow/batch_runner.hpp"
 #include "flow/supervisor.hpp"
+#include "legal/guard/guard.hpp"
 #include "obs/batch_ledger.hpp"
 #include "obs/obs.hpp"
 #include "obs/run_report.hpp"
 #include "obs/trace_merge.hpp"
+#include "util/flags.hpp"
 #include "util/timer.hpp"
 
 namespace {
 
 using namespace mclg;
-
-constexpr int kExitOk = 0;
-constexpr int kExitUsage = 1;
-constexpr int kExitFailedDesigns = 3;
-constexpr int kExitParseError = 4;
 
 const char kHelp[] =
     "usage: mclg_batch --manifest batch.txt [options]\n"
@@ -105,187 +96,81 @@ const char kHelp[] =
     "                         <design>:<segv|abort|kill|hang|degrade>:<n>\n"
     "                         fails attempts 0..n-1 of the named design\n";
 
-const std::set<std::string> kValueFlags = {
-    "--manifest",       "--jobs",          "--threads-per-design",
-    "--preset",         "--shard",         "--report-out",
-    "--telemetry-ms",   "--trace-out",     "--design-timeout",
-    "--max-retries",    "--backoff-ms",    "--inject-fault"};
-const std::set<std::string> kSwitches = {"--help", "-h", "--scores",
-                                         "--live-status"};
+// The minimums keep a run meaningful: at least one lane per design, no
+// negative counts or intervals (--jobs 0 = hardware threads).
+using enum FlagKind;
 
-/// The command line, parsed strictly: every argument is a known switch, a
-/// known value flag, or the value that follows one.
-struct Args {
-  std::map<std::string, std::string> values;  ///< first occurrence wins
-  std::vector<std::string> faults;            ///< every --inject-fault SPEC
-  std::set<std::string> switches;
-
-  std::optional<std::string> value(const char* name) const {
-    const auto it = values.find(name);
-    if (it == values.end()) return std::nullopt;
-    return it->second;
-  }
-  bool has(const char* name) const { return switches.count(name) > 0; }
+const FlagSpec kFlags[] = {
+    {"--help", Switch}, {"-h", Switch}, {"--scores", Switch},
+    {"--live-status", Switch}, {"--manifest", Text}, {"--preset", Text},
+    {"--shard", Text}, {"--report-out", Text}, {"--trace-out", Text},
+    {"--inject-fault", Text}, {"--jobs", Integer, 0},
+    {"--threads-per-design", Integer, 1}, {"--telemetry-ms", Integer, 0},
+    {"--max-retries", Integer, 0}, {"--backoff-ms", Integer, 0},
+    {"--design-timeout", Number},
 };
 
-bool parseArgs(int argc, char** argv, Args* args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (kSwitches.count(arg) > 0) {
-      args->switches.insert(arg);
-      continue;
-    }
-    if (kValueFlags.count(arg) == 0) {
-      std::fprintf(stderr, "mclg_batch: unknown argument '%s'\n", argv[i]);
-      return false;
-    }
-    if (i + 1 >= argc) {
-      std::fprintf(stderr, "mclg_batch: %s needs a value\n", argv[i]);
-      return false;
-    }
-    const std::string value = argv[++i];
-    if (arg == "--inject-fault") {
-      args->faults.push_back(value);
-    } else {
-      args->values.emplace(arg, value);
-    }
-  }
-  return true;
-}
-
-/// Strict integer flag: absent -> fallback; non-numeric, trailing junk, or
-/// a value below minValue (or beyond int range) -> usage error (false).
-bool argInt(const Args& args, const char* name, int fallback, int minValue,
-            int* out) {
-  const auto v = args.value(name);
-  if (!v) {
-    *out = fallback;
-    return true;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(v->c_str(), &end, 10);
-  if (end == v->c_str() || *end != '\0' || errno == ERANGE ||
-      parsed < minValue || parsed > INT_MAX) {
-    std::fprintf(stderr, "mclg_batch: invalid value '%s' for %s (want integer >= %d)\n",
-                 v->c_str(), name, minValue);
-    return false;
-  }
-  *out = static_cast<int>(parsed);
-  return true;
-}
-
-/// Strict non-negative double flag, same contract as argInt.
-bool argSeconds(const Args& args, const char* name, double fallback,
-                double* out) {
-  const auto v = args.value(name);
-  if (!v) {
-    *out = fallback;
-    return true;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const double parsed = std::strtod(v->c_str(), &end);
-  if (end == v->c_str() || *end != '\0' || errno == ERANGE || parsed < 0.0 ||
-      !(parsed <= 1e9)) {
-    std::fprintf(stderr,
-                 "mclg_batch: invalid value '%s' for %s (want seconds >= 0)\n",
-                 v->c_str(), name);
-    return false;
-  }
-  *out = parsed;
-  return true;
-}
-
-/// Fault specs are strict too: a typo'd mode must be a usage error, not a
-/// fault that silently never fires.
-bool validFaultSpec(const std::string& spec) {
-  const auto firstColon = spec.find(':');
-  const auto lastColon = spec.rfind(':');
-  if (firstColon == std::string::npos || lastColon <= firstColon ||
-      firstColon == 0) {
-    return false;
-  }
-  const std::string mode =
-      spec.substr(firstColon + 1, lastColon - firstColon - 1);
-  const std::string count = spec.substr(lastColon + 1);
-  bool valid = (mode == "segv" || mode == "abort" || mode == "kill" ||
-                mode == "hang" || mode == "degrade") &&
-               !count.empty() && count.size() <= 9;
-  for (const char c : count) valid = valid && c >= '0' && c <= '9';
-  return valid;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  // Supervisor fork/exec target: one design per process, frames over
-  // --worker-fd. Dispatched before any other flag handling.
-  if (argc > 1 && std::strcmp(argv[1], "--worker") == 0) {
-    return supervisorWorkerMain(argc, argv);
-  }
+GuardExitCode runBatch(int argc, char** argv) {
   // Validate every flag before touching the filesystem or forking, so a
   // bad or unknown flag is always a usage error (exit 1) and never a
   // partial batch.
-  Args args;
-  if (!parseArgs(argc, argv, &args)) {
+  const auto flags = Flags::parse("mclg_batch", kFlags, argc, argv, 1);
+  if (!flags) {
     std::fputs("run mclg_batch --help for the flag list\n", stderr);
-    return kExitUsage;
+    return GuardExitCode::Usage;
   }
-  if (args.has("--help") || args.has("-h")) {
+  if (flags->has("--help") || flags->has("-h")) {
     std::fputs(kHelp, stdout);
-    return kExitOk;
+    return GuardExitCode::Legal;
   }
-  const auto manifestPath = args.value("--manifest");
+  const auto manifestPath = flags->text("--manifest");
   if (!manifestPath) {
     std::fputs(kHelp, stderr);
-    return kExitUsage;
+    return GuardExitCode::Usage;
   }
 
-  const std::string presetName = args.value("--preset").value_or("contest");
+  const std::string presetName = flags->text("--preset").value_or("contest");
   if (!PipelineConfig::preset(presetName)) {
     std::fprintf(stderr, "unknown preset '%s'\n", presetName.c_str());
-    return kExitUsage;
+    return GuardExitCode::Usage;
   }
   SupervisorConfig supervisor;
   supervisor.preset = presetName;
-  if (!argInt(args, "--threads-per-design", 1, 1,
-              &supervisor.threadsPerDesign) ||
-      !argInt(args, "--jobs", 0, 0, &supervisor.maxConcurrent) ||
-      !argInt(args, "--telemetry-ms", supervisor.telemetrySampleMs, 0,
-              &supervisor.telemetrySampleMs) ||
-      !argInt(args, "--max-retries", supervisor.maxRetries, 0,
-              &supervisor.maxRetries) ||
-      !argInt(args, "--backoff-ms", supervisor.backoffMs, 0,
-              &supervisor.backoffMs) ||
-      !argSeconds(args, "--design-timeout", 0.0,
-                  &supervisor.designTimeoutSeconds)) {
-    return kExitUsage;
-  }
-  supervisor.evaluateScores = args.has("--scores");
-  const bool liveStatus = args.has("--live-status");
-  const auto traceOut = args.value("--trace-out");
+  supervisor.threadsPerDesign =
+      static_cast<int>(flags->integer("--threads-per-design", 1));
+  supervisor.maxConcurrent = static_cast<int>(flags->integer("--jobs", 0));
+  supervisor.telemetrySampleMs = static_cast<int>(
+      flags->integer("--telemetry-ms", supervisor.telemetrySampleMs));
+  supervisor.maxRetries =
+      static_cast<int>(flags->integer("--max-retries", supervisor.maxRetries));
+  supervisor.backoffMs =
+      static_cast<int>(flags->integer("--backoff-ms", supervisor.backoffMs));
+  supervisor.designTimeoutSeconds = flags->number("--design-timeout", 0.0);
+  supervisor.evaluateScores = flags->has("--scores");
+  const bool liveStatus = flags->has("--live-status");
+  const auto traceOut = flags->text("--trace-out");
   ShardSpec shard;
-  if (const auto shardText = args.value("--shard")) {
+  if (const auto shardText = flags->text("--shard")) {
     std::string shardError;
     if (!parseShardSpec(*shardText, &shard, &shardError)) {
       std::fprintf(stderr, "mclg_batch: %s\n", shardError.c_str());
-      return kExitUsage;
+      return GuardExitCode::Usage;
     }
   }
-  for (const std::string& spec : args.faults) {
-    if (!validFaultSpec(spec)) {
+  for (const std::string& spec : flags->values("--inject-fault")) {
+    FaultSpecParts parts;
+    if (!splitFaultSpec(spec, &parts)) {
       std::fprintf(stderr,
                    "mclg_batch: invalid fault spec '%s' (want "
-                   "<design>:<segv|abort|kill|hang|degrade>:<n>)\n",
+                   "<design>:<segv|abort|kill|hang|degrade>:<n>, n >= 1)\n",
                    spec.c_str());
-      return kExitUsage;
+      return GuardExitCode::Usage;
     }
     supervisor.extraWorkerArgs.push_back("--worker-fault");
     supervisor.extraWorkerArgs.push_back(spec);
   }
 
-  const auto reportOut = args.value("--report-out");
+  const auto reportOut = flags->text("--report-out");
   if (reportOut) {
     obs::setMetricsEnabled(true);
     obs::metricsReset();
@@ -295,19 +180,19 @@ int main(int argc, char** argv) {
   std::string manifestError;
   if (!loadBatchManifest(*manifestPath, &items, &manifestError)) {
     std::fprintf(stderr, "%s\n", manifestError.c_str());
-    return kExitParseError;
+    return GuardExitCode::ParseError;
   }
   if (items.empty()) {
     std::fprintf(stderr, "manifest '%s' lists no designs\n",
                  manifestPath->c_str());
-    return kExitUsage;
+    return GuardExitCode::Usage;
   }
   const std::size_t manifestTotal = items.size();
   items = shardManifest(items, shard);
   if (items.empty()) {
     std::printf("shard %d/%d of %zu designs is empty; nothing to do\n",
                 shard.index, shard.count, manifestTotal);
-    return kExitOk;
+    return GuardExitCode::Legal;
   }
 
   // Live telemetry fold: the supervisor feeds worker frames into it.
@@ -391,18 +276,29 @@ int main(int argc, char** argv) {
     }
     if (!obs::writeBatchReport(*reportOut, "mclg_batch", values, ledger)) {
       std::fprintf(stderr, "cannot write %s\n", reportOut->c_str());
-      return kExitUsage;
+      return GuardExitCode::Usage;
     }
     std::printf("wrote %s\n", reportOut->c_str());
   }
   if (traceOut) {
     if (!traceMerger.write(*traceOut)) {
       std::fprintf(stderr, "cannot write %s\n", traceOut->c_str());
-      return kExitUsage;
+      return GuardExitCode::Usage;
     }
     std::printf("wrote %s (%zu lanes, %zu spans)\n", traceOut->c_str(),
                 traceMerger.workerLanes(), traceMerger.spanCount());
   }
 
-  return okCount == total ? kExitOk : kExitFailedDesigns;
+  return okCount == total ? GuardExitCode::Legal : GuardExitCode::Infeasible;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Supervisor fork/exec target: one design per process, frames over
+  // --worker-fd. Dispatched before any other flag handling.
+  if (argc > 1 && std::strcmp(argv[1], "--worker") == 0) {
+    return supervisorWorkerMain(argc, argv);
+  }
+  return static_cast<int>(runBatch(argc, argv));
 }

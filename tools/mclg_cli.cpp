@@ -19,22 +19,21 @@
 //
 // Exit status (see `mclg_cli --help`):
 //   0  success; for legalize/evaluate the placement is fully legal
-//   1  usage / IO error (unknown flags, a flag without its value,
-//      unreadable or unwritable files)
+//   1  usage / IO error (unknown flags, a flag without its value, a
+//      malformed or out-of-range number, unreadable or unwritable files)
 //   2  legalized, but only after guard degradation (retry/skip/fallback)
 //   3  infeasible cells remain or the placement is not legal
 //   4  structured parse error in an input file
 //   5  internal error (unrecoverable stage failure or unexpected exception)
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
@@ -57,70 +56,12 @@
 #include "parsers/def_parser.hpp"
 #include "parsers/lef_parser.hpp"
 #include "parsers/simple_format.hpp"
+#include "util/flags.hpp"
 #include "util/logging.hpp"
 
 namespace {
 
 using namespace mclg;
-
-/// The command line after the subcommand, parsed strictly against that
-/// subcommand's flag lists: every argument is a known switch, a known value
-/// flag, or the value that follows one.
-class Args {
- public:
-  std::optional<std::string> get(const char* name) const {
-    const auto it = values_.find(name);
-    if (it == values_.end()) return std::nullopt;
-    return it->second;
-  }
-  bool has(const char* name) const { return switches_.count(name) > 0; }
-  double getDouble(const char* name, double fallback) const {
-    const auto v = get(name);
-    return v ? std::atof(v->c_str()) : fallback;
-  }
-  long getInt(const char* name, long fallback) const {
-    const auto v = get(name);
-    return v ? std::atol(v->c_str()) : fallback;
-  }
-
-  /// False (after a message on stderr) on an unknown argument or a value
-  /// flag with no value. The first occurrence of a value flag wins;
-  /// --log-json is a switch of every subcommand.
-  bool parse(int argc, char** argv, const std::set<std::string>& valueFlags,
-             const std::set<std::string>& switches) {
-    for (int i = 2; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (switches.count(arg) > 0 || arg == "--log-json") {
-        switches_.insert(arg);
-        continue;
-      }
-      if (valueFlags.count(arg) == 0) {
-        std::fprintf(stderr, "mclg_cli %s: unknown argument '%s'\n", argv[1],
-                     argv[i]);
-        return false;
-      }
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "mclg_cli %s: %s needs a value\n", argv[1],
-                     argv[i]);
-        return false;
-      }
-      values_.emplace(arg, argv[++i]);
-    }
-    return true;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::set<std::string> switches_;
-};
-
-// Exit codes (documented in --help and the file header).
-constexpr int kExitLegal = 0;
-constexpr int kExitUsage = 1;
-constexpr int kExitDegraded = 2;
-constexpr int kExitInfeasible = 3;
-constexpr int kExitParseError = 4;
-constexpr int kExitInternal = 5;
 
 const char kHelp[] =
     "usage: mclg_cli <command> [options]\n"
@@ -176,30 +117,31 @@ const char kHelp[] =
     "\n"
     "exit codes:\n"
     "  0  success; for legalize/evaluate the placement is fully legal\n"
-    "  1  usage / IO error (unknown flag, flag without its value)\n"
+    "  1  usage / IO error (unknown flag, flag without its value,\n"
+    "     malformed or out-of-range number)\n"
     "  2  legalized, but only after guard degradation (retry/skip/fallback)\n"
     "  3  infeasible cells remain or the placement is not legal\n"
     "  4  structured parse error in an input file\n"
     "  5  internal error (unrecoverable stage failure / unexpected "
     "exception)\n";
 
-int usage() {
+GuardExitCode usage() {
   std::fputs(kHelp, stderr);
-  return kExitUsage;
+  return GuardExitCode::Usage;
 }
 
-std::optional<Design> loadInput(const Args& args, int* exitCode) {
-  const auto inPath = args.get("--in");
+std::optional<Design> loadInput(const Flags& flags, GuardExitCode* exitCode) {
+  const auto inPath = flags.text("--in");
   if (!inPath) {
     std::fprintf(stderr, "missing --in\n");
-    *exitCode = kExitUsage;
+    *exitCode = GuardExitCode::Usage;
     return std::nullopt;
   }
   ParseError error;
   auto design = loadDesign(*inPath, &error);
   if (!design) {
     std::fprintf(stderr, "parse error: %s\n", error.str().c_str());
-    *exitCode = kExitParseError;
+    *exitCode = GuardExitCode::ParseError;
   }
   return design;
 }
@@ -212,20 +154,20 @@ std::string readFile(const std::string& path, bool* ok) {
   return buffer.str();
 }
 
-int cmdGenerate(const Args& args) {
+GuardExitCode cmdGenerate(const Flags& flags) {
   GenSpec spec;
-  const int cells = static_cast<int>(args.getInt("--cells", 10000));
-  spec.name = args.get("--name").value_or("generated");
+  const int cells = static_cast<int>(flags.integer("--cells", 10000));
+  spec.name = flags.text("--name").value_or("generated");
   spec.cellsPerHeight = {cells * 8 / 10, cells * 12 / 100, cells * 5 / 100,
                          cells * 3 / 100};
-  spec.density = args.getDouble("--density", 0.6);
-  spec.numFences = static_cast<int>(args.getInt("--fences", 2));
-  spec.numBlockages = static_cast<int>(args.getInt("--blockages", 1));
-  spec.seed = static_cast<std::uint64_t>(args.getInt("--seed", 1));
-  spec.withRoutability = !args.has("--no-routability");
+  spec.density = flags.number("--density", 0.6);
+  spec.numFences = static_cast<int>(flags.integer("--fences", 2));
+  spec.numBlockages = static_cast<int>(flags.integer("--blockages", 1));
+  spec.seed = static_cast<std::uint64_t>(flags.integer("--seed", 1));
+  spec.withRoutability = !flags.has("--no-routability");
   Design design = generate(spec);
 
-  if (args.get("--gp").value_or("clustered") == "quadratic") {
+  if (flags.text("--gp").value_or("clustered") == "quadratic") {
     GlobalPlaceConfig gpConfig;
     gpConfig.seed = spec.seed;
     const auto stats = globalPlace(design, gpConfig);
@@ -234,42 +176,42 @@ int cmdGenerate(const Args& args) {
                 stats.maxBinUtilAfter);
   }
 
-  const auto outPath = args.get("--out");
+  const auto outPath = flags.text("--out");
   if (!outPath || !saveDesign(design, *outPath)) {
     std::fprintf(stderr, "cannot write output (--out)\n");
-    return 1;
+    return GuardExitCode::Usage;
   }
   std::printf("wrote %s: %d cells, %lld x %lld sites, %d fences\n",
               outPath->c_str(), design.numCells(),
               static_cast<long long>(design.numSitesX),
               static_cast<long long>(design.numRows), design.numFences() - 1);
-  return 0;
+  return GuardExitCode::Legal;
 }
 
-int cmdLegalize(const Args& args) {
+GuardExitCode cmdLegalize(const Flags& flags) {
   const std::string presetName =
-      args.get("--preset").value_or("contest");
+      flags.text("--preset").value_or("contest");
   auto preset = PipelineConfig::preset(presetName);
   if (!preset) {
     std::fprintf(stderr, "unknown preset '%s' (contest or totaldisp)\n",
                  presetName.c_str());
-    return kExitUsage;
+    return GuardExitCode::Usage;
   }
-  if (args.get("--eco-from") &&
-      (args.has("--ripup") || args.has("--recover-hpwl"))) {
+  if (flags.has("--eco-from") &&
+      (flags.has("--ripup") || flags.has("--recover-hpwl"))) {
     std::fprintf(stderr,
                  "--ripup and --recover-hpwl cannot be combined with "
                  "--eco-from (see --eco-ripup-threshold)\n");
-    return kExitUsage;
+    return GuardExitCode::Usage;
   }
-  int exitCode = kExitUsage;
-  auto design = loadInput(args, &exitCode);
+  GuardExitCode exitCode = GuardExitCode::Usage;
+  auto design = loadInput(flags, &exitCode);
   if (!design) return exitCode;
 
   // Observability switches: each is a file path; enabling them turns on the
   // corresponding collection before the pipeline runs.
-  const auto traceOut = args.get("--trace-out");
-  const auto reportOut = args.get("--report-out");
+  const auto traceOut = flags.text("--trace-out");
+  const auto reportOut = flags.text("--report-out");
   if (traceOut) {
     obs::setTracingEnabled(true);
     obs::traceReset();
@@ -283,46 +225,46 @@ int cmdLegalize(const Args& args) {
   // The CLI runs guarded by default: every stage is a transaction with
   // rollback + degradation, and the run ends with a GuardReport summary.
   config.guard.enabled = true;
-  if (const auto configPath = args.get("--config")) {
+  if (const auto configPath = flags.text("--config")) {
     bool ok = false;
     const std::string text = readFile(*configPath, &ok);
     if (!ok) {
       std::fprintf(stderr, "cannot read %s\n", configPath->c_str());
-      return kExitUsage;
+      return GuardExitCode::Usage;
     }
     std::string error;
     if (!applyConfigText(text, &config, &error)) {
       std::fprintf(stderr, "config error in %s: %s\n", configPath->c_str(),
                    error.c_str());
-      return kExitParseError;
+      return GuardExitCode::ParseError;
     }
   }
-  if (args.has("--no-guard")) config.guard.enabled = false;
+  if (flags.has("--no-guard")) config.guard.enabled = false;
   config.guard.stageBudgetSeconds =
-      args.getDouble("--guard-budget", config.guard.stageBudgetSeconds);
+      flags.number("--guard-budget", config.guard.stageBudgetSeconds);
   config.guard.maxAttempts = static_cast<int>(
-      args.getInt("--guard-attempts", config.guard.maxAttempts));
-  if (const auto seed = args.get("--fault-seed")) {
+      flags.integer("--guard-attempts", config.guard.maxAttempts));
+  if (flags.has("--fault-seed")) {
     config.guard.faults = FaultPlan::fromSeed(
-        static_cast<std::uint64_t>(std::atoll(seed->c_str())));
+        static_cast<std::uint64_t>(flags.integer("--fault-seed", 0)));
   }
   // setThreads must precede --n0: it only parallelizes the MCF while the
   // coupling term is still off (same semantics as the old inline block).
-  const int threads = static_cast<int>(args.getInt("--threads", 1));
+  const int threads = static_cast<int>(flags.integer("--threads", 1));
   config.setThreads(threads);
-  if (args.has("--no-maxdisp")) config.runMaxDisp = false;
-  if (args.has("--no-mcf")) config.runFixedRowOrder = false;
-  config.maxDisp.delta0 = args.getDouble("--delta0", config.maxDisp.delta0);
+  if (flags.has("--no-maxdisp")) config.runMaxDisp = false;
+  if (flags.has("--no-mcf")) config.runFixedRowOrder = false;
+  config.maxDisp.delta0 = flags.number("--delta0", config.maxDisp.delta0);
   config.fixedRowOrder.maxDispWeight =
-      args.getDouble("--n0", config.fixedRowOrder.maxDispWeight);
-  if (args.has("--ripup")) {
+      flags.number("--n0", config.fixedRowOrder.maxDispWeight);
+  if (flags.has("--ripup")) {
     config.runRipup = true;
-    config.ripup.displacementThreshold = args.getDouble(
+    config.ripup.displacementThreshold = flags.number(
         "--ripup-threshold", config.ripup.displacementThreshold);
   }
-  if (args.has("--recover-hpwl")) {
+  if (flags.has("--recover-hpwl")) {
     config.runWirelengthRecovery = true;
-    config.recovery.maxAddedDisplacement = args.getDouble(
+    config.recovery.maxAddedDisplacement = flags.number(
         "--hpwl-budget", config.recovery.maxAddedDisplacement);
   }
 
@@ -330,25 +272,25 @@ int cmdLegalize(const Args& args) {
   PlacementState state(*design);
   PipelineStats stats;
   std::optional<EcoStats> ecoStats;
-  if (const auto ecoFrom = args.get("--eco-from")) {
+  if (const auto ecoFrom = flags.text("--eco-from")) {
     ParseError error;
     const auto snapshot = loadDesign(*ecoFrom, &error);
     if (!snapshot) {
       std::fprintf(stderr, "parse error in --eco-from: %s\n",
                    error.str().c_str());
-      return kExitParseError;
+      return GuardExitCode::ParseError;
     }
     EcoConfig eco;
     eco.pipeline = config;
-    eco.exact = args.has("--eco-exact");
-    eco.validate = args.has("--eco-validate");
-    eco.haloSites = static_cast<int>(args.getInt("--eco-halo", eco.haloSites));
-    eco.scoreTolerance =
-        args.getDouble("--eco-tolerance", eco.scoreTolerance);
+    eco.exact = flags.has("--eco-exact");
+    eco.validate = flags.has("--eco-validate");
+    eco.haloSites =
+        static_cast<int>(flags.integer("--eco-halo", eco.haloSites));
+    eco.scoreTolerance = flags.number("--eco-tolerance", eco.scoreTolerance);
     eco.ripupThreshold =
-        args.getDouble("--eco-ripup-threshold", eco.ripupThreshold);
+        flags.number("--eco-ripup-threshold", eco.ripupThreshold);
     ecoStats = ecoRelegalize(state, segments, *snapshot, eco);
-    stats.mgl = ecoStats->mgl;
+    stats = ecoPipelineStats(*ecoStats);
     std::printf(
         "ECO %.2fs (dirty %d, spilled %d, windows %d dirty / %lld reused, "
         "segments %d, warm %lld, cold-fallback %lld)%s\n",
@@ -385,7 +327,7 @@ int cmdLegalize(const Args& args) {
     }
   }
 
-  if (args.has("--fillers")) {
+  if (flags.has("--fillers")) {
     const auto fillerStats = insertFillers(state, segments);
     std::printf("fillers: %d cells covering %lld sites\n",
                 fillerStats.fillersAdded,
@@ -412,7 +354,7 @@ int cmdLegalize(const Args& args) {
   if (traceOut) {
     if (!obs::writeChromeTrace(*traceOut)) {
       std::fprintf(stderr, "cannot write %s\n", traceOut->c_str());
-      return kExitUsage;
+      return GuardExitCode::Usage;
     }
     std::printf("wrote %s (%zu trace events)\n", traceOut->c_str(),
                 obs::traceEventCount());
@@ -429,155 +371,143 @@ int cmdLegalize(const Args& args) {
                              /*includeMetrics=*/true,
                              ecoStats ? &*ecoStats : nullptr)) {
       std::fprintf(stderr, "cannot write %s\n", reportOut->c_str());
-      return kExitUsage;
+      return GuardExitCode::Usage;
     }
     std::printf("wrote %s\n", reportOut->c_str());
   }
 
-  if (const auto outPath = args.get("--out")) {
+  if (const auto outPath = flags.text("--out")) {
     if (!saveDesign(*design, *outPath)) {
       std::fprintf(stderr, "cannot write %s\n", outPath->c_str());
-      return kExitUsage;
+      return GuardExitCode::Usage;
     }
     std::printf("wrote %s\n", outPath->c_str());
   }
-  exitCode = kExitLegal;
-  if (guard.failed) {
-    exitCode = kExitInternal;
-  } else if (guard.infeasibleCells > 0 || !score.legality.legal()) {
-    exitCode = kExitInfeasible;
-  } else if (ecoStats && ecoStats->usedFullRun) {
-    // An ECO run that had to fall back to the full pipeline is the
-    // incremental mode's form of degradation.
-    exitCode = kExitDegraded;
-  } else if (guard.degraded) {
-    exitCode = kExitDegraded;
-  }
-
-  return exitCode;
+  return runOutcome(guard, score.legality.legal(),
+                    ecoStats && ecoStats->usedFullRun);
 }
 
-int cmdEvaluate(const Args& args) {
-  int exitCode = kExitUsage;
-  const auto design = loadInput(args, &exitCode);
+GuardExitCode cmdEvaluate(const Flags& flags) {
+  GuardExitCode exitCode = GuardExitCode::Usage;
+  const auto design = loadInput(flags, &exitCode);
   if (!design) return exitCode;
   SegmentMap segments(*design);
   const auto score = evaluateScore(*design, segments);
   std::printf("%s\n", summarize(*design, score).c_str());
-  return score.legality.legal() ? kExitLegal : kExitInfeasible;
+  return runOutcome(GuardReport(), score.legality.legal());
 }
 
-int cmdStats(const Args& args) {
-  int exitCode = kExitUsage;
-  auto design = loadInput(args, &exitCode);
+GuardExitCode cmdStats(const Flags& flags) {
+  GuardExitCode exitCode = GuardExitCode::Usage;
+  auto design = loadInput(flags, &exitCode);
   if (!design) return exitCode;
   SegmentMap segments(*design);
   PlacementState state(*design);
   const auto stats = computeDesignStats(state, segments);
   std::printf("%s", stats.toString().c_str());
-  return 0;
+  return GuardExitCode::Legal;
 }
 
-int cmdViolations(const Args& args) {
-  int exitCode = kExitUsage;
-  const auto design = loadInput(args, &exitCode);
+GuardExitCode cmdViolations(const Flags& flags) {
+  GuardExitCode exitCode = GuardExitCode::Usage;
+  const auto design = loadInput(flags, &exitCode);
   if (!design) return exitCode;
   SegmentMap segments(*design);
   const auto limit =
-      static_cast<std::size_t>(args.getInt("--limit", 100));
+      static_cast<std::size_t>(flags.integer("--limit", 100));
   const auto violations = collectViolations(*design, segments, limit);
   if (violations.empty()) {
     std::printf("no violations\n");
-    return 0;
+    return GuardExitCode::Legal;
   }
   std::printf("%s", formatViolations(*design, violations).c_str());
   if (violations.size() == limit) {
     std::printf("... (truncated at %zu; raise --limit)\n", limit);
   }
-  return 1;
+  return GuardExitCode::Usage;  // exit 1: violations listed
 }
 
-int cmdConvert(const Args& args) {
+GuardExitCode cmdConvert(const Flags& flags) {
   // Bookshelf -> native.
-  if (const auto auxPath = args.get("--in-aux")) {
-    const auto outPath = args.get("--out");
+  if (const auto auxPath = flags.text("--in-aux")) {
+    const auto outPath = flags.text("--out");
     if (!outPath) {
       std::fprintf(stderr, "convert needs --out\n");
-      return 1;
+      return GuardExitCode::Usage;
     }
     ParseError error;
     const auto design = loadBookshelf(*auxPath, &error);
     if (!design) {
       std::fprintf(stderr, "Bookshelf error: %s\n", error.str().c_str());
-      return kExitParseError;
+      return GuardExitCode::ParseError;
     }
     if (!saveDesign(*design, *outPath)) {
       std::fprintf(stderr, "cannot write %s\n", outPath->c_str());
-      return 1;
+      return GuardExitCode::Usage;
     }
     std::printf("wrote %s (%d cells)\n", outPath->c_str(),
                 design->numCells());
-    return 0;
+    return GuardExitCode::Legal;
   }
   // Native -> Bookshelf.
-  if (const auto bookshelfBase = args.get("--bookshelf")) {
-    int exitCode = kExitUsage;
-    const auto design = loadInput(args, &exitCode);
+  if (const auto bookshelfBase = flags.text("--bookshelf")) {
+    GuardExitCode exitCode = GuardExitCode::Usage;
+    const auto design = loadInput(flags, &exitCode);
     if (!design) return exitCode;
     if (!saveBookshelf(*design, *bookshelfBase)) {
       std::fprintf(stderr, "cannot write %s.*\n", bookshelfBase->c_str());
-      return 1;
+      return GuardExitCode::Usage;
     }
     std::printf("wrote %s.{aux,nodes,nets,pl,scl}\n",
                 bookshelfBase->c_str());
-    return 0;
+    return GuardExitCode::Legal;
   }
   // Direction 1: LEF+DEF -> native.
-  if (const auto lefPath = args.get("--in-lef")) {
-    const auto defPath = args.get("--in-def");
-    const auto outPath = args.get("--out");
+  if (const auto lefPath = flags.text("--in-lef")) {
+    const auto defPath = flags.text("--in-def");
+    const auto outPath = flags.text("--out");
     if (!defPath || !outPath) {
       std::fprintf(stderr, "convert needs --in-def and --out\n");
-      return 1;
+      return GuardExitCode::Usage;
     }
     bool ok = false;
     const std::string lefText = readFile(*lefPath, &ok);
     if (!ok) {
       std::fprintf(stderr, "cannot read %s\n", lefPath->c_str());
-      return 1;
+      return GuardExitCode::Usage;
     }
     const std::string defText = readFile(*defPath, &ok);
     if (!ok) {
       std::fprintf(stderr, "cannot read %s\n", defPath->c_str());
-      return 1;
+      return GuardExitCode::Usage;
     }
     ParseError error;
     const auto lib = readLef(lefText, &error);
     if (!lib) {
       std::fprintf(stderr, "LEF error: %s\n", error.str().c_str());
-      return kExitParseError;
+      return GuardExitCode::ParseError;
     }
     const auto design = readDef(defText, *lib, &error);
     if (!design) {
       std::fprintf(stderr, "DEF error: %s\n", error.str().c_str());
-      return kExitParseError;
+      return GuardExitCode::ParseError;
     }
     if (!saveDesign(*design, *outPath)) {
       std::fprintf(stderr, "cannot write %s\n", outPath->c_str());
-      return 1;
+      return GuardExitCode::Usage;
     }
     std::printf("wrote %s (%d cells)\n", outPath->c_str(), design->numCells());
-    return 0;
+    return GuardExitCode::Legal;
   }
   // Direction 2: native -> LEF+DEF.
-  int exitCode = kExitUsage;
-  const auto design = loadInput(args, &exitCode);
+  GuardExitCode exitCode = GuardExitCode::Usage;
+  const auto design = loadInput(flags, &exitCode);
   if (!design) return exitCode;
-  const auto lefPath = args.get("--lef");
-  const auto defPath = args.get("--def");
+  const auto lefPath = flags.text("--lef");
+  const auto defPath = flags.text("--def");
   if (!lefPath || !defPath) {
     std::fprintf(stderr, "convert needs --lef and --def (or --in-lef)\n");
-    return 1;
+    return GuardExitCode::Usage;
   }
   std::ofstream lefOut(*lefPath);
   lefOut << writeLef(*design);
@@ -585,94 +515,112 @@ int cmdConvert(const Args& args) {
   defOut << writeDef(*design);
   if (!lefOut || !defOut) {
     std::fprintf(stderr, "write failed\n");
-    return 1;
+    return GuardExitCode::Usage;
   }
   std::printf("wrote %s and %s\n", lefPath->c_str(), defPath->c_str());
-  return 0;
+  return GuardExitCode::Legal;
 }
 
-int cmdSvg(const Args& args) {
-  int exitCode = kExitUsage;
-  const auto design = loadInput(args, &exitCode);
+GuardExitCode cmdSvg(const Flags& flags) {
+  GuardExitCode exitCode = GuardExitCode::Usage;
+  const auto design = loadInput(flags, &exitCode);
   if (!design) return exitCode;
-  const auto outPath = args.get("--out");
+  const auto outPath = flags.text("--out");
   if (!outPath) {
     std::fprintf(stderr, "missing --out\n");
-    return 1;
+    return GuardExitCode::Usage;
   }
-  if (args.has("--density")) {
+  if (flags.has("--density")) {
     if (!writeDensityMapSvg(*design, *outPath,
-                            static_cast<int>(args.getInt("--bin-rows", 8)))) {
+                            static_cast<int>(flags.integer("--bin-rows", 8)))) {
       std::fprintf(stderr, "cannot write %s\n", outPath->c_str());
-      return 1;
+      return GuardExitCode::Usage;
     }
     std::printf("wrote %s\n", outPath->c_str());
-    return 0;
+    return GuardExitCode::Legal;
   }
-  const auto type = static_cast<TypeId>(args.getInt("--type", -1));
+  const auto type = static_cast<TypeId>(flags.integer("--type", -1));
   if (!writeDisplacementSvg(*design, type, *outPath)) {
     std::fprintf(stderr, "cannot write %s\n", outPath->c_str());
-    return 1;
+    return GuardExitCode::Usage;
   }
   std::printf("wrote %s\n", outPath->c_str());
-  return 0;
+  return GuardExitCode::Legal;
 }
 
-/// A subcommand and the flags it reads.
+/// A subcommand and the flags it reads; every subcommand also takes the
+/// global --log-json switch.
 struct Command {
   const char* name;
-  int (*run)(const Args&);
-  std::set<std::string> valueFlags;
-  std::set<std::string> switches;
+  GuardExitCode (*run)(const Flags&);
+  std::vector<FlagSpec> flags;
 };
+
+using enum FlagKind;
 
 const Command kCommands[] = {
     {"generate", cmdGenerate,
-     {"--cells", "--name", "--density", "--fences", "--blockages", "--seed",
-      "--gp", "--out"},
-     {"--no-routability"}},
+     {{"--cells", Integer}, {"--name", Text}, {"--density", Number},
+      {"--fences", Integer}, {"--blockages", Integer},
+      {"--seed", Integer, LLONG_MIN, LLONG_MAX}, {"--gp", Text},
+      {"--out", Text}, {"--no-routability", Switch}}},
     {"legalize", cmdLegalize,
-     {"--in", "--out", "--preset", "--config", "--threads", "--delta0",
-      "--n0", "--ripup-threshold", "--hpwl-budget", "--guard-budget",
-      "--guard-attempts", "--fault-seed", "--trace-out", "--report-out",
-      "--eco-from", "--eco-halo", "--eco-tolerance",
-      "--eco-ripup-threshold"},
-     {"--no-maxdisp", "--no-mcf", "--ripup", "--recover-hpwl", "--fillers",
-      "--no-guard", "--eco-exact", "--eco-validate"}},
-    {"evaluate", cmdEvaluate, {"--in"}, {}},
-    {"violations", cmdViolations, {"--in", "--limit"}, {}},
-    {"stats", cmdStats, {"--in"}, {}},
+     {{"--in", Text}, {"--out", Text}, {"--preset", Text},
+      {"--config", Text}, {"--threads", Integer}, {"--delta0", Number},
+      {"--n0", Number}, {"--ripup-threshold", Number},
+      {"--hpwl-budget", Number}, {"--guard-budget", Number},
+      {"--guard-attempts", Integer},
+      {"--fault-seed", Integer, LLONG_MIN, LLONG_MAX},
+      {"--trace-out", Text}, {"--report-out", Text},
+      {"--eco-from", Text}, {"--eco-halo", Integer},
+      {"--eco-tolerance", Number}, {"--eco-ripup-threshold", Number},
+      {"--no-maxdisp", Switch}, {"--no-mcf", Switch}, {"--ripup", Switch},
+      {"--recover-hpwl", Switch}, {"--fillers", Switch},
+      {"--no-guard", Switch}, {"--eco-exact", Switch},
+      {"--eco-validate", Switch}}},
+    {"evaluate", cmdEvaluate, {{"--in", Text}}},
+    {"violations", cmdViolations, {{"--in", Text}, {"--limit", Integer}}},
+    {"stats", cmdStats, {{"--in", Text}}},
     {"convert", cmdConvert,
-     {"--in", "--out", "--lef", "--def", "--bookshelf", "--in-lef",
-      "--in-def", "--in-aux"},
-     {}},
-    {"svg", cmdSvg, {"--in", "--out", "--type", "--bin-rows"}, {"--density"}},
+     {{"--in", Text}, {"--out", Text}, {"--lef", Text}, {"--def", Text},
+      {"--bookshelf", Text}, {"--in-lef", Text}, {"--in-def", Text},
+      {"--in-aux", Text}}},
+    {"svg", cmdSvg,
+     {{"--in", Text}, {"--out", Text}, {"--type", Integer},
+      {"--bin-rows", Integer}, {"--density", Switch}}},
 };
+
+GuardExitCode runCli(int argc, char** argv) {
+  if (argc < 2) return usage();
+  setLogLevel(LogLevel::Info);
+  const std::string command = argv[1];
+  if (command == "--help" || command == "-h" || command == "help") {
+    std::fputs(kHelp, stdout);
+    return GuardExitCode::Legal;
+  }
+  for (const Command& cmd : kCommands) {
+    if (command != cmd.name) continue;
+    std::vector<FlagSpec> specs = cmd.flags;
+    specs.push_back({"--log-json", Switch});
+    const auto flags =
+        Flags::parse("mclg_cli " + command, specs, argc, argv, 2);
+    if (!flags) {
+      std::fputs("run mclg_cli --help for the flag list\n", stderr);
+      return GuardExitCode::Usage;
+    }
+    if (flags->has("--log-json")) setLogFormat(LogFormat::Json);
+    try {
+      return cmd.run(*flags);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "internal error: %s\n", e.what());
+      return GuardExitCode::Internal;
+    }
+  }
+  return usage();
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  mclg::setLogLevel(mclg::LogLevel::Info);
-  const std::string command = argv[1];
-  if (command == "--help" || command == "-h" || command == "help") {
-    std::fputs(kHelp, stdout);
-    return kExitLegal;
-  }
-  for (const Command& cmd : kCommands) {
-    if (command != cmd.name) continue;
-    Args args;
-    if (!args.parse(argc, argv, cmd.valueFlags, cmd.switches)) {
-      std::fputs("run mclg_cli --help for the flag list\n", stderr);
-      return kExitUsage;
-    }
-    if (args.has("--log-json")) mclg::setLogFormat(mclg::LogFormat::Json);
-    try {
-      return cmd.run(args);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "internal error: %s\n", e.what());
-      return kExitInternal;
-    }
-  }
-  return usage();
+  return static_cast<int>(runCli(argc, argv));
 }

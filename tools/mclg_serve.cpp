@@ -28,12 +28,13 @@
 //                        N milliseconds (default off)
 //
 // Exit status: 0 after a clean shutdown (daemon Shutdown frame or
-// SIGINT/SIGTERM), 1 on usage or transport errors.
+// SIGINT/SIGTERM), 1 on usage or transport errors. An unknown flag, a
+// value flag with no value, or a malformed number is a usage error raised
+// before the daemon serves anything.
 
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <string>
@@ -47,15 +48,14 @@
 
 #include "flow/serve/serve_protocol.hpp"
 #include "flow/serve/serve_server.hpp"
+#include "legal/guard/guard.hpp"
 #include "obs/obs.hpp"
 #include "obs/sampler.hpp"
+#include "util/flags.hpp"
 
 namespace {
 
 using namespace mclg;
-
-constexpr int kExitOk = 0;
-constexpr int kExitUsage = 1;
 
 const char kHelp[] =
     "usage: mclg_serve --stdio | --socket PATH [options]\n"
@@ -91,49 +91,27 @@ const char kHelp[] =
     "  0  clean shutdown (daemon Shutdown frame, or SIGINT/SIGTERM)\n"
     "  1  usage or transport error\n";
 
-// Flag parser for a subcommand-free tool (mclg_cli's Args starts at the
-// subcommand; this one starts at argv[1]).
-class Args {
- public:
-  Args(int argc, char** argv) : argc_(argc), argv_(argv) {}
+using enum FlagKind;
 
-  const char* get(const char* name) const {
-    for (int i = 1; i + 1 < argc_; ++i) {
-      if (std::strcmp(argv_[i], name) == 0) return argv_[i + 1];
-    }
-    return nullptr;
-  }
-  bool has(const char* name) const {
-    for (int i = 1; i < argc_; ++i) {
-      if (std::strcmp(argv_[i], name) == 0) return true;
-    }
-    return false;
-  }
-  long getInt(const char* name, long fallback) const {
-    const char* v = get(name);
-    return v ? std::atol(v) : fallback;
-  }
-  double getDouble(const char* name, double fallback) const {
-    const char* v = get(name);
-    return v ? std::atof(v) : fallback;
-  }
-
- private:
-  int argc_;
-  char** argv_;
+const FlagSpec kFlags[] = {
+    {"--help", Switch}, {"-h", Switch}, {"--stdio", Switch},
+    {"--status", Switch}, {"--allow-remote-shutdown", Switch},
+    {"--socket", Text}, {"--max-inflight", Integer},
+    {"--queue-depth", Integer}, {"--max-threads", Integer},
+    {"--telemetry-ms", Integer}, {"--request-budget", Number},
 };
 
 volatile std::sig_atomic_t gSignaled = 0;
 void onSignal(int) { gSignaled = 1; }
 
-ServeConfig configFromArgs(const Args& args) {
+ServeConfig configFromFlags(const Flags& flags) {
   ServeConfig config;
-  config.maxInFlight = static_cast<int>(args.getInt("--max-inflight", 4));
-  config.queueDepth = static_cast<int>(args.getInt("--queue-depth", 16));
-  config.requestBudgetSeconds = args.getDouble("--request-budget", 0.0);
+  config.maxInFlight = static_cast<int>(flags.integer("--max-inflight", 4));
+  config.queueDepth = static_cast<int>(flags.integer("--queue-depth", 16));
+  config.requestBudgetSeconds = flags.number("--request-budget", 0.0);
   config.maxThreadsPerRequest =
-      static_cast<int>(args.getInt("--max-threads", 4));
-  config.allowRemoteShutdown = args.has("--allow-remote-shutdown");
+      static_cast<int>(flags.integer("--max-threads", 4));
+  config.allowRemoteShutdown = flags.has("--allow-remote-shutdown");
   return config;
 }
 
@@ -196,12 +174,12 @@ bool readOneResponse(int fd, ServeResponse* out) {
 }
 
 // --status: one Query{key=status} round trip against a running daemon.
-int runStatusClient(const std::string& path) {
+GuardExitCode runStatusClient(const std::string& path) {
   const int fd = connectUnix(path);
   if (fd < 0) {
     std::fprintf(stderr, "mclg_serve: cannot connect to %s: %s\n",
                  path.c_str(), std::strerror(errno));
-    return kExitUsage;
+    return GuardExitCode::Usage;
   }
   QueryRequest query;
   query.key = "status";
@@ -214,10 +192,10 @@ int runStatusClient(const std::string& path) {
     std::fprintf(stderr, "mclg_serve: status query failed%s%s\n",
                  response.error.empty() ? "" : ": ",
                  response.error.c_str());
-    return kExitUsage;
+    return GuardExitCode::Usage;
   }
   std::fputs(response.body.c_str(), stdout);
-  return kExitOk;
+  return GuardExitCode::Legal;
 }
 
 /// Socket connections a daemon is currently serving; shutdown() on each
@@ -248,13 +226,13 @@ class ConnectionTable {
   std::vector<int> fds_;
 };
 
-int runSocketDaemon(const std::string& path, ServeServer& server,
-                    long telemetryMs) {
+GuardExitCode runSocketDaemon(const std::string& path, ServeServer& server,
+                              int telemetryMs) {
   const int listenFd = listenUnix(path);
   if (listenFd < 0) {
     std::fprintf(stderr, "mclg_serve: cannot listen on %s: %s\n",
                  path.c_str(), std::strerror(errno));
-    return kExitUsage;
+    return GuardExitCode::Usage;
   }
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
@@ -263,7 +241,7 @@ int runSocketDaemon(const std::string& path, ServeServer& server,
   obs::MetricsSampler sampler;
   if (telemetryMs > 0) {
     obs::SamplerConfig samplerConfig;
-    samplerConfig.intervalMs = static_cast<int>(telemetryMs);
+    samplerConfig.intervalMs = telemetryMs;
     samplerConfig.emit = [&server](const obs::TelemetrySample& sample) {
       if (sample.last) return;  // final beat can outlive useful output
       std::fprintf(stderr, "%s\n", server.statusLine().c_str());
@@ -298,44 +276,54 @@ int runSocketDaemon(const std::string& path, ServeServer& server,
   std::fprintf(stderr, "[serve] %s\n",
                server.shutdownRequested() ? "shutdown requested, bye"
                                           : "signal received, bye");
-  return kExitOk;
+  return GuardExitCode::Legal;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Args args(argc, argv);
-  if (args.has("--help") || args.has("-h")) {
+GuardExitCode runServe(int argc, char** argv) {
+  const auto flags = Flags::parse("mclg_serve", kFlags, argc, argv, 1);
+  if (!flags) {
+    std::fputs("run mclg_serve --help for the flag list\n", stderr);
+    return GuardExitCode::Usage;
+  }
+  if (flags->has("--help") || flags->has("-h")) {
     std::fputs(kHelp, stdout);
-    return kExitOk;
+    return GuardExitCode::Legal;
   }
 
-  const char* socketPath = args.get("--socket");
-  if (args.has("--status")) {
-    if (socketPath == nullptr) {
+  const auto socketPath = flags->text("--socket");
+  if (flags->has("--status")) {
+    if (!socketPath) {
       std::fprintf(stderr, "mclg_serve: --status needs --socket PATH\n");
-      return kExitUsage;
+      return GuardExitCode::Usage;
     }
-    return runStatusClient(socketPath);
+    return runStatusClient(*socketPath);
   }
 
-  const bool stdio = args.has("--stdio");
-  if (stdio == (socketPath != nullptr)) {
+  const bool stdio = flags->has("--stdio");
+  if (stdio == socketPath.has_value()) {
     std::fprintf(stderr,
                  "mclg_serve: pick exactly one transport, --stdio or "
                  "--socket PATH (try --help)\n");
-    return kExitUsage;
+    return GuardExitCode::Usage;
   }
 
-  ServeConfig config = configFromArgs(args);
+  ServeConfig config = configFromFlags(*flags);
   if (stdio) {
     // The stdio client owns this process; daemon shutdown is its call.
     config.allowRemoteShutdown = true;
     ServeServer server(config);
     server.serveConnection(/*inFd=*/0, /*outFd=*/1);
-    return kExitOk;
+    return GuardExitCode::Legal;
   }
 
   ServeServer server(config);
-  return runSocketDaemon(socketPath, server, args.getInt("--telemetry-ms", 0));
+  return runSocketDaemon(
+      *socketPath, server,
+      static_cast<int>(flags->integer("--telemetry-ms", 0)));
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return static_cast<int>(runServe(argc, argv));
 }
