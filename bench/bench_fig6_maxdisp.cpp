@@ -9,6 +9,7 @@
 #include "bench_common.hpp"
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
+#include "eval/histogram.hpp"
 #include "eval/report.hpp"
 #include "gen/iccad17_suite.hpp"
 #include "legal/maxdisp/matching_opt.hpp"
@@ -18,32 +19,10 @@ namespace {
 
 void histogram(const char* title, const mclg::Design& design,
                mclg::TypeId type) {
-  std::vector<double> disps;
-  double maxDisp = 0.0;
-  for (mclg::CellId c = 0; c < design.numCells(); ++c) {
-    if (design.cells[c].fixed || design.cells[c].type != type) continue;
-    const double d = design.displacement(c);
-    disps.push_back(d);
-    maxDisp = std::max(maxDisp, d);
-  }
-  const double buckets[] = {1, 2, 5, 10, 20, 50, 1e9};
-  int counts[7] = {};
-  for (const double d : disps) {
-    for (int b = 0; b < 7; ++b) {
-      if (d <= buckets[b]) {
-        ++counts[b];
-        break;
-      }
-    }
-  }
-  std::printf("%s: %zu cells, max disp %.1f rows\n", title, disps.size(),
-              maxDisp);
-  const char* labels[] = {"<=1", "<=2", "<=5", "<=10", "<=20", "<=50", ">50"};
-  for (int b = 0; b < 7; ++b) {
-    std::printf("  %5s rows: %5d ", labels[b], counts[b]);
-    for (int i = 0; i < counts[b] && i < 60; i += 3) std::printf("#");
-    std::printf("\n");
-  }
+  const mclg::DisplacementHistogram hist =
+      mclg::displacementHistogram(design, type);
+  std::printf("%s: %d cells, max disp %.1f rows\n%s", title, hist.total,
+              hist.maximum, hist.toString().c_str());
 }
 
 }  // namespace

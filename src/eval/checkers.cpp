@@ -34,29 +34,6 @@ std::vector<Interval> mergeIntervals(std::vector<Interval> intervals) {
   return merged;
 }
 
-/// Per-row listing of all placed cells (movable and fixed), sorted by x.
-std::vector<std::vector<RowCellEntry>> buildRowOccupancy(const Design& design) {
-  std::vector<std::vector<RowCellEntry>> rows(
-      static_cast<std::size_t>(design.numRows));
-  for (CellId c = 0; c < design.numCells(); ++c) {
-    const auto& cell = design.cells[c];
-    if (!cell.fixed && !cell.placed) continue;
-    const int h = design.heightOf(c);
-    for (std::int64_t y = cell.y; y < cell.y + h; ++y) {
-      if (y < 0 || y >= design.numRows) continue;
-      rows[static_cast<std::size_t>(y)].push_back(
-          {cell.x, design.widthOf(c), c, cell.y});
-    }
-  }
-  for (auto& row : rows) {
-    std::sort(row.begin(), row.end(),
-              [](const RowCellEntry& a, const RowCellEntry& b) {
-                return a.x < b.x;
-              });
-  }
-  return rows;
-}
-
 /// Does `pin` placed with its owner's bottom-left at fine coords (fx, fy)
 /// conflict with the rail/IO layer `objLayer`? Short: same layer; access:
 /// object one layer above the pin.
@@ -97,6 +74,28 @@ LegalityReport cellLegality(const Design& design, const SegmentMap& segments,
 }
 
 }  // namespace
+
+std::vector<std::vector<RowCellEntry>> buildRowOccupancy(const Design& design) {
+  std::vector<std::vector<RowCellEntry>> rows(
+      static_cast<std::size_t>(design.numRows));
+  for (CellId c = 0; c < design.numCells(); ++c) {
+    const auto& cell = design.cells[c];
+    if (!cell.fixed && !cell.placed) continue;
+    const int h = design.heightOf(c);
+    for (std::int64_t y = cell.y; y < cell.y + h; ++y) {
+      if (y < 0 || y >= design.numRows) continue;
+      rows[static_cast<std::size_t>(y)].push_back(
+          {cell.x, design.widthOf(c), c, cell.y});
+    }
+  }
+  for (auto& row : rows) {
+    std::sort(row.begin(), row.end(),
+              [](const RowCellEntry& a, const RowCellEntry& b) {
+                return a.x < b.x;
+              });
+  }
+  return rows;
+}
 
 LegalityReport checkLegality(const Design& design, const SegmentMap& segments) {
   LegalityReport report;

@@ -55,6 +55,9 @@ struct RowCellEntry {
   std::int64_t bottomY;
 };
 
+/// Per-row listing of all placed cells (movable and fixed), sorted by x.
+std::vector<std::vector<RowCellEntry>> buildRowOccupancy(const Design& design);
+
 /// The edge-spacing violations countEdgeSpacingViolations counts at row y:
 /// x-adjacent pairs of `row` (row y's cells, sorted by x) closer than the
 /// table allows, each pair counted at its lowest shared row only.

@@ -1,5 +1,5 @@
 // Displacement histograms: bucketed per-cell displacement counts used by
-// the Fig. 6 reproduction and by reports.
+// the Fig. 6 reproduction (bench/bench_fig6_maxdisp.cpp).
 #pragma once
 
 #include <string>

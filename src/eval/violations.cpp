@@ -24,32 +24,6 @@ Rect cellBox(const Design& design, CellId c) {
           cell.y + design.heightOf(c)};
 }
 
-struct RowEntry {
-  std::int64_t x;
-  std::int64_t w;
-  CellId cell;
-  std::int64_t bottomY;
-};
-
-std::vector<std::vector<RowEntry>> rowOccupancy(const Design& design) {
-  std::vector<std::vector<RowEntry>> rows(
-      static_cast<std::size_t>(design.numRows));
-  for (CellId c = 0; c < design.numCells(); ++c) {
-    const auto& cell = design.cells[c];
-    if (!cell.fixed && !cell.placed) continue;
-    for (std::int64_t y = cell.y; y < cell.y + design.heightOf(c); ++y) {
-      if (y < 0 || y >= design.numRows) continue;
-      rows[static_cast<std::size_t>(y)].push_back(
-          {cell.x, design.widthOf(c), c, cell.y});
-    }
-  }
-  for (auto& row : rows) {
-    std::sort(row.begin(), row.end(),
-              [](const RowEntry& a, const RowEntry& b) { return a.x < b.x; });
-  }
-  return rows;
-}
-
 }  // namespace
 
 const char* violationKindName(ViolationKind kind) {
@@ -110,7 +84,7 @@ std::vector<Violation> collectViolations(const Design& design,
     }
   }
 
-  const auto rows = rowOccupancy(design);
+  const auto rows = buildRowOccupancy(design);
   for (std::int64_t y = 0; y < design.numRows && !collect.full(); ++y) {
     const auto& row = rows[static_cast<std::size_t>(y)];
     for (std::size_t i = 0; i + 1 < row.size(); ++i) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
+#include <exception>
 #include <utility>
 
 #include <unistd.h>
@@ -15,6 +17,16 @@ namespace {
 void bumpServeCounter(const char* name) {
   if (!obs::metricsEnabled()) return;
   obs::counter(name).add();
+}
+
+ServeResponse internalError(std::uint64_t id, const std::string& tenant,
+                            const char* what) {
+  ServeResponse response;
+  response.id = id;
+  response.tenant = tenant;
+  response.status = ServeStatus::Internal;
+  response.error = what;
+  return response;
 }
 
 }  // namespace
@@ -59,29 +71,20 @@ void ServeServer::release() {
   admissionCv_.notify_one();
 }
 
-ServeResponse ServeServer::runOnExecutor(
-    const std::function<ServeResponse()>& work) {
-  ServeResponse result;
-  std::mutex mutex;
-  std::condition_variable cv;
-  bool done = false;
-  config_.executor.get().submit([&] {
+ServeResponse ServeServer::runAdmitted(std::uint64_t id,
+                                       const std::string& tenant,
+                                       FunctionRef<ServeResponse()> work) {
+  ServeResponse response;
+  try {
     if (config_.testRequestHook) config_.testRequestHook();
-    try {
-      result = work();
-    } catch (const std::exception& e) {
-      result.status = ServeStatus::Internal;
-      result.error = e.what();
-    }
-    // Notify while holding the mutex: mutex and cv live on this stack
-    // frame, which returns as soon as the wait below observes done.
-    std::lock_guard<std::mutex> lock(mutex);
-    done = true;
-    cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(mutex);
-  cv.wait(lock, [&] { return done; });
-  return result;
+    response = work();
+  } catch (const std::exception& e) {
+    response = internalError(id, tenant, e.what());
+  } catch (...) {
+    response = internalError(id, tenant, "non-standard exception");
+  }
+  release();
+  return response;
 }
 
 // ---- Ledger / metrics ------------------------------------------------------
@@ -191,12 +194,11 @@ ServeResponse ServeServer::handleLoad(const std::string& payload) {
   sessionConfig.requestDeadline = admission.deadline;
 
   std::unique_ptr<ServeSession> session;
-  response = runOnExecutor([&] {
+  response = runAdmitted(request.id, request.tenant, [&] {
     ServeResponse loadResponse;
     session = ServeSession::load(request, sessionConfig, &loadResponse);
     return loadResponse;
   });
-  release();
 
   {
     std::lock_guard<std::mutex> lock(registryMutex_);
@@ -247,9 +249,9 @@ ServeResponse ServeServer::handleEco(const std::string& payload) {
     bumpServeCounter("serve.busy_rejections");
     return response;
   }
-  response = runOnExecutor(
-      [&] { return session->applyDelta(request, admission.deadline); });
-  release();
+  response = runAdmitted(request.id, request.tenant, [&] {
+    return session->applyDelta(request, admission.deadline);
+  });
   recordOutcome(request.tenant, "eco", response);
   return response;
 }

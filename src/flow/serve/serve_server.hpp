@@ -9,13 +9,12 @@
 // (flow/serve/serve_protocol.hpp); responses are written in request order
 // per connection.
 //
-// Concurrency model: each connection is one blocking reader thread.
-// Legalization work (LoadDesign, EcoDelta) is submitted to the
-// work-stealing executor — one whole-run task per in-flight request — so
-// tenants multiplex the shared worker set; cheap requests (Commit,
-// Rollback, Query, Shutdown) run inline on the connection thread.
-// Per-tenant order is still total: the session mutex serializes requests
-// that race on one tenant.
+// Concurrency model: each connection is one blocking reader thread, and
+// every request runs on it. Legalization work (LoadDesign, EcoDelta) runs
+// between admit() and release(), so `maxInFlight` bounds how many run at
+// once; a request with threads > 1 borrows its extra stage lanes from
+// `ServeConfig::executor`. Per-tenant order is still total: the session
+// mutex serializes requests that race on one tenant.
 //
 // Admission control: at most `maxInFlight` expensive requests execute at
 // once and at most `queueDepth` may wait for a slot; beyond that the
@@ -30,6 +29,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -55,10 +55,11 @@ struct ServeConfig {
   int maxThreadsPerRequest = 4;
   /// Honor Shutdown scope=daemon (on for --stdio, flag-gated for sockets).
   bool allowRemoteShutdown = false;
-  /// Lane source for request tasks and in-run parallelism.
+  /// Lane source for in-run parallelism of requests with threads > 1.
   ExecutorRef executor;
   /// Test-only: runs at the start of every admitted expensive request, on
-  /// the executor lane — lets tests hold admission slots deterministically.
+  /// the connection thread — lets tests hold admission slots
+  /// deterministically.
   std::function<void()> testRequestHook;
 };
 
@@ -93,8 +94,10 @@ class ServeServer {
   Admission admit();
   void release();
 
-  /// Run `work` as one whole-run executor task and wait for its result.
-  ServeResponse runOnExecutor(const std::function<ServeResponse()>& work);
+  /// Run an admitted request's `work` on the calling connection thread,
+  /// then release() its slot. Any exception, std or not, answers Internal.
+  ServeResponse runAdmitted(std::uint64_t id, const std::string& tenant,
+                            FunctionRef<ServeResponse()> work);
 
   ServeResponse handleLoad(const std::string& payload);
   ServeResponse handleEco(const std::string& payload);

@@ -41,7 +41,7 @@ struct MaxDispConfig {
   /// (moves are applied serially, so results are thread-count invariant).
   int numThreads = 1;
   /// Lanes come from this executor when numThreads > 1 (default: the
-  /// process-wide work-stealing executor).
+  /// process-wide executor).
   ExecutorRef executor{};
   /// Groups up to this size solve with the dense O(n³) Hungarian algorithm
   /// (full cost matrix); larger groups use the sparse MCF reduction with

@@ -56,7 +56,7 @@ struct FixedRowOrderConfig {
   /// thread-count invariant (moves apply serially in component order).
   int numThreads = 1;
   /// Lanes come from this executor when numThreads > 1 (default: the
-  /// process-wide work-stealing executor).
+  /// process-wide executor).
   ExecutorRef executor{};
 };
 

@@ -40,7 +40,7 @@ struct PipelineConfig {
   /// the whole flow: legalize() (and ecoRelegalize) copy it into every
   /// stage config at entry, so mclg_serve and tests redirect a run to
   /// a private executor by setting just this field. Defaults to the
-  /// process-wide work-stealing executor.
+  /// process-wide executor (util/executor/executor.hpp).
   ExecutorRef executor{};
 
   /// Set every stage's thread budget the way the CLI's --threads does:

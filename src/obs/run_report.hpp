@@ -29,28 +29,27 @@ namespace mclg::obs {
 /// exactness fields — see docs/ECO.md). Additive as before; absent on full
 /// runs.
 ///
-/// v4 (PR 5): adds the work-stealing executor's metric families to the
-/// metrics block — `executor.steals`, `executor.chunk_grabs`,
-/// `executor.parks` / `executor.unparks`, `executor.batches`,
-/// `executor.submitted` counters and the `executor.queue_depth` /
-/// `executor.designs_in_flight` high-water gauges (see
-/// docs/PERFORMANCE.md). Additive: v2/v3 consumers that ignore unknown
-/// metric names keep working.
-/// `executor.designs_in_flight` belonged to the in-process batch mode and
-/// is no longer written since that mode was removed;
-/// `supervisor.workers_in_flight` (v5) is its successor.
+/// v4 (PR 5): adds the executor's metric families to the metrics block —
+/// `executor.chunk_grabs`, `executor.parks` / `executor.unparks`,
+/// `executor.batches` counters and the `executor.queue_depth` high-water
+/// gauge (see docs/PERFORMANCE.md). Additive: v2/v3 consumers that ignore
+/// unknown metric names keep working. Three v4 names are no longer
+/// written: `executor.steals` and `executor.submitted` went with the
+/// work-stealing deques and `Executor::submit`, and
+/// `executor.designs_in_flight` with the in-process batch mode
+/// (`supervisor.workers_in_flight`, v5, is its successor).
 ///
 /// v5 (PR 6): adds the batch supervisor's metric families (see
-/// docs/ROBUSTNESS.md) — `executor.tasks.escaped_exceptions` and the
-/// `supervisor.spawns` / `supervisor.restarts` / `supervisor.retries` /
+/// docs/ROBUSTNESS.md) — the `supervisor.spawns` / `supervisor.restarts` / `supervisor.retries` /
 /// `supervisor.crashes` (+ `supervisor.crash.signal.<N>`) /
 /// `supervisor.timeouts` / `supervisor.kills` / `supervisor.exhausted`
 /// counters with the `supervisor.workers_in_flight` high-water gauge —
 /// plus the `process_isolation` / `shard_index` / `shard_count` and
 /// per-design `status` / `attempts` values in mclg_batch bench reports.
 /// `process_isolation` is no longer written: the supervisor is mclg_batch's
-/// only mode, and every design row carries `attempts`.
-/// Additive as before.
+/// only mode, and every design row carries `attempts`; nor is v5's
+/// `executor.tasks.escaped_exceptions`, since no executor task can throw
+/// past its batch any more. Additive as before.
 ///
 /// v6 (PR 7): live-telemetry additions (see docs/OBSERVABILITY.md "Live
 /// telemetry") — `p50` / `p95` / `p99` quantile estimates in every

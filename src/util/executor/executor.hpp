@@ -1,18 +1,15 @@
-// Process-wide persistent work-stealing executor.
+// Process-wide persistent executor: a parallel-for over one shared queue.
 //
 // One worker set for the whole process, so no pipeline stage constructs
-// and tears down threads of its own or hands out task indices through a
-// mutex-guarded counter:
+// and tears down threads of its own:
 //
 //  * Workers are created once (Executor::global(), lazily, hardware-sized)
-//    and parked between uses — a stage invocation borrows them instead of
-//    spawning threads.
+//    and parked on one condition variable between uses — a stage
+//    invocation borrows them instead of spawning threads.
 //  * parallelForBatch distributes indices by *atomic chunked claiming*:
 //    lanes grab [next, next+chunk) with one fetch_add, so there is no
-//    mutex on the task handout path.
-//  * Idle workers steal from each other's Chase-Lev deques, so whole-run
-//    tasks (mclg_serve's in-flight requests) and per-stage batch helpers
-//    share the same worker set without partitioning it.
+//    mutex on the index handout path. The only mutex guards the one FIFO
+//    of helper tasks (one per extra lane a batch asks for).
 //
 // Determinism: parallelForBatch runs fn(i) once for every i in
 // [0, count), returns only after all of them finished (barrier), and
@@ -26,11 +23,11 @@
 //
 // Blocking: a caller of parallelForBatch participates in its own batch and
 // only waits after every index is claimed by some running lane, so a batch
-// completes even when all workers are busy with other work (including the
-// nested case: a whole-run task on a worker calling parallelForBatch).
+// completes even when all workers are busy with other batches (including
+// the nested case: a batch index calling parallelForBatch).
 #pragma once
 
-#include <functional>
+#include <cstddef>
 #include <memory>
 
 #include "util/executor/function_ref.hpp"
@@ -40,7 +37,7 @@ namespace mclg {
 class Executor {
  public:
   /// The process-global executor, created on first use with one worker per
-  /// hardware thread (MCLG_EXECUTOR_THREADS overrides). Lives until exit.
+  /// hardware thread (4 when that is unknown). Lives until exit.
   static Executor& global();
 
   /// The global executor if some caller already constructed it, else null.
@@ -62,32 +59,22 @@ class Executor {
   /// maxParallel <= 1 or count <= 1 degenerates to inline execution.
   void parallelForBatch(int count, int maxParallel, FunctionRef<void(int)> fn);
 
-  /// Enqueue a whole-run task (runs exactly once, on some worker).
-  /// mclg_serve runs each admitted request this way
-  /// (flow/serve/serve_server.cpp); completion tracking is the caller's
-  /// business. Tasks should not throw: an exception that
-  /// escapes one is reported on stderr and dropped by the worker (there is
-  /// no caller to rethrow into), so errors the caller cares about must be
-  /// captured inside the task.
-  void submit(std::function<void()> task);
-
   /// Monotonic activity counters (process-lifetime for global()). The same
   /// values are exported as executor.* metrics when the obs registry is
   /// enabled.
   struct Stats {
-    long long steals = 0;       ///< tasks taken from another worker's deque
+    long long steals = 0;       ///< always 0: one shared queue, no stealing
     long long chunkGrabs = 0;   ///< atomic [next, next+chunk) claims
     long long parks = 0;        ///< workers gone to sleep
     long long unparks = 0;      ///< producer-side wakeups issued
-    long long submitted = 0;    ///< whole-run tasks accepted
     long long batches = 0;      ///< parallelForBatch calls that went wide
   };
   Stats stats() const;
 
   /// Point-in-time introspection for periodic telemetry sampling
-  /// (obs/sampler.hpp): externally submitted tasks not yet claimed, and
-  /// workers currently parked. Both take the respective internal mutex —
-  /// cheap at sampling rates, not for hot loops.
+  /// (obs/sampler.hpp): helper tasks not yet taken by a worker, and
+  /// workers currently parked. Both take the queue mutex — cheap at
+  /// sampling rates, not for hot loops.
   std::size_t queueDepth() const;
   int parkedWorkers() const;
 

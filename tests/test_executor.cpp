@@ -1,17 +1,14 @@
-// Work-stealing executor suite (`ctest -L executor`): FunctionRef and
+// Executor suite (`ctest -L executor`): FunctionRef and
 // Executor primitives, and the determinism claims: every lane count, odd
 // ones (3, 7) and oversubscription (more lanes than hardware cores)
 // included, must produce byte-identical placements, whether a design runs
 // alone or concurrently with others on one shared executor. Doubles as the
-// race stress test for sanitizer runs (the asan-ubsan preset) and for
-// machines without TSAN.
+// race stress test for sanitizer runs (the tsan and asan-ubsan presets).
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -25,7 +22,6 @@
 #include "gen/benchmark_gen.hpp"
 #include "legal/guard/invariants.hpp"
 #include "legal/pipeline.hpp"
-#include "obs/metrics.hpp"
 #include "test_helpers.hpp"
 #include "util/executor/executor.hpp"
 #include "util/executor/function_ref.hpp"
@@ -104,42 +100,6 @@ TEST(Executor, NestedBatchesComplete) {
   EXPECT_EQ(inner.load(), 200);
 }
 
-TEST(Executor, SubmitRunsEveryTask) {
-  Executor executor(3);
-  std::mutex mutex;
-  std::condition_variable cv;
-  int done = 0;
-  for (int i = 0; i < 100; ++i) {
-    executor.submit([&] {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (++done == 100) cv.notify_all();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mutex);
-  cv.wait(lock, [&] { return done == 100; });
-  EXPECT_EQ(done, 100);
-  EXPECT_GE(executor.stats().submitted, 100);
-}
-
-TEST(Executor, EscapedSubmitExceptionIsCountedAndDropped) {
-  // submit() tasks have no join point to rethrow at, so an exception that
-  // escapes one is swallowed by the worker loop — but never silently: it
-  // bumps executor.tasks.escaped_exceptions (run-report schema v5).
-  obs::setMetricsEnabled(true);
-  const long long before = obs::metricsSnapshot().counterValue(
-      "executor.tasks.escaped_exceptions");
-  {
-    Executor executor(2);
-    executor.submit([] { throw std::runtime_error("escaped"); });
-    // The executor destructor joins its workers, so the counter is final
-    // once the scope closes — no sleep-based synchronization needed.
-  }
-  const long long after = obs::metricsSnapshot().counterValue(
-      "executor.tasks.escaped_exceptions");
-  obs::setMetricsEnabled(false);
-  EXPECT_EQ(after, before + 1);
-}
-
 TEST(Executor, StatsCountActivity) {
   Executor executor(4);
   executor.parallelForBatch(512, 4, [](int) {});
@@ -149,8 +109,9 @@ TEST(Executor, StatsCountActivity) {
 }
 
 TEST(Executor, StressConcurrentBatchesFromManyThreads) {
-  // Race stress stand-in for TSAN: several external threads hammer one
-  // executor with overlapping batches; every batch must count exactly.
+  // Race stress, also run under the tsan preset: several external threads
+  // hammer one executor with overlapping batches; every batch must count
+  // exactly.
   Executor executor(4);
   std::atomic<bool> failed{false};
   std::vector<std::thread> threads;
@@ -218,12 +179,12 @@ std::uint64_t legalizeHash(Design& design, int threads) {
 // ---- Determinism: concurrent designs ---------------------------------------
 
 TEST(ExecutorDeterminism, BatchResultsMatchSoloRunsAtSameThreadCount) {
-  // Designs legalizing concurrently on one shared executor, each as a
-  // whole-run task (Executor::submit, the way mclg_serve runs its tenants'
-  // requests), must each be byte-identical to a solo run of the same design
+  // Designs legalizing concurrently from plain threads that share one
+  // executor (the way mclg_serve's connection threads run their tenants'
+  // requests) must each be byte-identical to a solo run of the same design
   // at the same lane count: with serial designs (1 lane each) and with
-  // stage-parallel designs (3 lanes each) that borrow further lanes from
-  // the workers already busy with other designs.
+  // stage-parallel designs (3 lanes each) whose batches compete for the
+  // same workers.
   constexpr int kDesigns = 4;
   for (const int lanes : {1, 3}) {
     std::vector<std::uint64_t> solo;
@@ -239,11 +200,9 @@ TEST(ExecutorDeterminism, BatchResultsMatchSoloRunsAtSameThreadCount) {
         designs.push_back(generate(spec(600 + static_cast<std::uint64_t>(d))));
       }
       std::vector<std::uint64_t> hashes(kDesigns, 0);
-      std::mutex mutex;
-      std::condition_variable cv;
-      int pending = kDesigns;
+      std::vector<std::thread> threads;
       for (int d = 0; d < kDesigns; ++d) {
-        executor.submit([&, d] {
+        threads.emplace_back([&, d] {
           Design& design = designs[static_cast<std::size_t>(d)];
           try {
             SegmentMap segments(design);
@@ -256,17 +215,9 @@ TEST(ExecutorDeterminism, BatchResultsMatchSoloRunsAtSameThreadCount) {
           } catch (...) {
             // Hash stays 0 and fails the comparison below.
           }
-          // Notify while holding the mutex: mutex and cv live on the test's
-          // stack and die as soon as its wait observes pending == 0.
-          std::lock_guard<std::mutex> lock(mutex);
-          --pending;
-          cv.notify_all();
         });
       }
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        cv.wait(lock, [&] { return pending == 0; });
-      }
+      for (auto& thread : threads) thread.join();
       for (int d = 0; d < kDesigns; ++d) {
         EXPECT_EQ(hashes[static_cast<std::size_t>(d)],
                   solo[static_cast<std::size_t>(d)])

@@ -941,6 +941,45 @@ TEST_F(ServeServerTest, AdmissionControlAnswersBusy) {
   EXPECT_NE(std::string::npos, server.statusLine().find("busy"));
 }
 
+TEST_F(ServeServerTest, ThrowingRequestAnswersInternal) {
+  // A request that throws something other than std::exception still gets
+  // an Internal answer, frees its admission slot, and leaves the
+  // connection serving.
+  std::atomic<bool> armed{true};
+  ServeConfig config;
+  config.maxInFlight = 1;
+  config.testRequestHook = [&] {
+    if (armed.load()) throw 42;
+  };
+  ServeServer server(config);
+  Client client(server);
+
+  const ServeResponse failedLoad = roundTrip(
+      client, FrameType::LoadDesign, loadPayload("t0", designText_, 5));
+  EXPECT_EQ(ServeStatus::Internal, failedLoad.status);
+  EXPECT_EQ(5u, failedLoad.id);
+  EXPECT_EQ("t0", failedLoad.tenant);
+  EXPECT_EQ(0, server.tenants());
+  EXPECT_EQ(ServeStatus::UnknownTenant,
+            roundTrip(client, FrameType::Query, queryPayload("t0", "score"))
+                .status);
+
+  armed.store(false);
+  const ServeResponse loaded =
+      roundTrip(client, FrameType::LoadDesign, loadPayload("t0", designText_));
+  ASSERT_EQ(ServeStatus::Ok, loaded.status) << loaded.error;
+
+  armed.store(true);
+  const std::vector<CellId> movable = movableCells(design_);
+  const ServeResponse failedEco = roundTrip(
+      client, FrameType::EcoDelta, ecoPayload("t0", {moveOp(movable[0], 5, 5)}));
+  EXPECT_EQ(ServeStatus::Internal, failedEco.status);
+  const ServeResponse after =
+      roundTrip(client, FrameType::Query, queryPayload("t0", "score"));
+  ASSERT_EQ(ServeStatus::Ok, after.status) << after.error;
+  EXPECT_EQ(loaded.hash, after.hash);
+}
+
 TEST_F(ServeServerTest, ExhaustedRequestBudgetAnswersRejected) {
   ServeConfig config;
   config.requestBudgetSeconds = 1e-9;  // expires before any stage runs
