@@ -6,21 +6,50 @@
 
 namespace mclg {
 
+bool RowOccupancy::emplace(std::int64_t x, CellId c) {
+  const auto it = lower_bound(x);
+  if (it != end() && it->first == x) return false;
+  cells_.insert(it, {x, c});
+  return true;
+}
+
+void RowOccupancy::move(const_iterator it, std::int64_t newX) {
+  const auto i = static_cast<std::size_t>(it - begin());
+  const bool keepsRank = (i == 0 || cells_[i - 1].first < newX) &&
+                         (i + 1 == cells_.size() || newX < cells_[i + 1].first);
+  if (keepsRank) {
+    cells_[i].first = newX;
+    return;
+  }
+  const CellId c = it->second;
+  erase(it);
+  emplace(newX, c);
+}
+
 PlacementState::PlacementState(Design& design) : design_(&design) {
   rows_.resize(static_cast<std::size_t>(design.numRows));
   spanning_.assign(static_cast<std::size_t>(design.numRows), 0);
+  // Re-index an already-placed design (e.g. loaded from a file): append in
+  // cell order, then sort each row once. Sorting by (x, cell) and keeping
+  // the first of each x is what inserting in cell order would have kept.
   for (CellId c = 0; c < design.numCells(); ++c) {
     auto& cell = design.cells[c];
-    if (cell.fixed) continue;
-    if (cell.placed) {
-      // Re-index an already-placed design (e.g. loaded from a file).
-      const int h = design.heightOf(c);
-      for (std::int64_t y = cell.y; y < cell.y + h; ++y) {
-        rows_[static_cast<std::size_t>(y)].emplace(cell.x, c);
-        if (y + 1 < cell.y + h) ++spanning_[static_cast<std::size_t>(y)];
-      }
-      ++numPlaced_;
+    if (cell.fixed || !cell.placed) continue;
+    const int h = design.heightOf(c);
+    for (std::int64_t y = cell.y; y < cell.y + h; ++y) {
+      rows_[static_cast<std::size_t>(y)].cells_.emplace_back(cell.x, c);
+      if (y + 1 < cell.y + h) ++spanning_[static_cast<std::size_t>(y)];
     }
+    ++numPlaced_;
+  }
+  for (auto& row : rows_) {
+    auto& cells = row.cells_;
+    std::sort(cells.begin(), cells.end());
+    cells.erase(std::unique(cells.begin(), cells.end(),
+                            [](const auto& a, const auto& b) {
+                              return a.first == b.first;
+                            }),
+                cells.end());
   }
 }
 
@@ -77,8 +106,7 @@ void PlacementState::shiftX(CellId c, std::int64_t newX) {
     auto it = rowMap.find(cell.x);
     MCLG_ASSERT(it != rowMap.end() && it->second == c,
                 "occupancy index out of sync");
-    rowMap.erase(it);
-    rowMap.emplace(newX, c);
+    rowMap.move(it, newX);
   }
   cell.x = newX;
   if (listener_ != nullptr) listener_->onShift(c);

@@ -1,15 +1,18 @@
 // Mutable occupancy index over a Design: which movable cell occupies which
 // sites of which rows. Legalizers mutate placements exclusively through
 // this class so the per-row ordered indices stay consistent with the cells'
-// coordinates.
+// coordinates. Each row is a flat array of (left site, cell) pairs sorted
+// by x (RowOccupancy), not a node-based map: the search loops walk rows
+// far more often than cells move.
 //
 // Fixed cells are *not* tracked here — they are carved out of the free area
 // by SegmentMap, which keeps every query in this class about movable cells
 // only.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "db/design.hpp"
@@ -38,8 +41,57 @@ class PlacementListener {
   virtual void onShift(CellId c) = 0;
 };
 
+/// Ordered occupancy of one row: (left site, cell) pairs, ascending and
+/// unique in x, in one flat vector. It offers the part of the
+/// std::map<x, cell> interface the row walkers use (ordered iteration,
+/// lower_bound / upper_bound / find by x, ==) with the map's semantics:
+/// emplace() leaves a taken x alone.
+class RowOccupancy {
+ public:
+  using value_type = std::pair<std::int64_t, CellId>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+  using iterator = const_iterator;
+
+  const_iterator begin() const { return cells_.begin(); }
+  const_iterator end() const { return cells_.end(); }
+  std::size_t size() const { return cells_.size(); }
+  bool empty() const { return cells_.empty(); }
+
+  /// First entry with left site >= x.
+  const_iterator lower_bound(std::int64_t x) const {
+    return std::lower_bound(
+        cells_.begin(), cells_.end(), x,
+        [](const value_type& e, std::int64_t v) { return e.first < v; });
+  }
+  /// First entry with left site > x.
+  const_iterator upper_bound(std::int64_t x) const {
+    return std::upper_bound(
+        cells_.begin(), cells_.end(), x,
+        [](std::int64_t v, const value_type& e) { return v < e.first; });
+  }
+  /// The entry with left site x, or end().
+  const_iterator find(std::int64_t x) const {
+    const auto it = lower_bound(x);
+    return it != end() && it->first == x ? it : end();
+  }
+
+  /// Insert (x, c) unless x is taken. True iff inserted.
+  bool emplace(std::int64_t x, CellId c);
+  void erase(const_iterator it) { cells_.erase(it); }
+  /// Re-key the entry at `it` to newX: erase + emplace, done in place when
+  /// the entry keeps its rank (the common case: a push moves a cell
+  /// between its neighbours).
+  void move(const_iterator it, std::int64_t newX);
+
+  bool operator==(const RowOccupancy&) const = default;
+
+ private:
+  friend class PlacementState;
+  std::vector<value_type> cells_;
+};
+
 /// Value snapshot of a PlacementState: per-cell coordinates/placed flags of
-/// the movable cells plus the row occupancy maps. Captured before a
+/// the movable cells plus the row occupancy arrays. Captured before a
 /// pipeline stage runs so the stage can be rolled back transactionally
 /// (legal/guard/); restore() brings both the Design's cells and the
 /// occupancy index back to the exact captured state.
@@ -52,7 +104,7 @@ struct PlacementSnapshot {
     bool operator==(const CellPos&) const = default;
   };
   std::vector<CellPos> cells;  // indexed by CellId; fixed cells included
-  std::vector<std::map<std::int64_t, CellId>> rows;
+  std::vector<RowOccupancy> rows;
   std::vector<int> spanning;  // PlacementState::cellsSpanning per row
   int numPlaced = 0;
 
@@ -88,7 +140,7 @@ class PlacementState {
   void collectInRect(const Rect& rect, std::vector<CellId>& out) const;
 
   /// Ordered occupancy of one row: left-site -> cell id.
-  const std::map<std::int64_t, CellId>& rowCells(std::int64_t y) const {
+  const RowOccupancy& rowCells(std::int64_t y) const {
     return rows_[static_cast<std::size_t>(y)];
   }
 
@@ -103,7 +155,7 @@ class PlacementState {
   int numPlaced() const { return numPlaced_.load(std::memory_order_relaxed); }
 
   /// Capture the full placement (cell coordinates + occupancy index) for a
-  /// later transactional restore(). Cost: one copy of the row maps.
+  /// later transactional restore(). Cost: one copy of the row arrays.
   PlacementSnapshot snapshot() const;
 
   /// Roll back to a snapshot taken on this state. Restores movable cells'
@@ -119,7 +171,7 @@ class PlacementState {
 
  private:
   Design* design_;
-  std::vector<std::map<std::int64_t, CellId>> rows_;
+  std::vector<RowOccupancy> rows_;
   std::vector<int> spanning_;  // see cellsSpanning
   std::atomic<int> numPlaced_{0};
   PlacementListener* listener_ = nullptr;

@@ -291,10 +291,10 @@ int countIoOverlaps(const Design& design, TypeId type, std::int64_t x,
   return count;
 }
 
-std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,
-                                      std::int64_t y,
-                                      std::span<const std::int32_t> ioPins) {
-  std::vector<Interval> forbidden;
+std::vector<Interval> ioPinOverlapX(const Design& design, TypeId type,
+                                    std::int64_t y,
+                                    std::span<const std::int32_t> ioPins) {
+  std::vector<Interval> overlaps;
   const auto& cellType = design.types[static_cast<std::size_t>(type)];
   const std::int64_t fy = y * Design::kFine;
   const Orient orient = design.orientationAt(type, y);
@@ -313,10 +313,16 @@ std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,
           floorDiv(io.rect.xlo - shape.xhi, Design::kFine) + 1;
       const std::int64_t hiX =
           ceilDiv(io.rect.xhi - shape.xlo, Design::kFine) - 1;
-      if (loX <= hiX) forbidden.push_back({loX, hiX + 1});
+      if (loX <= hiX) overlaps.push_back({loX, hiX + 1});
     }
   }
-  return mergeIntervals(std::move(forbidden));
+  return overlaps;
+}
+
+std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,
+                                      std::int64_t y,
+                                      std::span<const std::int32_t> ioPins) {
+  return mergeIntervals(ioPinOverlapX(design, type, y, ioPins));
 }
 
 std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,

@@ -112,4 +112,12 @@ std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,
                                       std::int64_t y,
                                       std::span<const std::int32_t> ioPins);
 
+/// The unmerged form of ioPinForbiddenX over `ioPins`: one x-interval per
+/// (signal pin of `type`, conflicting IO pin) pair that can overlap at row
+/// `y`, so the number of intervals containing x is countIoOverlaps(design,
+/// type, x, y) when `ioPins` holds every IO pin that reaches row y.
+std::vector<Interval> ioPinOverlapX(const Design& design, TypeId type,
+                                    std::int64_t y,
+                                    std::span<const std::int32_t> ioPins);
+
 }  // namespace mclg

@@ -27,35 +27,111 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/assert.hpp"
+
 namespace mclg {
 
 /// One elementary piecewise-linear displacement contribution with at most
-/// two breakpoints (three slope segments).
+/// two breakpoints (three slope segments). Everything is inline: MGL builds
+/// and evaluates these in its innermost loop.
 class DispCurve {
  public:
   enum class Kind { Constant, TargetV, RightPush, LeftPush };
 
   /// f(x) = value (no breakpoints).
-  static DispCurve constant(double value);
+  static DispCurve constant(double value) {
+    DispCurve c;
+    c.kind_ = Kind::Constant;
+    c.nb_ = 0;
+    c.v0_ = value;
+    return c;
+  }
 
   /// f(x) = |x - gpX| : the target cell's own x-displacement.
-  static DispCurve targetV(double gpX);
+  static DispCurve targetV(double gpX) {
+    DispCurve c;
+    c.kind_ = Kind::TargetV;
+    c.nb_ = 1;
+    c.b_[0] = gpX;
+    c.s_[0] = -1.0;
+    c.s_[1] = 1.0;
+    c.v0_ = 0.0;
+    return c;
+  }
 
   /// Cell to the RIGHT of the insertion point.
   /// Its position as a function of the target x is pos(x) = max(cur, x + off),
   /// where `off` is the target width plus everything packed between them.
   /// f(x) = |pos(x) - gp|; yields type A (gp <= cur) or type C (gp > cur).
-  static DispCurve rightPush(double cur, double gp, double off);
+  static DispCurve rightPush(double cur, double gp, double off) {
+    DispCurve c;
+    c.kind_ = Kind::RightPush;
+    const double pushStart = cur - off;  // for x > pushStart the cell moves
+    if (gp <= cur) {
+      // Type A: flat at (cur - gp), then rising with slope 1.
+      c.nb_ = 1;
+      c.b_[0] = pushStart;
+      c.s_[0] = 0.0;
+      c.s_[1] = 1.0;
+      c.v0_ = cur - gp;
+    } else {
+      // Type C: flat at (gp - cur), falls while the push moves the cell
+      // toward its GP, then rises once pushed past it.
+      c.nb_ = 2;
+      c.b_[0] = pushStart;
+      c.b_[1] = gp - off;
+      c.s_[0] = 0.0;
+      c.s_[1] = -1.0;
+      c.s_[2] = 1.0;
+      c.v0_ = gp - cur;
+    }
+    return c;
+  }
 
   /// Cell to the LEFT of the insertion point: pos(x) = min(cur, x - off).
   /// Yields type B (gp >= cur) or type D (gp < cur).
-  static DispCurve leftPush(double cur, double gp, double off);
+  static DispCurve leftPush(double cur, double gp, double off) {
+    DispCurve c;
+    c.kind_ = Kind::LeftPush;
+    const double pushStart = cur + off;  // for x < pushStart the cell moves
+    if (gp >= cur) {
+      // Type B: falling with slope -1 while pushed (pos = x - off < cur <=
+      // gp), then flat at (gp - cur).
+      c.nb_ = 1;
+      c.b_[0] = pushStart;
+      c.s_[0] = -1.0;
+      c.s_[1] = 0.0;
+      c.v0_ = gp - cur;
+    } else {
+      // Type D: V while pushed (bottom where pos == gp), flat once unpushed.
+      c.nb_ = 2;
+      c.b_[0] = gp + off;
+      c.b_[1] = pushStart;
+      c.s_[0] = -1.0;
+      c.s_[1] = 1.0;
+      c.s_[2] = 0.0;
+      c.v0_ = 0.0;
+    }
+    return c;
+  }
 
   /// Multiply the whole curve by w (used for per-height metric weights and
   /// the site-width-to-row-height displacement conversion).
-  DispCurve scaled(double w) const;
+  DispCurve scaled(double w) const {
+    MCLG_ASSERT(w >= 0.0, "curve scale must be non-negative");
+    DispCurve c = *this;
+    c.v0_ *= w;
+    for (double& s : c.s_) s *= w;
+    return c;
+  }
 
-  double value(double x) const;
+  double value(double x) const {
+    if (nb_ == 0) return v0_;
+    if (x <= b_[0]) return v0_ + s_[0] * (x - b_[0]);
+    if (nb_ == 1 || x <= b_[1]) return v0_ + s_[1] * (x - b_[0]);
+    const double v1 = v0_ + s_[1] * (b_[1] - b_[0]);
+    return v1 + s_[2] * (x - b_[1]);
+  }
 
   int numBreakpoints() const { return nb_; }
   double breakpoint(int i) const { return b_[i]; }
@@ -100,9 +176,11 @@ class CurveSum {
 
   /// Minimize over integer x in [loSite, hiSite]. Candidates are the snapped
   /// breakpoints of every summand plus the interval ends; evaluation is a
-  /// single merged sweep, O((B + C) log(B + C)) with B breakpoints and C
-  /// candidates. Scratch buffers are reused across calls (this sits in
-  /// MGL's innermost loop), hence not thread-safe per CurveSum instance.
+  /// single merged sweep, O(B log B) with B breakpoints: the one sort is of
+  /// the slope-change events, and the candidates are read off the sorted
+  /// events (floor and ceil are monotone), not sorted on their own.
+  /// Scratch buffers are reused across calls (this sits in MGL's innermost
+  /// loop), hence not thread-safe per CurveSum instance.
   Result minimizeOnSites(std::int64_t loSite, std::int64_t hiSite) const;
 
  private:

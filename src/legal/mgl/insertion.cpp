@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "eval/checkers.hpp"
 #include "geometry/disp_curve.hpp"
@@ -56,8 +55,42 @@ void InsertionSearcher::beginWindow() {
   if (arena_->cellSlots.size() < static_cast<std::size_t>(design.numCells())) {
     arena_->cellSlots.resize(static_cast<std::size_t>(design.numCells()));
   }
+  if (config_.routability &&
+      (!arena_->forbidden || &arena_->forbidden->design() != &design)) {
+    arena_->forbidden.emplace(design);
+  }
   spanIndex_.clear();
   dupSkipped_ = 0;
+}
+
+void InsertionSearcher::SeenSet::clear() {
+  for (const std::uint32_t i : used_) slots_[i] = kEmpty;
+  used_.clear();
+}
+
+bool InsertionSearcher::SeenSet::insert(std::uint64_t key) {
+  if (2 * (used_.size() + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  // Fibonacci hashing: the high half of key * 2^64/phi mixes the packed
+  // (x, y) pair, whose low bits are the row.
+  std::size_t i =
+      static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+  while (slots_[i] != kEmpty) {
+    if (slots_[i] == key) return false;
+    i = (i + 1) & mask;
+  }
+  slots_[i] = key;
+  used_.push_back(static_cast<std::uint32_t>(i));
+  return true;
+}
+
+void InsertionSearcher::SeenSet::grow() {
+  std::vector<std::uint64_t> keys;
+  keys.reserve(used_.size());
+  for (const std::uint32_t i : used_) keys.push_back(slots_[i]);
+  slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), kEmpty);
+  used_.clear();
+  for (const std::uint64_t key : keys) insert(key);
 }
 
 InsertionSearcher::CellSlot& InsertionSearcher::windowSlot(CellId j) const {
@@ -154,6 +187,8 @@ const InsertionSearcher::RowSnap& InsertionSearcher::buildRowSnap(
   snap.center.clear();
   snap.cell.clear();
   snap.width.clear();
+  snap.leftEdge.clear();
+  snap.rightEdge.clear();
   snap.local.clear();
   const auto& design = state_.design();
   const auto& rowMap = state_.rowCells(r);
@@ -168,7 +203,8 @@ const InsertionSearcher::RowSnap& InsertionSearcher::buildRowSnap(
   }
   for (; it != rowMap.end(); ++it) {
     const CellId j = it->second;
-    const int wj = design.widthOf(j);
+    const CellType& type = design.typeOf(j);
+    const int wj = type.width;
     const bool local = isLocal(j, window);
     if (local) {
       // Record the cell's position in this row for the commit simulation.
@@ -186,6 +222,8 @@ const InsertionSearcher::RowSnap& InsertionSearcher::buildRowSnap(
     snap.x.push_back(it->first);
     snap.cell.push_back(j);
     snap.width.push_back(wj);
+    snap.leftEdge.push_back(type.leftEdge);
+    snap.rightEdge.push_back(type.rightEdge);
     snap.center.push_back(static_cast<double>(it->first) + wj * 0.5);
     snap.local.push_back(local ? 1 : 0);
     if (it->first >= window.xhi) break;
@@ -267,18 +305,16 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
     // the partition boundary), walked right-to-left.
     {
       std::int64_t acc = 0;
-      TypeId prevType = target.type;
+      int prevEdge = type.leftEdge;  // left edge of the chain's last cell
       bool wallFound = false;
       for (std::int32_t i = rc.boundary - 1; i >= 0; --i) {
         if (snap.x[i] < seg->x.lo) break;  // outside the segment
-        const CellId j = snap.cell[i];
-        const int sp = edgeSpacing(design.typeOf(j).rightEdge,
-                                          design.types[prevType].leftEdge);
+        const int sp = edgeSpacing(snap.rightEdge[i], prevEdge);
         if (snap.local[i]) {
           const std::int64_t off = acc + sp + snap.width[i];
-          addEntry(j, off, /*left=*/true);
+          addEntry(snap.cell[i], off, /*left=*/true);
           acc = off;
-          prevType = design.cells[j].type;
+          prevEdge = snap.leftEdge[i];
         } else {
           lo = std::max(lo, snap.x[i] + snap.width[i] + sp + acc);
           wallFound = true;
@@ -291,18 +327,16 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
     // boundary up), walked left-to-right.
     {
       std::int64_t acc = w;
-      TypeId prevType = target.type;
+      int prevEdge = type.rightEdge;  // right edge of the chain's last cell
       bool wallFound = false;
       const auto n = static_cast<std::int32_t>(snap.x.size());
       for (std::int32_t i = rc.boundary; i < n && snap.x[i] < seg->x.hi; ++i) {
-        const CellId j = snap.cell[i];
-        const int sp = edgeSpacing(design.types[prevType].rightEdge,
-                                          design.typeOf(j).leftEdge);
+        const int sp = edgeSpacing(prevEdge, snap.leftEdge[i]);
         if (snap.local[i]) {
           const std::int64_t off = acc + sp;
-          addEntry(j, off, /*left=*/false);
+          addEntry(snap.cell[i], off, /*left=*/false);
           acc = off + snap.width[i];
-          prevType = design.cells[j].type;
+          prevEdge = snap.rightEdge[i];
         } else {
           // Chain must fit left of the wall: x + acc + sp <= j.x.
           hi = std::min(hi, snap.x[i] - sp - acc);
@@ -353,9 +387,9 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
   if (config_.routability) {
     // Dodge vertical-rail conflicts: move to the nearest clean site. The
     // forbidden intervals depend only on the type.
-    const auto& forbidden = forbidden_.rails(target.type);
+    const auto& rails = forbidden().rails(target.type);
     auto inForbidden = [&](std::int64_t x) -> const Interval* {
-      for (const auto& iv : forbidden) {
+      for (const auto& iv : rails) {
         if (iv.contains(x)) return &iv;
       }
       return nullptr;
@@ -384,8 +418,7 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
       best.value = bestVal - baseline;
     }
     // IO-pin overlap penalty (§3.4: penalties, not hard rejections).
-    const int ioOverlaps =
-        countIoOverlaps(design, target.type, best.x, y);
+    const int ioOverlaps = forbidden().ioOverlaps(target.type, best.x, y);
     best.value += ioOverlaps * config_.ioPenalty * wT;
   }
 
@@ -415,7 +448,7 @@ void InsertionSearcher::evaluateRow(CellId c, const Rect& window,
 
   // Candidate seeds: the GP x plus the gap edges of every cell crossing the
   // row span, plus segment boundaries. Cell edges come from the row
-  // snapshots, not the ordered maps.
+  // snapshots, not the occupancy rows.
   auto& seeds = seedScratch_;
   seeds.clear();
   const auto gpSeed = static_cast<std::int64_t>(std::lround(target.gpX));
@@ -442,25 +475,48 @@ void InsertionSearcher::evaluateRow(CellId c, const Rect& window,
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
   if (static_cast<int>(seeds.size()) > config_.maxSeedsPerRow) {
     // Keep the seeds nearest the GP x; ties resolve left-first so the kept
-    // set never depends on library internals.
-    std::nth_element(
-        seeds.begin(), seeds.begin() + config_.maxSeedsPerRow, seeds.end(),
-        [&](std::int64_t a, std::int64_t b) {
-          const std::int64_t da = std::abs(a - gpSeed);
-          const std::int64_t db = std::abs(b - gpSeed);
-          if (da != db) return da < db;
-          return a < b;
-        });
-    seeds.resize(static_cast<std::size_t>(config_.maxSeedsPerRow));
-    std::sort(seeds.begin(), seeds.end());
+    // set never depends on library internals. In a sorted unique list they
+    // form one run around the GP x: grow it outward from there.
+    const auto k = static_cast<std::size_t>(config_.maxSeedsPerRow);
+    auto lo = static_cast<std::size_t>(
+        std::lower_bound(seeds.begin(), seeds.end(), gpSeed) - seeds.begin());
+    auto hi = lo;  // the run is seeds[lo, hi)
+    while (hi - lo < k) {
+      const bool takeLeft =
+          lo > 0 &&
+          (hi == seeds.size() || gpSeed - seeds[lo - 1] <= seeds[hi] - gpSeed);
+      if (takeLeft) {
+        --lo;
+      } else {
+        ++hi;
+      }
+    }
+    seeds.erase(seeds.begin() + static_cast<std::ptrdiff_t>(hi), seeds.end());
+    seeds.erase(seeds.begin(), seeds.begin() + static_cast<std::ptrdiff_t>(lo));
   }
 
   // Per-seed partition contexts. Adjacent seeds that induce the same
   // (segment, boundary) on every row of the span yield bit-identical
   // evaluations, so only the first of each run is evaluated; skipped
   // successes still count toward the window's candidate total (dupSkipped_)
-  // so the expansion early-break sees the same numbers as before.
+  // so the expansion early-break sees the same numbers as before. The seeds
+  // ascend, so each row's boundary and segment come from a cursor that
+  // starts at the first seed's and only moves right.
   const int h = type.height;
+  auto& cursors = rowCursorScratch_;
+  cursors.clear();
+  const double firstCenter =
+      static_cast<double>(seeds.front()) + type.width * 0.5;
+  for (std::int64_t r = y; r < y + h; ++r) {
+    RowCursor cur;
+    cur.snap = &rowSnap(r, window);
+    cur.segs = &segments_.row(r);
+    cur.boundary = static_cast<std::int32_t>(
+        std::upper_bound(cur.snap->center.begin(), cur.snap->center.end(),
+                         firstCenter) -
+        cur.snap->center.begin());
+    cursors.push_back(cur);
+  }
   auto& ctx = rowCtxScratch_;
   auto& prev = prevRowCtxScratch_;
   prev.clear();
@@ -468,15 +524,21 @@ void InsertionSearcher::evaluateRow(CellId c, const Rect& window,
   for (const auto seed : seeds) {
     const double seedCenter = static_cast<double>(seed) + type.width * 0.5;
     ctx.clear();
-    for (std::int64_t r = y; r < y + h; ++r) {
-      RowCtx rc;
-      rc.snap = &rowSnap(r, window);
-      rc.seg = segments_.find(r, seed);
-      rc.boundary = static_cast<std::int32_t>(
-          std::upper_bound(rc.snap->center.begin(), rc.snap->center.end(),
-                           seedCenter) -
-          rc.snap->center.begin());
-      ctx.push_back(rc);
+    for (RowCursor& cur : cursors) {
+      const auto& center = cur.snap->center;
+      const auto n = static_cast<std::int32_t>(center.size());
+      while (cur.boundary < n && center[cur.boundary] <= seedCenter) {
+        ++cur.boundary;
+      }
+      const auto& segs = *cur.segs;
+      while (cur.segEnd < segs.size() && segs[cur.segEnd].x.lo <= seed) {
+        ++cur.segEnd;
+      }
+      // SegmentMap::find(r, seed): the last segment starting at or left of
+      // the seed, if it contains it.
+      const Segment* seg = cur.segEnd > 0 ? &segs[cur.segEnd - 1] : nullptr;
+      if (seg != nullptr && !seg->x.contains(seed)) seg = nullptr;
+      ctx.push_back({cur.snap, seg, cur.boundary});
     }
     bool same = prev.size() == ctx.size();
     for (std::size_t i = 0; same && i < ctx.size(); ++i) {
@@ -589,7 +651,7 @@ bool InsertionSearcher::tryInsert(CellId c, const Rect& window) {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cand.x)) << 32) |
         static_cast<std::uint32_t>(cand.y);
-    if (!seen.insert(key).second) continue;
+    if (!seen.insert(key)) continue;
     if (reachable(c, cand, window)) {
       commit(c, cand, window);
       lastCommit_.x = cand.x;
@@ -790,7 +852,7 @@ void InsertionSearcher::commit(CellId c, const Candidate& cand,
 void InsertionSearcher::undoLastCommit(CellId c) {
   state_.remove(c);
   // Restore in reverse application order so transient key collisions in the
-  // per-row maps cannot occur.
+  // occupancy rows cannot occur.
   for (auto it = lastCommit_.shifts.rbegin(); it != lastCommit_.shifts.rend();
        ++it) {
     state_.shiftX(it->first, it->second);

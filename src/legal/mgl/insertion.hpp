@@ -26,7 +26,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <unordered_set>
+#include <optional>
 #include <vector>
 
 #include "db/placement_state.hpp"
@@ -84,8 +84,7 @@ class InsertionSearcher {
       : state_(state),
         segments_(segments),
         config_(config),
-        arena_(config.arena),
-        forbidden_(state.design()) {}
+        arena_(config.arena) {}
 
   /// Search the window for the cheapest legal insertion of cell c and commit
   /// it (placing c and shifting local cells). Returns false if no candidate
@@ -169,7 +168,8 @@ class InsertionSearcher {
   /// Flattened occupancy of one row, restricted to the cells a chain walk
   /// can reach: everything with x in [window.xlo, window.xhi) plus at most
   /// one wall candidate on each side (cells outside the window are never
-  /// local, so chains stop at the first one).
+  /// local, so chains stop at the first one). The edge-spacing classes are
+  /// copied in, so a chain walk reads only these arrays.
   struct RowSnap {
     std::uint64_t epoch = 0;
     std::int32_t winBegin = 0;  // index of first cell with x >= window.xlo
@@ -177,6 +177,8 @@ class InsertionSearcher {
     std::vector<double> center;        // x + width/2, ascending
     std::vector<CellId> cell;
     std::vector<std::int32_t> width;
+    std::vector<std::int32_t> leftEdge;   // edge class of the left side
+    std::vector<std::int32_t> rightEdge;  // edge class of the right side
     std::vector<unsigned char> local;  // isLocal(cell, window)
   };
 
@@ -188,6 +190,33 @@ class InsertionSearcher {
     const RowSnap* snap = nullptr;
     const Segment* seg = nullptr;
     std::int32_t boundary = 0;
+  };
+
+  /// Where one row of the span stands in evaluateRow's ascending seed walk:
+  /// the partition boundary and the number of segments starting at or left
+  /// of the seed, both of which only move right as the seed does.
+  struct RowCursor {
+    const RowSnap* snap = nullptr;
+    const std::vector<Segment>* segs = nullptr;
+    std::int32_t boundary = 0;
+    std::size_t segEnd = 0;
+  };
+
+  /// The (x, y) positions tryInsert has tried to commit in this window: an
+  /// open-addressing hash set whose table is kept between windows and
+  /// emptied through the list of slots in use, so an insert allocates
+  /// nothing once the table has grown to the window's size.
+  class SeenSet {
+   public:
+    void clear();
+    /// True iff key was not in the set.
+    bool insert(std::uint64_t key);
+
+   private:
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+    void grow();
+    std::vector<std::uint64_t> slots_;  // size a power of two, or empty
+    std::vector<std::uint32_t> used_;   // indexes of the filled slots
   };
 
   /// Progress of one push-reach threshold within the current window.
@@ -244,6 +273,10 @@ class InsertionSearcher {
   /// tryInsert entry.
   void beginWindow();
 
+  /// The arena's routability index (vertical-rail intervals per type and
+  /// the IO-overlap table); built in beginWindow when routability is on.
+  const ForbiddenXIndex& forbidden() const;
+
   PlacementState& state_;
   const SegmentMap& segments_;
   InsertionConfig config_;
@@ -254,7 +287,7 @@ class InsertionSearcher {
   mutable std::vector<std::int32_t> spanIndex_;   // see CellSlot::spanBase
   mutable std::vector<RowCtx> rowCtxScratch_;      // current seed's contexts
   mutable std::vector<RowCtx> prevRowCtxScratch_;  // previous seed's contexts
-  ForbiddenXIndex forbidden_;  // vertical-rail intervals per type
+  mutable std::vector<RowCursor> rowCursorScratch_;
   // Aggregated locally, flushed to the metrics registry once per window.
   mutable std::size_t dupSkipped_ = 0;
   mutable std::size_t curveHits_ = 0;
@@ -281,7 +314,7 @@ class InsertionSearcher {
   mutable CurveSum sumScratch_;
   mutable std::vector<std::int64_t> seedScratch_;
   std::vector<Candidate> candidateScratch_;
-  std::unordered_set<std::uint64_t> seenScratch_;
+  SeenSet seenScratch_;
   std::vector<CellId> movedScratch_;  // cells with a simulated new x
   std::vector<PushReq> queueScratch_;
   std::vector<PushReq> rightQueueScratch_;
@@ -293,17 +326,28 @@ class InsertionSearcher {
 /// An InsertionSearcher's row snapshots and cell slots with their epoch
 /// counters (see InsertionConfig::arena). The epochs only grow, so
 /// whatever an earlier searcher left in a slot is simply stale.
+///
+/// It also holds the design's routability index, which depends only on
+/// the cell types, rails and IO pins, never on the placement: the searchers
+/// that share an arena (a serve session's, across all its requests) share
+/// one index and the IO-overlap rows it has filled. It is rebuilt only if
+/// the arena is handed a searcher of another design.
 struct SearchArena {
   std::uint64_t windowEpoch = 0;
   std::uint64_t stepEpoch = 0;
   std::vector<InsertionSearcher::RowSnap> rowSnaps;    // indexed by row
   std::vector<InsertionSearcher::CellSlot> cellSlots;  // indexed by cell
+  std::optional<ForbiddenXIndex> forbidden;
 };
 
 inline const InsertionSearcher::RowSnap& InsertionSearcher::rowSnap(
     std::int64_t r, const Rect& window) const {
   const RowSnap& snap = arena_->rowSnaps[static_cast<std::size_t>(r)];
   return snap.epoch == arena_->windowEpoch ? snap : buildRowSnap(r, window);
+}
+
+inline const ForbiddenXIndex& InsertionSearcher::forbidden() const {
+  return *arena_->forbidden;
 }
 
 }  // namespace mclg

@@ -1,7 +1,9 @@
 #include "legal/mgl/mgl_legalizer.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <string>
 
 #include "db/free_span.hpp"
 #include "obs/obs.hpp"
@@ -30,7 +32,7 @@ std::vector<CellId> MglLegalizer::orderCells() const {
   return order;
 }
 
-bool MglLegalizer::placeFallback(CellId c) {
+int MglLegalizer::placeFallback(CellId c) {
   // Last resort, gap-first (full-core push searches are far too expensive
   // on dense designs). (1) Rank the existing free gaps by displacement;
   // (2) try a spacing-aware local insertion around each of the best few;
@@ -93,12 +95,12 @@ bool MglLegalizer::placeFallback(CellId c) {
                    2 * design.maxCellWidth(),
                gaps[static_cast<std::size_t>(g)].y + 2 * h}
               .intersect({0, 0, design.numSitesX, design.numRows});
-      if (directSearcher_->tryInsert(c, around)) return true;
+      if (directSearcher_->tryInsert(c, around)) return 2;
     }
   }
   if (!gaps.empty()) {
     state_.place(c, gaps[0].x, gaps[0].y);
-    return true;
+    return 3;
   }
 
   // No free gap anywhere: push-based full-core insertion (rare).
@@ -110,7 +112,7 @@ bool MglLegalizer::placeFallback(CellId c) {
   }
   const Rect fullCore{0, 0, state_.design().numSitesX,
                       state_.design().numRows};
-  return relaxedSearcher_->tryInsert(c, fullCore);
+  return relaxedSearcher_->tryInsert(c, fullCore) ? 4 : 0;
 }
 
 MglStats MglLegalizer::run() {
@@ -125,6 +127,17 @@ MglStats MglLegalizer::run() {
   MglStats stats;
   const Rect fullCore{0, 0, design.numSitesX, design.numRows};
   InsertionSearcher searcher(state_, segments_, config_.insertion);
+  // Windows tried and wall seconds spent per window level
+  // (mgl.window.level<k>, mgl.window.level<k>.wall_seconds), registered on
+  // first use. The clock is read only when metrics are on.
+  const bool metrics = obs::metricsEnabled();
+  using Clock = std::chrono::steady_clock;
+  struct LevelMetrics {
+    obs::Counter* windows = nullptr;
+    obs::Gauge* seconds = nullptr;
+  };
+  std::vector<LevelMetrics> levelMetrics(
+      static_cast<std::size_t>(std::max(0, config_.window.maxExpansions) + 1));
   int taskIndex = 0;
   for (const CellId c : orderCells()) {
     // Cancellation and fault-injection points, once per cell.
@@ -140,19 +153,37 @@ MglStats MglLegalizer::run() {
       prevWindow = window;
       MCLG_TRACE_SCOPE("mgl/window", {{"cell", static_cast<double>(c)},
                                       {"level", static_cast<double>(level)}});
-      if (searcher.tryInsert(c, window)) {
+      const auto start = metrics ? Clock::now() : Clock::time_point{};
+      const bool inserted = searcher.tryInsert(c, window);
+      if (metrics) {
+        LevelMetrics& m = levelMetrics[static_cast<std::size_t>(level)];
+        if (m.windows == nullptr) {
+          const std::string name = "mgl.window.level" + std::to_string(level);
+          m.windows = &obs::counter(name);
+          m.seconds = &obs::gauge(name + ".wall_seconds");
+        }
+        m.windows->add();
+        m.seconds->set(
+            m.seconds->value() +
+            std::chrono::duration<double>(Clock::now() - start).count());
+      }
+      if (inserted) {
         done = true;
         break;
       }
       ++stats.windowExpansions;
       if (window == fullCore) break;  // nothing bigger to try
     }
+    const int step = done ? 0 : placeFallback(c);
     if (done) {
       ++stats.placed;
-    } else if (placeFallback(c)) {
+    } else if (step != 0) {
       ++stats.placed;
       ++stats.fallbackPlaced;
-      if (obs::metricsEnabled()) obs::counter("mgl.fallback_placed").add();
+      if (obs::metricsEnabled()) {
+        obs::counter("mgl.fallback_placed").add();
+        obs::counter("mgl.fallback_placed.step" + std::to_string(step)).add();
+      }
     } else {
       ++stats.failed;
       MCLG_LOG_WARN() << "MGL: no room for cell " << c << " ("

@@ -58,9 +58,10 @@ class MglLegalizer {
   std::vector<CellId> orderCells() const;
 
  private:
-  /// Full-core, routability-relaxed last resort for a cell no window could
-  /// take. Returns false only when the design genuinely has no room.
-  bool placeFallback(CellId c);
+  /// Last resort for a cell no window could take. Returns the step that
+  /// placed it (2, 3 or 4, see the definition), or 0 only when the design
+  /// genuinely has no room.
+  int placeFallback(CellId c);
 
   PlacementState& state_;
   const SegmentMap& segments_;

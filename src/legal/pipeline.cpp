@@ -145,7 +145,7 @@ bool corruptPlacement(PlacementState& state) {
            {it->first + 1, it->first + wa - 1, it->first - 1}) {
         if (newX < 0 || newX + wb > design.numSitesX) continue;
         if (newX >= it->first + wa || newX + wb <= it->first) continue;
-        // The occupancy maps key cells by left x; a colliding key in any
+        // The occupancy rows key cells by left x; a colliding key in any
         // row b spans would silently drop an entry and desync the index.
         bool keyFree = true;
         const auto& cb = design.cells[b];

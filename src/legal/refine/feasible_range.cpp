@@ -37,7 +37,8 @@ const ForbiddenXIndex::TypeData& ForbiddenXIndex::typeData(TypeId t) const {
   return data;
 }
 
-std::vector<Interval> ForbiddenXIndex::io(TypeId type, std::int64_t y) const {
+std::span<const std::int32_t> ForbiddenXIndex::ioCandidates(
+    TypeId type, std::int64_t y) const {
   const TypeData& data = typeData(type);
   const std::int64_t fy = y * Design::kFine;
   // Candidates: IO pins overlapping the fine rows any pin of the type can
@@ -52,8 +53,26 @@ std::vector<Interval> ForbiddenXIndex::io(TypeId type, std::int64_t y) const {
   const auto begin = std::upper_bound(
       ioByYlo_.begin(), end, fy + data.pinYlo - maxIoHeight_,
       [&](std::int64_t v, std::int32_t i) { return v < ylo(i); });
-  return ioPinForbiddenX(*design_, type, y,
-                         std::span<const std::int32_t>(begin, end));
+  return {begin, end};
+}
+
+std::vector<Interval> ForbiddenXIndex::io(TypeId type, std::int64_t y) const {
+  return ioPinForbiddenX(*design_, type, y, ioCandidates(type, y));
+}
+
+const ForbiddenXIndex::IoRow& ForbiddenXIndex::fillIoRow(TypeId type,
+                                                         std::int64_t y) const {
+  if (ioRows_.empty()) {
+    ioRows_.resize(static_cast<std::size_t>(design_->numTypes()) *
+                   static_cast<std::size_t>(design_->numRows));
+  }
+  IoRow& row = ioRows_[static_cast<std::size_t>(type * design_->numRows + y)];
+  const std::vector<Interval> overlaps =
+      ioPinOverlapX(*design_, type, y, ioCandidates(type, y));
+  row.begin = static_cast<std::int32_t>(ioOverlapPool_.size());
+  ioOverlapPool_.insert(ioOverlapPool_.end(), overlaps.begin(), overlaps.end());
+  row.end = static_cast<std::int32_t>(ioOverlapPool_.size());
+  return row;
 }
 
 Interval feasibleRange(const Design& design, const SegmentMap& segments,

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "db/design.hpp"
@@ -25,9 +26,16 @@ namespace mclg {
 /// its first query, and the IO pins are sorted by their lower edge, so a
 /// query visits only the few pins that can reach the cell's rows. Filled
 /// lazily: use one index per thread.
+///
+/// It also answers countIoOverlaps(design, type, x, y) from a table filled
+/// per (type, row) on first query: the unmerged (signal pin, IO pin)
+/// x-intervals of ioPinOverlapX, so a query counts the few intervals that
+/// contain x instead of scanning the IO pins around x for every pin.
 class ForbiddenXIndex {
  public:
   explicit ForbiddenXIndex(const Design& design);
+
+  const Design& design() const { return *design_; }
 
   /// verticalRailForbiddenX(design, type, y), for any y.
   const std::vector<Interval>& rails(TypeId type) const {
@@ -35,6 +43,16 @@ class ForbiddenXIndex {
   }
   /// ioPinForbiddenX(design, type, y).
   std::vector<Interval> io(TypeId type, std::int64_t y) const;
+
+  /// countIoOverlaps(design, type, x, y).
+  int ioOverlaps(TypeId type, std::int64_t x, std::int64_t y) const {
+    const IoRow& row = ioRow(type, y);
+    int count = 0;
+    for (std::int32_t i = row.begin; i < row.end; ++i) {
+      if (ioOverlapPool_[static_cast<std::size_t>(i)].contains(x)) ++count;
+    }
+    return count;
+  }
 
  private:
   struct TypeData {
@@ -46,10 +64,33 @@ class ForbiddenXIndex {
   };
   const TypeData& typeData(TypeId type) const;
 
+  /// The IO pins that can reach a pin of `type` at bottom row y: a
+  /// contiguous stretch of ioByYlo_.
+  std::span<const std::int32_t> ioCandidates(TypeId type,
+                                             std::int64_t y) const;
+
+  /// One (type, row) entry of the IO-overlap table: its intervals are
+  /// ioOverlapPool_[begin, end); begin < 0 until first queried.
+  struct IoRow {
+    std::int32_t begin = -1;
+    std::int32_t end = -1;
+  };
+  const IoRow& ioRow(TypeId type, std::int64_t y) const {
+    if (!ioRows_.empty()) {
+      const IoRow& row = ioRows_[static_cast<std::size_t>(
+          type * design_->numRows + y)];
+      if (row.begin >= 0) return row;
+    }
+    return fillIoRow(type, y);
+  }
+  const IoRow& fillIoRow(TypeId type, std::int64_t y) const;
+
   const Design* design_;
   mutable std::vector<std::optional<TypeData>> types_;
   std::vector<std::int32_t> ioByYlo_;  // IO pin indexes, by rect.ylo
   std::int64_t maxIoHeight_ = 0;
+  mutable std::vector<IoRow> ioRows_;  // type-major, sized on first query
+  mutable std::vector<Interval> ioOverlapPool_;
 };
 
 /// Allowed left-edge interval [lo, hi) for cell c at its current rows:

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "geometry/disp_curve.hpp"
 #include "util/random.hpp"
@@ -195,6 +196,64 @@ TEST(CurveSum, MatchesBruteForceOnRandomSums) {
     EXPECT_NEAR(sum.value(static_cast<double>(result.x)), bruteBest, 1e-7);
     (void)bruteX;
   }
+}
+
+// minimizeOnSites against a scan of every integer site in [lo, hi]: the
+// same minimum and the same first argmin. Every input is a multiple of 1/4
+// (scales too), so each sum is exact in double and the two must agree to
+// the bit, including on flat stretches where the first site has to win.
+TEST(CurveSum, MinimizeOnSitesMatchesEverySiteScan) {
+  Rng rng(2024);
+  const auto quarter = [&](int lo, int hi) {
+    return static_cast<double>(rng.uniformInt(lo * 4, hi * 4)) / 4.0;
+  };
+  int flatWins = 0;  // trials whose minimum is attained at several sites
+  for (int trial = 0; trial < 2000; ++trial) {
+    CurveSum sum;
+    const int numCurves = 1 + static_cast<int>(rng.uniformInt(0, 12));
+    for (int i = 0; i < numCurves; ++i) {
+      const double cur = quarter(-40, 40);
+      const double gp = quarter(-40, 40);
+      const double off = quarter(0, 12);
+      const double scale = quarter(0, 3);
+      switch (rng.uniformInt(0, 3)) {
+        case 0:
+          sum.add(DispCurve::targetV(gp).scaled(scale));
+          break;
+        case 1:
+          sum.add(DispCurve::rightPush(cur, gp, off).scaled(scale));
+          break;
+        case 2:
+          sum.add(DispCurve::leftPush(cur, gp, off).scaled(scale));
+          break;
+        default:
+          sum.add(DispCurve::constant(std::abs(gp)).scaled(scale));
+          break;
+      }
+    }
+    const std::int64_t lo = rng.uniformInt(-50, 10);
+    const std::int64_t hi = lo + rng.uniformInt(0, 60);
+    const auto result = sum.minimizeOnSites(lo, hi);
+    ASSERT_TRUE(result.feasible);
+
+    double best = std::numeric_limits<double>::infinity();
+    std::int64_t firstArgmin = lo;
+    int argmins = 0;
+    for (std::int64_t x = lo; x <= hi; ++x) {
+      const double v = sum.value(static_cast<double>(x));
+      if (v < best) {
+        best = v;
+        firstArgmin = x;
+        argmins = 1;
+      } else if (v == best) {
+        ++argmins;
+      }
+    }
+    EXPECT_EQ(result.value, best) << "trial " << trial;
+    EXPECT_EQ(result.x, firstArgmin) << "trial " << trial;
+    flatWins += argmins > 1 ? 1 : 0;
+  }
+  EXPECT_GT(flatWins, 50);
 }
 
 }  // namespace

@@ -505,5 +505,29 @@ TEST(FeasibleRange, IndexMatchesDirectForbiddenIntervals) {
   EXPECT_GT(ioHits, 0);
 }
 
+TEST(FeasibleRange, IoOverlapTableMatchesCountIoOverlaps) {
+  // The IO-overlap table MGL prices candidates with must count exactly
+  // what countIoOverlaps counts, for every type, bottom row and site.
+  GenSpec spec;
+  spec.cellsPerHeight = {200, 40, 15, 8};
+  spec.numIoPins = 400;
+  spec.seed = 12;
+  const Design d = generate(spec);
+  ASSERT_FALSE(d.ioPins.empty());
+  const ForbiddenXIndex index(d);
+  long long overlapping = 0;
+  for (TypeId t = 0; t < d.numTypes(); ++t) {
+    for (std::int64_t y = 0; y < d.numRows; ++y) {
+      for (std::int64_t x = 0; x < d.numSitesX; ++x) {
+        const int want = countIoOverlaps(d, t, x, y);
+        ASSERT_EQ(index.ioOverlaps(t, x, y), want)
+            << "type " << t << " row " << y << " site " << x;
+        overlapping += want > 0 ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_GT(overlapping, 0);
+}
+
 }  // namespace
 }  // namespace mclg

@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <vector>
 
 #include "db/placement_state.hpp"
@@ -223,7 +222,7 @@ void expectFailedCommitLeavesPlacementUntouched() {
   for (std::size_t i = 0; i < spots.size(); ++i) {
     state.place(static_cast<CellId>(i), spots[i].x, spots[i].y);
   }
-  std::vector<std::map<std::int64_t, CellId>> rowsBefore;
+  std::vector<RowOccupancy> rowsBefore;
   for (std::int64_t r = 0; r < d.numRows; ++r) {
     rowsBefore.push_back(state.rowCells(r));
   }

@@ -4,6 +4,8 @@
 // (or as a consistent design), never as a crash or an abort.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <string>
 #include <vector>
@@ -115,6 +117,120 @@ TEST(PlacementStateFuzz, AgreesWithGridModel) {
   EXPECT_GT(placedOps, 100);
   EXPECT_GT(removedOps, 100);
   EXPECT_GT(shiftedOps, 50);
+}
+
+// The flat occupancy rows against the std::map<x, cell> rows they
+// replaced: the same random place/remove/shift sequence drives both, and
+// after every operation each touched row must list the same (x, cell)
+// pairs in the same order and answer lower_bound/upper_bound/find at random
+// x exactly as the map does. Shifts include long moves that change a
+// cell's rank in its rows, not only in-place pushes.
+TEST(PlacementStateFuzz, FlatRowsMatchMapReference) {
+  Rng rng(4242);
+  Design d = smallDesign();
+  d.numSitesX = 64;
+  d.numRows = 10;
+  const int numCells = 80;
+  for (int i = 0; i < numCells; ++i) {
+    addCell(d, static_cast<TypeId>(rng.uniformInt(0, 2)), 0, 0);
+  }
+  PlacementState state(d);
+  std::vector<std::map<std::int64_t, CellId>> ref(
+      static_cast<std::size_t>(d.numRows));
+  const auto expectRowMatches = [&](std::int64_t y, int op) {
+    const RowOccupancy& row = state.rowCells(y);
+    const auto& want = ref[static_cast<std::size_t>(y)];
+    ASSERT_EQ(row.size(), want.size()) << "op " << op << " row " << y;
+    ASSERT_TRUE(std::equal(row.begin(), row.end(), want.begin(),
+                           [](const auto& a, const auto& b) {
+                             return a.first == b.first && a.second == b.second;
+                           }))
+        << "op " << op << " row " << y;
+    for (int probe = 0; probe < 4; ++probe) {
+      const std::int64_t x = rng.uniformInt(-1, d.numSitesX);
+      const auto at = [](const auto& container, auto it) {
+        return it == container.end() ? std::int64_t{-100} : it->first;
+      };
+      EXPECT_EQ(at(row, row.lower_bound(x)), at(want, want.lower_bound(x)));
+      EXPECT_EQ(at(row, row.upper_bound(x)), at(want, want.upper_bound(x)));
+      EXPECT_EQ(at(row, row.find(x)), at(want, want.find(x)));
+    }
+  };
+
+  int placedOps = 0, removedOps = 0, shiftedOps = 0;
+  for (int op = 0; op < 5000; ++op) {
+    const CellId c = static_cast<CellId>(rng.uniformInt(0, numCells - 1));
+    const int w = d.widthOf(c);
+    const int h = d.heightOf(c);
+    const auto& cell = d.cells[c];
+    const int action = static_cast<int>(rng.uniformInt(0, 2));
+    std::int64_t y = cell.y;
+    if (action == 0 && !cell.placed) {
+      const std::int64_t x = rng.uniformInt(0, d.numSitesX - w);
+      y = rng.uniformInt(0, d.numRows - h);
+      if (!state.spanEmpty(y, h, x, w)) continue;
+      state.place(c, x, y);
+      for (std::int64_t r = y; r < y + h; ++r) {
+        ref[static_cast<std::size_t>(r)].emplace(x, c);
+      }
+      ++placedOps;
+    } else if (action == 1 && cell.placed) {
+      for (std::int64_t r = y; r < y + h; ++r) {
+        ref[static_cast<std::size_t>(r)].erase(cell.x);
+      }
+      state.remove(c);
+      ++removedOps;
+    } else if (action == 2 && cell.placed) {
+      // Half the shifts are short pushes, half jump anywhere free.
+      const std::int64_t nx =
+          rng.uniformInt(0, 1) == 0
+              ? std::clamp<std::int64_t>(cell.x + rng.uniformInt(-2, 2), 0,
+                                         d.numSitesX - w)
+              : rng.uniformInt(0, d.numSitesX - w);
+      if (!state.spanEmpty(y, h, nx, w, c)) continue;
+      const std::int64_t oldX = cell.x;
+      state.shiftX(c, nx);
+      for (std::int64_t r = y; r < y + h; ++r) {
+        auto& row = ref[static_cast<std::size_t>(r)];
+        row.erase(oldX);
+        row.emplace(nx, c);
+      }
+      ++shiftedOps;
+    } else {
+      continue;
+    }
+    for (std::int64_t r = y; r < y + h; ++r) expectRowMatches(r, op);
+  }
+  EXPECT_GT(placedOps, 100);
+  EXPECT_GT(removedOps, 100);
+  EXPECT_GT(shiftedOps, 100);
+
+  // A state built over the placed design indexes the same rows, and a
+  // snapshot restores them exactly.
+  const PlacementSnapshot snap = state.snapshot();
+  PlacementState rebuilt(d);
+  for (std::int64_t r = 0; r < d.numRows; ++r) {
+    EXPECT_EQ(rebuilt.rowCells(r), state.rowCells(r)) << "row " << r;
+  }
+  for (CellId c = 0; c < numCells; ++c) {
+    if (d.cells[c].placed) state.remove(c);
+  }
+  state.restore(snap);
+  EXPECT_EQ(state.snapshot(), snap);
+}
+
+// emplace() keeps std::map's rule: a taken x is not overwritten.
+TEST(PlacementStateFuzz, FlatRowEmplaceKeepsTakenKey) {
+  RowOccupancy row;
+  EXPECT_TRUE(row.emplace(5, 1));
+  EXPECT_TRUE(row.emplace(2, 2));
+  EXPECT_FALSE(row.emplace(5, 3));
+  ASSERT_EQ(row.size(), 2U);
+  EXPECT_EQ(row.find(5)->second, 1);
+  row.move(row.find(2), 9);  // changes rank: now after x = 5
+  EXPECT_EQ(row.begin()->first, 5);
+  EXPECT_EQ(std::prev(row.end())->first, 9);
+  EXPECT_EQ(std::prev(row.end())->second, 2);
 }
 
 TEST(FreeSpanFuzz, MatchesGridModel) {
