@@ -70,7 +70,7 @@ int main() {
   // The ECO edit burst: jitter the GP target of ~5% of the movable cells,
   // clustered around three hotspots (the shape of a real ECO loop — timing
   // fixes concentrate in a few regions; a uniformly scattered burst would
-  // dirty every window and is exactly what the planner's coversCore
+  // dirty every window and is exactly what the driver's covers-core
   // bailout hands to the full pipeline). Deterministic RNG so the
   // committed report is reproducible.
   Design edited = snapshot;
@@ -164,11 +164,10 @@ int main() {
   std::printf("full    %.3fs (hash %016llx)\n", fullSeconds,
               static_cast<unsigned long long>(fullHash));
   std::printf("eco     %.3fs (speedup %.2fx, dirty=%d spilled=%d "
-              "windows=%d segments=%d warm=%lld cold=%lld fullFallback=%d)\n",
+              "segments=%d warm=%lld cold=%lld fullFallback=%d)\n",
               ecoSeconds, speedup, ecoStats.dirtyCells, ecoStats.spilledCells,
-              ecoStats.dirtyWindows, ecoStats.dirtySegments,
-              ecoStats.warmRestarts, ecoStats.coldFallbacks,
-              ecoStats.usedFullRun ? 1 : 0);
+              ecoStats.dirtySegments, ecoStats.warmRestarts,
+              ecoStats.coldFallbacks, ecoStats.usedFullRun ? 1 : 0);
   std::printf("exact   hash %016llx -> identical=%d\n",
               static_cast<unsigned long long>(exactHash),
               exactIdentical ? 1 : 0);
@@ -182,8 +181,6 @@ int main() {
   values.emplace_back("dirty_cells", static_cast<double>(ecoStats.dirtyCells));
   values.emplace_back("spilled_cells",
                       static_cast<double>(ecoStats.spilledCells));
-  values.emplace_back("dirty_windows",
-                      static_cast<double>(ecoStats.dirtyWindows));
   values.emplace_back("dirty_segments",
                       static_cast<double>(ecoStats.dirtySegments));
   values.emplace_back("matched_cells_moved",

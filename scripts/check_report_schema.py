@@ -2,7 +2,7 @@
 """Validate run-report documents against the committed field manifest.
 
 The manifest (docs/report_schema_fields.json) lists the fields of the one
-schema version every writer emits (kRunReportSchemaVersion, 6). A document
+schema version every writer emits (kRunReportSchemaVersion, 7). A document
 must carry that schema_version, every required field of its kind, the
 listed provenance and metrics fields, the per-histogram fields (pow2 buckets
 plus p50/p95/p99) on every histogram, and, when it has a `batch` block,

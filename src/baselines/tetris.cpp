@@ -2,7 +2,7 @@
 #include <cmath>
 
 #include "baselines/baselines.hpp"
-#include "baselines/packing_util.hpp"
+#include "db/free_span.hpp"
 #include "util/logging.hpp"
 
 namespace mclg {

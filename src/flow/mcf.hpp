@@ -112,10 +112,12 @@ class NetworkSimplex {
 /// bound, it falls back to a cold solve.
 ///
 /// A warm solve reaches the same optimal objective but possibly a different
-/// optimal vertex than a cold solve, so the legalization pipeline (which
-/// promises bit-identical output at any thread count) uses cold solves; warm
-/// starts are for iterated re-solves with perturbed costs (ablation sweeps,
-/// parameter search).
+/// optimal vertex than a cold solve. The pipeline's Stage 3 solves cold.
+/// Two re-solve loops warm-restart through `optimizeFixedRowOrderSubset`'s
+/// `FroSolverReuse`: the ECO driver's per-component Stage 3 passes and the
+/// rip-up pass's between-pass MCF re-solve (`RipupConfig::mcfResolve`).
+/// Both run their solves serially in a fixed order, so their output stays
+/// deterministic and independent of the thread count.
 class NetworkSimplexSolver {
  public:
   NetworkSimplexSolver();

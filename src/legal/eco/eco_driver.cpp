@@ -1,17 +1,18 @@
 #include "legal/eco/eco_driver.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "eval/checkers.hpp"
 #include "eval/score.hpp"
 #include "legal/eco/delta_tracker.hpp"
-#include "legal/eco/eco_planner.hpp"
 #include "legal/guard/invariants.hpp"
 #include "legal/maxdisp/matching_opt.hpp"
 #include "legal/mcfopt/fixed_row_order.hpp"
 #include "legal/mgl/mgl_legalizer.hpp"
+#include "legal/mgl/window.hpp"
 #include "legal/refine/ripup_refine.hpp"
 #include "obs/obs.hpp"
 #include "util/logging.hpp"
@@ -42,6 +43,52 @@ bool placeable(const PlacementState& state, CellId c, std::int64_t x,
   if (x < 0 || x + w > design.numSitesX) return false;
   if (!design.parityOk(design.cells[c].type, y)) return false;
   return state.spanEmpty(y, h, x, w);
+}
+
+struct Coverage {
+  long long cleanTiles = 0;  ///< the report's `eco.reused_windows`
+  bool coversCore = false;
+};
+
+/// The covers-core test on the level-0 window tile grid: mark the tiles
+/// that each dirty cell's level-0 window reaches, widened by the cover
+/// halo, at its GP target and at its vacated spot (`previous`, parallel to
+/// `dirty`). The core is covered when at least 90% of the tiles are dirty.
+Coverage dirtyCoverage(const Design& design, const std::vector<CellId>& dirty,
+                       const std::vector<PlacementSnapshot::CellPos>& previous,
+                       const WindowParams& params) {
+  const std::int64_t tileW = std::max(1, params.initialW);
+  const std::int64_t tileH = std::max(1, params.initialH);
+  const std::int64_t tilesX = (design.numSitesX + tileW - 1) / tileW;
+  const std::int64_t tilesY = (design.numRows + tileH - 1) / tileH;
+  const std::int64_t total = tilesX * tilesY;
+  if (total <= 0) return {};
+  const Rect core{0, 0, design.numSitesX, design.numRows};
+  std::vector<char> tile(static_cast<std::size_t>(total), 0);
+  const auto mark = [&](double x, double y, const CellType& type) {
+    const Rect w = makeWindow(design, x, y, type, params, 0);
+    const Rect r = Rect{w.xlo - kEcoCoverHaloSites, w.ylo - kEcoCoverHaloRows,
+                        w.xhi + kEcoCoverHaloSites, w.yhi + kEcoCoverHaloRows}
+                       .intersect(core);
+    if (r.xlo >= r.xhi || r.ylo >= r.yhi) return;
+    const std::int64_t txHi = std::min((r.xhi + tileW - 1) / tileW, tilesX);
+    const std::int64_t tyHi = std::min((r.yhi + tileH - 1) / tileH, tilesY);
+    for (std::int64_t ty = r.ylo / tileH; ty < tyHi; ++ty) {
+      for (std::int64_t tx = r.xlo / tileW; tx < txHi; ++tx) {
+        tile[static_cast<std::size_t>(ty * tilesX + tx)] = 1;
+      }
+    }
+  };
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    const Cell& cell = design.cells[dirty[i]];
+    const CellType& type = design.typeOf(dirty[i]);
+    mark(cell.gpX, cell.gpY, type);
+    if (const PlacementSnapshot::CellPos& old = previous[i]; old.placed) {
+      mark(static_cast<double>(old.x), static_cast<double>(old.y), type);
+    }
+  }
+  const std::int64_t dirtyTiles = std::count(tile.begin(), tile.end(), 1);
+  return {total - dirtyTiles, dirtyTiles >= total * 9 / 10};
 }
 
 void fullRun(PlacementState& state, const SegmentMap& segments,
@@ -193,13 +240,11 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
 
   config.requestDeadline.checkpoint("eco/diff");
 
-  // 2. Plan the dirty regions (reporting + the covers-core bailout).
-  const EcoPlan plan =
-      planEcoRegions(design, dirty, seed.previous, config.pipeline.mgl.window,
-                     config.haloSites, std::max(2, config.haloSites / 4));
-  stats.dirtyWindows = plan.dirtyWindows;
-  stats.reusedWindows = plan.reusedTiles;
-  if (plan.coversCore) {
+  // 2. Edits spread over the whole core: run the full pipeline instead.
+  const Coverage coverage =
+      dirtyCoverage(design, dirty, seed.previous, config.pipeline.mgl.window);
+  stats.reusedWindows = coverage.cleanTiles;
+  if (coverage.coversCore) {
     fullRun(state, segments, config, &stats, "dirty region covers the core");
     stats.secondsIncremental = incrementalSeconds();
     return stats;
@@ -439,7 +484,6 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
   if (obs::metricsEnabled()) {
     obs::counter("eco.dirty_cells").add(stats.dirtyCells);
     obs::counter("eco.spilled_cells").add(stats.spilledCells);
-    obs::counter("eco.dirty_windows").add(stats.dirtyWindows);
     obs::counter("eco.warm_restarts").add(stats.warmRestarts);
     obs::counter("eco.cold_fallbacks").add(stats.coldFallbacks);
   }

@@ -11,15 +11,17 @@
 //     use: seedFromSnapshot() diffs the design against a legal snapshot
 //     (DeltaTracker::diff; the CLI's --eco-from, bench_eco, tests), and
 //     seedFromLog() reads a resident design's undo log (EditLog; the serve
-//     session, O(Δ)). EcoPlanner bounds the affected window set and feeds
-//     the eco.* report fields;
-//  2. re-runs Stage 1 (MGL window insertion, §3.1) — which only processes
-//     unplaced cells, i.e. exactly the dirty set — with a DeltaTracker
-//     listener recording the displacement spill onto clean neighbors, then
-//     Stage 2 (§3.2 matching) focused on the touched (type × fence)
-//     groups, then a rip-up & re-insert pass over the worst-displaced
-//     cells, so a far-flung insertion can swap with a same-type neighbor
-//     or re-run its window search against the freed displacement;
+//     session, O(Δ)). When the dirty cells' halo-widened level-0 windows
+//     cover at least 90% of the core's level-0 window tiles, it runs the
+//     full pipeline instead (the covers-core bailout);
+//  2. re-runs Stage 1 (MGL window insertion, §3.1) — which only inserts
+//     unplaced cells, i.e. exactly the dirty set, but searches whole MGL
+//     windows and may push clean cells anywhere they reach — with a
+//     DeltaTracker listener recording that displacement spill, then a
+//     rip-up & re-insert pass over the worst-displaced touched cells, so a
+//     far-flung insertion can re-run its window search against the freed
+//     displacement, then Stage 2 (§3.2 matching) focused on the touched
+//     cells still stranded, which can swap with a same-type neighbor;
 //  3. re-runs Stage 3 (fixed-row/fixed-order MCF, §3.3) only on the
 //     constraint-graph components containing dirty or spilled cells — each
 //     trimmed to the `kEcoChainHalo` chain neighborhood of those cells,
@@ -77,16 +79,19 @@ inline constexpr int kEcoMcfPasses = 2;
 /// same score tolerance as the other incremental shortcuts. The focused
 /// §3.2 matching trims its chunks to the same halo.
 inline constexpr int kEcoChainHalo = 24;
+/// The covers-core test's halo: each dirty cell's level-0 window is
+/// widened by this many sites and rows before its tiles are marked dirty.
+/// It only widens that test; nothing confines the incremental stages to
+/// the marked tiles, and clean cells outside them can move too (the
+/// report's `eco.spilled_cells`).
+inline constexpr int kEcoCoverHaloSites = 48;
+inline constexpr int kEcoCoverHaloRows = 12;
 
 struct EcoConfig {
   /// Stage configs for the incremental stages and for any full-pipeline
   /// fallback / shadow run. guard.enabled additionally wraps the fallback
   /// full run in the stage transactions.
   PipelineConfig pipeline;
-  /// Halo added around each dirty cell's windows to bound the
-  /// displacement spill region (eco_planner.hpp): haloSites sites wide and
-  /// max(2, haloSites / 4) rows tall.
-  int haloSites = 48;
   /// Rip-up threshold (row heights) for the post-insertion recovery pass —
   /// lower than the standalone refiner's default because the incremental
   /// insertion is exactly what strands cells.
@@ -115,8 +120,7 @@ struct EcoStats {
   int addedCells = 0;
   int dirtyCells = 0;    ///< union of the above
   int spilledCells = 0;  ///< clean cells the incremental stages touched
-  // Planner accounting (run-report `eco.*`).
-  int dirtyWindows = 0;
+  /// Level-0 window tiles the covers-core test left clean.
   long long reusedWindows = 0;
   // Stage-2/3 and refinement activity.
   int matchedCellsMoved = 0;  ///< cells relocated by the focused matching
@@ -148,7 +152,8 @@ struct EcoSeed {
   /// ecoRelegalize runs the full pipeline.
   DeltaSet delta;
   /// Last legal placement of each delta.dirtyCells() entry, in that order
-  /// (not placed for an added cell): the planner's vacated-spot windows.
+  /// (not placed for an added cell): the covers-core test's vacated-spot
+  /// windows.
   std::vector<PlacementSnapshot::CellPos> previous;
   /// Clean cells whose last legal position is not replayable (a corrupt
   /// snapshot): left unplaced and re-placed like dirty cells.

@@ -64,7 +64,7 @@ enum class FaultKind {
   StageThrow,      // MclgError(Injected) after the stage has mutated state
   InvariantBreak,  // corrupt the placement so the post-stage audit fails
   BudgetExhaust,   // run the stage under an already-expired Deadline
-  TaskThrow,       // throw from MGL's per-cell task hook / stage body
+  TaskThrow,       // throw from MGL's per-cell checkpoint / stage body
 };
 inline constexpr int kNumFaultKinds = 4;
 

@@ -138,11 +138,9 @@ MglStats MglLegalizer::run() {
   };
   std::vector<LevelMetrics> levelMetrics(
       static_cast<std::size_t>(std::max(0, config_.window.maxExpansions) + 1));
-  int taskIndex = 0;
   for (const CellId c : orderCells()) {
-    // Cancellation and fault-injection points, once per cell.
+    // Cancellation and fault-injection point, once per cell.
     if (config_.checkpoint) config_.checkpoint();
-    if (config_.taskHook) config_.taskHook(taskIndex++);
     const auto& cell = design.cells[c];
     bool done = false;
     Rect prevWindow{0, 0, 0, 0};

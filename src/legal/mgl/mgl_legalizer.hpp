@@ -26,14 +26,11 @@ namespace mclg {
 struct MglConfig {
   WindowParams window;
   InsertionConfig insertion;
-  /// Cooperative-cancellation hook, called before each cell. The pipeline
-  /// guard installs a Deadline checkpoint here; a throw unwinds run() and
-  /// is caught at the transaction boundary.
+  /// Cooperative-cancellation and fault-injection hook, called before each
+  /// cell. The pipeline guard installs a Deadline checkpoint here, which
+  /// also throws on the first cell when an MGL TaskThrow fault is armed; a
+  /// throw unwinds run() and is caught at the transaction boundary.
   std::function<void()> checkpoint;
-  /// Test hook called before each cell with its index in processing order —
-  /// the guard's fault-injection point for exercising exception
-  /// propagation out of a stage.
-  std::function<void(int)> taskHook;
 };
 
 struct MglStats {

@@ -311,18 +311,19 @@ PipelineStats legalize(PlacementState& state, const SegmentMap& segments,
   mgl.optional = false;
   mgl.run = [&](const Deadline& deadline, int attempt) {
     MglConfig mglCfg = cfg.mgl;
-    // Unguarded runs keep the caller's hooks: nothing would catch a
-    // deadline or injected throw, and a caller's own hook must propagate.
+    // Unguarded runs keep the caller's checkpoint: nothing would catch a
+    // deadline or injected throw, and a caller's own throw must propagate.
     if (guard.enabled) {
-      mglCfg.checkpoint = [&deadline] { deadline.checkpoint("mgl"); };
-      if (guard.faults.armed(PipelineStage::Mgl, FaultKind::TaskThrow,
-                             attempt)) {
-        mglCfg.taskHook = [](int task) {
-          if (task == 0) {
-            throw MclgError("injected worker-task fault", ErrorKind::Injected);
-          }
-        };
-      }
+      const bool injectThrow = guard.faults.armed(
+          PipelineStage::Mgl, FaultKind::TaskThrow, attempt);
+      // The injected fault throws from the first cell's checkpoint, after
+      // the deadline check.
+      mglCfg.checkpoint = [&deadline, injectThrow] {
+        deadline.checkpoint("mgl");
+        if (injectThrow) {
+          throw MclgError("injected worker-task fault", ErrorKind::Injected);
+        }
+      };
     }
     Timer timer;
     MglLegalizer legalizer(state, segments, mglCfg);

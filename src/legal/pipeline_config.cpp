@@ -103,8 +103,6 @@ bool applyConfigText(const std::string& text, PipelineConfig* config,
       config->maxDisp.candidatesPerCell = okInt;
     } else if (key == "maxdisp.dense_threshold" && parseInt(value, &okInt)) {
       config->maxDisp.denseSolverThreshold = okInt;
-    } else if (key == "maxdisp.threads" && parseInt(value, &okInt)) {
-      config->maxDisp.numThreads = okInt;
     } else if (key == "maxdisp.group_by_footprint" &&
                parseBool(value, &okBool)) {
       config->maxDisp.groupByFootprint = okBool;
@@ -120,8 +118,6 @@ bool applyConfigText(const std::string& text, PipelineConfig* config,
       config->fixedRowOrder.respectEdgeSpacing = okBool;
     } else if (key == "mcf.mrdp_network" && parseBool(value, &okBool)) {
       config->fixedRowOrder.mrdpStyleNetwork = okBool;
-    } else if (key == "mcf.threads" && parseInt(value, &okInt)) {
-      config->fixedRowOrder.numThreads = okInt;
     } else if (key == "ripup.run" && parseBool(value, &okBool)) {
       config->runRipup = okBool;
     } else if (key == "ripup.threshold" && parseDouble(value, &okDouble)) {
@@ -180,7 +176,6 @@ std::string configToText(const PipelineConfig& config) {
   out << "maxdisp.candidates = " << config.maxDisp.candidatesPerCell << "\n";
   out << "maxdisp.dense_threshold = " << config.maxDisp.denseSolverThreshold
       << "\n";
-  out << "maxdisp.threads = " << config.maxDisp.numThreads << "\n";
   out << "maxdisp.group_by_footprint = " << b(config.maxDisp.groupByFootprint)
       << "\n";
   out << "mcf.run = " << b(config.runFixedRowOrder) << "\n";
@@ -192,7 +187,6 @@ std::string configToText(const PipelineConfig& config) {
       << "\n";
   out << "mcf.mrdp_network = " << b(config.fixedRowOrder.mrdpStyleNetwork)
       << "\n";
-  out << "mcf.threads = " << config.fixedRowOrder.numThreads << "\n";
   out << "ripup.run = " << b(config.runRipup) << "\n";
   out << "ripup.threshold = " << config.ripup.displacementThreshold << "\n";
   out << "ripup.passes = " << config.ripup.passes << "\n";

@@ -1,6 +1,7 @@
 // Textual configuration for the pipeline: flat `key = value` lines
 // (# comments), covering every tunable of every stage. Used by the CLI's
-// --config and by tests that sweep configurations from data.
+// --config and by tests that sweep configurations from data. Thread counts
+// are not tunables here: the CLI's --threads sets them (setThreads).
 //
 //   preset = contest            # or totaldisp (applied first)
 //   mgl.window.w = 24
@@ -14,11 +15,9 @@
 //   maxdisp.delta0 = 10
 //   maxdisp.group_by_footprint = false
 //   maxdisp.dense_threshold = 96
-//   maxdisp.threads = 4          # MGL has no thread key: it is serial
 //   mcf.run = true
 //   mcf.n0 = 4
 //   mcf.routability = true
-//   mcf.threads = 1
 //   guard.run = false            # transactional stage guard (legal/guard/)
 //   guard.score_tolerance = 0.05
 //   guard.stage_budget = 0       # seconds per stage attempt; 0 = unlimited

@@ -137,7 +137,6 @@ std::string renderRunReport(const RunProvenance& provenance,
     w.field("added_cells", eco->addedCells);
     w.field("dirty_cells", eco->dirtyCells);
     w.field("spilled_cells", eco->spilledCells);
-    w.field("dirty_windows", eco->dirtyWindows);
     w.field("reused_windows", static_cast<std::int64_t>(eco->reusedWindows));
     w.field("matched_cells_moved", eco->matchedCellsMoved);
     w.field("ripup_improved", eco->ripupImproved);

@@ -56,6 +56,11 @@ if(NOT last_stderr MATCHES "unknown argument '--thread'")
   message(FATAL_ERROR "no unknown-argument message:\n${last_stderr}")
 endif()
 expect_cli_exit(1 legalize --in ${missing_design} --no-gaurd)
+# Removed flags are unknown like any typo.
+expect_cli_exit(1 legalize --in ${missing_design} --eco-halo 48)
+if(NOT last_stderr MATCHES "unknown argument '--eco-halo'")
+  message(FATAL_ERROR "no unknown-argument message:\n${last_stderr}")
+endif()
 expect_cli_exit(1 legalize --in ${missing_design} --threads)
 expect_cli_exit(1 evaluate --in ${missing_design} --limit 5)
 expect_cli_exit(1 violations --in ${missing_design} stray)

@@ -3,7 +3,8 @@
 // GP swaps, appended cells — on generated designs must leave the
 // incremental result legal, within the score tolerance of a full re-run,
 // deterministic per thread count, and byte-identical to the full re-run
-// under exact mode at 1/4/8 threads.
+// under exact mode at 1/4/8 threads. The covers-core bailout is pinned on
+// scattered and clustered bursts.
 
 #include <gtest/gtest.h>
 
@@ -255,6 +256,100 @@ TEST(Eco, TrivialDeltaTouchesNothing) {
   EXPECT_EQ(stats.dirtyCells, 0);
   EXPECT_FALSE(stats.usedFullRun);
   EXPECT_EQ(placementHash(edited), placementHash(snapshot));
+}
+
+// The covers-core bailout: when the dirty cells' halo-widened level-0
+// windows (and their vacated spots) cover at least 90% of the level-0 tile
+// grid, ecoRelegalize runs the full pipeline instead. Pinned on
+// `mclg_cli generate --cells 2000 --density 0.55 --fences 2 --seed 1`,
+// legalized with the contest preset.
+Design legalCliDesign() {
+  constexpr int kCells = 2000;
+  GenSpec spec;
+  spec.cellsPerHeight = {kCells * 8 / 10, kCells * 12 / 100, kCells * 5 / 100,
+                         kCells * 3 / 100};
+  spec.density = 0.55;
+  spec.numFences = 2;
+  spec.numBlockages = 1;
+  spec.seed = 1;
+  Design design = generate(spec);
+  SegmentMap segments(design);
+  PlacementState state(design);
+  legalize(state, segments, PipelineConfig::contest());
+  EXPECT_TRUE(checkLegality(design, segments).legal());
+  return design;
+}
+
+/// GP jitter on `count` movable cells picked at random over the core.
+Design scatteredMoves(const Design& snapshot, std::uint64_t seed, int count) {
+  Design edited = snapshot;
+  std::mt19937_64 rng(seed);
+  std::vector<CellId> movable = movableCells(edited);
+  std::shuffle(movable.begin(), movable.end(), rng);
+  std::uniform_int_distribution<int> dx(-16, 16), dy(-4, 4);
+  for (int i = 0; i < count; ++i) {
+    Cell& cell = edited.cells[movable[static_cast<std::size_t>(i)]];
+    cell.gpX = std::clamp(cell.gpX + dx(rng), 0.0,
+                          static_cast<double>(edited.numSitesX - 1));
+    cell.gpY = std::clamp(cell.gpY + dy(rng), 0.0,
+                          static_cast<double>(edited.numRows - 1));
+  }
+  edited.invalidateCaches();
+  return edited;
+}
+
+EcoStats ecoRun(Design& edited, const Design& snapshot) {
+  SegmentMap segments(edited);
+  PlacementState state(edited);
+  EcoConfig config;
+  config.pipeline = PipelineConfig::contest();
+  const EcoStats stats = ecoRelegalize(state, segments, snapshot, config);
+  EXPECT_TRUE(checkLegality(edited, segments).legal());
+  return stats;
+}
+
+// The core is 238 sites × 122 rows: 10 × 16 = 160 level-0 tiles, so the
+// run bails out once at most 16 tiles stay clean.
+TEST(EcoBailout, FewScatteredMovesStayIncremental) {
+  const Design snapshot = legalCliDesign();
+  Design edited = scatteredMoves(snapshot, 5, /*count=*/5);
+  const EcoStats stats = ecoRun(edited, snapshot);
+  EXPECT_EQ(stats.movedCells, 5);
+  EXPECT_FALSE(stats.usedFullRun) << stats.fallbackReason;
+  EXPECT_EQ(stats.reusedWindows, 60);
+}
+
+TEST(EcoBailout, ScatteredBurstCoversTheCore) {
+  const Design snapshot = legalCliDesign();
+  struct Burst {
+    std::uint64_t seed;
+    int count;
+    long long reused;
+    bool full;
+  };
+  // Ten scattered moves are enough; 16 clean tiles is the last count that
+  // still bails out and 17 the first that stays incremental.
+  for (const Burst& burst : {Burst{1, 10, 9, true}, Burst{2, 16, 16, true},
+                             Burst{3, 14, 17, false}}) {
+    Design edited = scatteredMoves(snapshot, burst.seed, burst.count);
+    const EcoStats stats = ecoRun(edited, snapshot);
+    EXPECT_EQ(stats.movedCells, burst.count) << "seed " << burst.seed;
+    EXPECT_EQ(stats.reusedWindows, burst.reused) << "seed " << burst.seed;
+    EXPECT_EQ(stats.usedFullRun, burst.full) << "seed " << burst.seed;
+    EXPECT_EQ(stats.fallbackReason,
+              burst.full ? "dirty region covers the core" : "")
+        << "seed " << burst.seed;
+  }
+}
+
+TEST(EcoBailout, ClusteredBurstStaysIncremental) {
+  const Design snapshot = legalCliDesign();
+  Design edited =
+      applyEditBurst(snapshot, 10, /*moves=*/10, /*swaps=*/0, /*adds=*/0);
+  const EcoStats stats = ecoRun(edited, snapshot);
+  EXPECT_EQ(stats.movedCells, 10);
+  EXPECT_FALSE(stats.usedFullRun) << stats.fallbackReason;
+  EXPECT_EQ(stats.reusedWindows, 119);
 }
 
 TEST(Eco, DeltaTrackerClassifiesBurst) {

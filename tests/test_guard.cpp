@@ -332,14 +332,13 @@ TEST(Guard, UnguardedStageExceptionPropagates) {
   ASSERT_FALSE(config.guard.enabled);
   constexpr int kFaultTask = 10;
   int calls = 0;
-  config.mgl.taskHook = [&calls](int task) {
-    ++calls;
-    if (task == kFaultTask) {
+  config.mgl.checkpoint = [&calls] {
+    if (calls++ == kFaultTask) {
       throw MclgError("task fault", ErrorKind::Injected);
     }
   };
   EXPECT_THROW(legalize(state, segments, config), MclgError);
-  EXPECT_EQ(calls, kFaultTask + 1);  // tasks 0..10, once each
+  EXPECT_EQ(calls, kFaultTask + 1);  // cells 0..10, once each
   const int unplacedAfter = countUnplacedMovable(design);
   EXPECT_LT(unplacedAfter, unplacedBefore);  // no rollback
   EXPECT_GT(unplacedAfter, 0);               // no fallback completed it

@@ -15,7 +15,7 @@ TEST(PipelineConfigText, AppliesEveryKeyKind) {
       "mgl.routability = false\n"
       "maxdisp.delta0 = 25\n"
       "maxdisp.group_by_footprint = yes\n"
-      "maxdisp.threads = 4\n"
+      "maxdisp.candidates = 6\n"
       "mcf.run = false\n"
       "mcf.n0 = 8.5\n";
   std::string error;
@@ -25,7 +25,7 @@ TEST(PipelineConfigText, AppliesEveryKeyKind) {
   EXPECT_FALSE(config.mgl.insertion.routability);
   EXPECT_DOUBLE_EQ(config.maxDisp.delta0, 25.0);
   EXPECT_TRUE(config.maxDisp.groupByFootprint);
-  EXPECT_EQ(config.maxDisp.numThreads, 4);
+  EXPECT_EQ(config.maxDisp.candidatesPerCell, 6);
   EXPECT_FALSE(config.runFixedRowOrder);
   EXPECT_DOUBLE_EQ(config.fixedRowOrder.maxDispWeight, 8.5);
 }
@@ -50,12 +50,18 @@ TEST(PipelineConfigText, RejectsUnknownKey) {
   EXPECT_NE(error.find("mgl.threads"), std::string::npos);
   EXPECT_FALSE(applyConfigText("mgl.batch_cap = 8\n", &config, &error));
   EXPECT_NE(error.find("mgl.batch_cap"), std::string::npos);
+  // Nor do the other stages: --threads sets their lanes (setThreads).
+  EXPECT_FALSE(applyConfigText("maxdisp.threads = 4\n", &config, &error));
+  EXPECT_NE(error.find("maxdisp.threads"), std::string::npos);
+  EXPECT_FALSE(applyConfigText("mcf.threads = 1\n", &config, &error));
+  EXPECT_NE(error.find("mcf.threads"), std::string::npos);
 }
 
 TEST(PipelineConfigText, RejectsBadValue) {
   PipelineConfig config;
   std::string error;
-  EXPECT_FALSE(applyConfigText("maxdisp.threads = many\n", &config, &error));
+  EXPECT_FALSE(applyConfigText("maxdisp.candidates = many\n", &config,
+                               &error));
   EXPECT_FALSE(applyConfigText("mgl.routability = maybe\n", &config, &error));
   EXPECT_FALSE(applyConfigText("just a line\n", &config, &error));
   EXPECT_NE(error.find("line 1"), std::string::npos);
@@ -63,7 +69,7 @@ TEST(PipelineConfigText, RejectsBadValue) {
 
 TEST(PipelineConfigText, RoundTripsThroughText) {
   PipelineConfig config = PipelineConfig::contest();
-  config.maxDisp.numThreads = 3;
+  config.maxDisp.candidatesPerCell = 3;
   config.maxDisp.delta0 = 17.5;
   config.fixedRowOrder.mrdpStyleNetwork = true;
   const std::string text = configToText(config);

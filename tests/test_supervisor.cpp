@@ -553,7 +553,8 @@ TEST(Supervisor, TelemetryFoldMatchesPerDesignReportsAndTraceHasAllLanes) {
   std::map<std::string, long long> summed;
   for (const auto& result : results) {
     const testjson::JsonValue report = testjson::parseOrDie(result.reportJson);
-    EXPECT_EQ(report.at("schema_version").number, 6.0) << result.name;
+    EXPECT_EQ(report.at("schema_version").number, obs::kRunReportSchemaVersion)
+        << result.name;
     for (const auto& [name, value] :
          report.at("metrics").at("counters").object) {
       if (value.number != 0.0) summed[name] += static_cast<long long>(value.number);
@@ -588,7 +589,8 @@ TEST(Supervisor, TelemetryFoldMatchesPerDesignReportsAndTraceHasAllLanes) {
   // The v6 batch document carries the same aggregates.
   const testjson::JsonValue batchReport =
       testjson::parseOrDie(obs::renderBatchReport("mclg_batch", {}, ledger));
-  EXPECT_EQ(batchReport.at("schema_version").number, 6.0);
+  EXPECT_EQ(batchReport.at("schema_version").number,
+            obs::kRunReportSchemaVersion);
   const testjson::JsonValue& batch = batchReport.at("batch");
   EXPECT_EQ(batch.at("designs_total").number, static_cast<double>(kDesigns));
   EXPECT_EQ(batch.at("designs_ok").number, static_cast<double>(kDesigns));

@@ -339,7 +339,7 @@ TEST_F(TelemetryTest, ReportHistogramsCarryPercentileFields) {
   obs::Histogram& hist = obs::histogram("tmtest.latency");
   for (int v = 1; v <= 100; ++v) hist.observe(static_cast<double>(v));
   const JsonValue report = parseOrDie(obs::renderBenchReport("tmtest", {}));
-  EXPECT_EQ(report.at("schema_version").number, 6.0);
+  EXPECT_EQ(report.at("schema_version").number, obs::kRunReportSchemaVersion);
   const JsonValue& entry =
       report.at("metrics").at("histograms").at("tmtest.latency");
   ASSERT_TRUE(entry.has("p50"));

@@ -93,7 +93,6 @@ const char kHelp[] =
     "                                     (byte-identical to a full re-run)\n"
     "              [--eco-validate]       shadow full run, check the\n"
     "                                     EcoEquivalence invariant only\n"
-    "              [--eco-halo SITES]     spill halo around dirty windows\n"
     "              [--eco-tolerance T]    allowed relative score regression\n"
     "              [--eco-ripup-threshold D] rip up touched cells displaced\n"
     "                                     more than D row heights\n"
@@ -284,18 +283,16 @@ GuardExitCode cmdLegalize(const Flags& flags) {
     eco.pipeline = config;
     eco.exact = flags.has("--eco-exact");
     eco.validate = flags.has("--eco-validate");
-    eco.haloSites =
-        static_cast<int>(flags.integer("--eco-halo", eco.haloSites));
     eco.scoreTolerance = flags.number("--eco-tolerance", eco.scoreTolerance);
     eco.ripupThreshold =
         flags.number("--eco-ripup-threshold", eco.ripupThreshold);
     ecoStats = ecoRelegalize(state, segments, *snapshot, eco);
     stats = ecoPipelineStats(*ecoStats);
     std::printf(
-        "ECO %.2fs (dirty %d, spilled %d, windows %d dirty / %lld reused, "
+        "ECO %.2fs (dirty %d, spilled %d, reused windows %lld, "
         "segments %d, warm %lld, cold-fallback %lld)%s\n",
         ecoStats->secondsIncremental, ecoStats->dirtyCells,
-        ecoStats->spilledCells, ecoStats->dirtyWindows,
+        ecoStats->spilledCells,
         static_cast<long long>(ecoStats->reusedWindows),
         ecoStats->dirtySegments,
         static_cast<long long>(ecoStats->warmRestarts),
@@ -572,8 +569,7 @@ const Command kCommands[] = {
       {"--guard-attempts", Integer},
       {"--fault-seed", Integer, LLONG_MIN, LLONG_MAX},
       {"--trace-out", Text}, {"--report-out", Text},
-      {"--eco-from", Text}, {"--eco-halo", Integer},
-      {"--eco-tolerance", Number}, {"--eco-ripup-threshold", Number},
+      {"--eco-from", Text}, {"--eco-tolerance", Number}, {"--eco-ripup-threshold", Number},
       {"--no-maxdisp", Switch}, {"--no-mcf", Switch}, {"--ripup", Switch},
       {"--recover-hpwl", Switch}, {"--fillers", Switch},
       {"--no-guard", Switch}, {"--eco-exact", Switch},
