@@ -13,12 +13,17 @@ double combineScore(double avgDisp, double maxDisp, double hpwlRatio,
 
 ScoreBreakdown evaluateScore(const Design& design,
                              const SegmentMap& segments) {
+  return evaluateScore(design, checkLegality(design, segments));
+}
+
+ScoreBreakdown evaluateScore(const Design& design,
+                             const LegalityReport& legality) {
   ScoreBreakdown out;
   out.displacement = displacementStats(design);
   out.hpwlRatio = hpwlIncreaseRatio(design);
   out.pins = countPinViolations(design);
   out.edgeSpacing = countEdgeSpacingViolations(design);
-  out.legality = checkLegality(design, segments);
+  out.legality = legality;
   int movable = 0;
   for (const auto& cell : design.cells) {
     if (!cell.fixed) ++movable;

@@ -30,6 +30,10 @@ struct ScoreBreakdown {
 /// Evaluate every metric and the combined score on the current placement.
 ScoreBreakdown evaluateScore(const Design& design, const SegmentMap& segments);
 
+/// The same, reusing `legality`: checkLegality() of this very placement.
+ScoreBreakdown evaluateScore(const Design& design,
+                             const LegalityReport& legality);
+
 /// Just the combination formula (exposed for tests).
 double combineScore(double avgDisp, double maxDisp, double hpwlRatio,
                     int pinViolations, int edgeViolations, int numCells);

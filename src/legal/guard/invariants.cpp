@@ -49,7 +49,7 @@ InvariantResult checkStageInvariants(const Design& design,
     result.ok = false;
     return result;
   }
-  result.score = evaluateScore(design, segments).score;
+  result.score = evaluateScore(design, legality).score;
   // Regression check only when a pre-stage score exists (post-MGL stages);
   // MGL itself turns an unscoreable GP input into a placement.
   if (stage != PipelineStage::Mgl && scoreBefore >= 0.0 &&

@@ -8,7 +8,6 @@
 #include <string>
 
 #include "baselines/baselines.hpp"
-#include "eval/score.hpp"
 #include "legal/guard/invariants.hpp"
 #include "obs/obs.hpp"
 #include "obs/sampler.hpp"
@@ -183,11 +182,27 @@ void runUnguarded(StageDriver& driver, GuardReport& report) {
   total.record(driver.id);
 }
 
+/// The post-stage audit; counts the Eq. 10 evaluation it makes when the
+/// placement passes the legality checks (the guard's only evaluations).
+InvariantResult auditStage(const PlacementState& state,
+                           const SegmentMap& segments, const GuardConfig& guard,
+                           PipelineStage stage, int unplacedBefore,
+                           double scoreBefore) {
+  InvariantResult audit =
+      checkStageInvariants(state.design(), segments, guard.scoreTolerance,
+                           stage, unplacedBefore, scoreBefore);
+  if (audit.score >= 0.0) bumpGuardCounter("guard.score_evaluations");
+  return audit;
+}
+
 /// Guard on: snapshot -> stage -> invariant audit -> commit, or roll back
 /// and retry / skip / fall back. Never throws on a stage failure.
+/// `placementScore` is the Eq. 10 score of the current placement (-1 before
+/// MGL); a committed stage replaces it with its audit's score, a
+/// rolled-back one leaves it as it was.
 void runGuarded(PlacementState& state, const SegmentMap& segments,
                 const GuardConfig& guard, StageDriver& driver,
-                GuardReport& report) {
+                GuardReport& report, double& placementScore) {
   StageRecord& rec = report.at(driver.id);
   if (!driver.enabled) {
     rec.status = StageStatus::Disabled;
@@ -197,10 +212,11 @@ void runGuarded(PlacementState& state, const SegmentMap& segments,
   StageClock total;
   const PlacementSnapshot before = state.snapshot();
   const int unplacedBefore = countUnplacedMovable(state.design());
-  double scoreBefore = -1.0;
-  if (driver.id != PipelineStage::Mgl && unplacedBefore == 0) {
-    scoreBefore = evaluateScore(state.design(), segments).score;
-  }
+  // MGL is first and never skipped, so every later stage starts from a
+  // placement an audit has scored.
+  const double scoreBefore =
+      driver.id != PipelineStage::Mgl && unplacedBefore == 0 ? placementScore
+                                                             : -1.0;
   rec.scoreBefore = scoreBefore;
 
   const int maxAttempts = std::max(1, guard.maxAttempts);
@@ -232,11 +248,11 @@ void runGuarded(PlacementState& state, const SegmentMap& segments,
       }
       // Stages without internal checkpoints detect overage here.
       deadline.checkpoint(stageName(driver.id));
-      const InvariantResult audit = checkStageInvariants(
-          state.design(), segments, guard.scoreTolerance, driver.id,
-          unplacedBefore, scoreBefore);
+      const InvariantResult audit = auditStage(
+          state, segments, guard, driver.id, unplacedBefore, scoreBefore);
       if (audit.ok) {
         rec.scoreAfter = audit.score;
+        placementScore = audit.score;
         rec.seconds = total.seconds();
         rec.status =
             attempt == 0 ? StageStatus::Ok : StageStatus::OkAfterRetry;
@@ -265,10 +281,11 @@ void runGuarded(PlacementState& state, const SegmentMap& segments,
   if (driver.resetStats) driver.resetStats();
   if (!driver.optional && guard.allowFallback) {
     const BaselineStats fallback = legalizeTetris(state, segments);
-    const InvariantResult audit = checkStageInvariants(
-        state.design(), segments, guard.scoreTolerance, driver.id,
-        unplacedBefore, scoreBefore);
+    const InvariantResult audit = auditStage(state, segments, guard,
+                                             driver.id, unplacedBefore,
+                                             scoreBefore);
     if (audit.ok) {
+      placementScore = audit.score;
       rec.status = StageStatus::FallbackApplied;
       report.degraded = true;
       bumpGuardCounter("guard.fallbacks");
@@ -382,12 +399,13 @@ PipelineStats legalize(PlacementState& state, const SegmentMap& segments,
   recovery.resetStats = [&] { stats.recovery = {}; };
 
   GuardReport& report = stats.guard;
+  double placementScore = -1.0;  // each audit scores; the next stage reuses it
   for (auto& driver : drivers) {
     if (!guard.enabled) {
       runUnguarded(driver, report);
       continue;
     }
-    runGuarded(state, segments, guard, driver, report);
+    runGuarded(state, segments, guard, driver, report, placementScore);
     if (driver.id == PipelineStage::Mgl &&
         report.at(driver.id).status == StageStatus::Failed) {
       // Rolled back to the (unplaced) GP input with no fallback: the later

@@ -18,6 +18,7 @@
 #include "legal/guard/guard.hpp"
 #include "legal/guard/invariants.hpp"
 #include "legal/pipeline.hpp"
+#include "obs/metrics.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/executor/executor.hpp"
@@ -123,6 +124,59 @@ TEST(Guard, CleanGuardedRunMatchesUnguarded) {
     EXPECT_EQ(guarded.cells[c].x, plain.cells[c].x);
     EXPECT_EQ(guarded.cells[c].y, plain.cells[c].y);
   }
+}
+
+/// `guard.score_evaluations` over one legalize() with metrics on.
+long long scoreEvaluations(Design& design, const PipelineConfig& config,
+                           PipelineStats* statsOut) {
+  obs::setMetricsEnabled(true);
+  obs::metricsReset();
+  SegmentMap segments(design);
+  PlacementState state(design);
+  *statsOut = legalize(state, segments, config);
+  const long long evaluations =
+      obs::counter("guard.score_evaluations").value();
+  obs::setMetricsEnabled(false);
+  obs::metricsReset();
+  return evaluations;
+}
+
+// Each audit scores the placement it accepts, and the next stage takes that
+// score as its pre-stage score: a default guarded run (MGL, §3.2, §3.3)
+// evaluates Eq. 10 three times, once per audit.
+TEST(Guard, DefaultGuardedRunScoresOncePerAudit) {
+  Design design = generate(guardSpec(11));
+  PipelineStats stats;
+  EXPECT_EQ(scoreEvaluations(design, guardedConfig(), &stats), 3);
+  const GuardReport& guard = stats.guard;
+  EXPECT_FALSE(guard.degraded);
+  EXPECT_EQ(guard.at(PipelineStage::Mgl).scoreBefore, -1.0);
+  EXPECT_GT(guard.at(PipelineStage::Mgl).scoreAfter, 0.0);
+  EXPECT_EQ(guard.at(PipelineStage::MaxDisp).scoreBefore,
+            guard.at(PipelineStage::Mgl).scoreAfter);
+  EXPECT_EQ(guard.at(PipelineStage::FixedRowOrder).scoreBefore,
+            guard.at(PipelineStage::MaxDisp).scoreAfter);
+}
+
+// A skipped stage restores the pre-stage placement, so the next stage's
+// pre-stage score is the one the skipped stage started from.
+TEST(Guard, SkippedStageHandsOnItsScoreBefore) {
+  Design design = generate(guardSpec(16));
+  PipelineConfig config = guardedConfig();
+  config.guard.maxAttempts = 2;
+  config.guard.faults.add(PipelineStage::MaxDisp, FaultKind::StageThrow, 0);
+  config.guard.faults.add(PipelineStage::MaxDisp, FaultKind::StageThrow, 1);
+  PipelineStats stats;
+  // MGL's and §3.3's audits; the thrown §3.2 attempts never reach theirs.
+  EXPECT_EQ(scoreEvaluations(design, config, &stats), 2);
+  const GuardReport& guard = stats.guard;
+  EXPECT_EQ(guard.at(PipelineStage::MaxDisp).status,
+            StageStatus::SkippedAfterRollback);
+  EXPECT_EQ(guard.at(PipelineStage::MaxDisp).scoreBefore,
+            guard.at(PipelineStage::Mgl).scoreAfter);
+  EXPECT_EQ(guard.at(PipelineStage::FixedRowOrder).scoreBefore,
+            guard.at(PipelineStage::Mgl).scoreAfter);
+  EXPECT_EQ(guard.at(PipelineStage::FixedRowOrder).status, StageStatus::Ok);
 }
 
 // Every stage recovers from a StageThrow on the first attempt by rolling

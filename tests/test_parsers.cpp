@@ -1,4 +1,17 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <functional>
+#include <limits>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "gen/benchmark_gen.hpp"
 #include "parsers/def_parser.hpp"
@@ -98,6 +111,282 @@ TEST(SimpleFormat, CommentsAndBlankLinesIgnored) {
   const auto parsed = readSimpleFormat(text);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->name, "x");
+}
+
+// A minimal valid design; each table row below edits one line of it.
+// Lines: 1 MCLG, 2 DESIGN, 3 CORE, 4 EDGECLASSES, 5 TYPE, 6 PIN, 7 CELL,
+// 8 NET, 9 END.
+const std::vector<std::string> kBaseLines = {
+    "MCLG 1",
+    "DESIGN t",
+    "CORE 20 10 0.5",
+    "EDGECLASSES 1",
+    "TYPE A 2 1 -1 0 0 1",
+    "PIN 1 0 0 1 1",
+    "CELL 0 1.5 2.5 0 0 1 3 4",
+    "NET 1 0 0",
+    "END",
+};
+
+std::string joinLines(const std::vector<std::string>& lines,
+                      const char* eol = "\n") {
+  std::string text;
+  for (const auto& line : lines) text += line + eol;
+  return text;
+}
+
+/// The base text with line `lineNo` (1-based) replaced by `replacement`,
+/// which may span several lines or be empty (the line is dropped).
+std::string withLine(int lineNo, const std::string& replacement) {
+  std::string text;
+  for (int i = 0; i < static_cast<int>(kBaseLines.size()); ++i) {
+    if (i + 1 == lineNo) {
+      if (!replacement.empty()) text += replacement + "\n";
+    } else {
+      text += kBaseLines[i] + "\n";
+    }
+  }
+  return text;
+}
+
+struct ReaderRow {
+  const char* name;
+  std::string text;
+  bool accepted;
+  int errorLine = 0;         // rejected rows: the reported line
+  const char* message = "";  // rejected rows: ParseError::message
+  std::function<void(const Design&)> check = {};  // accepted rows
+};
+
+// The reader's lexical rules, one row each. Recorded on the stream-based
+// reader (std::getline + operator>>) that the one-pass reader replaced; the
+// one-pass reader must agree row for row.
+std::vector<ReaderRow> readerRows() {
+  const auto cellY = [](std::int64_t y) {
+    return [y](const Design& d) { EXPECT_EQ(d.cells[0].y, y); };
+  };
+  const auto cellGp = [](double x, double y) {
+    return [x, y](const Design& d) {
+      EXPECT_EQ(d.cells[0].gpX, x);
+      EXPECT_EQ(d.cells[0].gpY, y);
+    };
+  };
+  return {
+      {"base", joinLines(kBaseLines), true},
+      {"crlf line ends", joinLines(kBaseLines, "\r\n"), true, 0, "",
+       cellY(4)},
+      {"tabs between fields", withLine(7, "CELL\t0\t1.5\t2.5\t0\t0\t1\t3\t4"),
+       true, 0, "", cellY(4)},
+      {"vertical tab and form feed are spaces",
+       withLine(7, "CELL 0\v1.5\f2.5 0 0 1 3 4"), true, 0, "",
+       cellGp(1.5, 2.5)},
+      {"leading spaces", withLine(7, "   CELL 0 1.5 2.5 0 0 1 3 4"), true},
+      {"comment mid-line", withLine(7, "CELL 0 1.5 2.5 0 0 1 3 4 # note"),
+       true},
+      {"comment cuts fields", withLine(7, "CELL 0 1.5 2.5 0 0 1 3 # 4"),
+       false, 7, "bad CELL"},
+      {"comment and blank lines", withLine(4, "# c\n\n  \t\nEDGECLASSES 1"),
+       true},
+      {"extra tokens after the last field",
+       withLine(7, "CELL 0 1.5 2.5 0 0 1 3 4 extra 99"), true, 0, "",
+       cellY(4)},
+      {"trailing garbage on the last field",
+       withLine(7, "CELL 0 1.5 2.5 0 0 1 3 4xyz"), true, 0, "", cellY(4)},
+      {"trailing garbage on a middle field",
+       withLine(7, "CELL 0 1.5xyz 2.5 0 0 1 3 4"), false, 7, "bad CELL"},
+      {"a number ends where it cannot continue",
+       withLine(7, "CELL 0 1.5-2.5 0 0 1 3 4"), true, 0, "",
+       cellGp(1.5, -2.5)},
+      {"plus signs", withLine(7, "CELL +0 +1.5 2.5 0 0 +1 3 +4"), true, 0,
+       "", [](const Design& d) {
+         EXPECT_EQ(d.cells[0].gpX, 1.5);
+         EXPECT_EQ(d.cells[0].y, 4);
+         EXPECT_TRUE(d.cells[0].placed);
+       }},
+      {"plus then minus", withLine(7, "CELL 0 +-1.5 2.5 0 0 1 3 4"), false,
+       7, "bad CELL"},
+      {"lone sign", withLine(7, "CELL 0 - 2.5 0 0 1 3 4"), false, 7,
+       "bad CELL"},
+      {"decimal forms", withLine(7, "CELL 0 .5 5. 0 0 1 3 4"), true, 0, "",
+       cellGp(0.5, 5.0)},
+      {"exponent forms", withLine(7, "CELL 0 1e0 2.5E+0 0 0 1 3 4"), true, 0,
+       "", cellGp(1.0, 2.5)},
+      {"negative exponent", withLine(7, "CELL 0 25e-1 -0.0 0 0 1 3 4"), true,
+       0, "", [](const Design& d) {
+         EXPECT_EQ(d.cells[0].gpX, 2.5);
+         EXPECT_TRUE(std::signbit(d.cells[0].gpY));
+       }},
+      {"underflow reads as zero", withLine(7, "CELL 0 1e-400 2.5 0 0 1 3 4"),
+       true, 0, "", cellGp(0.0, 2.5)},
+      {"overflow", withLine(7, "CELL 0 1e400 2.5 0 0 1 3 4"), false, 7,
+       "bad CELL"},
+      {"exponent without digits", withLine(7, "CELL 0 1e 2.5 0 0 1 3 4"),
+       false, 7, "bad CELL"},
+      {"lone decimal point", withLine(7, "CELL 0 . 2.5 0 0 1 3 4"), false, 7,
+       "bad CELL"},
+      {"inf", withLine(7, "CELL 0 inf 2.5 0 0 1 3 4"), false, 7, "bad CELL"},
+      {"nan", withLine(7, "CELL 0 nan 2.5 0 0 1 3 4"), false, 7, "bad CELL"},
+      {"hex float", withLine(7, "CELL 0 0x1p1 2.5 0 0 1 3 4"), false, 7,
+       "bad CELL"},
+      {"decimal in an int field", withLine(7, "CELL 0 1.5 2.5 3.0 0 1 3 4"),
+       false, 7, "bad CELL"},
+      {"int overflow", withLine(7, "CELL 0 1.5 2.5 2147483648 0 1 3 4"),
+       false, 7, "bad CELL"},
+      {"int64 overflow",
+       withLine(7, "CELL 0 1.5 2.5 0 0 1 9223372036854775808 4"), false, 7,
+       "bad CELL"},
+      {"missing field", withLine(7, "CELL 0 1.5 2.5 0 0 1 3"), false, 7,
+       "bad CELL"},
+      // A negative count wraps to a huge one, so the reader takes the
+      // next line for a PIN and rejects it there.
+      {"negative pin count",
+       withLine(5, "TYPE A 2 1 -1 0 0 -1\nCELL 0 1.5 2.5 0 0 1 3 4"), false,
+       6, "bad PIN"},
+      {"NET with a negative count", withLine(8, "NET -2 0 0"), false, 8,
+       "truncated NET"},
+      {"NET list short", withLine(8, "NET 2 0 0"), false, 8,
+       "truncated NET"},
+      {"DESIGN without a name", withLine(2, "DESIGN"), true, 0, "",
+       [](const Design& d) { EXPECT_EQ(d.name, ""); }},
+      {"text after END", joinLines(kBaseLines) + "garbage 1 2\nTYPE\n", true},
+      {"no newline at the end",
+       joinLines(kBaseLines).substr(0, joinLines(kBaseLines).size() - 1),
+       true},
+      {"comment line inside a PIN list",
+       withLine(5, "TYPE A 2 1 -1 0 0 1\n# pins"), false, 6, "bad PIN"},
+      {"PIN list cut by the end of the text", "MCLG 1\nTYPE A 2 1 -1 0 0 1",
+       false, 2, "truncated PIN list"},
+      {"unknown keyword", withLine(4, "EDGECLASES 1"), false, 4,
+       "unknown keyword"},
+      {"keyword with a NUL byte",
+       withLine(4, std::string("EDGE\0CLASSES 1", 14)), false, 4,
+       "unknown keyword"},
+      {"version 2", withLine(1, "MCLG 2"), false, 1, "unsupported version"},
+      {"version with a suffix", withLine(1, "MCLG 1abc"), true},
+      {"missing header", withLine(1, ""), false, 1, "missing MCLG header"},
+      {"missing END", withLine(9, ""), false, 8, "missing END"},
+  };
+}
+
+TEST(SimpleFormat, ReaderLexicalRules) {
+  for (const auto& row : readerRows()) {
+    SCOPED_TRACE(row.name);
+    ParseError error;
+    const auto parsed = readSimpleFormat(row.text, &error);
+    ASSERT_EQ(parsed.has_value(), row.accepted) << error.str();
+    if (row.accepted) {
+      if (row.check) row.check(*parsed);
+    } else {
+      EXPECT_EQ(error.line, row.errorLine) << error.str();
+      EXPECT_EQ(error.message, row.message) << error.str();
+    }
+  }
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+GenSpec writerSpec(std::uint64_t seed) {
+  GenSpec spec;
+  spec.cellsPerHeight = {120, 20, 8, 4};
+  spec.density = 0.6;
+  spec.numFences = 2;
+  spec.numBlockages = 2;
+  spec.numIoPins = 40;
+  spec.seed = seed;
+  return spec;
+}
+
+/// `design` with every movable cell given a legal-looking position derived
+/// from its GP, so the writer's placed-cell fields are exercised too.
+Design withPositions(Design design) {
+  for (auto& cell : design.cells) {
+    if (cell.fixed) continue;
+    const CellType& type = design.types[cell.type];
+    cell.placed = true;
+    cell.x = std::clamp<std::int64_t>(std::llround(cell.gpX), 0,
+                                      design.numSitesX - type.width);
+    cell.y = std::clamp<std::int64_t>(std::llround(cell.gpY), 0,
+                                      design.numRows - type.height);
+  }
+  return design;
+}
+
+TEST(SimpleFormat, WriteReadWriteIsByteIdentical) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    const Design generated = generate(writerSpec(seed));
+    ASSERT_FALSE(generated.hRails.empty());
+    ASSERT_FALSE(generated.ioPins.empty());
+    ASSERT_GT(generated.numFences(), 1);
+    for (const Design& design : {generated, withPositions(generated)}) {
+      const std::string text = writeSimpleFormat(design);
+      std::string error;
+      const auto parsed = readSimpleFormat(text, &error);
+      ASSERT_TRUE(parsed.has_value()) << error;
+      EXPECT_EQ(writeSimpleFormat(*parsed), text);
+    }
+  }
+}
+
+TEST(SimpleFormat, WrittenBytesArePinned) {
+  // Captured from the stream-based writer (precision 17) that the
+  // to_chars writer replaced; any change to the written text fails here.
+  const std::string text =
+      writeSimpleFormat(withPositions(generate(writerSpec(11))));
+  EXPECT_EQ(text.size(), 11523u);
+  EXPECT_EQ(fnv1a(text), 5077757393109102816ull);
+}
+
+TEST(SimpleFormat, DoublesRoundTripBitExact) {
+  const double values[] = {0.1,
+                           1e-310,
+                           -0.0,
+                           9007199254740993.0,  // 2^53 + 1 rounds to 2^53
+                           std::nextafter(9007199254740992.0, 1e300),
+                           123456789.123456789,
+                           std::numeric_limits<double>::max(),
+                           std::numeric_limits<double>::denorm_min()};
+  for (const double v : values) {
+    SCOPED_TRACE(v);
+    Design d = testing::smallDesign();
+    addCell(d, 0, v, -v);
+    const std::string text = writeSimpleFormat(d);
+    char expected[64];
+    std::snprintf(expected, sizeof expected, "CELL 0 %.17g %.17g ", v, -v);
+    EXPECT_NE(text.find(expected), std::string::npos) << text;
+    std::string error;
+    const auto parsed = readSimpleFormat(text, &error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed->cells[0].gpX),
+              std::bit_cast<std::uint64_t>(v));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed->cells[0].gpY),
+              std::bit_cast<std::uint64_t>(-v));
+  }
+}
+
+// A pipe has no size to read up front, so loadDesign reads it to its end in
+// growing chunks; the text here is larger than the first chunk.
+TEST(SimpleFormat, LoadDesignReadsAPipe) {
+  GenSpec spec = writerSpec(3);
+  spec.cellsPerHeight = {1500, 100, 0, 0};
+  const Design design = generate(spec);
+  const std::string text = writeSimpleFormat(design);
+  ASSERT_GT(text.size(), 1u << 17);
+  const std::string path = testing::uniqueTestDir() + "/design.fifo";
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] { std::ofstream(path) << text; });
+  std::string error;
+  const auto loaded = loadDesign(path, &error);
+  writer.join();
+  ASSERT_TRUE(loaded.has_value()) << error;
+  EXPECT_EQ(writeSimpleFormat(*loaded), text);
 }
 
 TEST(Lef, RoundTripLibrary) {
