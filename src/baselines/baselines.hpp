@@ -8,11 +8,12 @@
 //  - legalizeMll: [12] — the window-insertion engine run with displacement
 //    measured from *current* locations (the paper's own characterization of
 //    MLL's weakness; see Fig. 3).
-//  - legalizeOrderedMcf: [9] proxy — order-preserving row assignment
-//    followed by the globally optimal fixed-row-&-order MCF.
-//  - legalizeChampionProxy: ICCAD17-champion stand-in for Table 1 — a
-//    displacement-driven legalizer with routability handling disabled, so
-//    it accrues the edge/pin violations the champion shows in the paper.
+//  - legalizeOrderedQp: [9] — order-preserving row assignment followed by
+//    the quadratic fixed-row-&-order optimization (the Table 2 column);
+//    legalizeOrderedMcf is the same with the linear-objective MCF.
+//  - legalizeChampionProxy: ICCAD17-champion stand-in for Table 1 — Tetris
+//    packing plus the fixed-row-&-order MCF with routability handling
+//    disabled, so it accrues the edge/pin violations the champion shows.
 #pragma once
 
 #include "db/placement_state.hpp"
@@ -48,8 +49,9 @@ BaselineStats legalizeOrderedMcf(PlacementState& state,
 BaselineStats legalizeOrderedQp(PlacementState& state,
                                 const SegmentMap& segments);
 
-/// ICCAD17 champion proxy: MLL objective, routability off, no
-/// post-processing.
+/// ICCAD17 champion proxy: Tetris, then the fixed-row-&-order MCF with
+/// contest weights; routability, edge spacing and the max-displacement
+/// term off.
 BaselineStats legalizeChampionProxy(PlacementState& state,
                                     const SegmentMap& segments);
 

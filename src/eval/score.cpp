@@ -1,5 +1,7 @@
 #include "eval/score.hpp"
 
+#include "obs/obs.hpp"
+
 namespace mclg {
 
 double combineScore(double avgDisp, double maxDisp, double hpwlRatio,
@@ -18,6 +20,7 @@ ScoreBreakdown evaluateScore(const Design& design,
 
 ScoreBreakdown evaluateScore(const Design& design,
                              const LegalityReport& legality) {
+  if (obs::metricsEnabled()) obs::counter("eval.score_evaluations").add();
   ScoreBreakdown out;
   out.displacement = displacementStats(design);
   out.hpwlRatio = hpwlIncreaseRatio(design);

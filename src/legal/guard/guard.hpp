@@ -19,9 +19,11 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "eval/score.hpp"
 #include "util/deadline.hpp"
 
 namespace mclg {
@@ -158,6 +160,11 @@ struct GuardReport {
   bool degraded = false;     // some stage needed retry / skip / fallback
   bool failed = false;       // some stage failed with no recovery
   int infeasibleCells = 0;   // movable cells left unplaced at the end
+  /// The Eq. 10 evaluation of the last audit that committed a stage. Each
+  /// stage either commits through an audit or is rolled back, so at the
+  /// end of a guarded legalize() this scores the placement it returns;
+  /// empty when the guard was off or no stage committed.
+  std::optional<ScoreBreakdown> finalScore;
 
   StageRecord& at(PipelineStage stage);
   const StageRecord& at(PipelineStage stage) const;

@@ -49,7 +49,8 @@ InvariantResult checkStageInvariants(const Design& design,
     result.ok = false;
     return result;
   }
-  result.score = evaluateScore(design, legality).score;
+  result.breakdown = evaluateScore(design, legality);
+  result.score = result.breakdown.score;
   // Regression check only when a pre-stage score exists (post-MGL stages);
   // MGL itself turns an unscoreable GP input into a placement.
   if (stage != PipelineStage::Mgl && scoreBefore >= 0.0 &&

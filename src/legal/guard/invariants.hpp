@@ -26,6 +26,7 @@ struct InvariantResult {
   bool ok = true;
   std::string violation;  // empty when ok
   double score = -1.0;    // Eq. 10 of the audited placement; -1 = not measured
+  ScoreBreakdown breakdown;  // the evaluation behind `score`, when measured
 };
 
 /// Post-stage audit: hard legality, placed-count monotonicity, and Eq. 10

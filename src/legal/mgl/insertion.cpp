@@ -261,17 +261,17 @@ const InsertionSearcher::CellSlot& InsertionSearcher::curveData(
   return d;
 }
 
-bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
-                                     std::int64_t y, std::int64_t seed,
-                                     Candidate& out) const {
+bool InsertionSearcher::walkChains(CellId c, const Rect& window,
+                                   std::int64_t y, const RowCtx* ctx,
+                                   std::int64_t& lo, std::int64_t& hi) const {
   const auto& design = state_.design();
   const auto& target = design.cells[c];
   const auto& type = design.typeOf(c);
   const int h = type.height;
   const int w = type.width;
 
-  std::int64_t lo = window.xlo;
-  std::int64_t hi = window.xhi - w;
+  lo = window.xlo;
+  hi = window.xhi - w;
 
   // Chain entries, deduplicated across rows for multi-row local cells (the
   // most constraining row's offset wins). A cell's step slot holds its entry
@@ -291,7 +291,7 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
   };
 
   for (std::int64_t r = y; r < y + h; ++r) {
-    const RowCtx& rc = rowCtxScratch_[static_cast<std::size_t>(r - y)];
+    const RowCtx& rc = ctx[r - y];
     const Segment* seg = rc.seg;
     if (seg == nullptr || seg->fence != target.fence) {
       bumpReject("mgl.insert.reject.fence");
@@ -348,6 +348,118 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
     }
     if (lo > hi) return false;
   }
+  return true;
+}
+
+void InsertionSearcher::reachInterval(CellId c, const Rect& window,
+                                      const RowCtx* ctx, std::int64_t lo,
+                                      std::int64_t hi, std::int64_t& reachLo,
+                                      std::int64_t& reachHi) const {
+  const auto& design = state_.design();
+  const auto& type = design.typeOf(c);
+  reachLo = lo;
+  reachHi = hi;
+  // The immediate neighbours sit on either side of the seed's partition
+  // boundary (x order and center order agree in a legal row). The
+  // placement does not change before the commit, so the window's row
+  // snapshots hold every cell a chain can reach: chains continue only
+  // through local cells, which lie inside the window.
+  for (int k = 0; k < type.height && reachLo <= reachHi; ++k) {
+    const RowSnap& snap = *ctx[k].snap;
+    const auto b = static_cast<std::size_t>(ctx[k].boundary);
+    // A boundary at the left wall makes walkChains' right chain start at a
+    // non-local cell and leave no room, so it never gets here; any other
+    // left neighbour is in the snapshot.
+    MCLG_ASSERT(b > 0 || snap.winBegin == 0,
+                "left neighbour outside the window snapshot");
+    // The target at x asks its left neighbour j for a left edge at most
+    // x - gap. That moves j only if x < x_j + gap, and the move is met iff
+    // it stays within j's left reach (x_j itself if j is non-local).
+    if (b > 0) {
+      const std::size_t i = b - 1;
+      const std::int64_t gap =
+          snap.width[i] + edgeSpacing(snap.rightEdge[i], type.leftEdge);
+      if (snap.x[i] + gap > reachLo) {
+        const std::int64_t reach =
+            snap.local[i] ? pushReach(snap.cell[i], true, window) : snap.x[i];
+        reachLo = std::max(reachLo, reach + gap);
+      }
+    }
+    // Mirrored: the right neighbour must let the target end at x + gap.
+    if (b < snap.cell.size()) {
+      const std::int64_t gap =
+          type.width + edgeSpacing(type.rightEdge, snap.leftEdge[b]);
+      if (snap.x[b] - gap < reachHi) {
+        const std::int64_t reach =
+            snap.local[b] ? pushReach(snap.cell[b], false, window) : snap.x[b];
+        reachHi = std::min(reachHi, reach - gap);
+      }
+    }
+  }
+}
+
+const Interval* InsertionSearcher::railAt(TypeId type, std::int64_t x) const {
+  for (const auto& iv : forbidden().rails(type)) {
+    if (iv.contains(x)) return &iv;
+  }
+  return nullptr;
+}
+
+bool InsertionSearcher::railDodgeSafe(TypeId type, std::int64_t lo,
+                                      std::int64_t hi) const {
+  if (!config_.routability) return true;
+  for (const auto& iv : forbidden().rails(type)) {
+    if (iv.hi <= lo || iv.lo > hi) continue;  // misses [lo, hi]
+    const std::int64_t leftAlt = iv.lo - 1;
+    const std::int64_t rightAlt = iv.hi;
+    const bool leftOk = leftAlt >= lo && railAt(type, leftAlt) == nullptr;
+    const bool rightOk = rightAlt <= hi && railAt(type, rightAlt) == nullptr;
+    if (!leftOk && !rightOk) return false;
+  }
+  return true;
+}
+
+double InsertionSearcher::costLowerBound(CellId c, std::int64_t y,
+                                         std::int64_t lo,
+                                         std::int64_t hi) const {
+  const auto& design = state_.design();
+  const auto& target = design.cells[c];
+  // IO pins only add cost, unless a caller prices them negative.
+  if (config_.routability && config_.ioPenalty < 0.0) {
+    return -std::numeric_limits<double>::infinity();
+  }
+  const double swf = design.siteWidthFactor;
+  const double wT = config_.contestWeights ? design.metricWeight(c) : 1.0;
+  const auto dlo = static_cast<double>(lo);
+  const auto dhi = static_cast<double>(hi);
+  const double reach = std::max(std::abs(dlo), std::abs(dhi));
+  // The target's own terms: its row is fixed, its x lies in [lo, hi].
+  const double yCost = std::abs(static_cast<double>(y) - target.gpY) * wT;
+  const double xGap = std::max({0.0, dlo - target.gpX, target.gpX - dhi});
+  double bound = yCost + swf * wT * xGap;
+  // Every term the minimization adds or subtracts is at most `magnitude`
+  // in absolute value, so its rounding error stays far below 1e-9 of it.
+  double magnitude = 1.0 + yCost + swf * wT * (std::abs(target.gpX) + reach);
+  // A chain cell's term is its displacement change: a left push only moves
+  // it left, to no less than lo - off, so it gains at most the part of
+  // that move which ends at its GP (mirrored on the right).
+  for (const auto& entry : entryScratch_) {
+    const CellSlot& cd = curveData(entry.cell);
+    const auto off = static_cast<double>(entry.off);
+    const double gain = entry.left ? cd.cur - std::max(cd.gp, dlo - off)
+                                   : std::min(cd.gp, dhi + off) - cd.cur;
+    bound -= cd.scale * std::max(0.0, gain);
+    magnitude +=
+        cd.scale * (std::abs(cd.cur) + std::abs(cd.gp) + off + reach);
+  }
+  return bound - 1e-9 * magnitude;
+}
+
+bool InsertionSearcher::minimizeCurves(CellId c, std::int64_t y,
+                                       std::int64_t lo, std::int64_t hi,
+                                       Candidate& out) const {
+  const auto& design = state_.design();
+  const auto& target = design.cells[c];
 
   // Displacement curves (Fig. 4) summed over the target and local cells.
   // Per-cell curve parameters come from the window-epoch slots.
@@ -365,7 +477,7 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
   // across insertion points with different local-cell sets (and is exactly
   // zero-based in MLL mode, where gp == cur).
   double baseline = 0.0;
-  for (const auto& entry : entries) {
+  for (const auto& entry : entryScratch_) {
     const CellSlot& cd = curveData(entry.cell);
     baseline += cd.scale * std::abs(cd.cur - cd.gp);
     sum.add(entry.left
@@ -387,25 +499,18 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
   if (config_.routability) {
     // Dodge vertical-rail conflicts: move to the nearest clean site. The
     // forbidden intervals depend only on the type.
-    const auto& rails = forbidden().rails(target.type);
-    auto inForbidden = [&](std::int64_t x) -> const Interval* {
-      for (const auto& iv : rails) {
-        if (iv.contains(x)) return &iv;
-      }
-      return nullptr;
-    };
-    if (const Interval* iv = inForbidden(best.x)) {
+    if (const Interval* iv = railAt(target.type, best.x)) {
       const std::int64_t leftAlt = iv->lo - 1;
       const std::int64_t rightAlt = iv->hi;
       double bestVal = 0.0;
       std::int64_t bestX = 0;
       bool found = false;
-      if (leftAlt >= lo && inForbidden(leftAlt) == nullptr) {
+      if (leftAlt >= lo && railAt(target.type, leftAlt) == nullptr) {
         bestVal = sum.value(static_cast<double>(leftAlt));
         bestX = leftAlt;
         found = true;
       }
-      if (rightAlt <= hi && inForbidden(rightAlt) == nullptr) {
+      if (rightAlt <= hi && railAt(target.type, rightAlt) == nullptr) {
         const double v = sum.value(static_cast<double>(rightAlt));
         if (!found || v < bestVal) {
           bestVal = v;
@@ -423,15 +528,26 @@ bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
   }
 
   out.x = best.x;
-  out.y = y;
   out.cost = best.value;
-  out.seed = seed;
   return true;
 }
 
+void InsertionSearcher::evaluateDoomed(CellId c, const Rect& window,
+                                       DoomedSeed& d) {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  const bool walked =
+      walkChains(c, window, d.cand.y, &doomedCtx_[d.ctx], lo, hi);
+  MCLG_ASSERT(walked && lo == d.lo && hi == d.hi,
+              "doomed seed re-walk differs from its first walk");
+  const bool ok = minimizeCurves(c, d.cand.y, lo, hi, d.cand);
+  MCLG_ASSERT(ok, "rail dodge failed on a seed admitted as rail-safe");
+  d.exact = true;
+  ++doomedEvaluated_;
+}
+
 void InsertionSearcher::evaluateRow(CellId c, const Rect& window,
-                                    std::int64_t y,
-                                    std::vector<Candidate>& out) const {
+                                    std::int64_t y) {
   const auto& design = state_.design();
   const auto& target = design.cells[c];
   const auto& type = design.typeOf(c);
@@ -548,11 +664,49 @@ void InsertionSearcher::evaluateRow(CellId c, const Rect& window,
       if (prevOk) ++dupSkipped_;
       continue;
     }
-    Candidate cand;
-    prevOk = evaluateSeed(c, window, y, seed, cand);
-    if (prevOk) out.push_back(cand);
+    prevOk = evaluateSeed(c, window, y, seed);
     std::swap(ctx, prev);
   }
+}
+
+bool InsertionSearcher::evaluateSeed(CellId c, const Rect& window,
+                                     std::int64_t y, std::int64_t seed) {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  const RowCtx* ctx = rowCtxScratch_.data();
+  if (!walkChains(c, window, y, ctx, lo, hi)) return false;
+  Candidate cand;
+  cand.y = y;
+  cand.seed = seed;
+  reachInterval(c, window, ctx, lo, hi, cand.reachLo, cand.reachHi);
+  if (cand.reachLo <= cand.reachHi) {
+    if (!minimizeCurves(c, y, lo, hi, cand)) return false;
+    candidateScratch_.push_back(cand);
+    return true;
+  }
+  // Doomed: no x in [lo, hi] can commit. It is still a candidate iff the
+  // curve minimization would succeed, which is certain unless the rail
+  // dodge could fail; then that is settled here and now.
+  ++doomedSeeds_;
+  DoomedSeed d;
+  d.cand = cand;
+  d.lo = lo;
+  d.hi = hi;
+  d.ctx = doomedCtx_.size();
+  doomedCtx_.insert(doomedCtx_.end(), rowCtxScratch_.begin(),
+                    rowCtxScratch_.end());
+  if (railDodgeSafe(state_.design().cells[c].type, lo, hi)) {
+    d.lowerBound = costLowerBound(c, y, lo, hi);
+  } else {
+    ++doomedEvaluated_;
+    if (!minimizeCurves(c, y, lo, hi, d.cand)) {
+      doomedCtx_.resize(d.ctx);
+      return false;
+    }
+    d.exact = true;
+  }
+  doomedScratch_.push_back(d);
+  return true;
 }
 
 bool InsertionSearcher::tryInsert(CellId c, const Rect& window) {
@@ -563,8 +717,15 @@ bool InsertionSearcher::tryInsert(CellId c, const Rect& window) {
   const int h = design.heightOf(c);
   beginWindow();
 
+  // Doomed seeds are candidates too: they count toward every total below
+  // and take part in every ordering decision, but each decision reads a
+  // doomed seed's exact cost only when a lower bound cannot settle it, so
+  // the search commits exactly where evaluating every seed would.
   auto& candidates = candidateScratch_;
+  auto& doomed = doomedScratch_;
   candidates.clear();
+  doomed.clear();
+  doomedCtx_.clear();
   const std::int64_t yLo = std::max<std::int64_t>(0, window.ylo);
   const std::int64_t yHi = std::min(window.yhi - h, design.numRows - h);
   // Visit rows by distance from the GP row. Large (expanded) windows can
@@ -576,38 +737,64 @@ bool InsertionSearcher::tryInsert(CellId c, const Rect& window) {
   const auto gpRow = static_cast<std::int64_t>(std::lround(target.gpY));
   const double wT =
       config_.contestWeights ? design.metricWeight(c) : 1.0;
+  // The least cost of the candidates with a known cost, and the least lower
+  // bound of the doomed seeds without one.
   double bestCost = std::numeric_limits<double>::infinity();
+  double bestBound = std::numeric_limits<double>::infinity();
   for (std::int64_t dy = 0;; ++dy) {
     const std::int64_t below = gpRow - dy;
     const std::int64_t above = gpRow + dy;
     if (below < yLo && above > yHi) break;
     const std::size_t sizeBefore = candidates.size();
-    if (below >= yLo && below <= yHi) evaluateRow(c, window, below, candidates);
+    const std::size_t doomedBefore = doomed.size();
+    if (below >= yLo && below <= yHi) evaluateRow(c, window, below);
     if (dy > 0 && above >= yLo && above <= yHi) {
-      evaluateRow(c, window, above, candidates);
+      evaluateRow(c, window, above);
     }
     for (std::size_t i = sizeBefore; i < candidates.size(); ++i) {
       bestCost = std::min(bestCost, candidates[i].cost);
     }
-    if (static_cast<int>(candidates.size() + dupSkipped_) >=
-            config_.maxCommitAttempts &&
-        wT * static_cast<double>(dy + 1) > bestCost + 2.0 * wT) {
-      break;
+    for (std::size_t i = doomedBefore; i < doomed.size(); ++i) {
+      if (doomed[i].exact) {
+        bestCost = std::min(bestCost, doomed[i].cand.cost);
+      } else {
+        bestBound = std::min(bestBound, doomed[i].lowerBound);
+      }
     }
+    if (static_cast<int>(candidates.size() + doomed.size() + dupSkipped_) <
+        config_.maxCommitAttempts) {
+      continue;
+    }
+    const auto farEnough = [&](double cost) {
+      return wT * static_cast<double>(dy + 1) > cost + 2.0 * wT;
+    };
+    // The window ends iff some candidate's cost is far enough below this
+    // row's y-cost. A doomed seed's cost is at least its bound, so only the
+    // seeds whose bound passes the test need their cost.
+    if (!farEnough(bestCost) && farEnough(bestBound)) {
+      bestBound = std::numeric_limits<double>::infinity();
+      for (DoomedSeed& d : doomed) {
+        if (d.exact) continue;
+        if (!farEnough(bestCost) && farEnough(d.lowerBound)) {
+          evaluateDoomed(c, window, d);
+          bestCost = std::min(bestCost, d.cand.cost);
+        } else {
+          bestBound = std::min(bestBound, d.lowerBound);
+        }
+      }
+    }
+    if (farEnough(bestCost)) break;
   }
+  const std::size_t numCandidates = candidates.size() + doomed.size();
   if (obs::metricsEnabled()) {
     obs::counter("mgl.insert.seed_dedup").add(dupSkipped_);
     obs::counter("mgl.curve_cache.hit").add(curveHits_);
     obs::counter("mgl.curve_cache.miss").add(curveMisses_);
     obs::histogram("mgl.window.candidates")
-        .observe(static_cast<double>(candidates.size() + dupSkipped_));
+        .observe(static_cast<double>(numCandidates + dupSkipped_));
   }
   curveHits_ = 0;
   curveMisses_ = 0;
-  if (candidates.empty()) {
-    bumpReject("mgl.insert.window_failed");
-    return false;
-  }
 
   // Total-order comparator (cost, |y - gpY|, y, x, seed): every key chain is
   // unique, so the selected order never depends on the sort implementation.
@@ -620,6 +807,28 @@ bool InsertionSearcher::tryInsert(CellId c, const Rect& window) {
     if (a.y != b.y) return a.y < b.y;
     if (a.x != b.x) return a.x < b.x;
     return a.seed < b.seed;
+  };
+  // The reject cap below can end the commit loop early only if there are
+  // more candidates than it allows. Then every doomed seed takes its place
+  // in the cost order, which decides where the cap falls.
+  if (static_cast<int>(numCandidates) > config_.maxCommitAttempts) {
+    for (DoomedSeed& d : doomed) {
+      if (!d.exact) evaluateDoomed(c, window, d);
+      candidates.push_back(d.cand);
+    }
+    doomed.clear();
+  }
+  // Otherwise a doomed seed can only hide a candidate that shares its
+  // (x, y) and comes later in the cost order from the seen-set below. Its x
+  // lies in its feasible interval, so only the doomed seeds of that row
+  // whose interval holds cand.x need their exact x.
+  const auto hiddenByDoomed = [&](const Candidate& cand) {
+    for (DoomedSeed& d : doomed) {
+      if (d.cand.y != cand.y || cand.x < d.lo || cand.x > d.hi) continue;
+      if (!d.exact) evaluateDoomed(c, window, d);
+      if (d.cand.x == cand.x && cheaper(d.cand, cand)) return true;
+    }
+    return false;
   };
   // Lazy bounded selection: most windows commit the first candidate, so
   // sorting the whole vector is wasted work. partial_sort the cheapest
@@ -652,7 +861,8 @@ bool InsertionSearcher::tryInsert(CellId c, const Rect& window) {
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cand.x)) << 32) |
         static_cast<std::uint32_t>(cand.y);
     if (!seen.insert(key)) continue;
-    if (reachable(c, cand, window)) {
+    if (cand.reachable()) {
+      if (hiddenByDoomed(cand)) continue;
       commit(c, cand, window);
       lastCommit_.x = cand.x;
       lastCommit_.y = cand.y;
@@ -666,42 +876,37 @@ bool InsertionSearcher::tryInsert(CellId c, const Rect& window) {
     obs::counter("mgl.commit.attempts").add(rejected + (committed ? 1 : 0));
     obs::counter("mgl.commit.reach_rejects").add(rejected);
     obs::counter("mgl.commit.pushes").add(commitPushes_);
+    obs::counter("mgl.insert.doomed").add(doomedSeeds_);
+    obs::counter("mgl.insert.doomed_evaluated").add(doomedEvaluated_);
   }
   commitPushes_ = 0;
+  doomedSeeds_ = 0;
+  doomedEvaluated_ = 0;
   bumpReject(committed ? "mgl.insert.committed" : "mgl.insert.window_failed");
   return committed;
 }
 
-bool InsertionSearcher::reachable(CellId c, const Candidate& cand,
-                                  const Rect& window) {
-  const auto& design = state_.design();
+void InsertionSearcher::commit(CellId c, const Candidate& cand,
+                               const Rect& window) {
+  auto& design = state_.design();
+  const std::int64_t x = cand.x;
+  const std::int64_t y = cand.y;
   const int h = design.heightOf(c);
   const int w = design.widthOf(c);
   const double seedCenter = static_cast<double>(cand.seed) + w * 0.5;
-  const std::int64_t x = cand.x;
 
   // Two vector-backed FIFO work lists (head index instead of pop_front),
-  // consumed by commit().
+  // seeded with the requests the target makes of its immediate neighbours:
+  // the cells on either side of the seed's partition boundary.
   auto& leftQ = queueScratch_;
   auto& rightQ = rightQueueScratch_;
   leftQ.clear();
   rightQ.clear();
-
-  // The immediate neighbours sit on either side of the seed's partition
-  // boundary (x order and center order agree in a legal row). The
-  // placement has not changed since the window began, so the window's row
-  // snapshots hold every cell a chain can reach: chains continue only
-  // through local cells, which lie inside the window.
-  for (std::int64_t r = cand.y; r < cand.y + h; ++r) {
+  for (std::int64_t r = y; r < y + h; ++r) {
     const RowSnap& snap = rowSnap(r, window);
     const auto b = static_cast<std::size_t>(
         std::upper_bound(snap.center.begin(), snap.center.end(), seedCenter) -
         snap.center.begin());
-    // A boundary at the left wall makes evaluateSeed's right chain start at
-    // a non-local cell, so such a seed never becomes a candidate; any other
-    // left neighbour is in the snapshot.
-    MCLG_ASSERT(b > 0 || snap.winBegin == 0,
-                "left neighbour outside the window snapshot");
     if (b > 0) {
       const CellId j = snap.cell[b - 1];
       leftQ.push_back({j, snap.local[b - 1] != 0,
@@ -713,32 +918,8 @@ bool InsertionSearcher::reachable(CellId c, const Candidate& cand,
     }
   }
 
-  // A request that does not move its cell is always met; one that does is
-  // met iff it stays within the cell's reach (a non-local cell's reach is
-  // its own x, so any real push into it fails).
-  for (const PushReq& req : leftQ) {
-    if (req.bound >= design.cells[req.cell].x) continue;
-    if (!req.local || req.bound < pushReach(req.cell, true, window)) {
-      return false;
-    }
-  }
-  for (const PushReq& req : rightQ) {
-    if (req.bound <= design.cells[req.cell].x) continue;
-    if (!req.local || req.bound > pushReach(req.cell, false, window)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void InsertionSearcher::commit(CellId c, const Candidate& cand,
-                               const Rect& window) {
-  auto& design = state_.design();
-  const std::int64_t x = cand.x;
-  const std::int64_t y = cand.y;
-
-  // Replay the requests reachable() seeded. A cell's step slot holds its
-  // simulated x for this attempt.
+  // Propagate the requests. A cell's step slot holds its simulated x for
+  // this commit.
   const std::uint64_t attemptEpoch = ++arena_->stepEpoch;
   auto& moved = movedScratch_;
   moved.clear();
@@ -754,8 +935,6 @@ void InsertionSearcher::commit(CellId c, const Candidate& cand,
     }
     slot.step = nx;
   };
-  auto& leftQ = queueScratch_;
-  auto& rightQ = rightQueueScratch_;
 
   // Left pushes: bound is the max allowed left edge.
   for (std::size_t head = 0; head < leftQ.size();) {

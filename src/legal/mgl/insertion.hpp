@@ -13,14 +13,18 @@
 // clean site, IO-pin overlaps add a cost penalty.
 //
 // The evaluation estimates each row's chain on its own, so a candidate
-// whose chains interact across rows can be infeasible. Every candidate is
-// therefore first tested exactly, in O(h), against per-cell push-reach
-// bounds: the furthest a left (right) push may drive a cell before its
-// chain, followed through every row of every pushed cell, runs into a
-// non-local cell or a segment boundary. The bounds are computed lazily,
-// once per window, on the window's row snapshots. Only the candidate that
-// passes is simulated push by push and applied, so a failed attempt costs
-// no simulation and the placement never sees a partial commit.
+// whose chains interact across rows can be infeasible. Every seed is
+// therefore tested exactly, in O(h), against per-cell push-reach bounds:
+// the furthest a left (right) push may drive a cell before its chain,
+// followed through every row of every pushed cell, runs into a non-local
+// cell or a segment boundary. The bounds are computed lazily, once per
+// window, on the window's row snapshots, and give each seed the interval of
+// x at which it can be committed. A seed whose interval misses its feasible
+// x-interval is *doomed*: it can never commit, so its curves are built only
+// if an ordering decision of the search needs its exact cost (see
+// tryInsert). Only the candidate that passes is simulated push by push and
+// applied, so a failed attempt costs no simulation and the placement never
+// sees a partial commit.
 #pragma once
 
 #include <cstdint>
@@ -113,32 +117,91 @@ class InsertionSearcher {
   void undoLastCommit(CellId c);
 
  private:
+  struct RowCtx;
+
   struct Candidate {
     std::int64_t x = 0;  // target left edge
     std::int64_t y = 0;  // target bottom row
     double cost = 0.0;
     std::int64_t seed = 0;  // partition seed (for the commit re-derivation)
+    /// The x of the seed's feasible interval at which commit() succeeds
+    /// (see reachInterval); empty for a doomed seed.
+    std::int64_t reachLo = 0;
+    std::int64_t reachHi = -1;
+
+    /// True iff commit() succeeds at x: a commit fails exactly when a push
+    /// hits a non-local cell or a slide-range bound, and both conditions
+    /// are monotone in x.
+    bool reachable() const { return reachLo <= x && x <= reachHi; }
   };
 
-  /// Evaluate all insertion points with bottom row y; append candidates.
-  void evaluateRow(CellId c, const Rect& window, std::int64_t y,
-                   std::vector<Candidate>& out) const;
+  /// A seed whose push-reach interval misses its feasible interval
+  /// [lo, hi]. Until `exact`, cand.x and cand.cost are unknown and
+  /// `lowerBound` stands for the cost; the seed's row contexts are kept in
+  /// doomedCtx_ from `ctx` on, so that evaluateDoomed rebuilds exactly the
+  /// curve sum evaluateRow would have built.
+  struct DoomedSeed {
+    Candidate cand;
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+    double lowerBound = 0.0;
+    std::size_t ctx = 0;
+    bool exact = false;
+  };
 
-  /// Evaluate the single insertion point defined by `seed` on row span
-  /// [y, y+h). Returns false if infeasible.
+  /// Evaluate all insertion points with bottom row y; append the
+  /// candidates to candidateScratch_ and the doomed seeds to doomedScratch_.
+  void evaluateRow(CellId c, const Rect& window, std::int64_t y);
+
+  /// Evaluate the insertion point defined by `seed` on row span [y, y+h),
+  /// whose row contexts are in rowCtxScratch_, and append it to
+  /// candidateScratch_ or doomedScratch_. False if it is no candidate.
   bool evaluateSeed(CellId c, const Rect& window, std::int64_t y,
-                    std::int64_t seed, Candidate& out) const;
+                    std::int64_t seed);
 
-  /// Seed the push work lists with the requests the target, placed at
-  /// cand, makes of its immediate neighbours in each row of its span, and
-  /// test each against the neighbour's push reach. True iff commit(cand)
-  /// succeeds: a commit fails exactly when a push hits a non-local cell or
-  /// a slide-range bound, and both conditions are monotone in the bound.
-  bool reachable(CellId c, const Candidate& cand, const Rect& window);
+  /// Walk the chains of the insertion point whose per-row contexts are
+  /// ctx[0, h) on row span [y, y+h): fill entryScratch_ and narrow [lo, hi]
+  /// to the target x the chains leave room for. False if that is empty.
+  bool walkChains(CellId c, const Rect& window, std::int64_t y,
+                  const RowCtx* ctx, std::int64_t& lo,
+                  std::int64_t& hi) const;
 
-  /// Apply the candidate that reachable() just accepted: propagate the
-  /// requests it seeded push by push, then shift the pushed cells and
-  /// place c. A failing push is an assertion failure, not a rejection.
+  /// The x in [lo, hi] at which the insertion point with contexts ctx can
+  /// be committed, [reachLo, reachHi] (empty if reachLo > reachHi): the
+  /// target at x requests a push of its immediate neighbour in each row of
+  /// its span, and each request must stay within that neighbour's push
+  /// reach (a non-local neighbour cannot move at all).
+  void reachInterval(CellId c, const Rect& window, const RowCtx* ctx,
+                     std::int64_t lo, std::int64_t hi, std::int64_t& reachLo,
+                     std::int64_t& reachHi) const;
+
+  /// Build the Fig. 4 curves of entryScratch_ and minimize them over
+  /// [lo, hi], dodging vertical rails and pricing IO pins; fills out.x and
+  /// out.cost. False if the rail dodge finds no clean site.
+  bool minimizeCurves(CellId c, std::int64_t y, std::int64_t lo,
+                      std::int64_t hi, Candidate& out) const;
+
+  /// A lower bound on the cost minimizeCurves would find for entryScratch_
+  /// on [lo, hi], less a margin that covers its floating-point rounding.
+  double costLowerBound(CellId c, std::int64_t y, std::int64_t lo,
+                        std::int64_t hi) const;
+
+  /// True iff the vertical-rail dodge of minimizeCurves cannot fail for any
+  /// optimum in [lo, hi]: every forbidden interval meeting [lo, hi] has a
+  /// clean neighbour site inside it.
+  bool railDodgeSafe(TypeId type, std::int64_t lo, std::int64_t hi) const;
+
+  /// The first forbidden rail interval of `type` containing x, if any.
+  const Interval* railAt(TypeId type, std::int64_t x) const;
+
+  /// Compute the exact x and cost of doomed seed d.
+  void evaluateDoomed(CellId c, const Rect& window, DoomedSeed& d);
+
+  /// Seed the push work lists with the requests the target, placed at the
+  /// reachable candidate cand, makes of its immediate neighbours in each
+  /// row of its span; propagate them push by push, then shift the pushed
+  /// cells and place c. A failing push is an assertion failure, not a
+  /// rejection.
   void commit(CellId c, const Candidate& cand, const Rect& window);
 
   /// Push reach of local cell j in one direction: for a left push, the
@@ -293,6 +356,8 @@ class InsertionSearcher {
   mutable std::size_t curveHits_ = 0;
   mutable std::size_t curveMisses_ = 0;
   std::size_t commitPushes_ = 0;
+  std::size_t doomedSeeds_ = 0;
+  std::size_t doomedEvaluated_ = 0;
 
   // Reused scratch buffers — the search runs millions of evaluations and
   // commit attempts, and per-call container construction dominated the
@@ -314,6 +379,8 @@ class InsertionSearcher {
   mutable CurveSum sumScratch_;
   mutable std::vector<std::int64_t> seedScratch_;
   std::vector<Candidate> candidateScratch_;
+  std::vector<DoomedSeed> doomedScratch_;
+  std::vector<RowCtx> doomedCtx_;  // see DoomedSeed::ctx
   SeenSet seenScratch_;
   std::vector<CellId> movedScratch_;  // cells with a simulated new x
   std::vector<PushReq> queueScratch_;

@@ -197,12 +197,12 @@ InvariantResult auditStage(const PlacementState& state,
 
 /// Guard on: snapshot -> stage -> invariant audit -> commit, or roll back
 /// and retry / skip / fall back. Never throws on a stage failure.
-/// `placementScore` is the Eq. 10 score of the current placement (-1 before
-/// MGL); a committed stage replaces it with its audit's score, a
-/// rolled-back one leaves it as it was.
+/// `report.finalScore` scores the current placement (empty before MGL); a
+/// committed stage replaces it with its audit's evaluation, a rolled-back
+/// one leaves it as it was.
 void runGuarded(PlacementState& state, const SegmentMap& segments,
                 const GuardConfig& guard, StageDriver& driver,
-                GuardReport& report, double& placementScore) {
+                GuardReport& report) {
   StageRecord& rec = report.at(driver.id);
   if (!driver.enabled) {
     rec.status = StageStatus::Disabled;
@@ -215,8 +215,10 @@ void runGuarded(PlacementState& state, const SegmentMap& segments,
   // MGL is first and never skipped, so every later stage starts from a
   // placement an audit has scored.
   const double scoreBefore =
-      driver.id != PipelineStage::Mgl && unplacedBefore == 0 ? placementScore
-                                                             : -1.0;
+      driver.id != PipelineStage::Mgl && unplacedBefore == 0 &&
+              report.finalScore
+          ? report.finalScore->score
+          : -1.0;
   rec.scoreBefore = scoreBefore;
 
   const int maxAttempts = std::max(1, guard.maxAttempts);
@@ -252,7 +254,7 @@ void runGuarded(PlacementState& state, const SegmentMap& segments,
           state, segments, guard, driver.id, unplacedBefore, scoreBefore);
       if (audit.ok) {
         rec.scoreAfter = audit.score;
-        placementScore = audit.score;
+        report.finalScore = audit.breakdown;
         rec.seconds = total.seconds();
         rec.status =
             attempt == 0 ? StageStatus::Ok : StageStatus::OkAfterRetry;
@@ -285,7 +287,7 @@ void runGuarded(PlacementState& state, const SegmentMap& segments,
                                              driver.id, unplacedBefore,
                                              scoreBefore);
     if (audit.ok) {
-      placementScore = audit.score;
+      report.finalScore = audit.breakdown;
       rec.status = StageStatus::FallbackApplied;
       report.degraded = true;
       bumpGuardCounter("guard.fallbacks");
@@ -399,13 +401,12 @@ PipelineStats legalize(PlacementState& state, const SegmentMap& segments,
   recovery.resetStats = [&] { stats.recovery = {}; };
 
   GuardReport& report = stats.guard;
-  double placementScore = -1.0;  // each audit scores; the next stage reuses it
   for (auto& driver : drivers) {
     if (!guard.enabled) {
       runUnguarded(driver, report);
       continue;
     }
-    runGuarded(state, segments, guard, driver, report, placementScore);
+    runGuarded(state, segments, guard, driver, report);
     if (driver.id == PipelineStage::Mgl &&
         report.at(driver.id).status == StageStatus::Failed) {
       // Rolled back to the (unplaced) GP input with no fallback: the later

@@ -238,17 +238,25 @@ void expectFailedCommitLeavesPlacementUntouched() {
   const obs::MetricsSnapshot snap = obs::metricsSnapshot();
   obs::metricsReset();
   obs::setMetricsEnabled(false);
-  // Candidates existed, so at least one commit was attempted; the push
-  // reach rejected every attempt before any push was simulated.
+  // Candidates existed, and the push-reach test turned down every one of
+  // them before any push was simulated: as a doomed seed, whose reach
+  // interval misses its feasible interval, or as a reach reject of a
+  // commit attempt.
   const auto candidates = std::find_if(
       snap.histograms.begin(), snap.histograms.end(),
       [](const auto& h) { return h.name == "mgl.window.candidates"; });
   ASSERT_NE(candidates, snap.histograms.end());
   EXPECT_GE(candidates->sum, 1.0);
-  EXPECT_GE(snap.counterValue("mgl.commit.attempts"), 1);
-  EXPECT_EQ(snap.counterValue("mgl.commit.pushes"), 0);
+  const long long evaluated =
+      static_cast<long long>(candidates->sum) -
+      snap.counterValue("mgl.insert.seed_dedup");
+  EXPECT_GE(evaluated, 1);
+  EXPECT_EQ(snap.counterValue("mgl.insert.doomed") +
+                snap.counterValue("mgl.commit.reach_rejects"),
+            evaluated);
   EXPECT_EQ(snap.counterValue("mgl.commit.reach_rejects"),
             snap.counterValue("mgl.commit.attempts"));
+  EXPECT_EQ(snap.counterValue("mgl.commit.pushes"), 0);
 
   EXPECT_FALSE(d.cells[target].placed);
   for (std::int64_t r = 0; r < d.numRows; ++r) {

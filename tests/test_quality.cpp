@@ -7,6 +7,12 @@
 // design's placement hash and score are pinned, so a change that moves any
 // cell fails here and has to update the pins on purpose. One test per
 // design, so ctest runs them in parallel.
+//
+// The lazy-path pins run two of these designs with a small
+// `mgl.commit_attempts`, so that the insertion search's row early-break,
+// its reject cap and its seen-set each meet doomed seeds (seeds that can
+// never commit, whose curves are built only when a decision needs their
+// cost). Each also checks that some doomed seed needed its exact cost.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,6 +26,7 @@
 #include "eval/score.hpp"
 #include "gen/benchmark_gen.hpp"
 #include "legal/pipeline.hpp"
+#include "obs/obs.hpp"
 
 namespace mclg {
 namespace {
@@ -75,6 +82,50 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<QualityPin>& info) {
       return "d" + std::to_string(std::lround(info.param.density * 100)) +
              "_seed" + std::to_string(info.param.seed);
+    });
+
+struct LazyPathPin {
+  double density;
+  std::uint64_t seed;
+  int commitAttempts;  // mgl.commit_attempts
+  std::uint64_t hash;
+  double score;
+};
+
+class LazyPathPins : public ::testing::TestWithParam<LazyPathPin> {};
+
+TEST_P(LazyPathPins, PlacementHashAndScore) {
+  const LazyPathPin& pin = GetParam();
+  Design design = generateLikeCli(pin.density, pin.seed);
+  SegmentMap segments(design);
+  PlacementState state(design);
+  PipelineConfig config = PipelineConfig::contest();
+  config.guard.enabled = true;
+  config.mgl.insertion.maxCommitAttempts = pin.commitAttempts;
+  obs::setMetricsEnabled(true);
+  obs::metricsReset();
+  const PipelineStats stats = legalize(state, segments, config);
+  const obs::MetricsSnapshot metrics = obs::metricsSnapshot();
+  obs::metricsReset();
+  obs::setMetricsEnabled(false);
+  EXPECT_GT(metrics.counterValue("mgl.insert.doomed_evaluated"), 0);
+  EXPECT_EQ(stats.mgl.failed, 0);
+  EXPECT_TRUE(checkLegality(design, segments).legal());
+  EXPECT_EQ(placementHash(design), pin.hash);
+  EXPECT_DOUBLE_EQ(evaluateScore(design, segments).score, pin.score);
+}
+
+// Recorded before doomed seeds skipped their curves.
+INSTANTIATE_TEST_SUITE_P(
+    SmallCommitCap, LazyPathPins,
+    ::testing::Values(LazyPathPin{0.75, 2, 16, 516193542581401028ULL,
+                                  14.044748447271539},
+                      LazyPathPin{0.90, 1, 4, 1241754135845809842ULL,
+                                  34.716735548342839}),
+    [](const ::testing::TestParamInfo<LazyPathPin>& info) {
+      return "d" + std::to_string(std::lround(info.param.density * 100)) +
+             "_seed" + std::to_string(info.param.seed) + "_attempts" +
+             std::to_string(info.param.commitAttempts);
     });
 
 }  // namespace

@@ -343,7 +343,12 @@ GuardExitCode cmdLegalize(const Flags& flags) {
     }
   }
 
-  const auto score = evaluateScore(*design, segments);
+  // A guarded full run ends on a placement its last audit scored; only
+  // --fillers changes it afterwards.
+  const bool audited =
+      guard.finalScore && !ecoStats && !flags.has("--fillers");
+  const ScoreBreakdown score =
+      audited ? *guard.finalScore : evaluateScore(*design, segments);
   std::printf("%s\n", summarize(*design, score).c_str());
 
   // Flush observability outputs at this quiescent point: every stage thread
