@@ -7,6 +7,7 @@
 // 8.25 (pin), 1.26 (score).
 
 #include <cstdio>
+#include <string>
 
 #include "baselines/baselines.hpp"
 #include "bench_common.hpp"
@@ -33,67 +34,93 @@ int main() {
 
   auto suite = iccad17Suite(scale);
   if (static_cast<int>(suite.size()) > limit) suite.resize(limit);
-  for (const auto& entry : suite) {
-    // Champion proxy.
-    Design champ = generate(entry.spec);
-    double champSeconds = 0.0;
-    ScoreBreakdown champScore;
-    {
-      SegmentMap segments(champ);
-      PlacementState state(champ);
-      Timer timer;
-      legalizeChampionProxy(state, segments);
-      champSeconds = timer.seconds();
-      champScore = evaluateScore(champ, segments);
-    }
-    // Ours.
-    Design ours = generate(entry.spec);
-    double oursSeconds = 0.0;
-    ScoreBreakdown oursScore;
-    {
-      SegmentMap segments(ours);
-      PlacementState state(ours);
-      Timer timer;
-      legalize(state, segments, PipelineConfig::contest());
-      oursSeconds = timer.seconds();
-      oursScore = evaluateScore(ours, segments);
-    }
-
+  // One side's run: its score, wall clock, and the cells it left unplaced
+  // (-1: every cell placed but the placement is illegal). Only a complete,
+  // legal placement is scored.
+  struct Side {
+    ScoreBreakdown score;
+    double seconds = 0.0;
     int movable = 0;
-    for (const auto& cell : ours.cells) {
-      if (!cell.fixed) ++movable;
-    }
-    table.addRow({entry.spec.name, Table::fmt(static_cast<long long>(movable)),
-                  Table::pct(entry.spec.density, 0),
-                  Table::fmt(champScore.displacement.average, 3),
-                  Table::fmt(oursScore.displacement.average, 3),
-                  Table::fmt(champScore.displacement.maximum, 1),
-                  Table::fmt(oursScore.displacement.maximum, 1),
-                  Table::pct(champScore.hpwlRatio, 2),
-                  Table::pct(oursScore.hpwlRatio, 2),
-                  Table::fmt(static_cast<long long>(champScore.pins.total())),
-                  Table::fmt(static_cast<long long>(oursScore.pins.total())),
-                  Table::fmt(static_cast<long long>(champScore.edgeSpacing)),
-                  Table::fmt(static_cast<long long>(oursScore.edgeSpacing)),
-                  Table::fmt(champScore.score, 3),
-                  Table::fmt(oursScore.score, 3),
-                  Table::fmt(champSeconds, 2), Table::fmt(oursSeconds, 2)});
-    avg1.push_back(champScore.displacement.average);
-    avgO.push_back(oursScore.displacement.average);
-    max1.push_back(champScore.displacement.maximum);
-    maxO.push_back(oursScore.displacement.maximum);
-    pin1.push_back(champScore.pins.total());
-    pinO.push_back(std::max(1, oursScore.pins.total()));
-    s1.push_back(champScore.score);
-    sO.push_back(oursScore.score);
+    int unplaced = 0;
+    bool complete() const { return unplaced == 0; }
+  };
+  // An incomplete side's first column reads "incomplete" with its unplaced
+  // count (or "illegal") and its other columns "-", instead of numbers
+  // scored on a partial placement; the design then leaves the normalized
+  // averages.
+  const auto col = [](const Side& side, const std::string& value,
+                      bool first = false) -> std::string {
+    if (side.complete()) return value;
+    if (!first) return "-";
+    return side.unplaced > 0
+               ? "incomplete: " + std::to_string(side.unplaced) + " unplaced"
+               : "illegal";
+  };
+  int incomplete = 0;
+  for (const auto& entry : suite) {
+    const auto run = [&](auto&& legalizer) {
+      Design design = generate(entry.spec);
+      SegmentMap segments(design);
+      PlacementState state(design);
+      Side side;
+      Timer timer;
+      legalizer(state, segments);
+      side.seconds = timer.seconds();
+      side.score = evaluateScore(design, segments);
+      for (const auto& cell : design.cells) {
+        if (!cell.fixed) ++side.movable;
+      }
+      const LegalityReport& legality = side.score.legality;
+      side.unplaced = legality.unplacedCells > 0 ? legality.unplacedCells
+                      : legality.legal()         ? 0
+                                                 : -1;
+      return side;
+    };
+    const Side champ = run([](PlacementState& state, const SegmentMap& seg) {
+      legalizeChampionProxy(state, seg);
+    });
+    const Side ours = run([](PlacementState& state, const SegmentMap& seg) {
+      legalize(state, seg, PipelineConfig::contest());
+    });
+    table.addRow(
+        {entry.spec.name, Table::fmt(static_cast<long long>(ours.movable)),
+         Table::pct(entry.spec.density, 0),
+         col(champ, Table::fmt(champ.score.displacement.average, 3), true),
+         col(ours, Table::fmt(ours.score.displacement.average, 3), true),
+         col(champ, Table::fmt(champ.score.displacement.maximum, 1)),
+         col(ours, Table::fmt(ours.score.displacement.maximum, 1)),
+         col(champ, Table::pct(champ.score.hpwlRatio, 2)),
+         col(ours, Table::pct(ours.score.hpwlRatio, 2)),
+         col(champ,
+             Table::fmt(static_cast<long long>(champ.score.pins.total()))),
+         col(ours, Table::fmt(static_cast<long long>(ours.score.pins.total()))),
+         col(champ,
+             Table::fmt(static_cast<long long>(champ.score.edgeSpacing))),
+         col(ours, Table::fmt(static_cast<long long>(ours.score.edgeSpacing))),
+         col(champ, Table::fmt(champ.score.score, 3)),
+         col(ours, Table::fmt(ours.score.score, 3)),
+         Table::fmt(champ.seconds, 2), Table::fmt(ours.seconds, 2)});
     std::fprintf(stderr, "[table1] %s done\n", entry.spec.name.c_str());
+    if (!champ.complete() || !ours.complete()) {
+      ++incomplete;
+      continue;
+    }
+    avg1.push_back(champ.score.displacement.average);
+    avgO.push_back(ours.score.displacement.average);
+    max1.push_back(champ.score.displacement.maximum);
+    maxO.push_back(ours.score.displacement.maximum);
+    pin1.push_back(champ.score.pins.total());
+    pinO.push_back(std::max(1, ours.score.pins.total()));
+    s1.push_back(champ.score.score);
+    sO.push_back(ours.score.score);
   }
   std::printf("%s", table.toString().c_str());
   std::printf(
-      "Norm. avg (1st/ours): avgDisp %.2f, maxDisp %.2f, pin %.2f, "
-      "score %.2f\n",
-      bench::normAvg(avg1, avgO), bench::normAvg(max1, maxO),
-      bench::normAvg(pin1, pinO), bench::normAvg(s1, sO));
+      "Norm. avg (1st/ours) over the %zu complete designs (%d incomplete "
+      "left out): avgDisp %.2f, maxDisp %.2f, pin %.2f, score %.2f\n",
+      avg1.size(), incomplete, bench::normAvg(avg1, avgO),
+      bench::normAvg(max1, maxO), bench::normAvg(pin1, pinO),
+      bench::normAvg(s1, sO));
   std::printf(
       "Paper reference       : avgDisp 1.18, maxDisp 1.12, pin 8.25, "
       "score 1.26 (Table 1, champion normalized to ours)\n");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -11,8 +12,10 @@
 #include "legal/guard/invariants.hpp"
 #include "legal/maxdisp/matching_opt.hpp"
 #include "legal/mcfopt/fixed_row_order.hpp"
+#include "legal/mgl/insertion.hpp"
 #include "legal/mgl/mgl_legalizer.hpp"
 #include "legal/mgl/window.hpp"
+#include "legal/refine/feasible_range.hpp"
 #include "legal/refine/ripup_refine.hpp"
 #include "obs/obs.hpp"
 #include "util/logging.hpp"
@@ -412,6 +415,15 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
     }
     const std::vector<std::vector<CellId>> subsets =
         fixedRowOrderComponents(state, &kept);
+    // One routability index for every solve: the request's search arena
+    // (a serve session keeps one per design) or one for this run.
+    std::optional<ForbiddenXIndex> ownForbidden;
+    const ForbiddenXIndex* forbidden = nullptr;
+    if (froConfig.routability) {
+      SearchArena* arena = config.pipeline.mgl.insertion.arena;
+      forbidden = arena != nullptr ? &arena->forbiddenFor(design)
+                                   : &ownForbidden.emplace(design);
+    }
     for (const auto& subset : subsets) {
       ++stats.dirtySegments;
       if (seed.cleanCellsLegal) {
@@ -420,9 +432,12 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
       FroSolverReuse reuse;
       for (int pass = 0; pass < kEcoMcfPasses; ++pass) {
         const auto froStats = optimizeFixedRowOrderSubset(
-            state, segments, froConfig, subset, &reuse);
+            state, segments, froConfig, subset, &reuse, forbidden);
         stats.mcfCellsMoved += froStats.cellsMoved;
-        if (froStats.cellsMoved == 0) break;
+        // Unless a separation was clamped to its current distance, the
+        // next pass would rebuild this pass's network, and its warm start
+        // — this pass's optimal basis — would move nothing.
+        if (froStats.cellsMoved == 0 || !froStats.clampedToDistance) break;
       }
       stats.warmRestarts += reuse.solver.stats().warmSolves;
       stats.coldFallbacks += reuse.solver.stats().warmRejected;

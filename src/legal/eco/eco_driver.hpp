@@ -21,16 +21,19 @@
 //     rip-up & re-insert pass over the worst-displaced touched cells, so a
 //     far-flung insertion can re-run its window search against the freed
 //     displacement, then Stage 2 (§3.2 matching) focused on the touched
-//     cells still stranded, which can swap with a same-type neighbor;
+//     cells still stranded, which can swap with a same-type neighbor. Its
+//     chunks are picked by rank (focusedMatchingChunks): the full pass's
+//     row-major chunks holding a stranded cell, trimmed to `kEcoChainHalo`
+//     row-major neighbours, found without sorting the whole group;
 //  3. re-runs Stage 3 (fixed-row/fixed-order MCF, §3.3) only on the
 //     constraint-graph components containing dirty or spilled cells — each
 //     trimmed to the `kEcoChainHalo` chain neighborhood of those cells,
 //     with everything beyond the trim acting as a fixed wall, so the solve
-//     is delta-sized even when the component spans the netlist — in
-//     `kEcoMcfPasses` passes through one persistent NetworkSimplexSolver per
-//     component: pass 1 solves cold and retains the basis, later passes
-//     warm-restart on the same topology with drifted costs (cold fallback
-//     on validation failure is automatic and counted);
+//     is delta-sized even when the component spans the netlist — through
+//     one persistent NetworkSimplexSolver per component: pass 1 solves
+//     cold and retains the basis; a second pass (see kEcoMcfPasses) runs
+//     only when it could differ, and warm-restarts (cold fallback on
+//     validation failure is automatic and counted);
 //  4. audits the result (legality + placed-count) — only the cells the run
 //     placed or moved when the seed vouches for its clean cells, the whole
 //     design otherwise; any violation — or a structural diff the delta
@@ -66,8 +69,18 @@
 
 namespace mclg {
 
-/// Stage-3 passes per dirty component. Pass 1 is cold; later passes
-/// warm-restart (and are skipped once a pass moves nothing).
+/// Stage-3 passes per dirty component. Pass 1 is cold; pass 2
+/// warm-restarts, and runs only when pass 1 moved a cell and its network
+/// clamped a pair's separation to the pair's current distance
+/// (FroNetwork::clampedToDistance). That clamp is the only part of the
+/// network that depends on the subset cells' x — ranges come from the
+/// segment and the rail-clean stretch around x, which a cell moved within
+/// its range keeps; GP costs and the row order are fixed; walls do not
+/// move — so without it pass 2 would rebuild pass 1's network, and its
+/// warm start, pass 1's optimal basis, would move nothing: skipping it is
+/// byte-identical. With a clamp, pass 2's separations are at least pass
+/// 1's and hold at pass 1's solution, which stays optimal; pass 2 can only
+/// pick an optimum of equal cost, and runs to keep placements unchanged.
 inline constexpr int kEcoMcfPasses = 2;
 /// Stage-3 locality: before solving a dirty component, trim it to the
 /// cells within this many chain positions (per row, in row order) of a

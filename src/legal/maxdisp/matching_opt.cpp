@@ -4,7 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <set>
+#include <numeric>
 
 #include "flow/bipartite_matching.hpp"
 #include "flow/hungarian.hpp"
@@ -243,135 +243,52 @@ struct RowMajorKey {
   }
 };
 
+RowMajorKey rowMajorKey(const Design& design, CellId c) {
+  return {design.cells[c].y, design.cells[c].x, c};
+}
+
 void sortRowMajor(const Design& design, std::vector<CellId>& cells) {
   std::vector<RowMajorKey> keys;
   keys.reserve(cells.size());
-  for (const CellId c : cells) {
-    keys.push_back({design.cells[c].y, design.cells[c].x, c});
-  }
+  for (const CellId c : cells) keys.push_back(rowMajorKey(design, c));
   std::sort(keys.begin(), keys.end());
   for (std::size_t i = 0; i < keys.size(); ++i) cells[i] = keys[i].cell;
 }
 
-/// Shared body of the full and focused entry points: when `focus` is
-/// non-null, chunks without a focused cell are dropped after grouping (and
-/// the stats count only the surviving chunks).
-MaxDispStats optimizeMaxDisplacementImpl(PlacementState& state,
-                                         const MaxDispConfig& config,
-                                         const std::vector<char>* focus) {
-  auto& design = state.design();
+/// Cells are matched within (type, fence) groups — or (interchangeable
+/// footprint, fence) groups when pin geometry is irrelevant.
+using GroupKey = std::pair<std::int64_t, FenceId>;
+
+std::int64_t typeKeyOf(const Design& design, const MaxDispConfig& config,
+                       TypeId t) {
+  if (!config.groupByFootprint) return t;
+  const auto& type = design.types[static_cast<std::size_t>(t)];
+  return (((static_cast<std::int64_t>(type.width) * 64 + type.height) * 4 +
+           (type.parity + 1)) *
+              64 +
+          type.leftEdge) *
+             64 +
+         type.rightEdge;
+}
+
+GroupKey groupKeyOf(const Design& design, const MaxDispConfig& config,
+                    CellId c) {
+  const auto& cell = design.cells[c];
+  return {typeKeyOf(design, config, cell.type), cell.fence};
+}
+
+bool movablePlaced(const Cell& cell) { return !cell.fixed && cell.placed; }
+
+}  // namespace
+
+MaxDispStats matchChunks(PlacementState& state, const MaxDispConfig& config,
+                         const std::vector<std::vector<CellId>>& chunks) {
+  const Design& design = state.design();
   MaxDispStats stats;
-  const auto publish = [&stats] {
-    if (obs::metricsEnabled()) {
-      obs::counter("maxdisp.groups").add(stats.groups);
-      obs::counter("maxdisp.cells_moved").add(stats.cellsMoved);
-    }
-    return stats;
-  };
-
-  // Group movable placed cells by (type, fence) — or by interchangeable
-  // footprint when pin geometry is irrelevant.
-  using GroupKey = std::pair<std::int64_t, FenceId>;
-  const auto groupKey = [&](CellId c) -> GroupKey {
-    const auto& cell = design.cells[c];
-    std::int64_t key = cell.type;
-    if (config.groupByFootprint) {
-      const auto& type = design.typeOf(c);
-      key = (((static_cast<std::int64_t>(type.width) * 64 + type.height) * 4 +
-              (type.parity + 1)) *
-                 64 +
-             type.leftEdge) *
-                64 +
-            type.rightEdge;
-    }
-    return {key, cell.fence};
-  };
-  // With a focus, only the groups holding a focused cell can keep a chunk:
-  // find their keys first and group only those.
-  std::set<GroupKey> focusKeys;
-  if (focus != nullptr) {
-    for (CellId c = 0; c < design.numCells(); ++c) {
-      if ((*focus)[static_cast<std::size_t>(c)] == 0) continue;
-      const auto& cell = design.cells[c];
-      if (!cell.fixed && cell.placed) focusKeys.insert(groupKey(c));
-    }
-    if (focusKeys.empty()) return publish();
-  }
-  std::map<GroupKey, std::vector<CellId>> groups;
-  for (CellId c = 0; c < design.numCells(); ++c) {
-    const auto& cell = design.cells[c];
-    if (cell.fixed || !cell.placed) continue;
-    const GroupKey key = groupKey(c);
-    if (focus != nullptr && focusKeys.count(key) == 0) continue;
-    groups[key].push_back(c);
-  }
-
-  // Flatten into chunks (oversized groups split into spatially coherent
-  // pieces sorted by current row, then x).
-  std::vector<std::vector<CellId>> chunks;
-  for (auto& [key, cells] : groups) {
-    (void)key;
-    if (cells.size() < 2) continue;
-    stats.cellsConsidered += static_cast<int>(cells.size());
-    if (static_cast<int>(cells.size()) <= config.maxGroupSize) {
-      chunks.push_back(std::move(cells));
-      continue;
-    }
-    sortRowMajor(design, cells);
-    for (std::size_t start = 0; start < cells.size();
-         start += static_cast<std::size_t>(config.maxGroupSize)) {
-      const std::size_t end = std::min(
-          cells.size(), start + static_cast<std::size_t>(config.maxGroupSize));
-      if (end - start < 2) break;
-      chunks.emplace_back(cells.begin() + static_cast<std::ptrdiff_t>(start),
-                          cells.begin() + static_cast<std::ptrdiff_t>(end));
-    }
-  }
-  if (focus != nullptr) {
-    std::erase_if(chunks, [&](const std::vector<CellId>& chunk) {
-      return std::none_of(chunk.begin(), chunk.end(), [&](CellId c) {
-        return (*focus)[static_cast<std::size_t>(c)] != 0;
-      });
-    });
-    if (config.focusTrim > 0) {
-      // Delta-local matching: one stranded cell in a chunk of hundreds
-      // should not re-solve the whole chunk. Keep each focused cell plus
-      // its focusTrim row-major-nearest group-mates on either side — the
-      // candidates a recovery swap could plausibly use — and drop the
-      // rest. A sub-chunk matching is still a permutation of existing
-      // positions, so legality is preserved.
-      for (auto& chunk : chunks) {
-        sortRowMajor(design, chunk);
-        const int n = static_cast<int>(chunk.size());
-        std::vector<char> keep(static_cast<std::size_t>(n), 0);
-        for (int j = 0; j < n; ++j) {
-          if ((*focus)[static_cast<std::size_t>(
-                  chunk[static_cast<std::size_t>(j)])] == 0) {
-            continue;
-          }
-          const int hi = std::min(n - 1, j + config.focusTrim);
-          for (int t = std::max(0, j - config.focusTrim); t <= hi; ++t) {
-            keep[static_cast<std::size_t>(t)] = 1;
-          }
-        }
-        std::vector<CellId> trimmed;
-        for (int j = 0; j < n; ++j) {
-          if (keep[static_cast<std::size_t>(j)]) {
-            trimmed.push_back(chunk[static_cast<std::size_t>(j)]);
-          }
-        }
-        chunk = std::move(trimmed);
-      }
-      std::erase_if(chunks, [](const std::vector<CellId>& chunk) {
-        return chunk.size() < 2;
-      });
-    }
-    stats.cellsConsidered = 0;
-    for (const auto& chunk : chunks) {
-      stats.cellsConsidered += static_cast<int>(chunk.size());
-    }
-  }
   stats.groups = static_cast<int>(chunks.size());
+  for (const auto& chunk : chunks) {
+    stats.cellsConsidered += static_cast<int>(chunk.size());
+  }
 
   // Assignment problems are independent and read-only: solve in parallel,
   // apply serially in chunk order (thread-count invariant results).
@@ -391,20 +308,184 @@ MaxDispStats optimizeMaxDisplacementImpl(PlacementState& state,
     applyMoves(state, moves);
     stats.cellsMoved += static_cast<int>(moves.size());
   }
-  return publish();
+  if (obs::metricsEnabled()) {
+    obs::counter("maxdisp.groups").add(stats.groups);
+    obs::counter("maxdisp.cells_moved").add(stats.cellsMoved);
+  }
+  return stats;
 }
 
-}  // namespace
+std::vector<std::vector<CellId>> focusedMatchingChunks(
+    const PlacementState& state, const MaxDispConfig& config,
+    const std::vector<char>& focus) {
+  const Design& design = state.design();
+  // The focused cells, ordered by (group key, row-major position): the
+  // groups come out ascending like the full path's std::map, and each
+  // group's targets ascending in rank.
+  std::vector<std::pair<GroupKey, RowMajorKey>> targets;
+  for (CellId c = 0; c < design.numCells(); ++c) {
+    if (focus[static_cast<std::size_t>(c)] != 0 &&
+        movablePlaced(design.cells[c])) {
+      targets.emplace_back(groupKeyOf(design, config, c),
+                           rowMajorKey(design, c));
+    }
+  }
+  if (targets.empty()) return {};
+  std::sort(targets.begin(), targets.end());
+  std::vector<GroupKey> keys;
+  for (const auto& [key, at] : targets) {
+    if (keys.empty() || keys.back() != key) keys.push_back(key);
+  }
+
+  // Group index of each (type, fence), keys.size() for none: a table
+  // lookup per cell instead of a key search.
+  const auto rows = static_cast<std::size_t>(design.numRows);
+  const auto fences = static_cast<std::size_t>(std::max(1, design.numFences()));
+  const std::size_t none = keys.size();
+  std::vector<std::size_t> slot(
+      static_cast<std::size_t>(design.numTypes()) * fences, none);
+  for (TypeId t = 0; t < design.numTypes(); ++t) {
+    for (std::size_t f = 0; f < fences; ++f) {
+      const GroupKey key{typeKeyOf(design, config, t),
+                         static_cast<FenceId>(f)};
+      const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+      if (it != keys.end() && *it == key) {
+        slot[static_cast<std::size_t>(t) * fences + f] =
+            static_cast<std::size_t>(it - keys.begin());
+      }
+    }
+  }
+  const auto groupOf = [&](CellId c) {
+    const Cell& cell = design.cells[c];
+    return slot[static_cast<std::size_t>(cell.type) * fences +
+                static_cast<std::size_t>(cell.fence)];
+  };
+  // Members per (group, bottom row) from one scan of the design; cells of
+  // no focused group count in the extra group `none`.
+  std::vector<std::int64_t> below((keys.size() + 1) * (rows + 1), 0);
+  for (CellId c = 0; c < design.numCells(); ++c) {
+    const Cell& cell = design.cells[c];
+    if (movablePlaced(cell)) {
+      ++below[groupOf(c) * (rows + 1) + static_cast<std::size_t>(cell.y) + 1];
+    }
+  }
+  // Prefix sums: below[g][y] is the rank of group g's first member with
+  // bottom row y, below[g][rows] the group size.
+  for (std::size_t g = 0; g < keys.size(); ++g) {
+    std::int64_t* first = &below[g * (rows + 1)];
+    std::partial_sum(first, first + rows + 1, first);
+  }
+  // Members of group g in bottom row y, in x (= row-major) order. The
+  // occupancy holds each placed movable cell in every row it spans; a
+  // placed cell's x is unique within each of its rows.
+  const auto forEachMember = [&](std::size_t g, std::int64_t y,
+                                 auto&& visit) {
+    for (const auto& [x, c] : state.rowCells(y)) {
+      if (design.cells[c].y == y && groupOf(c) == g && !visit(x, c)) return;
+    }
+  };
+
+  std::vector<std::vector<CellId>> chunks;
+  struct KeptRange {
+    std::int64_t chunk, lo, hi;  // ranks lo..hi (inclusive) of one chunk
+  };
+  std::vector<KeptRange> kept;
+  for (std::size_t t = 0; t < targets.size();) {
+    const auto g = static_cast<std::size_t>(
+        std::lower_bound(keys.begin(), keys.end(), targets[t].first) -
+        keys.begin());
+    const std::int64_t* rankAt = &below[g * (rows + 1)];
+    const std::int64_t n = rankAt[rows];
+    // Chunks are the row-major slices of maxGroupSize cells (one chunk
+    // when the group fits); each focused cell keeps the ranks within
+    // focusTrim of its own, clipped to its chunk, so a kept range holds at
+    // least two cells. Targets ascend in rank: the kept ranges come out in
+    // (chunk, rank) order.
+    const std::int64_t size = n > config.maxGroupSize ? config.maxGroupSize : n;
+    const std::int64_t trim = config.focusTrim > 0 ? config.focusTrim : size;
+    kept.clear();
+    for (; t < targets.size() && targets[t].first == keys[g]; ++t) {
+      const RowMajorKey& at = targets[t].second;
+      std::int64_t rank = rankAt[at.y];
+      forEachMember(g, at.y, [&](std::int64_t x, CellId) {
+        if (x >= at.x) return false;
+        ++rank;
+        return true;
+      });
+      const std::int64_t chunk = rank / size;
+      const std::int64_t first = chunk * size;
+      const std::int64_t last = std::min(n, first + size) - 1;
+      if (last == first) continue;  // a one-cell tail chunk is not solved
+      const std::int64_t lo = std::max(first, rank - trim);
+      const std::int64_t hi = std::min(last, rank + trim);
+      if (!kept.empty() && kept.back().chunk == chunk &&
+          lo <= kept.back().hi + 1) {
+        kept.back().hi = std::max(kept.back().hi, hi);
+      } else {
+        kept.push_back({chunk, lo, hi});
+      }
+    }
+    // Read each kept range off the rows: from the row holding rank lo,
+    // member by member, up to rank hi.
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+      const KeptRange& range = kept[k];
+      if (k == 0 || kept[k - 1].chunk != range.chunk) chunks.emplace_back();
+      std::vector<CellId>& chunk = chunks.back();
+      std::int64_t y =
+          std::upper_bound(rankAt, rankAt + rows, range.lo) - rankAt - 1;
+      for (std::int64_t rank = rankAt[y]; rank <= range.hi; ++y) {
+        forEachMember(g, y, [&](std::int64_t, CellId c) {
+          if (rank >= range.lo) chunk.push_back(c);
+          return ++rank <= range.hi;
+        });
+      }
+    }
+  }
+  return chunks;
+}
 
 MaxDispStats optimizeMaxDisplacement(PlacementState& state,
                                      const MaxDispConfig& config) {
-  return optimizeMaxDisplacementImpl(state, config, nullptr);
+  const Design& design = state.design();
+  std::map<GroupKey, std::vector<CellId>> groups;
+  for (CellId c = 0; c < design.numCells(); ++c) {
+    if (movablePlaced(design.cells[c])) {
+      groups[groupKeyOf(design, config, c)].push_back(c);
+    }
+  }
+
+  // Flatten into chunks (oversized groups split into spatially coherent
+  // pieces sorted by current row, then x).
+  std::vector<std::vector<CellId>> chunks;
+  int cellsConsidered = 0;
+  for (auto& [key, cells] : groups) {
+    (void)key;
+    if (cells.size() < 2) continue;
+    cellsConsidered += static_cast<int>(cells.size());
+    if (static_cast<int>(cells.size()) <= config.maxGroupSize) {
+      chunks.push_back(std::move(cells));
+      continue;
+    }
+    sortRowMajor(design, cells);
+    for (std::size_t start = 0; start < cells.size();
+         start += static_cast<std::size_t>(config.maxGroupSize)) {
+      const std::size_t end = std::min(
+          cells.size(), start + static_cast<std::size_t>(config.maxGroupSize));
+      if (end - start < 2) break;
+      chunks.emplace_back(cells.begin() + static_cast<std::ptrdiff_t>(start),
+                          cells.begin() + static_cast<std::ptrdiff_t>(end));
+    }
+  }
+  MaxDispStats stats = matchChunks(state, config, chunks);
+  stats.cellsConsidered = cellsConsidered;
+  return stats;
 }
 
 MaxDispStats optimizeMaxDisplacementFocused(PlacementState& state,
                                             const MaxDispConfig& config,
                                             const std::vector<char>& focus) {
-  return optimizeMaxDisplacementImpl(state, config, &focus);
+  return matchChunks(state, config,
+                     focusedMatchingChunks(state, config, focus));
 }
 
 }  // namespace mclg

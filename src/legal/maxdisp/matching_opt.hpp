@@ -58,8 +58,8 @@ struct MaxDispConfig {
   /// request-sized focus solves a request-sized assignment instead of a
   /// whole maxGroupSize chunk. The matching still only permutes existing
   /// positions within the trimmed subset, so legality is unaffected. 0
-  /// solves whole surviving chunks. Set by the ECO driver; the full
-  /// pipeline never reads it.
+  /// solves whole surviving chunks (in row-major order). Set by the ECO
+  /// driver; the full pipeline never reads it.
   int focusTrim = 0;
 };
 
@@ -83,7 +83,8 @@ MaxDispStats optimizeMaxDisplacement(PlacementState& state,
 
 /// Focused variant for incremental ECO re-legalization (docs/ECO.md): only
 /// the matching chunks containing at least one cell with `focus[c] != 0`
-/// are re-solved; all other groups keep their placement untouched.
+/// are re-solved, each trimmed by `config.focusTrim`; all other groups keep
+/// their placement untouched. matchChunks(focusedMatchingChunks(...)).
 /// \pre  `focus.size() >= state.design().numCells()`; same legality
 ///       precondition as above.
 /// \post Same guarantees as optimizeMaxDisplacement, restricted to the
@@ -91,5 +92,26 @@ MaxDispStats optimizeMaxDisplacement(PlacementState& state,
 MaxDispStats optimizeMaxDisplacementFocused(PlacementState& state,
                                             const MaxDispConfig& config,
                                             const std::vector<char>& focus);
+
+/// The focused variant's chunks, in solve order: the chunks of the full
+/// path's row-major slicing (whole groups up to maxGroupSize cells, else
+/// slices of maxGroupSize, a one-cell tail slice dropped) that hold a
+/// focused cell, each cut down to the ranks within focusTrim of a focused
+/// cell, cells in row-major order, chunks in (group key, slice) order.
+/// No group is sorted: one scan of the design counts each focused group's
+/// members per row, a focused cell's rank is the members in the rows
+/// below plus those left of it in its row, and the kept ranks are read off
+/// the occupancy rows, so a request costs one scan plus the rows it reads.
+/// \pre `state` is consistent with its design (every placed movable cell
+///      indexed in each row it spans), as after any legal run.
+std::vector<std::vector<CellId>> focusedMatchingChunks(
+    const PlacementState& state, const MaxDispConfig& config,
+    const std::vector<char>& focus);
+
+/// Solve each chunk's assignment (in parallel) and apply the moves in
+/// chunk order: the shared back half of both entry points. Stats count the
+/// chunks and their cells.
+MaxDispStats matchChunks(PlacementState& state, const MaxDispConfig& config,
+                         const std::vector<std::vector<CellId>>& chunks);
 
 }  // namespace mclg

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <iterator>
+#include <optional>
 #include <unordered_set>
 
 #include "legal/refine/feasible_range.hpp"
@@ -51,16 +52,33 @@ std::vector<CellId> placedMovableCells(const Design& design) {
 FroNetwork buildNetworkForCells(const PlacementState& state,
                                 const SegmentMap& segments,
                                 const FixedRowOrderConfig& config,
-                                std::vector<CellId> subset) {
+                                std::vector<CellId> subset,
+                                const ForbiddenXIndex* forbidden) {
   const auto& design = state.design();
   FroNetwork net;
   net.cells = std::move(subset);
-  std::vector<int> indexOf(static_cast<std::size_t>(design.numCells()), -1);
-  for (std::size_t i = 0; i < net.cells.size(); ++i) {
-    indexOf[static_cast<std::size_t>(net.cells[i])] = static_cast<int>(i);
-  }
   const int m = static_cast<int>(net.cells.size());
   if (m == 0) return net;
+  // Subset index of each cell, -1 outside the subset: a per-thread table
+  // sized to the largest design seen, whose entries are set for this
+  // subset and reset on return, so a delta-sized subset costs no
+  // design-sized allocation or fill.
+  thread_local std::vector<int> indexTable;
+  if (indexTable.size() < static_cast<std::size_t>(design.numCells())) {
+    indexTable.resize(static_cast<std::size_t>(design.numCells()), -1);
+  }
+  for (std::size_t i = 0; i < net.cells.size(); ++i) {
+    indexTable[static_cast<std::size_t>(net.cells[i])] = static_cast<int>(i);
+  }
+  struct ResetIndex {
+    const std::vector<CellId>& cells;
+    ~ResetIndex() {
+      for (const CellId c : cells) indexTable[static_cast<std::size_t>(c)] = -1;
+    }
+  } resetIndex{net.cells};
+  const auto indexOf = [](CellId c) {
+    return indexTable[static_cast<std::size_t>(c)];
+  };
 
   // Integer weights n_i (caps of the +- arcs).
   std::vector<FlowValue> weight(static_cast<std::size_t>(m), 1);
@@ -92,7 +110,10 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
 
   std::vector<CostValue> gpX(static_cast<std::size_t>(m), 0);
   net.ranges.resize(static_cast<std::size_t>(m));
-  const ForbiddenXIndex forbidden(design);
+  std::optional<ForbiddenXIndex> ownForbidden;
+  if (config.routability && forbidden == nullptr) {
+    forbidden = &ownForbidden.emplace(design);
+  }
   CostValue maxDy = 0;
   std::vector<CostValue> dy(static_cast<std::size_t>(m), 0);
   for (int i = 0; i < m; ++i) {
@@ -101,7 +122,7 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
     gpX[static_cast<std::size_t>(i)] = std::llround(cell.gpX);
     net.ranges[static_cast<std::size_t>(i)] =
         feasibleRange(design, segments, c,
-                      config.routability ? &forbidden : nullptr);
+                      config.routability ? forbidden : nullptr);
     // y displacement in site units so all costs share one unit.
     dy[static_cast<std::size_t>(i)] = std::llround(
         std::abs(static_cast<double>(cell.y) - cell.gpY) /
@@ -144,6 +165,23 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
     return std::make_pair(first, last);
   };
 
+  // The separation a pair (left, right) must keep: width plus the spacing
+  // rule. A last-resort placement may already violate the (soft) spacing
+  // rule; clamping to the pair's current distance keeps the LP feasible
+  // without letting it get closer than it already is. Only that clamp
+  // depends on the subset cells' x, so the network records when it bites.
+  const auto clampedSeparation = [&](CellId left, CellId right,
+                                     std::int64_t distance) {
+    const CostValue rule =
+        design.widthOf(left) +
+        (config.respectEdgeSpacing ? design.spacingBetween(left, right) : 0);
+    if (distance < rule) {
+      net.clampedToDistance = true;
+      return static_cast<CostValue>(distance);
+    }
+    return rule;
+  };
+
   // Wall clamping for partial subsets: a subset cell abutting a cell
   // outside the subset must keep the pair's separation even though no arc
   // links them. The outside cell will not move during this solve, so
@@ -158,13 +196,10 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
     for (auto it = first; it != last; ++it) {
       const auto& [x, c] = *it;
       if (prev != kInvalidCell) {
-        const int inPrev = indexOf[static_cast<std::size_t>(prev)];
-        const int inC = indexOf[static_cast<std::size_t>(c)];
+        const int inPrev = indexOf(prev);
+        const int inC = indexOf(c);
         if ((inPrev >= 0) != (inC >= 0)) {
-          CostValue sep =
-              design.widthOf(prev) +
-              (config.respectEdgeSpacing ? design.spacingBetween(prev, c) : 0);
-          sep = std::min<CostValue>(sep, x - prevX);
+          const CostValue sep = clampedSeparation(prev, c, x - prevX);
           if (inC >= 0) {
             // `prev` is a wall on the left: x_c >= prevX + sep.
             auto& r = net.ranges[static_cast<std::size_t>(inC)];
@@ -219,7 +254,9 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
 
   // Neighbor constraints E: consecutive movable cells in each row, deduped
   // (a pair abutting in several rows yields one constraint; the spacing is
-  // identical in each row since it depends only on the two types).
+  // identical in each row since it depends only on the two types). Only a
+  // pair of two multi-row cells can abut in more than one row, so only
+  // those pairs go through the seen set.
   std::unordered_set<std::uint64_t> seenPairs;
   for (const RowSpan& row : rows) {
     const auto [first, last] = stretch(row);
@@ -232,19 +269,11 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
             (static_cast<std::uint64_t>(static_cast<std::uint32_t>(prev))
              << 32) |
             static_cast<std::uint32_t>(c);
-        if (indexOf[static_cast<std::size_t>(prev)] >= 0 &&
-            indexOf[static_cast<std::size_t>(c)] >= 0 &&
-            seenPairs.insert(key).second) {
-          CostValue sep =
-              design.widthOf(prev) +
-              (config.respectEdgeSpacing ? design.spacingBetween(prev, c) : 0);
-          // A last-resort placement may already violate the (soft) spacing
-          // rule; clamping to the existing separation keeps the LP feasible
-          // without letting any pair get closer than it already is.
-          sep = std::min<CostValue>(sep, x - prevX);
-          problem.addArc(base + indexOf[static_cast<std::size_t>(prev)],
-                         base + indexOf[static_cast<std::size_t>(c)],
-                         kInfiniteCap, -sep);
+        if (indexOf(prev) >= 0 && indexOf(c) >= 0 &&
+            (design.heightOf(prev) == 1 || design.heightOf(c) == 1 ||
+             seenPairs.insert(key).second)) {
+          problem.addArc(base + indexOf(prev), base + indexOf(c),
+                         kInfiniteCap, -clampedSeparation(prev, c, x - prevX));
         }
       }
       prev = c;
@@ -260,23 +289,25 @@ FroNetwork buildFixedRowOrderNetwork(const PlacementState& state,
                                      const SegmentMap& segments,
                                      const FixedRowOrderConfig& config) {
   return buildNetworkForCells(state, segments, config,
-                              placedMovableCells(state.design()));
+                              placedMovableCells(state.design()), nullptr);
 }
 
 namespace {
 
-/// Solve one subset's network and append its moves. With `reuse`, the solve
-/// goes through the persistent solver (cold on first use, warm after).
-void solveSubset(const PlacementState& state, const SegmentMap& segments,
+/// Solve one subset's network and append its moves; returns the network's
+/// clampedToDistance. With `reuse`, the solve goes through the persistent
+/// solver (cold on first use, warm after).
+bool solveSubset(const PlacementState& state, const SegmentMap& segments,
                  const FixedRowOrderConfig& config, std::vector<CellId> subset,
                  std::vector<std::pair<CellId, std::int64_t>>* moves,
-                 FroSolverReuse* reuse = nullptr) {
+                 FroSolverReuse* reuse = nullptr,
+                 const ForbiddenXIndex* forbidden = nullptr) {
   const auto& design = state.design();
   MCLG_TRACE_SCOPE("mcfopt/component",
                    {{"cells", static_cast<double>(subset.size())}});
-  const FroNetwork net =
-      buildNetworkForCells(state, segments, config, std::move(subset));
-  if (net.cells.empty()) return;
+  const FroNetwork net = buildNetworkForCells(state, segments, config,
+                                              std::move(subset), forbidden);
+  if (net.cells.empty()) return false;
   if (obs::metricsEnabled()) {
     obs::counter("mcfopt.components").add();
     obs::counter("mcfopt.nodes").add(net.problem.numNodes());
@@ -303,6 +334,7 @@ void solveSubset(const PlacementState& state, const SegmentMap& segments,
     x = std::clamp<std::int64_t>(x, r.lo, r.hi - 1);
     if (x != design.cells[c].x) moves->emplace_back(c, x);
   }
+  return net.clampedToDistance;
 }
 
 /// Apply moves transactionally: remove every moved cell first, then
@@ -433,7 +465,7 @@ FixedRowOrderStats optimizeFixedRowOrder(PlacementState& state,
 FixedRowOrderStats optimizeFixedRowOrderSubset(
     PlacementState& state, const SegmentMap& segments,
     const FixedRowOrderConfig& config, std::vector<CellId> subset,
-    FroSolverReuse* reuse) {
+    FroSolverReuse* reuse, const ForbiddenXIndex* forbidden) {
   auto& design = state.design();
   FixedRowOrderStats stats;
   if (subset.empty()) return stats;
@@ -442,7 +474,9 @@ FixedRowOrderStats optimizeFixedRowOrderSubset(
 
   std::vector<std::pair<CellId, std::int64_t>> moves;
   const std::vector<CellId> cells = subset;  // keep a copy for the stats
-  solveSubset(state, segments, config, std::move(subset), &moves, reuse);
+  stats.clampedToDistance = solveSubset(state, segments, config,
+                                        std::move(subset), &moves, reuse,
+                                        forbidden);
 
   applyMoves(state, moves);
   finishStats(design, cells, config, static_cast<int>(moves.size()), &stats);

@@ -30,6 +30,8 @@
 
 namespace mclg {
 
+class ForbiddenXIndex;
+
 struct FixedRowOrderConfig {
   /// true: weight n_i per Eq. 2 (contest metric); false: n_i = 1 (total
   /// displacement, Table 2 mode).
@@ -66,6 +68,9 @@ struct FixedRowOrderStats {
   /// improvement assertions in tests.
   double objectiveBefore = 0.0;
   double objectiveAfter = 0.0;
+  /// The solved network clamped a pair's separation to its current
+  /// distance (FroNetwork::clampedToDistance).
+  bool clampedToDistance = false;
 };
 
 /// Run the optimization on a legal placement.
@@ -110,16 +115,20 @@ std::vector<std::vector<CellId>> fixedRowOrderComponents(
 /// movable cells) see no clamping and solve the exact component optimum;
 /// smaller subsets trade optimality at the walls for a solve whose cost is
 /// proportional to the subset — the ECO driver's delta-local stage 3.
+/// `forbidden` is the design's routability index for the feasible ranges
+/// (config.routability); nullptr builds one for this call. A caller that
+/// solves many subsets of one design passes one index to all of them. The
+/// index fills lazily, so it must not be shared across threads.
 /// \pre  With a reuse whose basis was retained on a previous call, the
 ///       subset and its row order must be unchanged (only GP targets /
 ///       clamped separations, i.e. arc costs, may differ); a mismatch is
 ///       safe — solveWarm detects it and re-solves cold.
 /// \post Same guarantees as optimizeFixedRowOrder, restricted to `subset`.
-FixedRowOrderStats optimizeFixedRowOrderSubset(PlacementState& state,
-                                               const SegmentMap& segments,
-                                               const FixedRowOrderConfig& config,
-                                               std::vector<CellId> subset,
-                                               FroSolverReuse* reuse = nullptr);
+FixedRowOrderStats optimizeFixedRowOrderSubset(
+    PlacementState& state, const SegmentMap& segments,
+    const FixedRowOrderConfig& config, std::vector<CellId> subset,
+    FroSolverReuse* reuse = nullptr,
+    const ForbiddenXIndex* forbidden = nullptr);
 
 /// The flow network of the optimization, exposed for the formulation-size
 /// comparison and for tests that check both structures reach one optimum.
@@ -129,6 +138,15 @@ struct FroNetwork {
   std::vector<int> cellNode;      // node id of each cell's v_i
   int zNode = -1;
   std::vector<Interval> ranges;   // feasible left-edge ranges (half-open)
+  /// Some pair (two subset cells, or a subset cell and a wall) sits closer
+  /// than its width plus spacing rule, so its separation was clamped to
+  /// the current distance. That clamp is the only part of the network
+  /// that depends on the subset cells' x: the ranges come from the segment
+  /// and the rail-clean stretch around x, which a cell moved within its
+  /// range keeps; GP costs, weights and the row order are fixed, and walls
+  /// do not move. Without it, rebuilding the network after applying its
+  /// solution yields the same network (ECO stage 3 skips that pass).
+  bool clampedToDistance = false;
 };
 
 FroNetwork buildFixedRowOrderNetwork(const PlacementState& state,

@@ -55,10 +55,7 @@ void InsertionSearcher::beginWindow() {
   if (arena_->cellSlots.size() < static_cast<std::size_t>(design.numCells())) {
     arena_->cellSlots.resize(static_cast<std::size_t>(design.numCells()));
   }
-  if (config_.routability &&
-      (!arena_->forbidden || &arena_->forbidden->design() != &design)) {
-    arena_->forbidden.emplace(design);
-  }
+  if (config_.routability) arena_->forbiddenFor(design);
   spanIndex_.clear();
   dupSkipped_ = 0;
 }

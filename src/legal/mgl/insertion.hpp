@@ -405,6 +405,16 @@ struct SearchArena {
   std::vector<InsertionSearcher::RowSnap> rowSnaps;    // indexed by row
   std::vector<InsertionSearcher::CellSlot> cellSlots;  // indexed by cell
   std::optional<ForbiddenXIndex> forbidden;
+
+  /// `design`'s routability index: built on first use and again only when
+  /// the arena moves to another design. The ECO driver's stage-3 solves
+  /// read the one the request's searchers built.
+  const ForbiddenXIndex& forbiddenFor(const Design& design) {
+    if (!forbidden || &forbidden->design() != &design) {
+      forbidden.emplace(design);
+    }
+    return *forbidden;
+  }
 };
 
 inline const InsertionSearcher::RowSnap& InsertionSearcher::rowSnap(
