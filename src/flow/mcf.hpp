@@ -112,12 +112,12 @@ class NetworkSimplex {
 /// bound, it falls back to a cold solve.
 ///
 /// A warm solve reaches the same optimal objective but possibly a different
-/// optimal vertex than a cold solve. The pipeline's Stage 3 solves cold.
-/// Two re-solve loops warm-restart through `optimizeFixedRowOrderSubset`'s
-/// `FroSolverReuse`: the ECO driver's per-component Stage 3 passes and the
-/// rip-up pass's between-pass MCF re-solve (`RipupConfig::mcfResolve`).
-/// Both run their solves serially in a fixed order, so their output stays
-/// deterministic and independent of the thread count.
+/// optimal vertex than a cold solve. The pipeline's Stage 3 and the ECO
+/// driver's per-component Stage 3 solve cold. The rip-up pass's
+/// between-pass MCF re-solve (`RipupConfig::mcfResolve`) warm-restarts
+/// through `optimizeFixedRowOrderSubset`'s `FroSolverReuse`; it runs its
+/// solves serially in a fixed order, so its output stays deterministic and
+/// independent of the thread count.
 class NetworkSimplexSolver {
  public:
   NetworkSimplexSolver();

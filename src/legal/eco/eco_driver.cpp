@@ -297,8 +297,8 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
   // a cost ceiling recovers most of that tail (full-pipeline quality is the
   // reference, and the full run re-places everything from scratch). The
   // pass is focused on dirty-or-touched cells so it cannot churn clean
-  // regions, and the between-pass MCF re-solve is off — Stage 3 below runs
-  // warm-restarted per dirty component anyway.
+  // regions, and the between-pass MCF re-solve is off — Stage 3 below
+  // solves each dirty component anyway.
   config.requestDeadline.checkpoint("eco/ripup");
   {
     MCLG_TRACE_SCOPE("eco/ripup");
@@ -362,10 +362,10 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
     audited.insert(audited.end(), touched.begin(), touched.end());
   }
 
-  // 4. Stage 3 per dirty constraint component, warm-restarted across
-  // passes. maxDispWeight couples all cells globally (§3.3.1), so the
-  // per-component solves force it off — an approximation vs. the full
-  // pipeline, covered by the score tolerance.
+  // 4. Stage 3 per dirty constraint component, one cold solve each (the
+  // header says why a second would not help). maxDispWeight couples all
+  // cells globally (§3.3.1), so the per-component solves force it off — an
+  // approximation vs. the full pipeline, covered by the score tolerance.
   config.requestDeadline.checkpoint("eco/stage3");
   if (config.pipeline.runFixedRowOrder) {
     MCLG_TRACE_SCOPE("eco/stage3");
@@ -429,18 +429,10 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
       if (seed.cleanCellsLegal) {
         audited.insert(audited.end(), subset.begin(), subset.end());
       }
-      FroSolverReuse reuse;
-      for (int pass = 0; pass < kEcoMcfPasses; ++pass) {
-        const auto froStats = optimizeFixedRowOrderSubset(
-            state, segments, froConfig, subset, &reuse, forbidden);
-        stats.mcfCellsMoved += froStats.cellsMoved;
-        // Unless a separation was clamped to its current distance, the
-        // next pass would rebuild this pass's network, and its warm start
-        // — this pass's optimal basis — would move nothing.
-        if (froStats.cellsMoved == 0 || !froStats.clampedToDistance) break;
-      }
-      stats.warmRestarts += reuse.solver.stats().warmSolves;
-      stats.coldFallbacks += reuse.solver.stats().warmRejected;
+      stats.mcfCellsMoved +=
+          optimizeFixedRowOrderSubset(state, segments, froConfig, subset,
+                                      nullptr, forbidden)
+              .cellsMoved;
     }
   }
 
@@ -499,8 +491,6 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
   if (obs::metricsEnabled()) {
     obs::counter("eco.dirty_cells").add(stats.dirtyCells);
     obs::counter("eco.spilled_cells").add(stats.spilledCells);
-    obs::counter("eco.warm_restarts").add(stats.warmRestarts);
-    obs::counter("eco.cold_fallbacks").add(stats.coldFallbacks);
   }
   return stats;
 }

@@ -29,11 +29,16 @@
 //     constraint-graph components containing dirty or spilled cells — each
 //     trimmed to the `kEcoChainHalo` chain neighborhood of those cells,
 //     with everything beyond the trim acting as a fixed wall, so the solve
-//     is delta-sized even when the component spans the netlist — through
-//     one persistent NetworkSimplexSolver per component: pass 1 solves
-//     cold and retains the basis; a second pass (see kEcoMcfPasses) runs
-//     only when it could differ, and warm-restarts (cold fallback on
-//     validation failure is automatic and counted);
+//     is delta-sized even when the component spans the netlist — with one
+//     cold solve per trimmed component. A second solve on the moved cells
+//     could not do better: only a pair's separation clamped to its current
+//     distance (sep = min(rule, x - prevX), where a soft spacing rule is
+//     already violated) depends on the subset cells' x — ranges come from
+//     the segment and the rail-clean stretch around x, which a cell moved
+//     within its range keeps; GP costs and the row order are fixed; walls
+//     do not move. Without a clamp it would rebuild the same network; with
+//     one, its separations are at least the first's and hold at the first
+//     solution, which stays optimal;
 //  4. audits the result (legality + placed-count) — only the cells the run
 //     placed or moved when the seed vouches for its clean cells, the whole
 //     design otherwise; any violation — or a structural diff the delta
@@ -69,19 +74,6 @@
 
 namespace mclg {
 
-/// Stage-3 passes per dirty component. Pass 1 is cold; pass 2
-/// warm-restarts, and runs only when pass 1 moved a cell and its network
-/// clamped a pair's separation to the pair's current distance
-/// (FroNetwork::clampedToDistance). That clamp is the only part of the
-/// network that depends on the subset cells' x — ranges come from the
-/// segment and the rail-clean stretch around x, which a cell moved within
-/// its range keeps; GP costs and the row order are fixed; walls do not
-/// move — so without it pass 2 would rebuild pass 1's network, and its
-/// warm start, pass 1's optimal basis, would move nothing: skipping it is
-/// byte-identical. With a clamp, pass 2's separations are at least pass
-/// 1's and hold at pass 1's solution, which stays optimal; pass 2 can only
-/// pick an optimum of equal cost, and runs to keep placements unchanged.
-inline constexpr int kEcoMcfPasses = 2;
 /// Stage-3 locality: before solving a dirty component, trim it to the
 /// cells within this many chain positions (per row, in row order) of a
 /// dirty or touched cell. Cells outside the trimmed subset become fixed
@@ -139,6 +131,8 @@ struct EcoStats {
   int matchedCellsMoved = 0;  ///< cells relocated by the focused matching
   int ripupImproved = 0;      ///< stranded cells the rip-up pass recovered
   int dirtySegments = 0;  ///< dirty constraint components re-optimized
+  /// Stage 3 solves each component once, cold, so these stay 0; they are
+  /// kept because report schema v7 (and perfbench) carry them.
   long long warmRestarts = 0;   ///< MCF re-solves that reused a basis
   long long coldFallbacks = 0;  ///< warm attempts rejected, re-solved cold
   int mcfCellsMoved = 0;

@@ -318,6 +318,7 @@ MaxDispStats matchChunks(PlacementState& state, const MaxDispConfig& config,
 std::vector<std::vector<CellId>> focusedMatchingChunks(
     const PlacementState& state, const MaxDispConfig& config,
     const std::vector<char>& focus) {
+  MCLG_ASSERT(config.focusTrim > 0, "focused matching needs a focusTrim");
   const Design& design = state.design();
   // The focused cells, ordered by (group key, row-major position): the
   // groups come out ascending like the full path's std::map, and each
@@ -402,7 +403,6 @@ std::vector<std::vector<CellId>> focusedMatchingChunks(
     // least two cells. Targets ascend in rank: the kept ranges come out in
     // (chunk, rank) order.
     const std::int64_t size = n > config.maxGroupSize ? config.maxGroupSize : n;
-    const std::int64_t trim = config.focusTrim > 0 ? config.focusTrim : size;
     kept.clear();
     for (; t < targets.size() && targets[t].first == keys[g]; ++t) {
       const RowMajorKey& at = targets[t].second;
@@ -416,8 +416,8 @@ std::vector<std::vector<CellId>> focusedMatchingChunks(
       const std::int64_t first = chunk * size;
       const std::int64_t last = std::min(n, first + size) - 1;
       if (last == first) continue;  // a one-cell tail chunk is not solved
-      const std::int64_t lo = std::max(first, rank - trim);
-      const std::int64_t hi = std::min(last, rank + trim);
+      const std::int64_t lo = std::max(first, rank - config.focusTrim);
+      const std::int64_t hi = std::min(last, rank + config.focusTrim);
       if (!kept.empty() && kept.back().chunk == chunk &&
           lo <= kept.back().hi + 1) {
         kept.back().hi = std::max(kept.back().hi, hi);

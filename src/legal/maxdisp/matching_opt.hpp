@@ -57,9 +57,9 @@ struct MaxDispConfig {
   /// group-mates on each side (in row-major order) before matching, so a
   /// request-sized focus solves a request-sized assignment instead of a
   /// whole maxGroupSize chunk. The matching still only permutes existing
-  /// positions within the trimmed subset, so legality is unaffected. 0
-  /// solves whole surviving chunks (in row-major order). Set by the ECO
-  /// driver; the full pipeline never reads it.
+  /// positions within the trimmed subset, so legality is unaffected. Must
+  /// be positive there; set by the ECO driver (kEcoChainHalo), and the
+  /// full pipeline never reads it.
   int focusTrim = 0;
 };
 
@@ -85,8 +85,8 @@ MaxDispStats optimizeMaxDisplacement(PlacementState& state,
 /// the matching chunks containing at least one cell with `focus[c] != 0`
 /// are re-solved, each trimmed by `config.focusTrim`; all other groups keep
 /// their placement untouched. matchChunks(focusedMatchingChunks(...)).
-/// \pre  `focus.size() >= state.design().numCells()`; same legality
-///       precondition as above.
+/// \pre  `focus.size() >= state.design().numCells()`,
+///       `config.focusTrim > 0`; same legality precondition as above.
 /// \post Same guarantees as optimizeMaxDisplacement, restricted to the
 ///       focused chunks (stats count only those).
 MaxDispStats optimizeMaxDisplacementFocused(PlacementState& state,

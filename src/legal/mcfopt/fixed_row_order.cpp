@@ -5,6 +5,7 @@
 #include <cmath>
 #include <iterator>
 #include <optional>
+#include <span>
 #include <unordered_set>
 
 #include "legal/refine/feasible_range.hpp"
@@ -70,8 +71,10 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
   for (std::size_t i = 0; i < net.cells.size(); ++i) {
     indexTable[static_cast<std::size_t>(net.cells[i])] = static_cast<int>(i);
   }
+  // The span views net.cells' buffer, which a move into the return value
+  // carries along, so the reset holds with or without copy elision.
   struct ResetIndex {
-    const std::vector<CellId>& cells;
+    std::span<const CellId> cells;
     ~ResetIndex() {
       for (const CellId c : cells) indexTable[static_cast<std::size_t>(c)] = -1;
     }
@@ -165,23 +168,6 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
     return std::make_pair(first, last);
   };
 
-  // The separation a pair (left, right) must keep: width plus the spacing
-  // rule. A last-resort placement may already violate the (soft) spacing
-  // rule; clamping to the pair's current distance keeps the LP feasible
-  // without letting it get closer than it already is. Only that clamp
-  // depends on the subset cells' x, so the network records when it bites.
-  const auto clampedSeparation = [&](CellId left, CellId right,
-                                     std::int64_t distance) {
-    const CostValue rule =
-        design.widthOf(left) +
-        (config.respectEdgeSpacing ? design.spacingBetween(left, right) : 0);
-    if (distance < rule) {
-      net.clampedToDistance = true;
-      return static_cast<CostValue>(distance);
-    }
-    return rule;
-  };
-
   // Wall clamping for partial subsets: a subset cell abutting a cell
   // outside the subset must keep the pair's separation even though no arc
   // links them. The outside cell will not move during this solve, so
@@ -199,7 +185,10 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
         const int inPrev = indexOf(prev);
         const int inC = indexOf(c);
         if ((inPrev >= 0) != (inC >= 0)) {
-          const CostValue sep = clampedSeparation(prev, c, x - prevX);
+          CostValue sep =
+              design.widthOf(prev) +
+              (config.respectEdgeSpacing ? design.spacingBetween(prev, c) : 0);
+          sep = std::min<CostValue>(sep, x - prevX);
           if (inC >= 0) {
             // `prev` is a wall on the left: x_c >= prevX + sep.
             auto& r = net.ranges[static_cast<std::size_t>(inC)];
@@ -254,9 +243,7 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
 
   // Neighbor constraints E: consecutive movable cells in each row, deduped
   // (a pair abutting in several rows yields one constraint; the spacing is
-  // identical in each row since it depends only on the two types). Only a
-  // pair of two multi-row cells can abut in more than one row, so only
-  // those pairs go through the seen set.
+  // identical in each row since it depends only on the two types).
   std::unordered_set<std::uint64_t> seenPairs;
   for (const RowSpan& row : rows) {
     const auto [first, last] = stretch(row);
@@ -270,10 +257,16 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
              << 32) |
             static_cast<std::uint32_t>(c);
         if (indexOf(prev) >= 0 && indexOf(c) >= 0 &&
-            (design.heightOf(prev) == 1 || design.heightOf(c) == 1 ||
-             seenPairs.insert(key).second)) {
+            seenPairs.insert(key).second) {
+          CostValue sep =
+              design.widthOf(prev) +
+              (config.respectEdgeSpacing ? design.spacingBetween(prev, c) : 0);
+          // A last-resort placement may already violate the (soft) spacing
+          // rule; clamping to the existing separation keeps the LP feasible
+          // without letting any pair get closer than it already is.
+          sep = std::min<CostValue>(sep, x - prevX);
           problem.addArc(base + indexOf(prev), base + indexOf(c),
-                         kInfiniteCap, -clampedSeparation(prev, c, x - prevX));
+                         kInfiniteCap, -sep);
         }
       }
       prev = c;
@@ -294,10 +287,9 @@ FroNetwork buildFixedRowOrderNetwork(const PlacementState& state,
 
 namespace {
 
-/// Solve one subset's network and append its moves; returns the network's
-/// clampedToDistance. With `reuse`, the solve goes through the persistent
-/// solver (cold on first use, warm after).
-bool solveSubset(const PlacementState& state, const SegmentMap& segments,
+/// Solve one subset's network and append its moves. With `reuse`, the solve
+/// goes through the persistent solver (cold on first use, warm after).
+void solveSubset(const PlacementState& state, const SegmentMap& segments,
                  const FixedRowOrderConfig& config, std::vector<CellId> subset,
                  std::vector<std::pair<CellId, std::int64_t>>* moves,
                  FroSolverReuse* reuse = nullptr,
@@ -307,7 +299,7 @@ bool solveSubset(const PlacementState& state, const SegmentMap& segments,
                    {{"cells", static_cast<double>(subset.size())}});
   const FroNetwork net = buildNetworkForCells(state, segments, config,
                                               std::move(subset), forbidden);
-  if (net.cells.empty()) return false;
+  if (net.cells.empty()) return;
   if (obs::metricsEnabled()) {
     obs::counter("mcfopt.components").add();
     obs::counter("mcfopt.nodes").add(net.problem.numNodes());
@@ -334,7 +326,6 @@ bool solveSubset(const PlacementState& state, const SegmentMap& segments,
     x = std::clamp<std::int64_t>(x, r.lo, r.hi - 1);
     if (x != design.cells[c].x) moves->emplace_back(c, x);
   }
-  return net.clampedToDistance;
 }
 
 /// Apply moves transactionally: remove every moved cell first, then
@@ -474,9 +465,8 @@ FixedRowOrderStats optimizeFixedRowOrderSubset(
 
   std::vector<std::pair<CellId, std::int64_t>> moves;
   const std::vector<CellId> cells = subset;  // keep a copy for the stats
-  stats.clampedToDistance = solveSubset(state, segments, config,
-                                        std::move(subset), &moves, reuse,
-                                        forbidden);
+  solveSubset(state, segments, config, std::move(subset), &moves, reuse,
+              forbidden);
 
   applyMoves(state, moves);
   finishStats(design, cells, config, static_cast<int>(moves.size()), &stats);

@@ -68,9 +68,6 @@ struct FixedRowOrderStats {
   /// improvement assertions in tests.
   double objectiveBefore = 0.0;
   double objectiveAfter = 0.0;
-  /// The solved network clamped a pair's separation to its current
-  /// distance (FroNetwork::clampedToDistance).
-  bool clampedToDistance = false;
 };
 
 /// Run the optimization on a legal placement.
@@ -84,8 +81,7 @@ FixedRowOrderStats optimizeFixedRowOrder(PlacementState& state,
                                          const FixedRowOrderConfig& config);
 
 /// Persistent network-simplex state for iterated re-solves of one component
-/// whose costs drift between passes (ECO stage-3 passes, ripup refine
-/// re-solves). First use is a cold solve that retains the basis; later uses
+/// whose costs drift between passes (ripup refine re-solves). First use is a cold solve that retains the basis; later uses
 /// go through NetworkSimplexSolver::solveWarm, which validates the topology
 /// and silently falls back to a cold solve when it changed. Read
 /// solver.stats() for the warm/cold/rejected counters.
@@ -138,15 +134,6 @@ struct FroNetwork {
   std::vector<int> cellNode;      // node id of each cell's v_i
   int zNode = -1;
   std::vector<Interval> ranges;   // feasible left-edge ranges (half-open)
-  /// Some pair (two subset cells, or a subset cell and a wall) sits closer
-  /// than its width plus spacing rule, so its separation was clamped to
-  /// the current distance. That clamp is the only part of the network
-  /// that depends on the subset cells' x: the ranges come from the segment
-  /// and the rail-clean stretch around x, which a cell moved within its
-  /// range keeps; GP costs, weights and the row order are fixed, and walls
-  /// do not move. Without it, rebuilding the network after applying its
-  /// solution yields the same network (ECO stage 3 skips that pass).
-  bool clampedToDistance = false;
 };
 
 FroNetwork buildFixedRowOrderNetwork(const PlacementState& state,

@@ -56,16 +56,8 @@ std::span<const std::int32_t> ForbiddenXIndex::ioCandidates(
   return {begin, end};
 }
 
-const std::vector<Interval>& ForbiddenXIndex::io(TypeId type,
-                                                 std::int64_t y) const {
-  if (ioForbidden_.empty()) {
-    ioForbidden_.resize(static_cast<std::size_t>(design_->numTypes()) *
-                        static_cast<std::size_t>(design_->numRows));
-  }
-  auto& slot =
-      ioForbidden_[static_cast<std::size_t>(type * design_->numRows + y)];
-  if (!slot) slot = ioPinForbiddenX(*design_, type, y, ioCandidates(type, y));
-  return *slot;
+std::vector<Interval> ForbiddenXIndex::io(TypeId type, std::int64_t y) const {
+  return ioPinForbiddenX(*design_, type, y, ioCandidates(type, y));
 }
 
 const ForbiddenXIndex::IoRow& ForbiddenXIndex::fillIoRow(TypeId type,

@@ -41,9 +41,8 @@ class ForbiddenXIndex {
   const std::vector<Interval>& rails(TypeId type) const {
     return typeData(type).rails;
   }
-  /// ioPinForbiddenX(design, type, y), computed on the first query of each
-  /// (type, row): a resident design's ECO requests re-query the same rows.
-  const std::vector<Interval>& io(TypeId type, std::int64_t y) const;
+  /// ioPinForbiddenX(design, type, y).
+  std::vector<Interval> io(TypeId type, std::int64_t y) const;
 
   /// countIoOverlaps(design, type, x, y).
   int ioOverlaps(TypeId type, std::int64_t x, std::int64_t y) const {
@@ -92,8 +91,6 @@ class ForbiddenXIndex {
   std::int64_t maxIoHeight_ = 0;
   mutable std::vector<IoRow> ioRows_;  // type-major, sized on first query
   mutable std::vector<Interval> ioOverlapPool_;
-  // io() per (type, row), type-major, sized on first query.
-  mutable std::vector<std::optional<std::vector<Interval>>> ioForbidden_;
 };
 
 /// Allowed left-edge interval [lo, hi) for cell c at its current rows:
