@@ -164,10 +164,9 @@ int main() {
   std::printf("full    %.3fs (hash %016llx)\n", fullSeconds,
               static_cast<unsigned long long>(fullHash));
   std::printf("eco     %.3fs (speedup %.2fx, dirty=%d spilled=%d "
-              "segments=%d warm=%lld cold=%lld fullFallback=%d)\n",
+              "segments=%d fullFallback=%d)\n",
               ecoSeconds, speedup, ecoStats.dirtyCells, ecoStats.spilledCells,
-              ecoStats.dirtySegments, ecoStats.warmRestarts,
-              ecoStats.coldFallbacks, ecoStats.usedFullRun ? 1 : 0);
+              ecoStats.dirtySegments, ecoStats.usedFullRun ? 1 : 0);
   std::printf("exact   hash %016llx -> identical=%d\n",
               static_cast<unsigned long long>(exactHash),
               exactIdentical ? 1 : 0);
@@ -187,10 +186,6 @@ int main() {
                       static_cast<double>(ecoStats.matchedCellsMoved));
   values.emplace_back("ripup_improved",
                       static_cast<double>(ecoStats.ripupImproved));
-  values.emplace_back("warm_restarts",
-                      static_cast<double>(ecoStats.warmRestarts));
-  values.emplace_back("cold_fallbacks",
-                      static_cast<double>(ecoStats.coldFallbacks));
   values.emplace_back("used_full_run",
                       ecoStats.usedFullRun ? 1.0 : 0.0);
   values.emplace_back("exact.identical", exactIdentical ? 1.0 : 0.0);

@@ -2,11 +2,12 @@
 """Validate run-report documents against the committed field manifest.
 
 The manifest (docs/report_schema_fields.json) lists the fields of the one
-schema version every writer emits (kRunReportSchemaVersion, 7). A document
+schema version every writer emits (kRunReportSchemaVersion, 8). A document
 must carry that schema_version, every required field of its kind, the
 listed provenance and metrics fields, the per-histogram fields (pow2 buckets
-plus p50/p95/p99) on every histogram, and, when it has a `batch` block,
-every batch field.
+plus p50/p95/p99) on every histogram, when it has a `batch` block, every
+batch field, and, when it has an `eco` block, every eco field and no field
+the manifest does not list.
 
 Usage:
     check_report_schema.py [--manifest FILE] [report.json ...]
@@ -15,7 +16,9 @@ Usage:
 Always runs a manifest self-test first: for every kind, a minimal synthetic
 document must validate, and the same document with one required field
 removed must fail, as must a histogram without p95, a batch block without
-stalls_detected, an unknown kind and any other schema_version. With --cli /
+stalls_detected, an eco block without dirty_cells or with a field the
+manifest does not list, an unknown kind and any other schema_version. With
+--cli /
 --batch, live reports are generated by the real binaries and validated too
 — that is what the `report_schema` ctest does, so a writer-side field
 rename breaks the build, not a downstream dashboard. Exits 0 when
@@ -85,6 +88,16 @@ def validate(doc, manifest, label):
                 problems.append(
                     f"{label}: batch.heartbeat_gap_ms missing '{field}'")
 
+    if "eco" in doc:
+        eco = doc["eco"]
+        for field in manifest["eco_fields"]:
+            if field not in eco:
+                problems.append(f"{label}: eco block missing '{field}'")
+        known = set(manifest["eco_fields"]) | set(
+            manifest["eco_optional_fields"])
+        for field in sorted(set(eco) - known):
+            problems.append(f"{label}: eco block has unknown field '{field}'")
+
     return problems
 
 
@@ -98,6 +111,7 @@ def synthetic(kind, manifest):
         doc["provenance"] = {f: "x" for f in manifest["provenance_fields"]}
     if kind == "legalize":
         doc["pipeline"] = {s: {} for s in kind_spec["pipeline_stages"]}
+        doc["eco"] = {f: 0 for f in manifest["eco_fields"]}
     hist_entry = {f: 0 for f in manifest["histogram_fields"]}
     doc["metrics"] = {
         "counters": {}, "gauges": {}, "histograms": {"h": dict(hist_entry)}}
@@ -132,6 +146,14 @@ def selftest(manifest):
     del partial["batch"]["stalls_detected"]
     if not validate(partial, manifest, "partial-batch"):
         failures.append("batch block without stalls_detected accepted")
+    no_dirty = synthetic("legalize", manifest)
+    del no_dirty["eco"]["dirty_cells"]
+    if not validate(no_dirty, manifest, "eco-no-dirty"):
+        failures.append("eco block without dirty_cells accepted")
+    stale = synthetic("legalize", manifest)
+    stale["eco"]["warm_restarts"] = 0
+    if not validate(stale, manifest, "eco-unknown"):
+        failures.append("eco block with an unlisted field accepted")
 
     # Other versions and unknown kinds are rejected.
     current = manifest["schema_version"]
@@ -162,8 +184,15 @@ def live_reports(args, workdir):
         run([args.cli, "generate", "--cells", "400", "--density", "0.55",
              "--seed", "11", "--out", design], workdir)
         report = os.path.join(workdir, "schema_check_run.json")
-        run([args.cli, "legalize", "--in", design, "--report-out", report],
-            workdir)
+        legal = os.path.join(workdir, "schema_check_legal.mclg")
+        run([args.cli, "legalize", "--in", design, "--out", legal,
+             "--report-out", report], workdir)
+        paths.append(report)
+        # An (empty) ECO run against that legal snapshot writes the eco
+        # block.
+        report = os.path.join(workdir, "schema_check_eco.json")
+        run([args.cli, "legalize", "--in", legal, "--eco-from", legal,
+             "--report-out", report], workdir)
         paths.append(report)
     if args.batch:
         if not args.cli:

@@ -51,6 +51,61 @@ PlacementState::PlacementState(Design& design) : design_(&design) {
                             }),
                 cells.end());
   }
+  relistUnplaced();
+}
+
+void PlacementState::listUnplaced(CellId c) {
+  const auto c1 = static_cast<std::size_t>(c);
+  if (c1 >= unplacedSlot_.size()) unplacedSlot_.resize(c1 + 1, -1);
+  if (unplacedSlot_[c1] >= 0) return;
+  unplacedSlot_[c1] = static_cast<int>(unplaced_.size());
+  unplaced_.push_back(c);
+}
+
+void PlacementState::unlistUnplaced(CellId c) {
+  const auto c1 = static_cast<std::size_t>(c);
+  if (c1 >= unplacedSlot_.size() || unplacedSlot_[c1] < 0) return;
+  const CellId last = unplaced_.back();
+  unplaced_[static_cast<std::size_t>(unplacedSlot_[c1])] = last;
+  unplacedSlot_[static_cast<std::size_t>(last)] = unplacedSlot_[c1];
+  unplaced_.pop_back();
+  unplacedSlot_[c1] = -1;
+}
+
+void PlacementState::relistUnplaced() {
+  for (const CellId c : unplaced_) {
+    unplacedSlot_[static_cast<std::size_t>(c)] = -1;
+  }
+  unplaced_.clear();
+  listedCells_ = design_->numCells();
+  for (CellId c = 0; c < listedCells_; ++c) {
+    const Cell& cell = design_->cells[c];
+    if (!cell.fixed && !cell.placed) listUnplaced(c);
+  }
+}
+
+std::vector<CellId> PlacementState::unplacedCells() {
+  const int numCells = design_->numCells();
+  for (CellId c = listedCells_; c < numCells; ++c) {
+    const Cell& cell = design_->cells[c];
+    if (!cell.fixed && !cell.placed) listUnplaced(c);
+  }
+  listedCells_ = numCells;
+  std::vector<CellId> out;
+  out.reserve(unplaced_.size());
+  for (std::size_t i = 0; i < unplaced_.size();) {
+    const CellId c = unplaced_[i];
+    // Truncated from the design (and maybe re-appended as another cell).
+    if (c >= numCells || design_->cells[c].fixed ||
+        design_->cells[c].placed) {
+      unlistUnplaced(c);
+      continue;
+    }
+    out.push_back(c);
+    ++i;
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 void PlacementState::place(CellId c, std::int64_t x, std::int64_t y) {
@@ -71,6 +126,7 @@ void PlacementState::place(CellId c, std::int64_t x, std::int64_t y) {
   cell.y = y;
   cell.placed = true;
   ++numPlaced_;
+  unlistUnplaced(c);
   if (listener_ != nullptr) listener_->onPlace(c);
 }
 
@@ -89,6 +145,7 @@ void PlacementState::remove(CellId c) {
   }
   cell.placed = false;
   --numPlaced_;
+  listUnplaced(c);
   if (listener_ != nullptr) listener_->onRemove(c);
 }
 
@@ -138,6 +195,7 @@ void PlacementState::restore(const PlacementSnapshot& snap) {
   rows_ = snap.rows;
   spanning_ = snap.spanning;
   numPlaced_.store(snap.numPlaced, std::memory_order_relaxed);
+  relistUnplaced();
 }
 
 CellId PlacementState::cellAt(std::int64_t y, std::int64_t x) const {

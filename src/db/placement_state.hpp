@@ -154,6 +154,17 @@ class PlacementState {
   /// while a stage places cells.)
   int numPlaced() const { return numPlaced_.load(std::memory_order_relaxed); }
 
+  /// Every movable cell of the design that is not placed, ascending — the
+  /// cells MGL legalizes — without a scan of the design: construction and
+  /// restore() list the unplaced cells, place() and remove() keep the list,
+  /// and a call adds the movable cells appended to the design since the
+  /// previous one and drops the ids it truncated (or that were truncated
+  /// and re-appended as other cells). O(unplaced + appended).
+  /// \pre every placement change went through this state, cells were only
+  ///      appended to or truncated from the design, and no fixed cell's id
+  ///      was truncated and re-used for a movable cell.
+  std::vector<CellId> unplacedCells();
+
   /// Capture the full placement (cell coordinates + occupancy index) for a
   /// later transactional restore(). Cost: one copy of the row arrays.
   PlacementSnapshot snapshot() const;
@@ -170,11 +181,21 @@ class PlacementState {
   PlacementListener* listener() const { return listener_; }
 
  private:
+  void listUnplaced(CellId c);
+  void unlistUnplaced(CellId c);
+  /// Re-list every unplaced movable cell of the design.
+  void relistUnplaced();
+
   Design* design_;
   std::vector<RowOccupancy> rows_;
   std::vector<int> spanning_;  // see cellsSpanning
   std::atomic<int> numPlaced_{0};
   PlacementListener* listener_ = nullptr;
+  // unplacedCells(): the listed cells, each cell's index in the list (-1
+  // when unlisted), and the design's cell count the list has seen.
+  std::vector<CellId> unplaced_;
+  std::vector<int> unplacedSlot_;
+  int listedCells_ = 0;
 };
 
 }  // namespace mclg

@@ -320,16 +320,10 @@ std::vector<Interval> ioPinOverlapX(const Design& design, TypeId type,
 }
 
 std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,
-                                      std::int64_t y,
-                                      std::span<const std::int32_t> ioPins) {
-  return mergeIntervals(ioPinOverlapX(design, type, y, ioPins));
-}
-
-std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,
                                       std::int64_t y) {
   std::vector<std::int32_t> all(design.ioPins.size());
   std::iota(all.begin(), all.end(), 0);
-  return ioPinForbiddenX(design, type, y, all);
+  return mergeIntervals(ioPinOverlapX(design, type, y, all));
 }
 
 std::vector<Interval> verticalRailForbiddenX(const Design& design, TypeId type,

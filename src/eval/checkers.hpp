@@ -105,17 +105,12 @@ int countIoOverlaps(const Design& design, TypeId type, std::int64_t x,
 std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,
                                       std::int64_t y);
 
-/// ioPinForbiddenX over only the IO pins `ioPins` (indexes into
-/// design.ioPins): ForbiddenXIndex (legal/refine/feasible_range.hpp)
-/// passes the pins that can reach row y.
-std::vector<Interval> ioPinForbiddenX(const Design& design, TypeId type,
-                                      std::int64_t y,
-                                      std::span<const std::int32_t> ioPins);
-
-/// The unmerged form of ioPinForbiddenX over `ioPins`: one x-interval per
-/// (signal pin of `type`, conflicting IO pin) pair that can overlap at row
-/// `y`, so the number of intervals containing x is countIoOverlaps(design,
-/// type, x, y) when `ioPins` holds every IO pin that reaches row y.
+/// The unmerged form of ioPinForbiddenX over only the IO pins `ioPins`
+/// (indexes into design.ioPins): one x-interval per (signal pin of `type`,
+/// conflicting IO pin) pair that can overlap at row `y`, so the number of
+/// intervals containing x is countIoOverlaps(design, type, x, y) when
+/// `ioPins` holds every IO pin that reaches row y. ForbiddenXIndex
+/// (legal/refine/feasible_range.hpp) passes the pins that can reach row y.
 std::vector<Interval> ioPinOverlapX(const Design& design, TypeId type,
                                     std::int64_t y,
                                     std::span<const std::int32_t> ioPins);

@@ -179,28 +179,30 @@ void ScoreTerms::refresh(const std::vector<CellId>& cells) {
   nets_.clear();
 }
 
-ScoreBreakdown ScoreTerms::evaluate(const std::vector<CellId>* changed) const {
+ScoreBreakdown ScoreTerms::evaluate(const std::vector<CellId>* changed,
+                                    std::span<const CellId> audited) const {
   const Design& design = state_->design();
   ScoreBreakdown out;
   out.displacement = displacementStats(design);
   // hpwlIncreaseRatio(): both sums in net order over the nets with two or
-  // more pins, as hpwl() adds them.
+  // more pins, as hpwl() adds them — in one pass, each sum in its own order.
   double before = 0.0;
+  double after = 0.0;
   for (std::size_t n = 0; n < design.nets.size(); ++n) {
-    if (design.nets[n].conns.size() >= 2) before += gpNet_[n];
-  }
-  if (before > 0.0) {
-    double after = 0.0;
-    for (std::size_t n = 0; n < design.nets.size(); ++n) {
-      if (design.nets[n].conns.size() >= 2) after += legalNet_[n];
+    if (design.nets[n].conns.size() >= 2) {
+      before += gpNet_[n];
+      after += legalNet_[n];
     }
-    out.hpwlRatio = (after - before) / before;
   }
+  if (before > 0.0) out.hpwlRatio = (after - before) / before;
   out.pins = pinTotal_;
   out.edgeSpacing = edgeTotal_;
-  out.legality = changed != nullptr && cellsLegal(*state_, *segments_, *changed)
-                     ? LegalityReport{}
-                     : checkLegality(design, *segments_);
+  const bool legal =
+      changed != nullptr &&
+      (std::includes(audited.begin(), audited.end(), changed->begin(),
+                     changed->end()) ||
+       cellsLegal(*state_, *segments_, *changed));
+  out.legality = legal ? LegalityReport{} : checkLegality(design, *segments_);
   out.score = combineScore(out.displacement.average, out.displacement.maximum,
                            out.hpwlRatio, out.pins.total(), out.edgeSpacing,
                            design.numCells() - fixedCells_);

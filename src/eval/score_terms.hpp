@@ -11,8 +11,9 @@
 // evaluateScore() does: the per-net HPWL terms are re-summed in net order,
 // so the ratio matches hpwlIncreaseRatio() to the bit; displacementStats()
 // is cheap and already exact, so it is simply called; legality comes from
-// an audit of the changed cells (cellsLegal), falling back to the full
-// checkLegality() whenever that audit finds anything.
+// an audit of the changed cells (cellsLegal) — or from the ECO driver's own
+// audit when that covered them — falling back to the full checkLegality()
+// whenever the audit finds anything.
 #pragma once
 
 #include <cstddef>
@@ -42,10 +43,14 @@ class ScoreTerms {
   /// The score of the current placement, equal field by field to
   /// evaluateScore(design, segments). Legality comes from checkLegality(),
   /// or with `changed` from an audit of those cells that falls back to
-  /// checkLegality() when it finds anything. \pre refresh() has seen every
-  /// change; with `changed`, the placement was legal before those cells
-  /// changed.
-  ScoreBreakdown evaluate(const std::vector<CellId>* changed = nullptr) const;
+  /// checkLegality() when it finds anything. The audit is skipped when
+  /// `audited` — ascending cells a caller just found legal in this very
+  /// placement (EcoStats::auditedLegal) — covers `changed`, which one
+  /// merge of the two lists checks. \pre refresh() has seen every change;
+  /// with `changed` (ascending when `audited` is given), the placement was
+  /// legal before those cells changed.
+  ScoreBreakdown evaluate(const std::vector<CellId>* changed = nullptr,
+                          std::span<const CellId> audited = {}) const;
 
   /// Nets referencing cell c, ascending (empty for cells added after
   /// construction — no net references them).

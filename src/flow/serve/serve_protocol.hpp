@@ -107,7 +107,7 @@ struct TenantRequest {
 /// Query: read-only introspection. `key` is one of
 ///   status  per-tenant service table (tenant may be empty: whole daemon)
 ///   score   tenant's current Eq. 10 score breakdown summary line
-///   report  tenant's last run report (schema v7 JSON), verbatim
+///   report  tenant's last run report (schema v8 JSON), verbatim
 ///   design  tenant's current design as .mclg text (byte-exact)
 struct QueryRequest {
   std::uint64_t id = 0;
@@ -127,7 +127,7 @@ struct ShutdownRequest {
 
 /// One Response frame per request, in request order per connection.
 /// `hash` is placementHash(design) after the request (0 when the request
-/// did not touch or read a placement). The body carries the schema-v7 run
+/// did not touch or read a placement). The body carries the schema-v8 run
 /// report for LoadDesign/EcoDelta (docs/OBSERVABILITY.md), and the queried
 /// document for Query.
 struct ServeResponse {

@@ -289,7 +289,7 @@ ServeResponse ServeSession::applyDelta(const EcoDeltaRequest& request,
                         ecoConfig);
     const std::vector<CellId> changed = log_->requestChanges();
     terms_->refresh(changed);
-    score = terms_->evaluate(&changed);
+    score = terms_->evaluate(&changed, eco.auditedLegal);
   } catch (const MclgError& e) {
     return fail(e.kind() == ErrorKind::Timeout ? ServeStatus::Rejected
                                                : ServeStatus::Internal,

@@ -89,7 +89,7 @@ class ServeSession {
   /// What a placement exposes to clients: its score, run report and hash.
   struct Exposed {
     ScoreBreakdown score;
-    std::string report;  ///< schema-v7 run report of the legalize/ECO
+    std::string report;  ///< schema-v8 run report of the legalize/ECO
     std::uint64_t hash = 0;
   };
 

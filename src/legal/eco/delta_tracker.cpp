@@ -61,40 +61,13 @@ std::vector<CellId> DeltaSet::dirtyCells() const {
   return out;
 }
 
-void DeltaTracker::reset(int numCells) {
-  size_ = numCells;
-  events_.store(0, std::memory_order_relaxed);
-  if (numCells <= 0) {
-    flags_.reset();
-    return;
-  }
-  flags_ = std::make_unique<std::atomic<unsigned char>[]>(
-      static_cast<std::size_t>(numCells));
-  for (int i = 0; i < numCells; ++i) {
-    flags_[static_cast<std::size_t>(i)].store(0, std::memory_order_relaxed);
-  }
-}
-
-void DeltaTracker::mark(CellId c) {
-  if (c < 0 || c >= size_) return;
-  flags_[static_cast<std::size_t>(c)].store(1, std::memory_order_relaxed);
-  events_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::vector<CellId> DeltaTracker::touched() const {
-  std::vector<CellId> out;
-  for (int c = 0; c < size_; ++c) {
-    if (flags_[static_cast<std::size_t>(c)].load(std::memory_order_relaxed)) {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-bool DeltaTracker::isTouched(CellId c) const {
-  if (c < 0 || c >= size_) return false;
-  return flags_[static_cast<std::size_t>(c)].load(std::memory_order_relaxed) !=
-         0;
+const std::vector<CellId>& DeltaTracker::touched() {
+  const auto mid = marks_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+  std::sort(mid, marks_.end());
+  std::inplace_merge(marks_.begin(), mid, marks_.end());
+  marks_.erase(std::unique(marks_.begin(), marks_.end()), marks_.end());
+  sorted_ = marks_.size();
+  return marks_;
 }
 
 DeltaSet DeltaTracker::diff(const Design& current, const Design& snapshot) {

@@ -17,8 +17,7 @@
 //     stage 3 re-optimizes exactly the regions stage 1 disturbed.
 #pragma once
 
-#include <atomic>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "db/design.hpp"
@@ -54,20 +53,20 @@ CellEdit classifyEdit(const Cell& current, const Cell& old);
 
 /// Touched-cell recorder, attachable to a PlacementState.
 ///
-/// mark() is lock-free (one relaxed atomic flag per cell); takeTouched()
-/// returns ids in ascending order, so the collected set does not depend on
-/// the order in which cells were marked. PlacementState has one listener
+/// mark() appends the cell to a list (a repeat of the last mark is
+/// skipped), so a tracker costs what its marks cost, never the design's
+/// size; touched() sorts and dedups that list, so the collected set does
+/// not depend on the order in which cells were marked. Not thread-safe:
+/// every mark comes from the thread that mutates the state, as the
+/// PlacementListener contract has it. PlacementState has one listener
 /// slot, so a tracker forwards every notification to `next` (the listener
 /// it displaced, e.g. a serve session's undo log) when one is given.
 class DeltaTracker final : public PlacementListener {
  public:
-  explicit DeltaTracker(int numCells = 0, PlacementListener* next = nullptr)
-      : next_(next) {
-    reset(numCells);
-  }
+  explicit DeltaTracker(PlacementListener* next = nullptr) : next_(next) {}
 
-  /// Clear all marks and resize to `numCells` slots.
-  void reset(int numCells);
+  /// Clear all marks.
+  void reset() { marks_.clear(); sorted_ = 0; }
 
   void beforeChange(CellId c) override {
     if (next_ != nullptr) next_->beforeChange(c);
@@ -86,13 +85,13 @@ class DeltaTracker final : public PlacementListener {
   }
   /// Explicit mark for edits the listener cannot observe (ECO cell adds,
   /// GP-position updates applied directly to the Design).
-  void mark(CellId c);
+  void mark(CellId c) {
+    if (marks_.empty() || marks_.back() != c) marks_.push_back(c);
+  }
 
-  /// Ids marked since the last reset, ascending. Does not clear.
-  std::vector<CellId> touched() const;
-  bool isTouched(CellId c) const;
-  /// Total notification events (marks, including re-marks) — a metrics aid.
-  long long events() const { return events_.load(std::memory_order_relaxed); }
+  /// Ids marked since the last reset, ascending and unique. Valid until the
+  /// next mark or reset. O(new marks · log) after the first call.
+  const std::vector<CellId>& touched();
 
   /// Classify `current` against the legal `snapshot`. Pure function of the
   /// two designs; see DeltaSet for the categories and the structural rules.
@@ -102,10 +101,10 @@ class DeltaTracker final : public PlacementListener {
   static DeltaSet diff(const Design& current, const Design& snapshot);
 
  private:
-  std::unique_ptr<std::atomic<unsigned char>[]> flags_;
-  int size_ = 0;
+  // marks_[0, sorted_) is ascending and unique; later marks are raw.
+  std::vector<CellId> marks_;
+  std::size_t sorted_ = 0;
   PlacementListener* next_ = nullptr;
-  std::atomic<long long> events_{0};
 };
 
 }  // namespace mclg

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -253,19 +254,20 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
     return stats;
   }
 
-  std::vector<char> isDirty(static_cast<std::size_t>(design.numCells()), 0);
-  for (const CellId c : dirty) isDirty[static_cast<std::size_t>(c)] = 1;
-  for (const CellId c : seed.unreplayable) {
-    isDirty[static_cast<std::size_t>(c)] = 1;
-    ++stats.dirtyCells;
-  }
+  // The cells this run re-places: the dirty ones and the unreplayable
+  // clean ones, ascending. Every set below is a sorted list of cell ids, so
+  // the bookkeeping costs what the edit touches, not the design's size.
+  std::vector<CellId> replaced;
+  std::set_union(dirty.begin(), dirty.end(), seed.unreplayable.begin(),
+                 seed.unreplayable.end(), std::back_inserter(replaced));
+  stats.dirtyCells += static_cast<int>(seed.unreplayable.size());
 
   // 3. Stage 1 on the dirty set only (MGL legalizes the unplaced cells),
   // with a tracker recording the spill onto clean neighbors. The tracker
   // takes the state's one listener slot and forwards to whatever listener
   // it displaced (a serve session's undo log), which sees every change.
   PlacementListener* const outerListener = state.listener();
-  DeltaTracker tracker(design.numCells(), outerListener);
+  DeltaTracker tracker(outerListener);
   state.setListener(&tracker);
   // A request-budget checkpoint below may throw out of this function;
   // never leave the caller's state pointing at the local tracker.
@@ -281,13 +283,13 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
     stats.mgl = mgl.run();
   }
 
-  // Focus mask for the recovery passes: the dirty cells plus every clean
-  // cell the incremental stages have displaced so far.
+  // Focus of the recovery passes: the re-placed cells plus every clean
+  // cell the incremental stages have displaced so far, ascending.
   auto touchedFocus = [&]() {
-    std::vector<char> focus = isDirty;
-    for (const CellId c : tracker.touched()) {
-      focus[static_cast<std::size_t>(c)] = 1;
-    }
+    const std::vector<CellId>& touched = tracker.touched();
+    std::vector<CellId> focus;
+    std::set_union(replaced.begin(), replaced.end(), touched.begin(),
+                   touched.end(), std::back_inserter(focus));
     return focus;
   };
 
@@ -313,9 +315,8 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
     // to survive at scale.
     ripup.windowW = config.pipeline.ripup.windowW / 2;
     ripup.windowH = config.pipeline.ripup.windowH / 2;
-    const std::vector<char> focus = touchedFocus();
     stats.ripupImproved =
-        ripupRefine(state, segments, ripup, &focus).improved;
+        ripupRefine(state, segments, ripup, touchedFocus()).improved;
   }
 
   // 3c. Stage 2 (§3.2 matching) focused on the still-stranded tail: the
@@ -331,13 +332,10 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
   config.requestDeadline.checkpoint("eco/stage2");
   if (config.pipeline.runMaxDisp) {
     MCLG_TRACE_SCOPE("eco/stage2");
-    std::vector<char> focus = touchedFocus();
-    for (CellId c = 0; c < design.numCells(); ++c) {
-      if (focus[static_cast<std::size_t>(c)] != 0 &&
-          design.displacement(c) <= config.ripupThreshold) {
-        focus[static_cast<std::size_t>(c)] = 0;
-      }
-    }
+    std::vector<CellId> focus = touchedFocus();
+    std::erase_if(focus, [&](CellId c) {
+      return design.displacement(c) <= config.ripupThreshold;
+    });
     MaxDispConfig matchConfig = config.pipeline.maxDisp;
     // One locality knob for both recovery solvers: the matching, like
     // stage 3 below, only needs the delta's neighborhood, not the whole
@@ -347,20 +345,14 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
         optimizeMaxDisplacementFocused(state, matchConfig, focus).cellsMoved;
   }
   state.setListener(outerListener);
-  const std::vector<CellId> touched = tracker.touched();
-  for (const CellId c : touched) {
-    if (!isDirty[static_cast<std::size_t>(c)]) ++stats.spilledCells;
-  }
+  // Every cell the incremental stages placed or moved, ascending.
+  const std::vector<CellId> marked = touchedFocus();
+  stats.spilledCells = static_cast<int>(marked.size() - replaced.size());
 
   // The audit re-checks every cell this run placed or moved; stage 3 adds
   // the subsets it solves.
   std::vector<CellId> audited;
-  if (seed.cleanCellsLegal) {
-    audited = dirty;
-    audited.insert(audited.end(), seed.unreplayable.begin(),
-                   seed.unreplayable.end());
-    audited.insert(audited.end(), touched.begin(), touched.end());
-  }
+  if (seed.cleanCellsLegal) audited = marked;
 
   // 4. Stage 3 per dirty constraint component, one cold solve each (the
   // header says why a second would not help). maxDispWeight couples all
@@ -381,24 +373,19 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
     // component's kept cells; everything further acts as a fixed wall
     // (range clamp) in the solve. Only the rows holding a dirty or touched
     // cell can keep anything.
-    const auto isDirtyOrTouched = [&](CellId c) {
-      return isDirty[static_cast<std::size_t>(c)] != 0 || tracker.isTouched(c);
-    };
-    std::vector<char> rowHit(static_cast<std::size_t>(design.numRows), 0);
-    for (const std::vector<CellId>* cells :
-         {&dirty, &seed.unreplayable, &touched}) {
-      for (const CellId c : *cells) {
-        const Cell& cell = design.cells[c];
-        if (!cell.placed) continue;
-        for (std::int64_t y = cell.y; y < cell.y + design.heightOf(c); ++y) {
-          rowHit[static_cast<std::size_t>(y)] = 1;
-        }
+    std::vector<std::int64_t> rowsHit;
+    for (const CellId c : marked) {
+      const Cell& cell = design.cells[c];
+      if (!cell.placed) continue;
+      for (std::int64_t y = cell.y; y < cell.y + design.heightOf(c); ++y) {
+        rowsHit.push_back(y);
       }
     }
+    std::sort(rowsHit.begin(), rowsHit.end());
+    rowsHit.erase(std::unique(rowsHit.begin(), rowsHit.end()), rowsHit.end());
     std::vector<CellId> kept;
     std::vector<CellId> row;
-    for (std::int64_t y = 0; y < design.numRows; ++y) {
-      if (rowHit[static_cast<std::size_t>(y)] == 0) continue;
+    for (const std::int64_t y : rowsHit) {
       row.clear();
       for (const auto& [x, c] : state.rowCells(y)) {
         (void)x;
@@ -406,7 +393,10 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
       }
       const int n = static_cast<int>(row.size());
       for (int j = 0; j < n; ++j) {
-        if (!isDirtyOrTouched(row[static_cast<std::size_t>(j)])) continue;
+        if (!std::binary_search(marked.begin(), marked.end(),
+                                row[static_cast<std::size_t>(j)])) {
+          continue;
+        }
         const int hi = std::min(n - 1, j + kEcoChainHalo);
         for (int t = std::max(0, j - kEcoChainHalo); t <= hi; ++t) {
           kept.push_back(row[static_cast<std::size_t>(t)]);
@@ -442,7 +432,11 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
   // seed that vouches for its clean cells, the cells this run placed or
   // moved are the only ones that can be illegal; only when one of them is
   // does the whole-design check decide.
-  if (!seed.cleanCellsLegal || !cellsLegal(state, segments, audited)) {
+  std::sort(audited.begin(), audited.end());
+  audited.erase(std::unique(audited.begin(), audited.end()), audited.end());
+  if (seed.cleanCellsLegal && cellsLegal(state, segments, audited)) {
+    stats.auditedLegal = std::move(audited);
+  } else {
     const LegalityReport audit = checkLegality(design, segments);
     if (audit.overlaps > 0 || audit.outOfCore > 0 ||
         audit.parityViolations > 0 || audit.fenceViolations > 0) {
@@ -478,6 +472,7 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
       }
       stats.exactVerified = true;
       stats.scoreIncremental = stats.scoreFull;
+      stats.auditedLegal.clear();
     } else {
       stats.exactVerified = equiv.ok;
       if (!equiv.ok) {

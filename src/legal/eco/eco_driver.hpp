@@ -45,6 +45,13 @@
 //     model cannot express — degrades to a full pipeline run, never to a
 //     worse-than-full result.
 //
+// Bookkeeping is delta-sized: every cell set of a run (the dirty cells,
+// the tracker's touched cells, the recovery passes' focus, stage 3's rows
+// and kept cells, the audit) is a sorted list of cell ids, and MGL takes
+// the cells it places from the state's unplaced list
+// (PlacementState::unplacedCells), so no per-request step allocates or
+// scans a per-cell array of the design.
+//
 // Exactness knobs: `validate` additionally runs the full pipeline on a
 // scratch copy and checks the EcoEquivalence invariant (legal + score
 // within `scoreTolerance`); `exact` does the same and then *adopts* the
@@ -131,15 +138,17 @@ struct EcoStats {
   int matchedCellsMoved = 0;  ///< cells relocated by the focused matching
   int ripupImproved = 0;      ///< stranded cells the rip-up pass recovered
   int dirtySegments = 0;  ///< dirty constraint components re-optimized
-  /// Stage 3 solves each component once, cold, so these stay 0; they are
-  /// kept because report schema v7 (and perfbench) carry them.
-  long long warmRestarts = 0;   ///< MCF re-solves that reused a basis
-  long long coldFallbacks = 0;  ///< warm attempts rejected, re-solved cold
   int mcfCellsMoved = 0;
   // Outcome.
   bool usedFullRun = false;  ///< structural diff or failed audit: fell back
   std::string fallbackReason;
   bool exactVerified = false;  ///< exact/validate: hashes matched
+  /// The cells the incremental audit checked and found legal, ascending:
+  /// every cell the run placed or moved. Empty unless that audit decided
+  /// (a seed vouching for its clean cells, no full run, no exact adoption).
+  /// A caller that audits the same placement again may skip the cells
+  /// listed here.
+  std::vector<CellId> auditedLegal;
   double scoreIncremental = -1.0;
   double scoreFull = -1.0;  ///< only measured in validate/exact mode
   MglStats mgl;

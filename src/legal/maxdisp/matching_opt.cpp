@@ -317,16 +317,15 @@ MaxDispStats matchChunks(PlacementState& state, const MaxDispConfig& config,
 
 std::vector<std::vector<CellId>> focusedMatchingChunks(
     const PlacementState& state, const MaxDispConfig& config,
-    const std::vector<char>& focus) {
+    std::span<const CellId> focus) {
   MCLG_ASSERT(config.focusTrim > 0, "focused matching needs a focusTrim");
   const Design& design = state.design();
   // The focused cells, ordered by (group key, row-major position): the
   // groups come out ascending like the full path's std::map, and each
   // group's targets ascending in rank.
   std::vector<std::pair<GroupKey, RowMajorKey>> targets;
-  for (CellId c = 0; c < design.numCells(); ++c) {
-    if (focus[static_cast<std::size_t>(c)] != 0 &&
-        movablePlaced(design.cells[c])) {
+  for (const CellId c : focus) {
+    if (movablePlaced(design.cells[c])) {
       targets.emplace_back(groupKeyOf(design, config, c),
                            rowMajorKey(design, c));
     }
@@ -483,7 +482,7 @@ MaxDispStats optimizeMaxDisplacement(PlacementState& state,
 
 MaxDispStats optimizeMaxDisplacementFocused(PlacementState& state,
                                             const MaxDispConfig& config,
-                                            const std::vector<char>& focus) {
+                                            std::span<const CellId> focus) {
   return matchChunks(state, config,
                      focusedMatchingChunks(state, config, focus));
 }

@@ -16,6 +16,7 @@
 // tail — the paper's Table 3 effect.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "db/placement_state.hpp"
@@ -82,22 +83,23 @@ MaxDispStats optimizeMaxDisplacement(PlacementState& state,
                                      const MaxDispConfig& config);
 
 /// Focused variant for incremental ECO re-legalization (docs/ECO.md): only
-/// the matching chunks containing at least one cell with `focus[c] != 0`
-/// are re-solved, each trimmed by `config.focusTrim`; all other groups keep
+/// the matching chunks containing at least one cell of `focus` are
+/// re-solved, each trimmed by `config.focusTrim`; all other groups keep
 /// their placement untouched. matchChunks(focusedMatchingChunks(...)).
-/// \pre  `focus.size() >= state.design().numCells()`,
+/// \pre  `focus` holds cell ids without repeats, in any order;
 ///       `config.focusTrim > 0`; same legality precondition as above.
 /// \post Same guarantees as optimizeMaxDisplacement, restricted to the
 ///       focused chunks (stats count only those).
 MaxDispStats optimizeMaxDisplacementFocused(PlacementState& state,
                                             const MaxDispConfig& config,
-                                            const std::vector<char>& focus);
+                                            std::span<const CellId> focus);
 
 /// The focused variant's chunks, in solve order: the chunks of the full
 /// path's row-major slicing (whole groups up to maxGroupSize cells, else
 /// slices of maxGroupSize, a one-cell tail slice dropped) that hold a
 /// focused cell, each cut down to the ranks within focusTrim of a focused
-/// cell, cells in row-major order, chunks in (group key, slice) order.
+/// cell (unplaced and fixed focus cells focus nothing), cells in
+/// row-major order, chunks in (group key, slice) order.
 /// No group is sorted: one scan of the design counts each focused group's
 /// members per row, a focused cell's rank is the members in the rows
 /// below plus those left of it in its row, and the kept ranks are read off
@@ -106,7 +108,7 @@ MaxDispStats optimizeMaxDisplacementFocused(PlacementState& state,
 ///      indexed in each row it spans), as after any legal run.
 std::vector<std::vector<CellId>> focusedMatchingChunks(
     const PlacementState& state, const MaxDispConfig& config,
-    const std::vector<char>& focus);
+    std::span<const CellId> focus);
 
 /// Solve each chunk's assignment (in parallel) and apply the moves in
 /// chunk order: the shared back half of both entry points. Stats count the

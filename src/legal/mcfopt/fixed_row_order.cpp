@@ -137,26 +137,28 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
   // subset cell to the neighbour right of its rightmost one can contribute
   // a clamp or an arc. Visiting just those stretches, rows ascending and
   // each left to right, adds the same arcs in the same order as a sweep
-  // over every row — at a cost proportional to the subset.
+  // over every row — at a cost proportional to the subset. The stretches
+  // come from the subset's (row, x) pairs packed into one sortable word.
   struct RowSpan {
     std::int64_t y, xlo, xhi;
   };
-  std::vector<RowSpan> spans;
+  std::vector<std::uint64_t> keys;
   for (const CellId c : net.cells) {
     const Cell& cell = design.cells[c];
     for (std::int64_t r = cell.y; r < cell.y + design.heightOf(c); ++r) {
-      spans.push_back({r, cell.x, cell.x});
+      keys.push_back(static_cast<std::uint64_t>(r) << 32 |
+                     static_cast<std::uint32_t>(cell.x));
     }
   }
-  std::sort(spans.begin(), spans.end(), [](const RowSpan& a, const RowSpan& b) {
-    return a.y != b.y ? a.y < b.y : a.xlo < b.xlo;
-  });
+  std::sort(keys.begin(), keys.end());
   std::vector<RowSpan> rows;
-  for (const RowSpan& span : spans) {
-    if (!rows.empty() && rows.back().y == span.y) {
-      rows.back().xhi = span.xhi;
+  for (const std::uint64_t key : keys) {
+    const auto y = static_cast<std::int64_t>(key >> 32);
+    const auto x = static_cast<std::int64_t>(key & 0xffffffffU);
+    if (!rows.empty() && rows.back().y == y) {
+      rows.back().xhi = x;
     } else {
-      rows.push_back(span);
+      rows.push_back({y, x, x});
     }
   }
   const auto stretch = [&](const RowSpan& row) {
@@ -243,7 +245,9 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
 
   // Neighbor constraints E: consecutive movable cells in each row, deduped
   // (a pair abutting in several rows yields one constraint; the spacing is
-  // identical in each row since it depends only on the two types).
+  // identical in each row since it depends only on the two types). Each
+  // row is walked once, so only a pair of two multi-row cells can abut
+  // twice: the others skip the dedup set.
   std::unordered_set<std::uint64_t> seenPairs;
   for (const RowSpan& row : rows) {
     const auto [first, last] = stretch(row);
@@ -257,7 +261,8 @@ FroNetwork buildNetworkForCells(const PlacementState& state,
              << 32) |
             static_cast<std::uint32_t>(c);
         if (indexOf(prev) >= 0 && indexOf(c) >= 0 &&
-            seenPairs.insert(key).second) {
+            (design.heightOf(prev) == 1 || design.heightOf(c) == 1 ||
+             seenPairs.insert(key).second)) {
           CostValue sep =
               design.widthOf(prev) +
               (config.respectEdgeSpacing ? design.spacingBetween(prev, c) : 0);
@@ -283,6 +288,15 @@ FroNetwork buildFixedRowOrderNetwork(const PlacementState& state,
                                      const FixedRowOrderConfig& config) {
   return buildNetworkForCells(state, segments, config,
                               placedMovableCells(state.design()), nullptr);
+}
+
+FroNetwork buildFixedRowOrderNetwork(const PlacementState& state,
+                                     const SegmentMap& segments,
+                                     const FixedRowOrderConfig& config,
+                                     std::vector<CellId> subset,
+                                     const ForbiddenXIndex* forbidden) {
+  return buildNetworkForCells(state, segments, config, std::move(subset),
+                              forbidden);
 }
 
 namespace {

@@ -140,4 +140,12 @@ FroNetwork buildFixedRowOrderNetwork(const PlacementState& state,
                                      const SegmentMap& segments,
                                      const FixedRowOrderConfig& config);
 
+/// The network optimizeFixedRowOrderSubset builds for `subset` (walls,
+/// routability index and all).
+FroNetwork buildFixedRowOrderNetwork(const PlacementState& state,
+                                     const SegmentMap& segments,
+                                     const FixedRowOrderConfig& config,
+                                     std::vector<CellId> subset,
+                                     const ForbiddenXIndex* forbidden);
+
 }  // namespace mclg

@@ -11,14 +11,9 @@
 
 namespace mclg {
 
-std::vector<CellId> MglLegalizer::orderCells() const {
+std::vector<CellId> MglLegalizer::orderCells() {
   const auto& design = state_.design();
-  std::vector<CellId> order;
-  order.reserve(static_cast<std::size_t>(design.numCells()));
-  for (CellId c = 0; c < design.numCells(); ++c) {
-    const auto& cell = design.cells[c];
-    if (!cell.fixed && !cell.placed) order.push_back(c);
-  }
+  std::vector<CellId> order = state_.unplacedCells();
   std::sort(order.begin(), order.end(), [&](CellId a, CellId b) {
     const auto& ta = design.typeOf(a);
     const auto& tb = design.typeOf(b);

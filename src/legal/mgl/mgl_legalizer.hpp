@@ -51,8 +51,9 @@ class MglLegalizer {
   /// routability constraints, which are optimized, not guaranteed).
   MglStats run();
 
-  /// Processing order used by run(): taller, then wider, then leftmost GP.
-  std::vector<CellId> orderCells() const;
+  /// Processing order used by run(): the state's unplaced cells, taller,
+  /// then wider, then leftmost GP.
+  std::vector<CellId> orderCells();
 
  private:
   /// Last resort for a cell no window could take. Returns the step that

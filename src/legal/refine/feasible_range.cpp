@@ -1,6 +1,7 @@
 #include "legal/refine/feasible_range.hpp"
 
 #include <algorithm>
+#include <iterator>
 
 #include "eval/checkers.hpp"
 #include "util/assert.hpp"
@@ -56,10 +57,6 @@ std::span<const std::int32_t> ForbiddenXIndex::ioCandidates(
   return {begin, end};
 }
 
-std::vector<Interval> ForbiddenXIndex::io(TypeId type, std::int64_t y) const {
-  return ioPinForbiddenX(*design_, type, y, ioCandidates(type, y));
-}
-
 const ForbiddenXIndex::IoRow& ForbiddenXIndex::fillIoRow(TypeId type,
                                                          std::int64_t y) const {
   if (ioRows_.empty()) {
@@ -90,24 +87,25 @@ Interval feasibleRange(const Design& design, const SegmentMap& segments,
 
   if (routability != nullptr) {
     // §3.4: the movement range is the largest interval around the current x
-    // that is clean of vertical-rail *and* IO-pin conflicts. Returns false
-    // when the current position already conflicts.
-    const auto clip = [&](const std::vector<Interval>& forbidden) {
-      for (const auto& iv : forbidden) {
-        if (iv.hi <= cell.x) {
-          lo = std::max(lo, iv.hi);
-        } else if (iv.lo > cell.x) {
-          hi = std::min(hi, iv.lo - 1);
-          break;  // intervals are sorted
-        } else {
-          return false;
-        }
+    // that is clean of vertical-rail *and* IO-pin conflicts; a cell that
+    // already sits on a conflict is frozen.
+    const std::vector<Interval>& rails = routability->rails(cell.type);
+    const auto right = std::partition_point(
+        rails.begin(), rails.end(),
+        [&](const Interval& iv) { return iv.hi <= cell.x; });
+    if (right != rails.begin()) lo = std::max(lo, std::prev(right)->hi);
+    if (right != rails.end()) {
+      if (right->lo <= cell.x) return {cell.x, cell.x + 1};
+      hi = std::min(hi, right->lo - 1);
+    }
+    for (const Interval& iv : routability->ioIntervals(cell.type, cell.y)) {
+      if (iv.hi <= cell.x) {
+        lo = std::max(lo, iv.hi);
+      } else if (iv.lo > cell.x) {
+        hi = std::min(hi, iv.lo - 1);
+      } else {
+        return {cell.x, cell.x + 1};
       }
-      return true;
-    };
-    if (!clip(routability->rails(cell.type)) ||
-        !clip(routability->io(cell.type, cell.y))) {
-      return {cell.x, cell.x + 1};  // freeze the cell
     }
   }
   lo = std::min(lo, cell.x);

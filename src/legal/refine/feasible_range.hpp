@@ -19,37 +19,39 @@
 
 namespace mclg {
 
-/// The §3.4 forbidden left-edge intervals of a design's cell types, equal
-/// interval for interval to verticalRailForbiddenX / ioPinForbiddenX
-/// (eval/checkers.hpp) but without their scan of every rail and IO pin per
-/// query: the rail intervals of a type are row-independent and computed on
-/// its first query, and the IO pins are sorted by their lower edge, so a
-/// query visits only the few pins that can reach the cell's rows. Filled
-/// lazily: use one index per thread.
-///
-/// It also answers countIoOverlaps(design, type, x, y) from a table filled
-/// per (type, row) on first query: the unmerged (signal pin, IO pin)
-/// x-intervals of ioPinOverlapX, so a query counts the few intervals that
-/// contain x instead of scanning the IO pins around x for every pin.
+/// The §3.4 forbidden left-edge intervals of a design's cell types, without
+/// the checkers' scan of every rail and IO pin per query. The rail
+/// intervals of a type are row-independent, equal interval for interval to
+/// verticalRailForbiddenX (eval/checkers.hpp) and computed on the type's
+/// first query. The IO-pin intervals are kept unmerged, per (type, row) on
+/// first query: the (signal pin, IO pin) x-intervals of ioPinOverlapX over
+/// the IO pins that can reach the row (sorted by their lower edge, so a
+/// fill visits only those). Merged, they are ioPinForbiddenX; counted at x,
+/// they are countIoOverlaps. Filled lazily: use one index per thread.
 class ForbiddenXIndex {
  public:
   explicit ForbiddenXIndex(const Design& design);
 
   const Design& design() const { return *design_; }
 
-  /// verticalRailForbiddenX(design, type, y), for any y.
+  /// verticalRailForbiddenX(design, type, y), for any y: sorted, disjoint.
   const std::vector<Interval>& rails(TypeId type) const {
     return typeData(type).rails;
   }
-  /// ioPinForbiddenX(design, type, y).
-  std::vector<Interval> io(TypeId type, std::int64_t y) const;
+  /// The unmerged IO-pin intervals of `type` at bottom row y, in no order;
+  /// their union is ioPinForbiddenX(design, type, y). Valid until the next
+  /// query of a (type, row) not queried before.
+  std::span<const Interval> ioIntervals(TypeId type, std::int64_t y) const {
+    const IoRow& row = ioRow(type, y);
+    return {ioOverlapPool_.data() + row.begin,
+            static_cast<std::size_t>(row.end - row.begin)};
+  }
 
   /// countIoOverlaps(design, type, x, y).
   int ioOverlaps(TypeId type, std::int64_t x, std::int64_t y) const {
-    const IoRow& row = ioRow(type, y);
     int count = 0;
-    for (std::int32_t i = row.begin; i < row.end; ++i) {
-      if (ioOverlapPool_[static_cast<std::size_t>(i)].contains(x)) ++count;
+    for (const Interval& iv : ioIntervals(type, y)) {
+      if (iv.contains(x)) ++count;
     }
     return count;
   }
@@ -95,7 +97,11 @@ class ForbiddenXIndex {
 
 /// Allowed left-edge interval [lo, hi) for cell c at its current rows:
 /// its segment, narrowed to the forbidden-interval-free stretch around x
-/// when `routability` is given (nullptr limits only to the segment).
+/// when `routability` is given (nullptr limits only to the segment). The
+/// rail intervals are binary-searched; the IO-pin intervals are clipped
+/// unmerged, which gives the merged clip's range: x lies in a merged
+/// interval iff it lies in one of its pieces, and the nearest edges left
+/// and right of x are the same.
 /// Returns an interval containing the current x (the placement is assumed
 /// legal; if the cell currently sits on a rail conflict, the range degrades
 /// to the single current position rather than legalizing the conflict).

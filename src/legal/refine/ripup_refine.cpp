@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "legal/mcfopt/fixed_row_order.hpp"
 #include "util/assert.hpp"
@@ -18,8 +19,15 @@ double weightedDisplacement(const Design& design, CellId c,
 }  // namespace
 
 RipupStats ripupRefine(PlacementState& state, const SegmentMap& segments,
+                       const RipupConfig& config) {
+  std::vector<CellId> all(static_cast<std::size_t>(state.design().numCells()));
+  std::iota(all.begin(), all.end(), 0);
+  return ripupRefine(state, segments, config, all);
+}
+
+RipupStats ripupRefine(PlacementState& state, const SegmentMap& segments,
                        const RipupConfig& config,
-                       const std::vector<char>* focus) {
+                       std::span<const CellId> focus) {
   auto& design = state.design();
   RipupStats stats;
   // One searcher for all passes; the per-cell commit gate is set through
@@ -42,10 +50,7 @@ RipupStats ripupRefine(PlacementState& state, const SegmentMap& segments,
   for (int pass = 0; pass < config.passes; ++pass) {
     // Candidates: most displaced first.
     std::vector<std::pair<double, CellId>> worst;
-    for (CellId c = 0; c < design.numCells(); ++c) {
-      if (focus != nullptr && (*focus)[static_cast<std::size_t>(c)] == 0) {
-        continue;
-      }
+    for (const CellId c : focus) {
       const auto& cell = design.cells[c];
       if (cell.fixed || !cell.placed) continue;
       const double disp = design.displacement(c);

@@ -11,6 +11,8 @@
 // old spot. Legality is preserved unconditionally.
 #pragma once
 
+#include <span>
+
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
 #include "legal/mgl/insertion.hpp"
@@ -56,15 +58,21 @@ struct RipupStats {
   long long coldFallbacks = 0; ///< warm attempts rejected (topology changed)
 };
 
-/// Refine a legal placement by ripping up the most-displaced cells. When
-/// `focus` is non-null (size >= numCells), only cells with `(*focus)[c]`
-/// set are rip-up candidates — the incremental ECO driver (docs/ECO.md)
-/// uses this to confine the pass to the dirty neighborhoods.
+/// Refine a legal placement by ripping up the most-displaced cells of
+/// `focus` (cell ids without repeats, in any order; its unplaced and fixed
+/// cells are skipped) — the incremental ECO driver (docs/ECO.md) passes
+/// its dirty and touched cells to confine the pass to the dirty
+/// neighborhoods, so a pass costs O(|focus|) plus its rip-ups.
 /// \pre  state is legal; \post legality preserved, weighted displacement
 /// never increases (every accepted move is measured, not estimated).
-/// Determinism: single-threaded, fixed candidate order — bit-reproducible.
+/// Determinism: single-threaded, candidates ranked by (displacement, id) —
+/// bit-reproducible and independent of the order of `focus`.
 RipupStats ripupRefine(PlacementState& state, const SegmentMap& segments,
                        const RipupConfig& config,
-                       const std::vector<char>* focus = nullptr);
+                       std::span<const CellId> focus);
+
+/// ripupRefine with every cell of the design in focus.
+RipupStats ripupRefine(PlacementState& state, const SegmentMap& segments,
+                       const RipupConfig& config);
 
 }  // namespace mclg

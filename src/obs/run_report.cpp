@@ -141,8 +141,6 @@ std::string renderRunReport(const RunProvenance& provenance,
     w.field("matched_cells_moved", eco->matchedCellsMoved);
     w.field("ripup_improved", eco->ripupImproved);
     w.field("dirty_segments", eco->dirtySegments);
-    w.field("warm_restarts", static_cast<std::int64_t>(eco->warmRestarts));
-    w.field("cold_fallbacks", static_cast<std::int64_t>(eco->coldFallbacks));
     w.field("mcf_cells_moved", eco->mcfCellsMoved);
     w.field("used_full_run", eco->usedFullRun);
     if (!eco->fallbackReason.empty()) {

@@ -18,11 +18,12 @@
 
 namespace mclg::obs {
 
-/// v7 removed `eco.dirty_windows`. Nothing writes an older version, so the
-/// in-tree readers (scripts/check_report_schema.py,
-/// tests/cli_end_to_end.cmake) accept v7 only; bumping this constant means
+/// v8 removed `eco.warm_restarts` and `eco.cold_fallbacks` (ECO stage 3
+/// solves each component once, cold). Nothing writes an older version, so
+/// the in-tree readers (scripts/check_report_schema.py,
+/// tests/cli_end_to_end.cmake) accept v8 only; bumping this constant means
 /// updating both and docs/report_schema_fields.json.
-inline constexpr int kRunReportSchemaVersion = 7;
+inline constexpr int kRunReportSchemaVersion = 8;
 
 /// Where the run came from: everything needed to reproduce it.
 struct RunProvenance {

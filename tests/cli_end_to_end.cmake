@@ -50,8 +50,8 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
     message(FATAL_ERROR "run.json is not a valid run report: ${report_err}")
   endif()
   # The one version every writer emits (kRunReportSchemaVersion).
-  if(NOT schema EQUAL 7)
-    message(FATAL_ERROR "run.json schema_version ${schema}, expected 7")
+  if(NOT schema EQUAL 8)
+    message(FATAL_ERROR "run.json schema_version ${schema}, expected 8")
   endif()
   string(JSON mgl_placed ERROR_VARIABLE report_err
          GET "${report_text}" pipeline mgl placed)

@@ -2,14 +2,18 @@
 // order/boundary preservation, and the max-displacement extension (§3.3.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <random>
 
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
 #include "eval/checkers.hpp"
 #include "eval/metrics.hpp"
 #include "gen/benchmark_gen.hpp"
+#include "legal/eco/eco_driver.hpp"
 #include "legal/mcfopt/fixed_row_order.hpp"
 #include "legal/mgl/mgl_legalizer.hpp"
 #include "legal/refine/feasible_range.hpp"
@@ -484,8 +488,10 @@ TEST(FeasibleRange, VerticalRailClipsRange) {
 }
 
 TEST(FeasibleRange, IndexMatchesDirectForbiddenIntervals) {
-  // The per-(type, orientation) index must reproduce the checkers' rail and
-  // IO-pin intervals exactly, for every type at every bottom row.
+  // The per-(type, orientation) index must reproduce the checkers' rail
+  // intervals exactly, and its unmerged IO-pin intervals must merge to the
+  // checkers' ones, for every type at every bottom row. (feasibleRange's
+  // clip against them is checked by MatchesMergedIntervalScanOnEveryPlacedCell.)
   GenSpec spec;
   spec.cellsPerHeight = {300, 60, 20, 10};
   spec.numIoPins = 400;
@@ -498,7 +504,19 @@ TEST(FeasibleRange, IndexMatchesDirectForbiddenIntervals) {
     for (std::int64_t y = 0; y < d.numRows; ++y) {
       EXPECT_EQ(verticalRailForbiddenX(d, t, y), index.rails(t));
       const std::vector<Interval> io = ioPinForbiddenX(d, t, y);
-      ASSERT_EQ(io, index.io(t, y)) << "type " << t << " row " << y;
+      std::vector<Interval> merged;
+      const auto pieces = index.ioIntervals(t, y);
+      std::vector<Interval> sorted(pieces.begin(), pieces.end());
+      std::sort(sorted.begin(), sorted.end(),
+                [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
+      for (const Interval& iv : sorted) {
+        if (!merged.empty() && iv.lo <= merged.back().hi) {
+          merged.back().hi = std::max(merged.back().hi, iv.hi);
+        } else {
+          merged.push_back(iv);
+        }
+      }
+      ASSERT_EQ(io, merged) << "type " << t << " row " << y;
       ioHits += io.empty() ? 0 : 1;
     }
   }
@@ -527,6 +545,172 @@ TEST(FeasibleRange, IoOverlapTableMatchesCountIoOverlaps) {
     }
   }
   EXPECT_GT(overlapping, 0);
+}
+
+/// `mclg_cli generate --cells N --density D --fences 2 --seed S` (P/G
+/// rails, IO pins and pin shapes on), placed by MGL with routability on or
+/// off.
+Design placedDesign(int cells, double density, std::uint64_t seed,
+                    bool routableMgl = true) {
+  GenSpec spec;
+  spec.cellsPerHeight = {cells * 8 / 10, cells * 12 / 100, cells * 5 / 100,
+                         cells * 3 / 100};
+  spec.density = density;
+  spec.numFences = 2;
+  spec.numBlockages = 1;
+  spec.seed = seed;
+  Design d = generate(spec);
+  SegmentMap segments(d);
+  PlacementState state(d);
+  MglConfig config;
+  config.insertion.routability = routableMgl;
+  MglLegalizer(state, segments, config).run();
+  return d;
+}
+
+std::uint64_t fnv(std::uint64_t digest, std::uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    digest ^= (value >> (8 * i)) & 0xffU;
+    digest *= 0x100000001b3ULL;
+  }
+  return digest;
+}
+
+/// The node count, then every arc's (src, dst, cap, cost) in order.
+std::uint64_t networkDigest(std::uint64_t digest, const FroNetwork& net) {
+  digest = fnv(digest, static_cast<std::uint64_t>(net.problem.numNodes()));
+  for (const McfProblem::Arc& arc : net.problem.arcs()) {
+    digest = fnv(digest, static_cast<std::uint64_t>(arc.src));
+    digest = fnv(digest, static_cast<std::uint64_t>(arc.dst));
+    digest = fnv(digest, static_cast<std::uint64_t>(arc.cap));
+    digest = fnv(digest, static_cast<std::uint64_t>(arc.cost));
+  }
+  return digest;
+}
+
+/// Digests of a placed design's stage-3 networks: the full design's (with
+/// the §3.3.1 term) and those the ECO driver builds — for each of 30 seeded
+/// three-cell edits, the cells within kEcoChainHalo chain positions of an
+/// edited cell in its rows, solved per component without the §3.3.1 term
+/// through one routability index.
+std::pair<std::uint64_t, std::uint64_t> stage3Digests(Design d) {
+  SegmentMap segments(d);
+  const PlacementState state(d);
+  FixedRowOrderConfig config;
+  const std::uint64_t full = networkDigest(
+      0xcbf29ce484222325ULL, buildFixedRowOrderNetwork(state, segments, config));
+
+  config.maxDispWeight = 0.0;
+  const ForbiddenXIndex forbidden(d);
+  std::vector<CellId> placed;
+  for (CellId c = 0; c < d.numCells(); ++c) {
+    if (!d.cells[c].fixed && d.cells[c].placed) placed.push_back(c);
+  }
+  std::mt19937_64 rng(5);
+  std::uint64_t subsets = 0xcbf29ce484222325ULL;
+  for (int edit = 0; edit < 30; ++edit) {
+    std::vector<CellId> edited;
+    for (int i = 0; i < 3; ++i) edited.push_back(placed[rng() % placed.size()]);
+    std::sort(edited.begin(), edited.end());
+    std::vector<std::int64_t> rows;
+    for (const CellId c : edited) {
+      for (std::int64_t y = d.cells[c].y; y < d.cells[c].y + d.heightOf(c);
+           ++y) {
+        rows.push_back(y);
+      }
+    }
+    std::sort(rows.begin(), rows.end());
+    rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+    std::vector<CellId> kept;
+    for (const std::int64_t y : rows) {
+      std::vector<CellId> row;
+      for (const auto& [x, c] : state.rowCells(y)) row.push_back(c);
+      const int n = static_cast<int>(row.size());
+      for (int j = 0; j < n; ++j) {
+        if (!std::binary_search(edited.begin(), edited.end(), row[j])) {
+          continue;
+        }
+        for (int t = std::max(0, j - kEcoChainHalo);
+             t <= std::min(n - 1, j + kEcoChainHalo); ++t) {
+          kept.push_back(row[t]);
+        }
+      }
+    }
+    for (const auto& subset : fixedRowOrderComponents(state, &kept)) {
+      subsets = networkDigest(
+          subsets, buildFixedRowOrderNetwork(state, segments, config, subset,
+                                             &forbidden));
+    }
+  }
+  return {full, subsets};
+}
+
+// The stage-3 networks of a 2k and an 8k generated design with rails, IO
+// pins and two fences — node count and every arc in order, for the full
+// design and ECO-style kept-cell subsets — recorded before the network
+// build read the search index's IO table and packed its row keys. A build
+// change must leave every node, arc and range where it was.
+TEST(FixedRowOrder, NetworkDigestsArePinned) {
+  const auto small = stage3Digests(placedDesign(2000, 0.9, 3));
+  EXPECT_EQ(0x18d111414a01f44dULL, small.first);
+  EXPECT_EQ(0xbcf971057964e396ULL, small.second);
+  const auto large = stage3Digests(placedDesign(8000, 0.55, 7));
+  EXPECT_EQ(0xf92af42f7ec23884ULL, large.first);
+  EXPECT_EQ(0x5dece08cc965dbd6ULL, large.second);
+}
+
+/// feasibleRange as it clipped before it read the search index: against
+/// the checkers' merged rail and IO-pin intervals, scanned in x order.
+Interval mergedScanFeasibleRange(const Design& design,
+                                 const SegmentMap& segments, CellId c) {
+  const Cell& cell = design.cells[c];
+  const int w = design.widthOf(c);
+  const Interval seg = segments.slideRange(cell.y, design.heightOf(c), cell.x,
+                                           w, cell.fence);
+  std::int64_t lo = seg.lo;
+  std::int64_t hi = seg.hi - w;
+  if (hi < lo) return {cell.x, cell.x + 1};
+  const auto clip = [&](const std::vector<Interval>& forbidden) {
+    for (const Interval& iv : forbidden) {
+      if (iv.hi <= cell.x) {
+        lo = std::max(lo, iv.hi);
+      } else if (iv.lo > cell.x) {
+        hi = std::min(hi, iv.lo - 1);
+        break;
+      } else {
+        return false;
+      }
+    }
+    return true;
+  };
+  if (!clip(verticalRailForbiddenX(design, cell.type, cell.y)) ||
+      !clip(ioPinForbiddenX(design, cell.type, cell.y))) {
+    return {cell.x, cell.x + 1};
+  }
+  return {std::min(lo, cell.x), std::max(hi, cell.x) + 1};
+}
+
+// Every placed cell of designs placed with and without routability (the
+// latter leaves many cells on a rail or IO-pin conflict, i.e. frozen).
+TEST(FeasibleRange, MatchesMergedIntervalScanOnEveryPlacedCell) {
+  int frozen = 0;
+  int sliding = 0;
+  for (const bool routableMgl : {true, false}) {
+    for (const std::uint64_t seed : {1, 2}) {
+      const Design d = placedDesign(2000, 0.9, seed, routableMgl);
+      const SegmentMap segments(d);
+      const ForbiddenXIndex index(d);
+      for (CellId c = 0; c < d.numCells(); ++c) {
+        if (d.cells[c].fixed || !d.cells[c].placed) continue;
+        const Interval expected = mergedScanFeasibleRange(d, segments, c);
+        ASSERT_EQ(expected, feasibleRange(d, segments, c, &index))
+            << "cell " << c << " seed " << seed;
+        ++(expected.hi - expected.lo == 1 ? frozen : sliding);
+      }
+    }
+  }
+  EXPECT_GT(frozen, 0);
+  EXPECT_GT(sliding, 0);
 }
 
 }  // namespace

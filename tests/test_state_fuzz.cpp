@@ -226,6 +226,79 @@ TEST(PlacementStateFuzz, FlatRowEmplaceKeepsTakenKey) {
   EXPECT_EQ(std::prev(row.end())->second, 2);
 }
 
+// unplacedCells() keeps no per-call scan of the design: it must still list
+// exactly the unplaced movable cells after random place / remove / shiftX,
+// snapshot restores, and cells appended to or truncated from the design
+// (as the serve session's undo log does: remove first, then truncate).
+TEST(PlacementStateFuzz, UnplacedCellsMatchScan) {
+  Rng rng(4242);
+  Design d = smallDesign();
+  d.numSitesX = 48;
+  d.numRows = 12;
+  for (int i = 0; i < 40; ++i) {
+    addCell(d, static_cast<TypeId>(rng.uniformInt(0, 2)), 0, 0);
+  }
+  testing::addFixed(d, 0, 46, 11);
+  PlacementState state(d);
+  const auto scan = [&] {
+    std::vector<CellId> out;
+    for (CellId c = 0; c < d.numCells(); ++c) {
+      if (!d.cells[c].fixed && !d.cells[c].placed) out.push_back(c);
+    }
+    return out;
+  };
+  // Snapshots with the design's cell count when each was taken.
+  std::vector<std::pair<PlacementSnapshot, int>> snaps;
+  snaps.emplace_back(state.snapshot(), d.numCells());
+  int restores = 0, truncations = 0;
+  for (int op = 0; op < 6000; ++op) {
+    const auto action = rng.uniformInt(0, 19);
+    const CellId c = static_cast<CellId>(rng.uniformInt(0, d.numCells() - 1));
+    Cell& cell = d.cells[c];
+    if (action < 8) {
+      if (cell.fixed || cell.placed) continue;
+      const int w = d.widthOf(c);
+      const int h = d.heightOf(c);
+      const std::int64_t x = rng.uniformInt(0, d.numSitesX - w);
+      const std::int64_t y = rng.uniformInt(0, d.numRows - h);
+      if (state.spanEmpty(y, h, x, w)) state.place(c, x, y);
+    } else if (action < 13) {
+      if (!cell.fixed && cell.placed) state.remove(c);
+    } else if (action < 15) {
+      if (cell.fixed || !cell.placed) continue;
+      const std::int64_t x = rng.uniformInt(0, d.numSitesX - d.widthOf(c));
+      if (state.spanEmpty(cell.y, d.heightOf(c), x, d.widthOf(c), c)) {
+        state.shiftX(c, x);
+      }
+    } else if (action == 15) {
+      addCell(d, static_cast<TypeId>(rng.uniformInt(0, 2)), 0, 0);
+    } else if (action == 16 && d.numCells() > 45) {
+      // Drop the last few cells, taking the placed ones out first.
+      const int keep = d.numCells() - static_cast<int>(rng.uniformInt(1, 3));
+      for (CellId t = keep; t < d.numCells(); ++t) {
+        if (d.cells[t].placed) state.remove(t);
+      }
+      d.cells.resize(static_cast<std::size_t>(keep));
+      ++truncations;
+      // A snapshot of the dropped cells no longer fits the design.
+      std::erase_if(snaps, [&](const auto& snap) { return snap.second > keep; });
+    } else if (action == 17) {
+      snaps.emplace_back(state.snapshot(), d.numCells());
+    } else if (action == 18) {
+      const auto k = static_cast<std::size_t>(
+          rng.uniformInt(0, static_cast<std::int64_t>(snaps.size()) - 1));
+      if (snaps[k].second != d.numCells()) continue;
+      state.restore(snaps[k].first);
+      ++restores;
+    } else {
+      ASSERT_EQ(scan(), state.unplacedCells()) << "op " << op;
+    }
+  }
+  EXPECT_EQ(scan(), state.unplacedCells());
+  EXPECT_GT(restores, 0);
+  EXPECT_GT(truncations, 0);
+}
+
 TEST(FreeSpanFuzz, MatchesGridModel) {
   Rng rng(888);
   for (int trial = 0; trial < 20; ++trial) {

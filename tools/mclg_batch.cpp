@@ -22,7 +22,7 @@
 // Live telemetry (docs/OBSERVABILITY.md "Live telemetry"): workers stream
 // Heartbeat/MetricsDelta frames every --telemetry-ms, folded into a
 // BatchLedger that drives the --live-status progress line, heartbeat-based
-// stall detection, and the schema-v7 `batch` aggregate block of
+// stall detection, and the schema-v8 `batch` aggregate block of
 // --report-out. --trace-out merges every worker's spans into one Perfetto
 // timeline with a process lane per worker pid.
 //
@@ -73,7 +73,7 @@ const char kHelp[] =
     "                         (deterministic: the union over i=0..N-1 is\n"
     "                         exactly the manifest)\n"
     "  --report-out FILE      batch run report (JSON, kind \"bench\",\n"
-    "                         supervisor.* metrics and the schema-v7\n"
+    "                         supervisor.* metrics and the schema-v8\n"
     "                         batch.* aggregate block included)\n"
     "\n"
     "live telemetry (docs/OBSERVABILITY.md):\n"

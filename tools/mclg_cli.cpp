@@ -290,13 +290,11 @@ GuardExitCode cmdLegalize(const Flags& flags) {
     stats = ecoPipelineStats(*ecoStats);
     std::printf(
         "ECO %.2fs (dirty %d, spilled %d, reused windows %lld, "
-        "segments %d, warm %lld, cold-fallback %lld)%s\n",
+        "segments %d)%s\n",
         ecoStats->secondsIncremental, ecoStats->dirtyCells,
         ecoStats->spilledCells,
         static_cast<long long>(ecoStats->reusedWindows),
         ecoStats->dirtySegments,
-        static_cast<long long>(ecoStats->warmRestarts),
-        static_cast<long long>(ecoStats->coldFallbacks),
         ecoStats->usedFullRun ? " [fell back to a full run]" : "");
     if (eco.exact || eco.validate) {
       std::printf("ECO shadow run %.2fs (scores: eco %.4f, full %.4f)%s\n",
