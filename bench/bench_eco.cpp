@@ -6,8 +6,8 @@
 // perfbench's `eco_serve` workload.
 //
 // With MCLG_BENCH_REPORT set, emits bench_eco.json with: the full-run and
-// incremental timings (best of MCLG_BENCH_REPS runs, default 3), the delta
-// / warm-restart counters, and `exact.identical` — 1 iff `--eco-exact`
+// incremental timings (best of MCLG_BENCH_REPS runs, default 3), the dirty
+// / spill counters, and `exact.identical` — 1 iff `--eco-exact`
 // semantics (adopting the shadow full run) produced a placement
 // byte-identical to legalizing the perturbed design from scratch. Exits 1
 // when that identity fails or the incremental run fell back to a full run.

@@ -50,39 +50,6 @@ void BM_NetworkSimplex(benchmark::State& state) {
 }
 BENCHMARK(BM_NetworkSimplex)->Arg(50)->Arg(200)->Arg(800);
 
-// Warm restart on the same topology with perturbed costs (the ablation-sweep
-// pattern): one cold solve outside the loop primes the basis, then every
-// iteration re-solves a cost-jittered copy warm. Compare per-iteration time
-// against BM_NetworkSimplex at the same Arg for the warm-start savings.
-void BM_NetworkSimplexWarm(benchmark::State& state) {
-  const auto base = randomTransportProblem(static_cast<int>(state.range(0)),
-                                           static_cast<int>(state.range(0)), 7);
-  mclg::NetworkSimplexSolver solver;
-  benchmark::DoNotOptimize(solver.solve(base));
-  mclg::Rng rng(11);
-  std::uint64_t round = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    mclg::McfProblem q;
-    q.addNodes(base.numNodes());
-    for (int i = 0; i < base.numNodes(); ++i) q.addSupply(i, base.supply(i));
-    for (int a = 0; a < base.numArcs(); ++a) {
-      const auto& arc = base.arc(a);
-      q.addArc(arc.src, arc.dst, arc.cap, arc.cost + rng.uniformInt(-2, 2));
-    }
-    ++round;
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(solver.solveWarm(q));
-  }
-  state.counters["warm_pivots_per_solve"] =
-      round ? static_cast<double>(solver.stats().warmPivots) /
-                  static_cast<double>(round)
-            : 0.0;
-  state.counters["warm_rejected"] =
-      static_cast<double>(solver.stats().warmRejected);
-}
-BENCHMARK(BM_NetworkSimplexWarm)->Arg(50)->Arg(200)->Arg(800);
-
 void BM_SspSolver(benchmark::State& state) {
   const auto p = randomTransportProblem(static_cast<int>(state.range(0)),
                                         static_cast<int>(state.range(0)), 7);

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 namespace mclg {
@@ -88,58 +87,14 @@ struct McfSolution {
 
 /// Network simplex with the first-eligible (round-robin) pivot rule.
 ///
-/// The static entry point keeps one solver instance per thread, so repeated
-/// solves (the per-chunk matchings of §3.2, the per-component duals of §3.3)
-/// reuse the internal arenas instead of reallocating them per problem.
+/// Every solve starts cold from the artificial-root basis, so the result is
+/// a pure function of the problem. Each thread keeps one set of working
+/// arrays, so repeated solves (the per-chunk matchings of §3.2, the
+/// per-component duals of §3.3) reuse them instead of reallocating them per
+/// problem.
 class NetworkSimplex {
  public:
   static McfSolution solve(const McfProblem& problem);
-};
-
-/// A network simplex instance whose working arrays persist across solves.
-///
-/// `solve` is a cold solve from the artificial-root basis — bit-identical to
-/// `NetworkSimplex::solve` (same pivot sequence, same optimal vertex), just
-/// without the per-call allocations.
-///
-/// `solveWarm` restarts from the basis retained by the previous successful
-/// solve on this instance. It requires the identical network topology
-/// (node/arc counts, per-arc endpoints and capacities) and supplies; only
-/// arc costs may differ. The retained tree/flow basis stays primal feasible
-/// and strongly feasible under a pure cost change, so only the potentials
-/// are recomputed (from the tree) before pivoting resumes. When validation
-/// fails, no basis is retained, or the warm pivot count exceeds a safety
-/// bound, it falls back to a cold solve.
-///
-/// A warm solve reaches the same optimal objective but possibly a different
-/// optimal vertex than a cold solve. The pipeline's Stage 3 and the ECO
-/// driver's per-component Stage 3 solve cold. The rip-up pass's
-/// between-pass MCF re-solve (`RipupConfig::mcfResolve`) warm-restarts
-/// through `optimizeFixedRowOrderSubset`'s `FroSolverReuse`; it runs its
-/// solves serially in a fixed order, so its output stays deterministic and
-/// independent of the thread count.
-class NetworkSimplexSolver {
- public:
-  NetworkSimplexSolver();
-  ~NetworkSimplexSolver();
-  NetworkSimplexSolver(NetworkSimplexSolver&&) noexcept;
-  NetworkSimplexSolver& operator=(NetworkSimplexSolver&&) noexcept;
-
-  McfSolution solve(const McfProblem& problem);
-  McfSolution solveWarm(const McfProblem& problem);
-
-  struct Stats {
-    long long coldSolves = 0;
-    long long coldPivots = 0;
-    long long warmSolves = 0;    // warm solves that used the retained basis
-    long long warmPivots = 0;
-    long long warmRejected = 0;  // fell back cold (validation / pivot bound)
-  };
-  const Stats& stats() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
 };
 
 /// Successive shortest paths with Dijkstra + node potentials. Negative-cost

@@ -13,13 +13,11 @@
 // next-sibling lists; a pivot re-roots and re-potentials only the subtree
 // that moves, so the per-pivot cost is proportional to that subtree.
 //
-// The solver lives in NetworkSimplexSolver::Impl so its ~15 working arrays
-// survive between solves; the legalizer solves hundreds of small problems
-// back to back and the per-solve allocations used to dominate. The retained
-// state doubles as the warm-start basis: after a successful solve the
-// spanning tree, flows, and arc states describe an optimal strongly feasible
-// basis, which stays primal feasible for any re-solve that changes only the
-// arc costs (see solveWarm).
+// The working arrays (~15 of them) live in one per-thread Simplex instance
+// that survives between solves: the legalizer solves hundreds of small
+// problems back to back, and allocating the arrays per solve would dominate
+// them. Every solve starts cold from the artificial-root basis, so the
+// reuse is invisible to callers.
 
 #include <algorithm>
 #include <cmath>
@@ -55,43 +53,24 @@ constexpr int kStateTree = 0;
 constexpr int kStateLower = 1;
 constexpr int kStateUpper = -1;
 
-}  // namespace
-
-struct NetworkSimplexSolver::Impl {
-  enum class PivotResult { Optimal, Unbounded, LimitExceeded };
-
-  McfSolution runCold(const McfProblem& p) {
+struct Simplex {
+  McfSolution solve(const McfProblem& p) {
     build(p);
     long long pivots = 0;
-    const PivotResult r = pivotLoop(-1, &pivots);
-    ++stats_.coldSolves;
-    stats_.coldPivots += pivots;
-    flushCounters(pivots, /*warm=*/false);
-    return extract(p, r);
-  }
-
-  McfSolution runWarm(const McfProblem& p) {
-    if (!warmApplicable(p)) {
-      ++stats_.warmRejected;
-      if (obs::metricsEnabled()) obs::counter("mcf.simplex.warm.rejected").add();
-      return runCold(p);
+    bool unbounded = false;
+    for (int inArc = findEnteringArc(); inArc >= 0;
+         inArc = findEnteringArc()) {
+      ++pivots;
+      if (!pivot(inArc)) {
+        unbounded = true;
+        break;
+      }
     }
-    rewarm(p);
-    // Safety bound: a warm basis near the new optimum needs few pivots. A
-    // pathological cost change can make resuming slower than restarting, so
-    // past this bound we abandon the basis and solve cold.
-    const long long limit = 2LL * (m_ + n_) + 64;
-    long long pivots = 0;
-    const PivotResult r = pivotLoop(limit, &pivots);
-    if (r == PivotResult::LimitExceeded) {
-      ++stats_.warmRejected;
-      if (obs::metricsEnabled()) obs::counter("mcf.simplex.warm.rejected").add();
-      return runCold(p);
+    if (obs::metricsEnabled()) {
+      obs::counter("mcf.simplex.solves").add();
+      obs::counter("mcf.simplex.pivots").add(pivots);
     }
-    ++stats_.warmSolves;
-    stats_.warmPivots += pivots;
-    flushCounters(pivots, /*warm=*/true);
-    return extract(p, r);
+    return extract(p, unbounded);
   }
 
   // --- setup ---------------------------------------------------------------
@@ -151,63 +130,6 @@ struct NetworkSimplexSolver::Impl {
     // succNum is only needed for LCA; pivots maintain it incrementally.
     succNum_.assign(static_cast<std::size_t>(n_) + 1, 1);
     succNum_[root_] = n_ + 1;
-    nextScan_ = 0;
-  }
-
-  /// A retained basis stays valid for a new problem iff the network is the
-  /// same graph with the same capacities and supplies (primal feasibility of
-  /// the old flow depends on exactly those; costs are free to change).
-  bool warmApplicable(const McfProblem& p) const {
-    if (!hasBasis_) return false;
-    if (p.numNodes() != n_ || p.numArcs() != m_) return false;
-    for (int a = 0; a < m_; ++a) {
-      const auto& arc = p.arc(a);
-      if (arc.src != src_[a] || arc.dst != dst_[a] || arc.cap != cap_[a]) {
-        return false;
-      }
-    }
-    for (int v = 0; v < n_; ++v) {
-      if (p.supply(v) != supplySnap_[static_cast<std::size_t>(v)]) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Load the new costs onto the retained basis and make the basis dual
-  /// consistent again: potentials are recomputed from the tree so every tree
-  /// arc has zero reduced cost, and subtree sizes are rebuilt (O(n)). Flows,
-  /// arc states, and the tree itself are untouched — they are exactly the
-  /// previous optimal basis, which is still primal and strongly feasible.
-  void rewarm(const McfProblem& p) {
-    CostValue maxCost = 1;
-    for (int a = 0; a < m_; ++a) {
-      cost_[a] = p.arc(a).cost;
-      maxCost = std::max<CostValue>(maxCost, std::llabs(cost_[a]));
-    }
-    artCost_ = (maxCost + 1) * static_cast<CostValue>(n_ + 1);
-    for (int v = 0; v < n_; ++v) cost_[m_ + v] = artCost_;
-
-    // Pre-order over the retained tree: child potentials follow from the
-    // parent through the (zero-reduced-cost) tree arc.
-    path_.clear();
-    stack_.clear();
-    stack_.push_back(root_);
-    pi_[root_] = 0;
-    while (!stack_.empty()) {
-      const int w = stack_.back();
-      stack_.pop_back();
-      path_.push_back(w);
-      for (int c = firstChild_[w]; c != -1; c = nextSibling_[c]) {
-        const int a = predArc_[c];
-        pi_[c] = src_[a] == c ? pi_[w] - cost_[a] : pi_[w] + cost_[a];
-        stack_.push_back(c);
-      }
-    }
-    succNum_.assign(static_cast<std::size_t>(n_) + 1, 1);
-    for (std::size_t i = path_.size(); i-- > 1;) {
-      succNum_[parent_[path_[i]]] += succNum_[path_[i]];
-    }
     nextScan_ = 0;
   }
 
@@ -297,26 +219,6 @@ struct NetworkSimplexSolver::Impl {
       }
     }
     return u;
-  }
-
-  PivotResult pivotLoop(long long pivotLimit, long long* pivotsOut) {
-    long long pivots = 0;
-    PivotResult result = PivotResult::Optimal;
-    for (;;) {
-      const int inArc = findEnteringArc();
-      if (inArc < 0) break;
-      if (pivotLimit >= 0 && pivots >= pivotLimit) {
-        result = PivotResult::LimitExceeded;
-        break;
-      }
-      ++pivots;
-      if (!pivot(inArc)) {
-        result = PivotResult::Unbounded;
-        break;
-      }
-    }
-    *pivotsOut = pivots;
-    return result;
   }
 
   /// Returns false iff the pivot reveals an uncapacitated negative cycle.
@@ -488,37 +390,17 @@ struct NetworkSimplexSolver::Impl {
 
   // --- result extraction ---------------------------------------------------
 
-  McfSolution extract(const McfProblem& p, PivotResult r) {
+  McfSolution extract(const McfProblem& p, bool unbounded) const {
     McfSolution sol;
-    McfStatus status = McfStatus::Optimal;
-    if (r == PivotResult::Unbounded) {
-      status = McfStatus::Unbounded;
-    } else {
-      for (int v = 0; v < n_; ++v) {
-        if (flow_[m_ + v] != 0) {
-          status = McfStatus::Infeasible;
-          break;
-        }
-      }
+    sol.status = unbounded ? McfStatus::Unbounded : McfStatus::Optimal;
+    for (int v = 0; v < n_ && sol.status == McfStatus::Optimal; ++v) {
+      if (flow_[m_ + v] != 0) sol.status = McfStatus::Infeasible;
     }
-    sol.status = status;
-    hasBasis_ = status == McfStatus::Optimal;
-    if (status != McfStatus::Optimal) return sol;
-    supplySnap_.assign(p.supplies().begin(), p.supplies().end());
+    if (sol.status != McfStatus::Optimal) return sol;
     sol.flow.assign(flow_.begin(), flow_.begin() + m_);
     sol.potential.assign(pi_.begin(), pi_.begin() + n_);
     sol.totalCost = McfSolution::costOf(p, sol.flow);
     return sol;
-  }
-
-  void flushCounters(long long pivots, bool warm) {
-    if (!obs::metricsEnabled()) return;
-    obs::counter("mcf.simplex.solves").add();
-    obs::counter("mcf.simplex.pivots").add(pivots);
-    if (warm) {
-      obs::counter("mcf.simplex.warm.solves").add();
-      obs::counter("mcf.simplex.warm.pivots").add(pivots);
-    }
   }
 
   int n_ = 0, m_ = 0, root_ = 0;
@@ -534,19 +416,7 @@ struct NetworkSimplexSolver::Impl {
   std::vector<int> oldSizes_;
   std::vector<CycleStep> pathU_, pathV_;
   int nextScan_ = 0;
-  bool hasBasis_ = false;
-  std::vector<FlowValue> supplySnap_;
-  NetworkSimplexSolver::Stats stats_;
 };
-
-NetworkSimplexSolver::NetworkSimplexSolver() : impl_(new Impl) {}
-NetworkSimplexSolver::~NetworkSimplexSolver() = default;
-NetworkSimplexSolver::NetworkSimplexSolver(NetworkSimplexSolver&&) noexcept =
-    default;
-NetworkSimplexSolver& NetworkSimplexSolver::operator=(
-    NetworkSimplexSolver&&) noexcept = default;
-
-namespace {
 
 bool suppliesBalanced(const McfProblem& problem) {
   FlowValue total = 0;
@@ -556,34 +426,16 @@ bool suppliesBalanced(const McfProblem& problem) {
 
 }  // namespace
 
-McfSolution NetworkSimplexSolver::solve(const McfProblem& problem) {
-  if (!suppliesBalanced(problem)) {
-    McfSolution sol;
-    sol.status = McfStatus::Infeasible;
-    return sol;
-  }
-  return impl_->runCold(problem);
-}
-
-McfSolution NetworkSimplexSolver::solveWarm(const McfProblem& problem) {
-  if (!suppliesBalanced(problem)) {
-    McfSolution sol;
-    sol.status = McfStatus::Infeasible;
-    return sol;
-  }
-  return impl_->runWarm(problem);
-}
-
-const NetworkSimplexSolver::Stats& NetworkSimplexSolver::stats() const {
-  return impl_->stats_;
-}
-
 McfSolution NetworkSimplex::solve(const McfProblem& problem) {
-  // One retained solver per thread: cold solves are pure functions of the
-  // problem, so reuse is invisible to callers — including the thread pools
-  // that solve independent subproblems concurrently.
-  thread_local NetworkSimplexSolver solver;
-  return solver.solve(problem);
+  if (!suppliesBalanced(problem)) {
+    McfSolution sol;
+    sol.status = McfStatus::Infeasible;
+    return sol;
+  }
+  // One arena per thread, so the thread pools that solve independent
+  // subproblems concurrently never share one.
+  thread_local Simplex simplex;
+  return simplex.solve(problem);
 }
 
 bool verifyMcfOptimality(const McfProblem& problem, const McfSolution& sol) {

@@ -421,7 +421,7 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
       }
       stats.mcfCellsMoved +=
           optimizeFixedRowOrderSubset(state, segments, froConfig, subset,
-                                      nullptr, forbidden)
+                                      forbidden)
               .cellsMoved;
     }
   }

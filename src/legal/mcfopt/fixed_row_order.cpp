@@ -301,12 +301,10 @@ FroNetwork buildFixedRowOrderNetwork(const PlacementState& state,
 
 namespace {
 
-/// Solve one subset's network and append its moves. With `reuse`, the solve
-/// goes through the persistent solver (cold on first use, warm after).
+/// Solve one subset's network and append its moves.
 void solveSubset(const PlacementState& state, const SegmentMap& segments,
                  const FixedRowOrderConfig& config, std::vector<CellId> subset,
                  std::vector<std::pair<CellId, std::int64_t>>* moves,
-                 FroSolverReuse* reuse = nullptr,
                  const ForbiddenXIndex* forbidden = nullptr) {
   const auto& design = state.design();
   MCLG_TRACE_SCOPE("mcfopt/component",
@@ -319,14 +317,7 @@ void solveSubset(const PlacementState& state, const SegmentMap& segments,
     obs::counter("mcfopt.nodes").add(net.problem.numNodes());
     obs::counter("mcfopt.arcs").add(net.problem.numArcs());
   }
-  McfSolution sol;
-  if (reuse != nullptr) {
-    sol = reuse->hasBasis ? reuse->solver.solveWarm(net.problem)
-                          : reuse->solver.solve(net.problem);
-    reuse->hasBasis = true;
-  } else {
-    sol = NetworkSimplex::solve(net.problem);
-  }
+  const McfSolution sol = NetworkSimplex::solve(net.problem);
   MCLG_ASSERT(sol.status == McfStatus::Optimal,
               "fixed-row-order MCF must be optimal (zero flow is feasible)");
   // Read positions back from the potentials: x_i = pi(v_z) - pi(v_i).
@@ -470,7 +461,7 @@ FixedRowOrderStats optimizeFixedRowOrder(PlacementState& state,
 FixedRowOrderStats optimizeFixedRowOrderSubset(
     PlacementState& state, const SegmentMap& segments,
     const FixedRowOrderConfig& config, std::vector<CellId> subset,
-    FroSolverReuse* reuse, const ForbiddenXIndex* forbidden) {
+    const ForbiddenXIndex* forbidden) {
   auto& design = state.design();
   FixedRowOrderStats stats;
   if (subset.empty()) return stats;
@@ -479,8 +470,7 @@ FixedRowOrderStats optimizeFixedRowOrderSubset(
 
   std::vector<std::pair<CellId, std::int64_t>> moves;
   const std::vector<CellId> cells = subset;  // keep a copy for the stats
-  solveSubset(state, segments, config, std::move(subset), &moves, reuse,
-              forbidden);
+  solveSubset(state, segments, config, std::move(subset), &moves, forbidden);
 
   applyMoves(state, moves);
   finishStats(design, cells, config, static_cast<int>(moves.size()), &stats);

@@ -80,16 +80,6 @@ FixedRowOrderStats optimizeFixedRowOrder(PlacementState& state,
                                          const SegmentMap& segments,
                                          const FixedRowOrderConfig& config);
 
-/// Persistent network-simplex state for iterated re-solves of one component
-/// whose costs drift between passes (ripup refine re-solves). First use is a cold solve that retains the basis; later uses
-/// go through NetworkSimplexSolver::solveWarm, which validates the topology
-/// and silently falls back to a cold solve when it changed. Read
-/// solver.stats() for the warm/cold/rejected counters.
-struct FroSolverReuse {
-  NetworkSimplexSolver solver;
-  bool hasBasis = false;
-};
-
 /// Connected components of the neighbor-constraint graph over the placed
 /// movable cells (cells linked by a same-row adjacency, transitively) —
 /// or, given `cells`, those of its placed movable cells grouped by the
@@ -101,12 +91,11 @@ struct FroSolverReuse {
 std::vector<std::vector<CellId>> fixedRowOrderComponents(
     const PlacementState& state, const std::vector<CellId>* cells = nullptr);
 
-/// Run the optimization on `subset` only, optionally through a persistent
-/// warm-startable solver. The subset may be *any* selection of placed
-/// movable cells: a neighbor pair with one endpoint outside the subset
-/// contributes no arc, but the inside endpoint's feasible range is clamped
-/// against the outside cell's current position (a fixed wall), so the
-/// result never overlaps a cell outside the subset. Subsets closed under
+/// Run the optimization on `subset` only. The subset may be *any* selection
+/// of placed movable cells: a neighbor pair with one endpoint outside the
+/// subset contributes no arc, but the inside endpoint's feasible range is
+/// clamped against the outside cell's current position (a fixed wall), so
+/// the result never overlaps a cell outside the subset. Subsets closed under
 /// the neighbor relation (fixedRowOrderComponents entries, or all placed
 /// movable cells) see no clamping and solve the exact component optimum;
 /// smaller subsets trade optimality at the walls for a solve whose cost is
@@ -115,15 +104,10 @@ std::vector<std::vector<CellId>> fixedRowOrderComponents(
 /// (config.routability); nullptr builds one for this call. A caller that
 /// solves many subsets of one design passes one index to all of them. The
 /// index fills lazily, so it must not be shared across threads.
-/// \pre  With a reuse whose basis was retained on a previous call, the
-///       subset and its row order must be unchanged (only GP targets /
-///       clamped separations, i.e. arc costs, may differ); a mismatch is
-///       safe — solveWarm detects it and re-solves cold.
 /// \post Same guarantees as optimizeFixedRowOrder, restricted to `subset`.
 FixedRowOrderStats optimizeFixedRowOrderSubset(
     PlacementState& state, const SegmentMap& segments,
     const FixedRowOrderConfig& config, std::vector<CellId> subset,
-    FroSolverReuse* reuse = nullptr,
     const ForbiddenXIndex* forbidden = nullptr);
 
 /// The flow network of the optimization, exposed for the formulation-size

@@ -76,7 +76,6 @@ void PipelineConfig::setThreads(int numThreads) {
 void PipelineConfig::propagateExecutor() {
   maxDisp.executor = executor;
   fixedRowOrder.executor = executor;
-  ripup.executor = executor;
 }
 
 namespace {

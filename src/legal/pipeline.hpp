@@ -49,9 +49,9 @@ struct PipelineConfig {
   /// call this *before* changing maxDispWeight. MGL is always serial.
   void setThreads(int numThreads);
 
-  /// Copy `executor` into the per-stage configs (maxDisp/fixedRowOrder/
-  /// ripup). legalize() does this on its local copy; only callers invoking
-  /// stages directly from a PipelineConfig need to call it themselves.
+  /// Copy `executor` into the per-stage configs (maxDisp/fixedRowOrder).
+  /// legalize() does this on its local copy; only callers invoking stages
+  /// directly from a PipelineConfig need to call it themselves.
   void propagateExecutor();
 
   /// Contest setup (Table 1): Eq. 2 weights, routability on.

@@ -34,18 +34,11 @@ RipupStats ripupRefine(PlacementState& state, const SegmentMap& segments,
   // setCostCeiling so the searcher's caches and scratch survive.
   InsertionSearcher searcher(state, segments, config.insertion);
 
-  // One persistent simplex instance for the between-pass MCF re-solves: the
-  // rip-ups only perturb arc costs when the cell set and row order survive a
-  // pass, so the second and later re-solves warm-restart from the retained
-  // basis (solveWarm validates and falls back cold on a topology change).
-  FroSolverReuse mcfReuse;
   FixedRowOrderConfig mcfConfig;
   mcfConfig.contestWeights = config.insertion.contestWeights;
   mcfConfig.routability = config.insertion.routability;
   mcfConfig.respectEdgeSpacing = config.insertion.respectEdgeSpacing;
   mcfConfig.maxDispWeight = 0.0;  // pure displacement, matching stats.gain
-  mcfConfig.numThreads = 1;
-  mcfConfig.executor = config.executor;
 
   for (int pass = 0; pass < config.passes; ++pass) {
     // Candidates: most displaced first.
@@ -116,16 +109,11 @@ RipupStats ripupRefine(PlacementState& state, const SegmentMap& segments,
         const auto& cell = design.cells[c];
         if (!cell.fixed && cell.placed) all.push_back(c);
       }
-      const auto solverBefore = mcfReuse.solver.stats();
       const auto froStats = optimizeFixedRowOrderSubset(
-          state, segments, mcfConfig, std::move(all), &mcfReuse);
-      const auto solverAfter = mcfReuse.solver.stats();
+          state, segments, mcfConfig, std::move(all));
       ++stats.mcfResolves;
       stats.mcfCellsMoved += froStats.cellsMoved;
       stats.mcfGain += froStats.objectiveBefore - froStats.objectiveAfter;
-      stats.warmSolves += solverAfter.warmSolves - solverBefore.warmSolves;
-      stats.coldFallbacks +=
-          solverAfter.warmRejected - solverBefore.warmRejected;
     }
   }
   return stats;

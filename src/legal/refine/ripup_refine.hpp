@@ -16,7 +16,6 @@
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
 #include "legal/mgl/insertion.hpp"
-#include "util/executor/executor.hpp"
 
 namespace mclg {
 
@@ -32,17 +31,11 @@ struct RipupConfig {
   int windowW = 64;
   int windowH = 24;
   InsertionConfig insertion;  // objective/routability flags
-  /// Re-run the fixed-row/fixed-order MCF after each improving pass: the
-  /// rip-ups shift cells inside their rows, perturbing the network's clamped
-  /// separations (costs) while the topology usually survives, so the
-  /// re-solves run through one persistent NetworkSimplexSolver — cold the
-  /// first time, warm-restarted afterwards (automatic cold fallback on
-  /// topology change).
+  /// Re-run the fixed-row/fixed-order MCF over every placed movable cell
+  /// after each improving pass: the rip-ups shift cells inside their rows,
+  /// so the x positions are re-optimized before the next pass ranks
+  /// candidates.
   bool mcfResolve = true;
-  /// Handed to the internal MCF re-solve config (the pass itself is serial;
-  /// the re-solves run single-threaded today, so this is plumbing for
-  /// consistency with the other stage configs).
-  ExecutorRef executor{};
 };
 
 struct RipupStats {
@@ -54,8 +47,6 @@ struct RipupStats {
   int mcfResolves = 0;
   int mcfCellsMoved = 0;
   double mcfGain = 0.0;
-  long long warmSolves = 0;    ///< re-solves that reused the retained basis
-  long long coldFallbacks = 0; ///< warm attempts rejected (topology changed)
 };
 
 /// Refine a legal placement by ripping up the most-displaced cells of

@@ -151,9 +151,8 @@ std::vector<CellId> injectSpacingViolations(Design& design, int pairs) {
 
 // Stage 3's separation clamp (sep = min(rule, current distance)) makes the
 // subset network depend on the subset cells' x only for a pair that
-// already sits closer than its rule. The hashes were recorded while stage
-// 3 still re-solved such subsets a second time, warm-started; that pass
-// moved no cell here, and the single solve keeps every hash.
+// already sits closer than its rule; a second solve of such a subset could
+// only pick another optimum of equal cost, so stage 3 solves it once.
 TEST(EcoRequestPins, SoftSpacingViolationHashesArePinned) {
   Design snapshot = cliDesign(2000, 0.55, 1);
   {

@@ -1,17 +1,17 @@
 // Perf-overhaul equivalence tests (ctest label: perf).
 //
 // The hot-path work trades recomputation for cached / incremental state and
-// adds a warm-startable network simplex; these tests pin down the contracts
-// that make those optimizations quality-neutral:
+// reuses the network simplex's working arrays per thread; these tests pin
+// down the contracts that make those optimizations quality-neutral:
 //
 //  1. The full pipeline is deterministic: repeated runs at the same thread
 //     count produce bit-identical placements. Invariance across thread
 //     counts is tested in test_executor.cpp
 //     (ExecutorDeterminism.PlacementDoesNotDependOnThreadCount), and the
 //     placements themselves are pinned by contract 3.
-//  2. A warm network-simplex solve reaches the same optimal objective as a
-//     cold solve and passes independent optimality verification; warm
-//     validation rejects changed topology and still answers correctly.
+//  2. The network simplex's per-thread arena is invisible: a solve on a
+//     thread that already solved other problems (optimal, unbounded,
+//     unbalanced, larger) answers exactly as on a fresh thread.
 //  3. MGL placements are pinned: guarded contest-preset runs on a dense and
 //     a sparse fenced design reproduce recorded placement hashes, so a
 //     hot-path rewrite that changes any cell's position fails here, and a
@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <array>
+#include <thread>
 #include <vector>
 
 #include "db/placement_state.hpp"
@@ -76,7 +77,7 @@ TEST(PerfEquivalence, PipelinePlacementReproducibleAtEachThreadCount) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Warm-started network simplex.
+// 2. Per-thread network-simplex arena.
 // ---------------------------------------------------------------------------
 
 McfProblem randomTransportProblem(Rng& rng, int sources, int sinks,
@@ -103,73 +104,51 @@ McfProblem randomTransportProblem(Rng& rng, int sources, int sinks,
   return p;
 }
 
-TEST(WarmStart, SameOptimumAsColdAcrossCostPerturbations) {
-  Rng rng(99);
-  McfProblem p = randomTransportProblem(rng, 12, 9, 40);
-  NetworkSimplexSolver solver;
-  const auto cold0 = solver.solve(p);
-  ASSERT_EQ(cold0.status, McfStatus::Optimal);
-  EXPECT_TRUE(verifyMcfOptimality(p, cold0));
-
-  for (int round = 0; round < 8; ++round) {
-    // Same topology, new costs: the warm path's intended use (ablation
-    // sweeps re-solving with perturbed objectives).
-    McfProblem q;
-    for (int i = 0; i < p.numNodes(); ++i) q.addNode();
-    for (int i = 0; i < p.numNodes(); ++i) q.addSupply(i, p.supply(i));
-    for (int a = 0; a < p.numArcs(); ++a) {
-      const auto& arc = p.arc(a);
-      q.addArc(arc.src, arc.dst, arc.cap,
-               arc.cost + rng.uniformInt(-3, 3));
-    }
-    const auto warm = solver.solveWarm(q);
-    ASSERT_EQ(warm.status, McfStatus::Optimal);
-    EXPECT_TRUE(verifyMcfOptimality(q, warm));
-    const auto cold = NetworkSimplex::solve(q);
-    ASSERT_EQ(cold.status, McfStatus::Optimal);
-    EXPECT_EQ(static_cast<double>(warm.totalCost),
-              static_cast<double>(cold.totalCost));
-    p = std::move(q);
-  }
-  EXPECT_GT(solver.stats().warmSolves, 0);
-  EXPECT_EQ(solver.stats().warmRejected, 0);
-  // Warm restarts must pivot strictly less than solving every instance
-  // cold would (that is the point).
-  if (solver.stats().warmSolves >= 8) {
-    EXPECT_LT(solver.stats().warmPivots / solver.stats().warmSolves,
-              1 + solver.stats().coldPivots);
-  }
+/// Two nodes joined by opposite uncapacitated negative-cost arcs: a negative
+/// cycle with no bound.
+McfProblem unboundedProblem() {
+  McfProblem p;
+  p.addNodes(2);
+  p.addArc(0, 1, kInfiniteCap, -1);
+  p.addArc(1, 0, kInfiniteCap, -1);
+  return p;
 }
 
-TEST(WarmStart, RejectsChangedTopologyAndStillAnswers) {
-  Rng rng(123);
-  const McfProblem p = randomTransportProblem(rng, 8, 6, 25);
-  NetworkSimplexSolver solver;
-  ASSERT_EQ(solver.solve(p).status, McfStatus::Optimal);
-
-  // Different arc count -> warm validation must fall back to cold.
-  McfProblem q = p;
-  q.addArc(0, p.numNodes() - 1, 5, 1);
-  const auto sol = solver.solveWarm(q);
-  ASSERT_EQ(sol.status, McfStatus::Optimal);
-  EXPECT_TRUE(verifyMcfOptimality(q, sol));
-  EXPECT_GE(solver.stats().warmRejected, 1);
-  const auto cold = NetworkSimplex::solve(q);
-  EXPECT_EQ(static_cast<double>(sol.totalCost),
-            static_cast<double>(cold.totalCost));
+McfSolution solveOnFreshThread(const McfProblem& p) {
+  McfSolution sol;
+  std::thread([&] { sol = NetworkSimplex::solve(p); }).join();
+  return sol;
 }
 
-TEST(WarmStart, ColdPathBitIdenticalToStaticEntryPoint) {
+TEST(SimplexArena, ReuseAcrossSolvesIsInvisible) {
   Rng rng(5);
-  const McfProblem p = randomTransportProblem(rng, 10, 7, 30);
-  NetworkSimplexSolver solver;
-  const auto a = solver.solve(p);
-  const auto b = NetworkSimplex::solve(p);
-  ASSERT_EQ(a.status, McfStatus::Optimal);
-  ASSERT_EQ(b.status, McfStatus::Optimal);
-  EXPECT_EQ(a.flow, b.flow);
-  EXPECT_EQ(a.potential, b.potential);
-  EXPECT_EQ(static_cast<double>(a.totalCost), static_cast<double>(b.totalCost));
+  const McfProblem first = randomTransportProblem(rng, 10, 7, 30);
+  McfProblem unbalanced = randomTransportProblem(rng, 6, 4, 20);
+  unbalanced.addSupply(0, 1);
+  const McfProblem larger = randomTransportProblem(rng, 40, 30, 60);
+  const struct {
+    McfProblem problem;
+    McfStatus status;
+  } sequence[] = {{first, McfStatus::Optimal},
+                  {unboundedProblem(), McfStatus::Unbounded},
+                  {unbalanced, McfStatus::Infeasible},
+                  {larger, McfStatus::Optimal},
+                  {first, McfStatus::Optimal}};
+  for (int i = 0; i < 5; ++i) {
+    const McfProblem& p = sequence[i].problem;
+    const McfSolution reused = NetworkSimplex::solve(p);
+    const McfSolution fresh = solveOnFreshThread(p);
+    EXPECT_EQ(reused.status, sequence[i].status) << "solve " << i;
+    EXPECT_EQ(reused.status, fresh.status) << "solve " << i;
+    EXPECT_EQ(reused.flow, fresh.flow) << "solve " << i;
+    EXPECT_EQ(reused.potential, fresh.potential) << "solve " << i;
+    EXPECT_EQ(static_cast<double>(reused.totalCost),
+              static_cast<double>(fresh.totalCost))
+        << "solve " << i;
+    if (reused.status == McfStatus::Optimal) {
+      EXPECT_TRUE(verifyMcfOptimality(p, reused)) << "solve " << i;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
