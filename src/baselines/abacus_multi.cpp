@@ -20,24 +20,12 @@ BaselineStats legalizeAbacusMulti(PlacementState& state,
   auto& design = state.design();
   BaselineStats stats;
 
-  std::vector<CellId> order;
-  for (CellId c = 0; c < design.numCells(); ++c) {
-    const auto& cell = design.cells[c];
-    if (!cell.fixed && !cell.placed) order.push_back(c);
-  }
-  std::sort(order.begin(), order.end(), [&](CellId a, CellId b) {
-    if (design.cells[a].gpX != design.cells[b].gpX) {
-      return design.cells[a].gpX < design.cells[b].gpX;
-    }
-    return a < b;
-  });
-
   std::vector<std::int64_t> frontier(
       static_cast<std::size_t>(design.numRows), 0);
   const double swf = design.siteWidthFactor;
   const double deadSpacePenalty = 0.05;  // per empty site left behind
 
-  for (const CellId c : order) {
+  for (const CellId c : gpXOrder(state)) {
     const auto& cell = design.cells[c];
     const auto& type = design.typeOf(c);
     const int h = type.height;
@@ -84,24 +72,12 @@ BaselineStats legalizeAbacusMulti(PlacementState& state,
       // The ordered frontier jammed on dead space; fall back to the nearest
       // free slot anywhere (implementations of [7] recover by re-packing
       // clusters — the displacement cost is equivalent in spirit).
-      for (std::int64_t y = 0; y + h <= design.numRows; ++y) {
-        if (!design.parityOk(cell.type, y)) continue;
-        const auto free = freeIntervalsForSpan(state, segments, y, h,
-                                               cell.fence,
-                                               {0, design.numSitesX});
-        for (const auto& iv : free) {
-          if (iv.length() < w) continue;
-          const std::int64_t x =
-              std::clamp(gpX, iv.lo, iv.hi - w);
-          const double cost =
-              swf * std::abs(static_cast<double>(x) - cell.gpX) +
-              std::abs(static_cast<double>(y) - cell.gpY);
-          if (bestX < 0 || cost < bestCost) {
-            bestCost = cost;
-            bestX = x;
-            bestY = y;
-          }
-        }
+      const std::vector<FreeSlot> slot =
+          nearestFreeSlots(state, segments, c, {0, design.numSitesX},
+                           /*maxSlots=*/1, SlotTieBreak::LowerRow);
+      if (!slot.empty()) {
+        bestX = slot[0].x;
+        bestY = slot[0].y;
       }
     }
     if (bestX < 0) {

@@ -16,10 +16,25 @@
 //    disabled, so it accrues the edge/pin violations the champion shows.
 #pragma once
 
+#include <algorithm>
+#include <vector>
+
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
 
 namespace mclg {
+
+/// The order Tetris and Abacus-multi take cells in: the state's unplaced
+/// cells by GP x, ties by id.
+inline std::vector<CellId> gpXOrder(PlacementState& state) {
+  const auto& cells = state.design().cells;
+  std::vector<CellId> order = state.unplacedCells();
+  std::sort(order.begin(), order.end(), [&](CellId a, CellId b) {
+    if (cells[a].gpX != cells[b].gpX) return cells[a].gpX < cells[b].gpX;
+    return a < b;
+  });
+  return order;
+}
 
 struct BaselineStats {
   int placed = 0;

@@ -29,7 +29,7 @@ std::vector<CellId> MglLegalizer::orderCells() {
 
 int MglLegalizer::placeFallback(CellId c) {
   // Last resort, gap-first (full-core push searches are far too expensive
-  // on dense designs). (1) Rank the existing free gaps by displacement;
+  // on dense designs). (1) Take the cheapest free gaps (`nearestFreeSlots`);
   // (2) try a spacing-aware local insertion around each of the best few;
   // (3) drop into the best gap directly, paying an edge-spacing *soft*
   // violation if needed (§2); (4) only when no gap exists at all, run one
@@ -38,42 +38,9 @@ int MglLegalizer::placeFallback(CellId c) {
   const auto& cell = design.cells[c];
   const int h = design.heightOf(c);
   const int w = design.widthOf(c);
-  const double swf = design.siteWidthFactor;
-
-  struct Gap {
-    double cost;
-    std::int64_t x, y;
-  };
-  std::vector<Gap> gaps;
-  const auto gy = static_cast<std::int64_t>(std::lround(cell.gpY));
-  double bestCost = std::numeric_limits<double>::infinity();
-  for (std::int64_t dy = 0; dy < design.numRows; ++dy) {
-    // Gaps further away in y than the current best + slack cannot improve.
-    if (!gaps.empty() && static_cast<double>(dy) - 1.0 > bestCost + 4.0) break;
-    for (const std::int64_t y : {gy - dy, gy + dy}) {
-      if (dy == 0 && y != gy) continue;
-      if (y < 0 || y + h > design.numRows) continue;
-      if (!design.parityOk(cell.type, y)) continue;
-      const auto free = freeIntervalsForSpan(state_, segments_, y, h,
-                                             cell.fence,
-                                             {0, design.numSitesX});
-      for (const auto& iv : free) {
-        if (iv.length() < w) continue;
-        const std::int64_t x = std::clamp(
-            static_cast<std::int64_t>(std::lround(cell.gpX)), iv.lo,
-            iv.hi - w);
-        const double cost = swf * std::abs(static_cast<double>(x) - cell.gpX) +
-                            std::abs(static_cast<double>(y) - cell.gpY);
-        gaps.push_back({cost, x, y});
-        bestCost = std::min(bestCost, cost);
-      }
-    }
-  }
-  std::sort(gaps.begin(), gaps.end(), [](const Gap& a, const Gap& b) {
-    if (a.cost != b.cost) return a.cost < b.cost;
-    if (a.y != b.y) return a.y < b.y;
-    return a.x < b.x;
-  });
+  const std::vector<FreeSlot> gaps =
+      nearestFreeSlots(state_, segments_, c, {0, design.numSitesX},
+                       /*maxSlots=*/5, SlotTieBreak::LowerRow);
 
   if (!gaps.empty() && config_.insertion.respectEdgeSpacing) {
     if (!directSearcher_) {
@@ -81,15 +48,18 @@ int MglLegalizer::placeFallback(CellId c) {
       direct.routability = false;
       directSearcher_.emplace(state_, segments_, direct);
     }
-    const int tries = std::min<std::size_t>(gaps.size(), 5);
-    for (int g = 0; g < tries; ++g) {
-      const Rect around =
-          Rect{gaps[static_cast<std::size_t>(g)].x - 2 * design.maxCellWidth(),
-               gaps[static_cast<std::size_t>(g)].y - h,
-               gaps[static_cast<std::size_t>(g)].x + w +
-                   2 * design.maxCellWidth(),
-               gaps[static_cast<std::size_t>(g)].y + 2 * h}
-              .intersect({0, 0, design.numSitesX, design.numRows});
+    // Five tries, a gap in the GP row taking two: its second try fails like
+    // its first, but giving it to another gap moves cells (the pins).
+    const auto gy = static_cast<std::int64_t>(std::lround(cell.gpY));
+    int tries = 5;
+    for (const FreeSlot& gap : gaps) {
+      if (tries <= 0) break;
+      tries -= gap.y == gy ? 2 : 1;
+      const Rect around = Rect{gap.x - 2 * design.maxCellWidth(), gap.y - h,
+                               gap.x + w + 2 * design.maxCellWidth(),
+                               gap.y + 2 * h}
+                              .intersect({0, 0, design.numSitesX,
+                                          design.numRows});
       if (directSearcher_->tryInsert(c, around)) return 2;
     }
   }

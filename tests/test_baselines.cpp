@@ -11,6 +11,7 @@
 #include "eval/metrics.hpp"
 #include "gen/benchmark_gen.hpp"
 #include "legal/pipeline.hpp"
+#include "test_helpers.hpp"
 
 namespace mclg {
 namespace {
@@ -145,6 +146,104 @@ TEST(Baselines, ChampionProxyAccruesRoutabilityViolations) {
   EXPECT_EQ(oursEdges, 0);          // the paper's zero-edge-violation claim
   EXPECT_GT(champEdges, 0);         // proxy ignores the spacing table
   EXPECT_LT(oursPins.total(), champPins.total());
+}
+
+TEST(Baselines, ReachEveryCoreRowFromGpOutsideTheCore) {
+  // The nearest-gap walk is bounded by the core, not by the row count
+  // measured from the GP row, so a GP row outside the core still reaches
+  // every core row.
+  const auto placeOne = [](double gpY, bool blockUpperRows,
+                           BaselineStats (*fn)(PlacementState&,
+                                               const SegmentMap&)) {
+    Design d = testing::smallDesign();
+    if (blockUpperRows) {
+      for (std::int64_t y = 1; y < d.numRows; ++y) {
+        for (std::int64_t x = 0; x < d.numSitesX; x += 2) {
+          testing::addFixed(d, 0, x, y);
+        }
+      }
+    }
+    const CellId c = testing::addCell(d, 0, 7.3, gpY);
+    SegmentMap segments(d);
+    PlacementState state(d);
+    const BaselineStats stats = fn(state, segments);
+    EXPECT_EQ(stats.failed, 0) << "gpY " << gpY;
+    EXPECT_TRUE(d.cells[c].placed) << "gpY " << gpY;
+    return d.cells[c].placed ? d.cells[c].y : -1;
+  };
+  for (const auto fn : {legalizeTetris, legalizeAbacusMulti}) {
+    EXPECT_EQ(placeOne(-15.0, false, fn), 0);
+    EXPECT_EQ(placeOne(25.0, false, fn), 9);
+    EXPECT_EQ(placeOne(10.0, true, fn), 0);
+    EXPECT_EQ(placeOne(25.0, true, fn), 0);
+  }
+}
+
+struct BaselinePin {
+  const char* name;
+  BaselineStats (*fn)(PlacementState&, const SegmentMap&);
+  int design;
+  int failed;
+  std::uint64_t hash;
+};
+
+TEST(Baselines, PlacementHashesPinned) {
+  // Tetris, Abacus-multi and the ordered MCF on four generated designs: a
+  // sparse unfenced one and three fenced ones up to density 0.92. On the
+  // fenced ones Abacus-multi's frontier jams and its nearest-gap fallback
+  // places cells (33, 43 and 88 of them), and Tetris's x windows leave some
+  // cells without a slot.
+  const auto spec = [](int design) {
+    GenSpec s;
+    switch (design) {
+      case 0:
+        s = table2Spec(61, 0.6);
+        break;
+      case 1:
+        s.cellsPerHeight = {700, 80, 30, 0};
+        s.density = 0.75;
+        s.numFences = 2;
+        s.seed = 62;
+        break;
+      case 2:
+        s.cellsPerHeight = {500, 60, 20, 10};
+        s.density = 0.85;
+        s.numFences = 1;
+        s.seed = 63;
+        break;
+      default:
+        s.cellsPerHeight = {500, 60, 20, 10};
+        s.density = 0.92;
+        s.numFences = 2;
+        s.seed = 64;
+        break;
+    }
+    return s;
+  };
+  const BaselinePin pins[] = {
+      {"tetris", legalizeTetris, 0, 0, 0x2159ef2009168d2bull},
+      {"abacus", legalizeAbacusMulti, 0, 0, 0xbacac59322ab97daull},
+      {"ordered-mcf", legalizeOrderedMcf, 0, 0, 0x2233aa978bedbc3aull},
+      {"tetris", legalizeTetris, 1, 1, 0x17914b71b04c7b8dull},
+      {"abacus", legalizeAbacusMulti, 1, 0, 0xa0e9cc692267b0aeull},
+      {"ordered-mcf", legalizeOrderedMcf, 1, 0, 0xa2b4db872ed522e5ull},
+      {"tetris", legalizeTetris, 2, 7, 0x073cb700affafab0ull},
+      {"abacus", legalizeAbacusMulti, 2, 0, 0xfe697577f8fb4e23ull},
+      {"ordered-mcf", legalizeOrderedMcf, 2, 0, 0x63371bb9881f4e53ull},
+      {"tetris", legalizeTetris, 3, 26, 0xa266ed77086422bbull},
+      {"abacus", legalizeAbacusMulti, 3, 5, 0xa0a678fc7face8baull},
+      {"ordered-mcf", legalizeOrderedMcf, 3, 5, 0xfc63aa2672455105ull},
+  };
+  for (const BaselinePin& pin : pins) {
+    Design design = generate(spec(pin.design));
+    SegmentMap segments(design);
+    PlacementState state(design);
+    const BaselineStats stats = pin.fn(state, segments);
+    EXPECT_EQ(stats.failed, pin.failed) << pin.name << " design " << pin.design;
+    EXPECT_EQ(placementHash(design), pin.hash)
+        << pin.name << " design " << pin.design << std::hex << " 0x"
+        << placementHash(design);
+  }
 }
 
 }  // namespace

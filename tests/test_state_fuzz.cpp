@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
 #include <map>
 #include <string>
@@ -345,6 +346,131 @@ TEST(FreeSpanFuzz, MatchesGridModel) {
       }
     }
   }
+}
+
+
+TEST(FreeSpanFuzz, NearestFreeSlotsMatchBruteForce) {
+  // nearestFreeSlots against a scan of every row and every free-site run
+  // of the grid model: fences, a parity-constrained type, narrowed x
+  // windows, GP positions outside the core and both tie orders.
+  Rng rng(889);
+  int outsideCoreHits = 0, narrowHits = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    Design d = smallDesign();
+    if (rng.chance(0.5)) d.fences.push_back({"f", {{8, 2, 24, 8}}});
+    PlacementState state(d);
+    GridModel model(d.numSitesX, d.numRows);
+    const int scatter = static_cast<int>(rng.uniformInt(10, 60));
+    for (int i = 0; i < scatter; ++i) {
+      const CellId c = addCell(d, static_cast<TypeId>(rng.uniformInt(0, 2)),
+                               0, 0);
+      const int w = d.widthOf(c);
+      const int h = d.heightOf(c);
+      const std::int64_t x = rng.uniformInt(0, d.numSitesX - w);
+      const std::int64_t y = rng.uniformInt(0, d.numRows - h);
+      if (model.free(x, y, w, h)) {
+        state.place(c, x, y);
+        model.set(x, y, w, h, c);
+      }
+    }
+    const CellId probe = addCell(d, 0, 0, 0);
+    const SegmentMap segments(d);
+    for (int round = 0; round < 30; ++round) {
+      Cell& cell = d.cells[probe];
+      cell.type = static_cast<TypeId>(rng.uniformInt(0, 2));
+      cell.fence =
+          static_cast<FenceId>(rng.uniformInt(0, d.numFences() - 1));
+      cell.gpX = rng.uniformReal(-10.0, 50.0);
+      cell.gpY = rng.uniformReal(-8.0, 18.0);
+      Interval xWindow{0, d.numSitesX};
+      if (rng.chance(0.4)) {
+        const std::int64_t lo = rng.uniformInt(0, d.numSitesX - 1);
+        xWindow = {lo, rng.uniformInt(lo + 1, d.numSitesX)};
+      }
+      const int maxSlots = static_cast<int>(rng.uniformInt(1, 6));
+      const SlotTieBreak ties =
+          rng.chance(0.5) ? SlotTieBreak::LowerRow : SlotTieBreak::NearerRow;
+      const int w = d.widthOf(probe);
+      const int h = d.heightOf(probe);
+      const auto gx = static_cast<std::int64_t>(std::lround(cell.gpX));
+      const auto gy = static_cast<std::int64_t>(std::lround(cell.gpY));
+
+      // Brute force: every maximal run of free, in-fence sites of every
+      // parity-legal row span, clipped to the window.
+      std::vector<FreeSlot> brute;
+      for (std::int64_t y = 0; y + h <= d.numRows; ++y) {
+        if (!d.parityOk(cell.type, y)) continue;
+        const auto siteFree = [&](std::int64_t x) {
+          if (!segments.spanInFence(y, h, x, 1, cell.fence)) return false;
+          for (std::int64_t r = y; r < y + h; ++r) {
+            if (model.at(x, r) != kInvalidCell) return false;
+          }
+          return true;
+        };
+        for (std::int64_t x = xWindow.lo; x < xWindow.hi;) {
+          if (!siteFree(x)) {
+            ++x;
+            continue;
+          }
+          std::int64_t end = x;
+          while (end < xWindow.hi && siteFree(end)) ++end;
+          if (end - x >= w) {
+            const std::int64_t sx = std::clamp(gx, x, end - w);
+            brute.push_back(
+                {d.siteWidthFactor *
+                         std::abs(static_cast<double>(sx) - cell.gpX) +
+                     std::abs(static_cast<double>(y) - cell.gpY),
+                 sx, y});
+          }
+          x = end;
+        }
+      }
+      const auto before = [&](const FreeSlot& a, const FreeSlot& b) {
+        if (a.cost != b.cost) return a.cost < b.cost;
+        if (ties == SlotTieBreak::NearerRow &&
+            std::abs(a.y - gy) != std::abs(b.y - gy)) {
+          return std::abs(a.y - gy) < std::abs(b.y - gy);
+        }
+        if (a.y != b.y) return a.y < b.y;
+        return a.x < b.x;
+      };
+      std::sort(brute.begin(), brute.end(), before);
+
+      const auto got =
+          nearestFreeSlots(state, segments, probe, xWindow, maxSlots, ties);
+      const std::string where = "trial " + std::to_string(trial) +
+                                " round " + std::to_string(round);
+      ASSERT_EQ(got.empty(), brute.empty()) << where;
+      if (got.empty()) continue;
+      EXPECT_LE(got.size(), static_cast<std::size_t>(maxSlots)) << where;
+      EXPECT_EQ(got[0].x, brute[0].x) << where;
+      EXPECT_EQ(got[0].y, brute[0].y) << where;
+      EXPECT_EQ(got[0].cost, brute[0].cost) << where;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        const FreeSlot& s = got[i];
+        EXPECT_TRUE(segments.spanInFence(s.y, h, s.x, w, cell.fence)) << where;
+        EXPECT_TRUE(state.spanEmpty(s.y, h, s.x, w)) << where;
+        EXPECT_TRUE(s.x >= xWindow.lo && s.x + w <= xWindow.hi) << where;
+        if (i > 0) {
+          EXPECT_TRUE(before(got[i - 1], s)) << where;
+        }
+      }
+      // Every slot within best + 4.5 is ranked exactly (4.4 keeps the
+      // boundary out of floating-point reach).
+      for (std::size_t i = 0;
+           i < std::min(brute.size(), static_cast<std::size_t>(maxSlots)) &&
+           brute[i].cost < brute[0].cost + 4.4;
+           ++i) {
+        ASSERT_LT(i, got.size()) << where;
+        EXPECT_EQ(got[i].x, brute[i].x) << where << " slot " << i;
+        EXPECT_EQ(got[i].y, brute[i].y) << where << " slot " << i;
+      }
+      if (cell.gpY < -0.5 || cell.gpY >= d.numRows - 0.5) ++outsideCoreHits;
+      if (xWindow.length() < d.numSitesX) ++narrowHits;
+    }
+  }
+  EXPECT_GT(outsideCoreHits, 50);
+  EXPECT_GT(narrowHits, 50);
 }
 
 }  // namespace
