@@ -1,9 +1,10 @@
-// Incremental ECO re-legalization speedup (docs/ECO.md): on the
-// bench_scaling design, perturb <= 5% of the movable cells' GP targets and
-// compare a full pipeline re-run against `ecoRelegalize` from the legal
-// snapshot. Run by hand: the speedup is printed, not gated (the last
-// recorded ratio is in docs/ECO.md); per-PR ECO regressions are caught by
-// perfbench's `eco_serve` workload.
+// Incremental ECO re-legalization speedup (docs/ECO.md): on a generated
+// 16k-cell design (density 0.55, two fences; MCLG_BENCH_SCALE scales it),
+// perturb <= 5% of the movable cells' GP targets and compare a full
+// pipeline re-run against `ecoRelegalize` from the legal snapshot. Run by
+// hand: the speedup is printed, not gated (the last recorded ratio is in
+// docs/ECO.md); per-PR ECO regressions are caught by perfbench's
+// `eco_serve` workload.
 //
 // With MCLG_BENCH_REPORT set, emits bench_eco.json with: the full-run and
 // incremental timings (best of MCLG_BENCH_REPS runs, default 3), the dirty
@@ -50,7 +51,7 @@ void unplaceMovable(mclg::PlacementState& state) {
 int main() {
   using namespace mclg;
   const int base = static_cast<int>(2000 * bench::scaleFromEnv(1.0));
-  const int cells = base * 8;  // bench_scaling's largest config
+  const int cells = base * 8;  // 16k cells at scale 1
   GenSpec spec;
   spec.name = "eco_scale_" + std::to_string(cells);
   spec.cellsPerHeight = {cells * 85 / 100, cells * 9 / 100, cells * 4 / 100,

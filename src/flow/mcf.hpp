@@ -89,9 +89,9 @@ struct McfSolution {
 ///
 /// Every solve starts cold from the artificial-root basis, so the result is
 /// a pure function of the problem. Each thread keeps one set of working
-/// arrays, so repeated solves (the per-chunk matchings of §3.2, the
-/// per-component duals of §3.3) reuse them instead of reallocating them per
-/// problem.
+/// arrays, so repeated solves (the per-chunk matchings of §3.2, the ECO
+/// driver's per-component duals of §3.3) reuse them instead of reallocating
+/// them per problem.
 class NetworkSimplex {
  public:
   static McfSolution solve(const McfProblem& problem);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -215,6 +214,13 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
   // executor here once covers all of them (and the full-run bailout path).
   EcoConfig config = userConfig;
   config.pipeline.propagateExecutor();
+  // Unless the caller brought its own (a serve session keeps one per
+  // design), one search arena for the request: its searchers share it, and
+  // with it the stage-3 solves share one routability index.
+  SearchArena runArena;
+  if (config.pipeline.mgl.insertion.arena == nullptr) {
+    config.pipeline.mgl.insertion.arena = &runArena;
+  }
   // The request-scoped budget also bounds any guarded full-run fallback or
   // shadow run: fold it into the guard's per-stage deadline.
   config.pipeline.guard.requestDeadline = Deadline::earliest(
@@ -363,7 +369,6 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
     MCLG_TRACE_SCOPE("eco/stage3");
     FixedRowOrderConfig froConfig = config.pipeline.fixedRowOrder;
     froConfig.maxDispWeight = 0.0;
-    froConfig.numThreads = 1;
     // The dirty components are those holding a dirty or touched cell.
     // Delta-local trimming: on a dense design the constraint components
     // span most of the netlist, so solving a whole component per request
@@ -404,16 +409,12 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
       }
     }
     const std::vector<std::vector<CellId>> subsets =
-        fixedRowOrderComponents(state, &kept);
-    // One routability index for every solve: the request's search arena
-    // (a serve session keeps one per design) or one for this run.
-    std::optional<ForbiddenXIndex> ownForbidden;
-    const ForbiddenXIndex* forbidden = nullptr;
-    if (froConfig.routability) {
-      SearchArena* arena = config.pipeline.mgl.insertion.arena;
-      forbidden = arena != nullptr ? &arena->forbiddenFor(design)
-                                   : &ownForbidden.emplace(design);
-    }
+        fixedRowOrderComponents(state, kept);
+    // One routability index for every solve: the search arena's.
+    const ForbiddenXIndex* forbidden =
+        froConfig.routability
+            ? &config.pipeline.mgl.insertion.arena->forbiddenFor(design)
+            : nullptr;
     for (const auto& subset : subsets) {
       ++stats.dirtySegments;
       if (seed.cleanCellsLegal) {

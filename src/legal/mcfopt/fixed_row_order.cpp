@@ -11,7 +11,6 @@
 #include "legal/refine/feasible_range.hpp"
 #include "obs/obs.hpp"
 #include "util/assert.hpp"
-#include "util/executor/executor.hpp"
 #include "util/logging.hpp"
 
 namespace mclg {
@@ -305,7 +304,7 @@ namespace {
 void solveSubset(const PlacementState& state, const SegmentMap& segments,
                  const FixedRowOrderConfig& config, std::vector<CellId> subset,
                  std::vector<std::pair<CellId, std::int64_t>>* moves,
-                 const ForbiddenXIndex* forbidden = nullptr) {
+                 const ForbiddenXIndex* forbidden) {
   const auto& design = state.design();
   MCLG_TRACE_SCOPE("mcfopt/component",
                    {{"cells", static_cast<double>(subset.size())}});
@@ -379,7 +378,7 @@ void finishStats(const Design& design, const std::vector<CellId>& cells,
 }  // namespace
 
 std::vector<std::vector<CellId>> fixedRowOrderComponents(
-    const PlacementState& state, const std::vector<CellId>* cells) {
+    const PlacementState& state, const std::vector<CellId>& cells) {
   const auto& design = state.design();
   const auto numRows = static_cast<std::size_t>(design.numRows);
   // Every placed cell of a row is chained to its row neighbours, so a
@@ -394,16 +393,11 @@ std::vector<std::vector<CellId>> fixedRowOrderComponents(
   }
 
   std::vector<std::pair<std::int64_t, CellId>> keyed;
-  const auto add = [&](CellId c) {
+  for (const CellId c : cells) {
     const Cell& cell = design.cells[c];
     if (!cell.fixed && cell.placed) {
       keyed.emplace_back(runOf[static_cast<std::size_t>(cell.y)], c);
     }
-  };
-  if (cells == nullptr) {
-    for (CellId c = 0; c < design.numCells(); ++c) add(c);
-  } else {
-    for (const CellId c : *cells) add(c);
   }
   std::sort(keyed.begin(), keyed.end());
   keyed.erase(std::unique(keyed.begin(), keyed.end()), keyed.end());
@@ -423,39 +417,11 @@ std::vector<std::vector<CellId>> fixedRowOrderComponents(
 
 FixedRowOrderStats optimizeFixedRowOrder(PlacementState& state,
                                          const SegmentMap& segments,
-                                         const FixedRowOrderConfig& config) {
-  auto& design = state.design();
-  FixedRowOrderStats stats;
-
-  const std::vector<CellId> all = placedMovableCells(design);
-  const int m = static_cast<int>(all.size());
-  if (m == 0) return stats;
-  stats.objectiveBefore = weightedObjective(design, all, config.contestWeights);
-
-  std::vector<std::pair<CellId, std::int64_t>> moves;
-  // The §3.3.1 max-displacement term couples every cell, so component
-  // decomposition is only exact for the plain objective.
-  if (config.numThreads > 1 && config.maxDispWeight == 0.0) {
-    const std::vector<std::vector<CellId>> components =
-        fixedRowOrderComponents(state);
-    std::vector<std::vector<std::pair<CellId, std::int64_t>>> perComponent(
-        components.size());
-    config.executor.parallelForBatch(
-        static_cast<int>(components.size()), config.numThreads, [&](int i) {
-          solveSubset(state, segments, config,
-                      components[static_cast<std::size_t>(i)],
-                      &perComponent[static_cast<std::size_t>(i)]);
-        });
-    for (auto& part : perComponent) {
-      moves.insert(moves.end(), part.begin(), part.end());
-    }
-  } else {
-    solveSubset(state, segments, config, all, &moves);
-  }
-
-  applyMoves(state, moves);
-  finishStats(design, all, config, static_cast<int>(moves.size()), &stats);
-  return stats;
+                                         const FixedRowOrderConfig& config,
+                                         const ForbiddenXIndex* forbidden) {
+  return optimizeFixedRowOrderSubset(state, segments, config,
+                                     placedMovableCells(state.design()),
+                                     forbidden);
 }
 
 FixedRowOrderStats optimizeFixedRowOrderSubset(

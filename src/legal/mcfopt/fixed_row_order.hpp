@@ -26,7 +26,6 @@
 #include "db/segment_map.hpp"
 #include "flow/mcf.hpp"
 #include "geometry/interval.hpp"
-#include "util/executor/executor.hpp"
 
 namespace mclg {
 
@@ -52,14 +51,6 @@ struct FixedRowOrderConfig {
   /// than the paper's compact m+1-node network. Same optimum; exists to
   /// reproduce the paper's formulation-size comparison (§3.3 point (1)).
   bool mrdpStyleNetwork = false;
-  /// With > 1, the constraint graph's connected components (cells linked by
-  /// neighbor constraints) are solved as independent MCFs in parallel.
-  /// Exact same optimum — the LP separates over components — and
-  /// thread-count invariant (moves apply serially in component order).
-  int numThreads = 1;
-  /// Lanes come from this executor when numThreads > 1 (default: the
-  /// process-wide executor).
-  ExecutorRef executor{};
 };
 
 struct FixedRowOrderStats {
@@ -70,26 +61,26 @@ struct FixedRowOrderStats {
   double objectiveAfter = 0.0;
 };
 
-/// Run the optimization on a legal placement.
+/// Run the optimization on a legal placement: one solve over every placed
+/// movable cell. `forbidden` is as for optimizeFixedRowOrderSubset.
 /// \pre  state holds a legal placement (no overlaps; MCLG_ASSERT-enforced).
 /// \post Legality is preserved; the weighted objective never increases
 ///       (modulo integer-rounding noise, which is logged).
-/// Determinism: output is invariant under config.numThreads (component
-/// solves are independent and applied in a fixed order).
-FixedRowOrderStats optimizeFixedRowOrder(PlacementState& state,
-                                         const SegmentMap& segments,
-                                         const FixedRowOrderConfig& config);
+FixedRowOrderStats optimizeFixedRowOrder(
+    PlacementState& state, const SegmentMap& segments,
+    const FixedRowOrderConfig& config,
+    const ForbiddenXIndex* forbidden = nullptr);
 
-/// Connected components of the neighbor-constraint graph over the placed
-/// movable cells (cells linked by a same-row adjacency, transitively) —
-/// or, given `cells`, those of its placed movable cells grouped by the
-/// component holding them (the ECO driver's trimmed dirty components).
-/// Every placed cell of a row is chained to its row neighbours, so a
-/// component is a run of rows linked by multi-row cells: the grouping
-/// walks rows, and costs O(|cells| log |cells|) plus the rows it walks.
-/// Deterministic: groups ordered by their lowest cell id; cells ascending.
+/// The placed movable cells of `cells` grouped by the connected component
+/// of the neighbor-constraint graph holding them (cells linked by a
+/// same-row adjacency, transitively) — the ECO driver's trimmed dirty
+/// components. Every placed cell of a row is chained to its row
+/// neighbours, so a component is a run of rows linked by multi-row cells:
+/// the grouping walks rows, and costs O(|cells| log |cells|) plus the rows
+/// it walks. Deterministic: groups ordered by their lowest cell id; cells
+/// ascending.
 std::vector<std::vector<CellId>> fixedRowOrderComponents(
-    const PlacementState& state, const std::vector<CellId>* cells = nullptr);
+    const PlacementState& state, const std::vector<CellId>& cells);
 
 /// Run the optimization on `subset` only. The subset may be *any* selection
 /// of placed movable cells: a neighbor pair with one endpoint outside the

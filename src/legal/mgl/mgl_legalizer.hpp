@@ -5,7 +5,7 @@
 // its GP position, the window expanding geometrically on failure and being
 // retried at once. MGL is always serial, so its output depends only on the
 // design and the config, never on the thread count; the §3.5 parallelism
-// lives in the later stages (§3.2 matching, §3.3 MCF components).
+// lives in the §3.2 matching.
 //
 // The same engine runs the MLL baseline [12]: set
 // config.insertion.gpObjective = false so displacement is measured from the

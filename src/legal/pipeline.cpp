@@ -68,15 +68,9 @@ std::optional<PipelineConfig> PipelineConfig::preset(const std::string& name) {
 
 void PipelineConfig::setThreads(int numThreads) {
   maxDisp.numThreads = numThreads;
-  if (fixedRowOrder.maxDispWeight == 0.0) {
-    fixedRowOrder.numThreads = numThreads;
-  }
 }
 
-void PipelineConfig::propagateExecutor() {
-  maxDisp.executor = executor;
-  fixedRowOrder.executor = executor;
-}
+void PipelineConfig::propagateExecutor() { maxDisp.executor = executor; }
 
 namespace {
 
@@ -319,6 +313,11 @@ PipelineStats legalize(PlacementState& state, const SegmentMap& segments,
                        const PipelineConfig& config) {
   PipelineConfig cfg = config;  // guarded retries relax this copy
   cfg.propagateExecutor();
+  // Unless the caller brought its own, one search arena for the run: MGL's
+  // and the rip-up pass's searchers share it, and with it the §3.3 solves
+  // share one routability index.
+  SearchArena runArena;
+  if (cfg.mgl.insertion.arena == nullptr) cfg.mgl.insertion.arena = &runArena;
   const GuardConfig& guard = cfg.guard;
   PipelineStats stats;
 
@@ -370,8 +369,12 @@ PipelineStats legalize(PlacementState& state, const SegmentMap& segments,
   mcf.enabled = cfg.runFixedRowOrder;
   mcf.run = [&](const Deadline&, int) {
     Timer timer;
+    const ForbiddenXIndex* forbidden =
+        cfg.fixedRowOrder.routability
+            ? &cfg.mgl.insertion.arena->forbiddenFor(state.design())
+            : nullptr;
     stats.fixedRowOrder =
-        optimizeFixedRowOrder(state, segments, cfg.fixedRowOrder);
+        optimizeFixedRowOrder(state, segments, cfg.fixedRowOrder, forbidden);
     stats.secondsFixedRowOrder += timer.seconds();
   };
   mcf.relax = [&] { cfg.fixedRowOrder.routability = false; };

@@ -43,13 +43,12 @@ struct PipelineConfig {
   /// process-wide executor (util/executor/executor.hpp).
   ExecutorRef executor{};
 
-  /// Set every stage's thread budget the way the CLI's --threads does:
-  /// maxdisp always; the MCF only while its §3.3.1 coupling term is off
-  /// (maxDispWeight == 0 — component decomposition is only exact then), so
-  /// call this *before* changing maxDispWeight. MGL is always serial.
+  /// Set the thread budget the way the CLI's --threads does. Only the
+  /// §3.2 matching runs on lanes: MGL is serial and the §3.3 MCF is one
+  /// solve.
   void setThreads(int numThreads);
 
-  /// Copy `executor` into the per-stage configs (maxDisp/fixedRowOrder).
+  /// Copy `executor` into the per-stage configs (maxDisp).
   /// legalize() does this on its local copy; only callers invoking stages
   /// directly from a PipelineConfig need to call it themselves.
   void propagateExecutor();

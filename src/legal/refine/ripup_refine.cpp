@@ -104,13 +104,12 @@ RipupStats ripupRefine(PlacementState& state, const SegmentMap& segments,
       // The accepted re-insertions shifted neighbors; re-optimize every
       // cell's x under the fixed rows and order before the next pass ranks
       // candidates by displacement.
-      std::vector<CellId> all;
-      for (CellId c = 0; c < design.numCells(); ++c) {
-        const auto& cell = design.cells[c];
-        if (!cell.fixed && cell.placed) all.push_back(c);
-      }
-      const auto froStats = optimizeFixedRowOrderSubset(
-          state, segments, mcfConfig, std::move(all));
+      const ForbiddenXIndex* forbidden =
+          mcfConfig.routability && config.insertion.arena != nullptr
+              ? &config.insertion.arena->forbiddenFor(design)
+              : nullptr;
+      const auto froStats =
+          optimizeFixedRowOrder(state, segments, mcfConfig, forbidden);
       ++stats.mcfResolves;
       stats.mcfCellsMoved += froStats.cellsMoved;
       stats.mcfGain += froStats.objectiveBefore - froStats.objectiveAfter;

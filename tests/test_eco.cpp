@@ -178,7 +178,6 @@ TEST(Eco, ExactModeByteIdenticalToFullRunAtEachThreadCount) {
   for (const int threads : {1, 4, 8}) {
     PipelineConfig pipeline = PipelineConfig::contest();
     pipeline.maxDisp.numThreads = threads;
-    pipeline.fixedRowOrder.numThreads = threads;
     // The guarantee is byte-identity with a from-scratch legalize() under
     // the same PipelineConfig.
     std::uint64_t referenceHash = 0;

@@ -137,10 +137,10 @@ struct GuardedRun {
   int unplaced = 0;
 };
 
-GuardedRun runGuarded(Design& design, int threads) {
+GuardedRun runGuarded(Design& design, int threads,
+                      PipelineConfig config = PipelineConfig::contest()) {
   const SegmentMap segments(design);
   PlacementState state(design);
-  PipelineConfig config = PipelineConfig::contest();
   config.guard.enabled = true;
   config.setThreads(threads);
   legalize(state, segments, config);
@@ -149,22 +149,40 @@ GuardedRun runGuarded(Design& design, int threads) {
 }
 
 TEST(ExecutorDeterminism, PlacementDoesNotDependOnThreadCount) {
-  // MGL is serial and §3.2/§3.3 merge their parallel results in a fixed
-  // order, so the guarded pipeline's placement is byte-identical at every
-  // thread count: odd ones and more lanes than hardware cores included.
+  // MGL and the §3.3 MCF are serial and §3.2 merges its parallel results in
+  // a fixed order, so the guarded pipeline's placement is byte-identical at
+  // every thread count: odd ones and more lanes than hardware cores
+  // included.
   const int oversubscribed =
       2 * static_cast<int>(std::thread::hardware_concurrency()) + 5;
+  const auto expectSameAtEveryThreadCount =
+      [oversubscribed](const GenSpec& s, const PipelineConfig& config,
+                       const std::string& what) {
+        Design reference = generate(s);
+        const GuardedRun expected = runGuarded(reference, 1, config);
+        EXPECT_TRUE(expected.legal) << what;
+        EXPECT_EQ(expected.unplaced, 0) << what;
+        for (const int threads : {2, 3, 4, 7, oversubscribed}) {
+          Design design = generate(s);
+          EXPECT_EQ(runGuarded(design, threads, config).hash, expected.hash)
+              << what << " threads " << threads;
+        }
+      };
   for (const double density : {0.6, 0.9}) {
-    Design reference = generate(spec(502, density));
-    const GuardedRun expected = runGuarded(reference, 1);
-    EXPECT_TRUE(expected.legal) << "density " << density;
-    EXPECT_EQ(expected.unplaced, 0) << "density " << density;
-    for (const int threads : {2, 3, 7, oversubscribed}) {
-      Design design = generate(spec(502, density));
-      EXPECT_EQ(runGuarded(design, threads).hash, expected.hash)
-          << "density " << density << " threads " << threads;
-    }
+    expectSameAtEveryThreadCount(spec(502, density), PipelineConfig::contest(),
+                                 "contest density " + std::to_string(density));
   }
+  // The total-displacement preset turns the §3.3.1 coupling term off
+  // (n0 = 0), so the §3.3 network falls apart into independent components.
+  // On this design, solving them one by one breaks cost ties differently
+  // from the one solve over every cell and moves 8 cells.
+  GenSpec totaldisp;
+  totaldisp.cellsPerHeight = {600, 10, 2, 0};
+  totaldisp.density = 0.5;
+  totaldisp.numFences = 2;
+  totaldisp.seed = 1;
+  expectSameAtEveryThreadCount(totaldisp, PipelineConfig::totalDisplacement(),
+                               "totaldisp");
 }
 
 std::uint64_t legalizeHash(Design& design, int threads) {

@@ -359,52 +359,6 @@ TEST(FixedRowOrder, Fig5ToyNetworkStructure) {
   EXPECT_EQ(d.cells[c3].x, 8);
 }
 
-// The constraint graph separates over connected components, so the
-// parallel component solver must reproduce the sequential result exactly.
-TEST(FixedRowOrder, ParallelComponentsMatchSequential) {
-  for (const std::uint64_t seed : {161, 162}) {
-    GenSpec spec;
-    spec.cellsPerHeight = {400, 50, 15, 0};
-    spec.density = 0.6;
-    spec.numFences = 2;
-    spec.seed = seed;
-    Design a = generate(spec);
-    Design b = generate(spec);
-    for (Design* design : {&a, &b}) {
-      SegmentMap segments(*design);
-      PlacementState state(*design);
-      MglLegalizer legalizer(state, segments, {});
-      ASSERT_EQ(legalizer.run().failed, 0);
-      FixedRowOrderConfig config;
-      config.contestWeights = true;
-      config.routability = true;
-      config.maxDispWeight = 0.0;  // component decomposition requires n0=0
-      config.numThreads = design == &b ? 4 : 1;
-      optimizeFixedRowOrder(state, segments, config);
-    }
-    for (CellId c = 0; c < a.numCells(); ++c) {
-      // Same optimum; positions may differ only within exact-tie regions,
-      // so compare the objective rather than coordinates cell by cell.
-      ASSERT_EQ(a.cells[c].placed, b.cells[c].placed);
-    }
-    // Compare the *exact* objective the MCF optimizes (scaled integer
-    // weights, GP rounded to sites): ties in it are broken arbitrarily, so
-    // the float metric may differ in the last decimals, but this integer
-    // objective must agree exactly.
-    auto roundedObjective = [](const Design& d) {
-      long long total = 0;
-      for (CellId c = 0; c < d.numCells(); ++c) {
-        if (d.cells[c].fixed || !d.cells[c].placed) continue;
-        const long long w = std::max<long long>(
-            1, std::llround(d.metricWeight(c) * 1e6));
-        total += w * std::llabs(d.cells[c].x - std::llround(d.cells[c].gpX));
-      }
-      return total;
-    };
-    EXPECT_EQ(roundedObjective(a), roundedObjective(b)) << "seed " << seed;
-  }
-}
-
 TEST(FixedRowOrder, ComponentsMatchNeighborGraph) {
   // fixedRowOrderComponents groups cells by runs of rows; check it against
   // a union-find over the explicit neighbor pairs, for whole components
@@ -436,24 +390,25 @@ TEST(FixedRowOrder, ComponentsMatchNeighborGraph) {
         prev = c;
       }
     }
-    std::vector<CellId> subset;
+    std::vector<CellId> placed;  // the placed movable cells: whole components
+    for (CellId c = 0; c < design.numCells(); ++c) {
+      if (!design.cells[c].fixed && design.cells[c].placed) placed.push_back(c);
+    }
+    std::vector<CellId> subset;  // every third cell, placed or not
     for (CellId c = 0; c < design.numCells(); c += 3) subset.push_back(c);
-    for (const std::vector<CellId>* cells :
-         {static_cast<const std::vector<CellId>*>(nullptr),
-          static_cast<const std::vector<CellId>*>(&subset)}) {
+    for (const std::vector<CellId>* cells : {&placed, &subset}) {
       std::map<CellId, std::vector<CellId>> byRoot;  // root -> ascending ids
-      for (CellId c = 0; c < design.numCells(); ++c) {
+      for (const CellId c : *cells) {
         const Cell& cell = design.cells[c];
         if (cell.fixed || !cell.placed) continue;
-        if (cells != nullptr && c % 3 != 0) continue;
         byRoot[find(c)].push_back(c);
       }
       std::vector<std::vector<CellId>> expected;
       for (auto& [root, members] : byRoot) expected.push_back(members);
       std::sort(expected.begin(), expected.end());
-      EXPECT_EQ(expected, fixedRowOrderComponents(state, cells))
+      EXPECT_EQ(expected, fixedRowOrderComponents(state, *cells))
           << "tall cells " << tall;
-      if (tall == 0 && cells == nullptr) {
+      if (tall == 0 && cells == &placed) {
         EXPECT_GT(expected.size(), 1u);
       }
     }
@@ -636,7 +591,7 @@ std::pair<std::uint64_t, std::uint64_t> stage3Digests(Design d) {
         }
       }
     }
-    for (const auto& subset : fixedRowOrderComponents(state, &kept)) {
+    for (const auto& subset : fixedRowOrderComponents(state, kept)) {
       subsets = networkDigest(
           subsets, buildFixedRowOrderNetwork(state, segments, config, subset,
                                              &forbidden));

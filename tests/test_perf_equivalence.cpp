@@ -56,7 +56,6 @@ std::vector<std::pair<std::int64_t, std::int64_t>> legalizedPositions(
   PlacementState state(design);
   PipelineConfig config = PipelineConfig::contest();
   config.maxDisp.numThreads = threads;
-  config.fixedRowOrder.numThreads = threads;
   const auto stats = legalize(state, segments, config);
   EXPECT_EQ(stats.mgl.failed, 0);
   EXPECT_TRUE(checkLegality(design, segments).legal());

@@ -40,7 +40,6 @@ TEST(Stress, DISABLED_FullScaleDesPerf1) {
   PlacementState state(design);
   PipelineConfig config = PipelineConfig::contest();
   config.maxDisp.numThreads = 8;
-  config.fixedRowOrder.numThreads = 8;
   const auto stats = legalize(state, segments, config);
   EXPECT_EQ(stats.mgl.failed, 0);
   EXPECT_TRUE(checkLegality(design, segments).legal());
@@ -54,7 +53,6 @@ TEST(Stress, DISABLED_FullScaleSuperblue19) {
   PlacementState state(design);
   PipelineConfig config = PipelineConfig::totalDisplacement();
   config.maxDisp.numThreads = 8;
-  config.fixedRowOrder.numThreads = 8;
   const auto stats = legalize(state, segments, config);
   EXPECT_EQ(stats.mgl.failed, 0);
   EXPECT_TRUE(checkLegality(design, segments).legal());

@@ -247,8 +247,6 @@ GuardExitCode cmdLegalize(const Flags& flags) {
     config.guard.faults = FaultPlan::fromSeed(
         static_cast<std::uint64_t>(flags.integer("--fault-seed", 0)));
   }
-  // setThreads must precede --n0: it only parallelizes the MCF while the
-  // coupling term is still off (same semantics as the old inline block).
   const int threads = static_cast<int>(flags.integer("--threads", 1));
   config.setThreads(threads);
   if (flags.has("--no-maxdisp")) config.runMaxDisp = false;
