@@ -1,8 +1,6 @@
 #include "eval/metrics.hpp"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -79,33 +77,27 @@ double hpwlIncreaseRatio(const Design& design) {
   return (after - before) / before;
 }
 
-std::uint64_t placementHash(const Design& design) {
-  constexpr std::uint64_t kPrime = 1099511628211ULL;  // FNV prime
-  // kPrime^k mod 2^64. XOR-ing a zero byte leaves the state as it is, so
-  // the k high zero bytes of a value fold into one multiply by kPrime^k:
-  // the same FNV-1a over all 8 bytes, at a third of the multiplies for the
-  // small coordinates of a placement (this runs once per serve request).
-  static constexpr std::array<std::uint64_t, 9> kPrimePower = [] {
-    std::array<std::uint64_t, 9> power{};
-    power[0] = 1;
-    for (std::size_t k = 1; k < power.size(); ++k) {
-      power[k] = power[k - 1] * kPrime;
-    }
-    return power;
-  }();
-  std::uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  auto mix = [&h](std::uint64_t v) {
-    const int bytes = (std::bit_width(v) + 7) / 8;
-    for (int byte = 0; byte < bytes; ++byte) {
-      h ^= (v >> (8 * byte)) & 0xFF;
-      h *= kPrime;
-    }
-    h *= kPrimePower[static_cast<std::size_t>(8 - bytes)];
+std::uint64_t cellPlacementHash(CellId c, bool placed, std::int64_t x,
+                                std::int64_t y) {
+  // SplitMix64's output step (Steele, Lea and Flood, 2014): add the golden
+  // gamma, then the variant-13 finalizer.
+  const auto splitmix64 = [](std::uint64_t z) {
+    z += 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
   };
-  for (const auto& cell : design.cells) {
-    mix(cell.placed ? 1 : 0);
-    mix(static_cast<std::uint64_t>(cell.x));
-    mix(static_cast<std::uint64_t>(cell.y));
+  std::uint64_t m =
+      splitmix64(2 * static_cast<std::uint64_t>(c) + (placed ? 1 : 0));
+  m = splitmix64(m ^ static_cast<std::uint64_t>(x));
+  return splitmix64(m ^ static_cast<std::uint64_t>(y));
+}
+
+std::uint64_t placementHash(const Design& design) {
+  std::uint64_t h = 0;
+  for (CellId c = 0; c < design.numCells(); ++c) {
+    const Cell& cell = design.cells[c];
+    h += cellPlacementHash(c, cell.placed, cell.x, cell.y);
   }
   return h;
 }

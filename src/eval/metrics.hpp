@@ -33,9 +33,17 @@ double netHpwl(const Design& design, const Net& net, bool useGp);
 /// (the S_hpwl term of Eq. 10); 0 when the design has no nets.
 double hpwlIncreaseRatio(const Design& design);
 
-/// FNV-1a hash of every cell's (placed, x, y) in cell-id order. Two designs
-/// hash equal iff their placements are byte-identical, which is how the
-/// perf-regression harness proves optimizations are quality-neutral.
+/// One cell's term of placementHash(): s(s(s(2·c + placed) ^ x) ^ y), with
+/// s the SplitMix64 output step (z += 0x9e3779b97f4a7c15, then the
+/// variant-13 finalizer) and x, y as 64-bit two's complement.
+std::uint64_t cellPlacementHash(CellId c, bool placed, std::int64_t x,
+                                std::int64_t y);
+
+/// The sum, mod 2^64, of cellPlacementHash over every cell's (id, placed,
+/// x, y). Two designs hash equal iff their placements are byte-identical
+/// (up to collisions), which is how the perf-regression harness proves
+/// optimizations are quality-neutral; being a sum, it can be kept up to
+/// date one cell at a time.
 std::uint64_t placementHash(const Design& design);
 
 }  // namespace mclg

@@ -221,18 +221,18 @@ TEST(Baselines, PlacementHashesPinned) {
     return s;
   };
   const BaselinePin pins[] = {
-      {"tetris", legalizeTetris, 0, 0, 0x2159ef2009168d2bull},
-      {"abacus", legalizeAbacusMulti, 0, 0, 0xbacac59322ab97daull},
-      {"ordered-mcf", legalizeOrderedMcf, 0, 0, 0x2233aa978bedbc3aull},
-      {"tetris", legalizeTetris, 1, 1, 0x17914b71b04c7b8dull},
-      {"abacus", legalizeAbacusMulti, 1, 0, 0xa0e9cc692267b0aeull},
-      {"ordered-mcf", legalizeOrderedMcf, 1, 0, 0xa2b4db872ed522e5ull},
-      {"tetris", legalizeTetris, 2, 7, 0x073cb700affafab0ull},
-      {"abacus", legalizeAbacusMulti, 2, 0, 0xfe697577f8fb4e23ull},
-      {"ordered-mcf", legalizeOrderedMcf, 2, 0, 0x63371bb9881f4e53ull},
-      {"tetris", legalizeTetris, 3, 26, 0xa266ed77086422bbull},
-      {"abacus", legalizeAbacusMulti, 3, 5, 0xa0a678fc7face8baull},
-      {"ordered-mcf", legalizeOrderedMcf, 3, 5, 0xfc63aa2672455105ull},
+      {"tetris", legalizeTetris, 0, 0, 0x62b87187cae4cdf6ull},
+      {"abacus", legalizeAbacusMulti, 0, 0, 0x28c18c859d5a2eb3ull},
+      {"ordered-mcf", legalizeOrderedMcf, 0, 0, 0x6d7916112fd31a48ull},
+      {"tetris", legalizeTetris, 1, 1, 0x6d8f3fd01c391007ull},
+      {"abacus", legalizeAbacusMulti, 1, 0, 0x124b29f90788aaa1ull},
+      {"ordered-mcf", legalizeOrderedMcf, 1, 0, 0xfc5abc079809a4d9ull},
+      {"tetris", legalizeTetris, 2, 7, 0xd7a5998943533597ull},
+      {"abacus", legalizeAbacusMulti, 2, 0, 0xd20d6ffb834ae37full},
+      {"ordered-mcf", legalizeOrderedMcf, 2, 0, 0xc3046c08683ecbd5ull},
+      {"tetris", legalizeTetris, 3, 26, 0xf1c62095a88d7023ull},
+      {"abacus", legalizeAbacusMulti, 3, 5, 0x2c31c6e1e67d9238ull},
+      {"ordered-mcf", legalizeOrderedMcf, 3, 5, 0x2864d05ca7e2eaedull},
   };
   for (const BaselinePin& pin : pins) {
     Design design = generate(spec(pin.design));

@@ -61,7 +61,7 @@ TEST(EcoRequestPins, ServeStreamHashesArePinned) {
   ServeResponse loaded;
   auto session = ServeSession::load(load, ServeSessionConfig{}, &loaded);
   ASSERT_NE(nullptr, session) << loaded.error;
-  EXPECT_EQ(0xeb5b25213f0959e7ULL, loaded.hash);
+  EXPECT_EQ(0xb1b84ca4e74cfa59ULL, loaded.hash);
 
   QueryRequest query;
   query.tenant = "pin";
@@ -106,10 +106,10 @@ TEST(EcoRequestPins, ServeStreamHashesArePinned) {
     if (k % 40 == 0) checkpoints.push_back(delta.hash);
   }
   const std::vector<std::uint64_t> expected = {
-      0x9840db00dbc15486ULL, 0xc8ab6b2e87ba526fULL, 0x45f8e7abebaf4858ULL,
-      0xbd8d7e412e91a028ULL, 0x8b266acccbb6ced4ULL, 0x3f4928f949a188daULL};
+      0x92a260a06ff9acc6ULL, 0x2cd79c5005a49348ULL, 0xb6e7883669617e86ULL,
+      0x135cbc39da6083d8ULL, 0xf14f50bce592783eULL, 0x435f6bf3cc8e4128ULL};
   EXPECT_EQ(expected, checkpoints);
-  EXPECT_EQ(0x34b41852318ef1d3ULL, digest);
+  EXPECT_EQ(0xc3b73a16dd2acc04ULL, digest);
 }
 
 /// A legal placement of `design` with one soft edge-spacing violation
@@ -184,8 +184,8 @@ TEST(EcoRequestPins, SoftSpacingViolationHashesArePinned) {
     hashes.push_back(placementHash(edited));
   }
   const std::vector<std::uint64_t> expected = {
-      0x0b0b62c2e4f1c3a8ULL, 0xe98f5aa973e7bef1ULL, 0x8c82f7b0e1ca06fcULL,
-      0xd371ea4726e9dd89ULL};
+      0x6ebfd11b9ece3e98ULL, 0x5b36c9fd273ac9beULL, 0x57223250d812cfdbULL,
+      0x79d14c13717ce698ULL};
   EXPECT_EQ(expected, hashes);
 }
 

@@ -251,12 +251,12 @@ TEST(PerfEquivalence, MglPlacementHashPinned) {
   // window row snapshots, the third before push reach replaced the
   // simulation of failing commits; any placement change anywhere in the
   // pipeline shows up here.
-  EXPECT_EQ(guardedContestHash(0.90), 2985868059451056406ULL);
-  EXPECT_EQ(guardedContestHash(0.55), 16341701802783861652ULL);
+  EXPECT_EQ(guardedContestHash(0.90), 2244291635090637093ULL);
+  EXPECT_EQ(guardedContestHash(0.55), 1077124465835093258ULL);
   // Dense and rich in 3- and 4-row cells, where chains cross rows most
   // (43 cells need the fallback).
   EXPECT_EQ(guardedContestHash(0.95, {500, 80, 60, 40}),
-            15095610209893768910ULL);
+            3753715117544866824ULL);
   expectFailedCommitLeavesPlacementUntouched();
 }
 

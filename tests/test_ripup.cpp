@@ -146,18 +146,18 @@ struct RipupPin {
 
 TEST(Ripup, PlacementHashesPinnedAcrossPassCounts) {
   const RipupPin pins[] = {
-      {0.75, 134, 2, 0x7942fdb24962536cull},
-      {0.75, 134, 4, 0xafd3c936221ab59full},
-      {0.75, 134, 8, 0xafd3c936221ab59full},
-      {0.75, 1, 2, 0x3327df93421e50deull},
-      {0.75, 1, 4, 0x90c6923318302507ull},
-      {0.75, 1, 8, 0x90c6923318302507ull},
-      {0.90, 134, 2, 0x8d6db0a174b03099ull},
-      {0.90, 134, 4, 0xc797491df8903c58ull},
-      {0.90, 134, 8, 0xc797491df8903c58ull},
-      {0.90, 1, 2, 0x2e14dc70ffaf9a13ull},
-      {0.90, 1, 4, 0x2e14dc70ffaf9a13ull},
-      {0.90, 1, 8, 0x2e14dc70ffaf9a13ull},
+      {0.75, 134, 2, 0xedba32a0576012b2ull},
+      {0.75, 134, 4, 0x489ab09d61401012ull},
+      {0.75, 134, 8, 0x489ab09d61401012ull},
+      {0.75, 1, 2, 0x2f90f554e8262f3cull},
+      {0.75, 1, 4, 0x232a076bb06e6e74ull},
+      {0.75, 1, 8, 0x232a076bb06e6e74ull},
+      {0.90, 134, 2, 0x7ce4656481883a5eull},
+      {0.90, 134, 4, 0xad1452b2a11ba8e1ull},
+      {0.90, 134, 8, 0xad1452b2a11ba8e1ull},
+      {0.90, 1, 2, 0xc06d52da2553098dull},
+      {0.90, 1, 4, 0xc06d52da2553098dull},
+      {0.90, 1, 8, 0xc06d52da2553098dull},
   };
   for (const RipupPin& pin : pins) {
     GenSpec spec;
