@@ -4,21 +4,27 @@
 #include <cmath>
 #include <limits>
 
+#include "eval/block_sum.hpp"
+#include "obs/obs.hpp"
+
 namespace mclg {
 
-DisplacementStats displacementStats(const Design& design) {
-  DisplacementStats stats;
-  const auto perHeight = design.cellsPerHeight();
-  const int maxHeight = design.maxCellHeight();
-  std::vector<double> sumPerHeight(perHeight.size(), 0.0);
-  for (CellId c = 0; c < design.numCells(); ++c) {
-    const auto& cell = design.cells[c];
-    if (cell.fixed || !cell.placed) continue;
-    const double disp = design.displacement(c);
-    stats.maximum = std::max(stats.maximum, disp);
-    stats.totalSites += disp / design.siteWidthFactor;
-    sumPerHeight[static_cast<std::size_t>(design.heightOf(c))] += disp;
+namespace {
+
+/// One from-scratch pass over the design's cells or nets for a score sum.
+void countSumScan() {
+  if (obs::metricsEnabled()) {
+    static obs::Counter& scans = obs::counter("eval.sum_scans");
+    scans.add();
   }
+}
+
+}  // namespace
+
+double averageDisplacement(const Design& design,
+                           std::span<const double> sumPerHeight) {
+  const auto& perHeight = design.cellsPerHeight();
+  const int maxHeight = design.maxCellHeight();
   double avg = 0.0;
   for (int h = 1; h <= maxHeight; ++h) {
     if (perHeight[static_cast<std::size_t>(h)] > 0) {
@@ -26,7 +32,27 @@ DisplacementStats displacementStats(const Design& design) {
              perHeight[static_cast<std::size_t>(h)];
     }
   }
-  stats.average = avg / maxHeight;
+  return avg / maxHeight;
+}
+
+DisplacementStats displacementStats(const Design& design) {
+  countSumScan();
+  DisplacementStats stats;
+  std::vector<BlockSum> perHeight(design.cellsPerHeight().size());
+  BlockSum sites;
+  for (CellId c = 0; c < design.numCells(); ++c) {
+    const auto& cell = design.cells[c];
+    if (cell.fixed || !cell.placed) continue;
+    const double disp = design.displacement(c);
+    const auto id = static_cast<std::size_t>(c);
+    stats.maximum = std::max(stats.maximum, disp);
+    sites.add(id, disp / design.siteWidthFactor);
+    perHeight[static_cast<std::size_t>(design.heightOf(c))].add(id, disp);
+  }
+  std::vector<double> sumPerHeight;
+  for (const BlockSum& sum : perHeight) sumPerHeight.push_back(sum.total());
+  stats.average = averageDisplacement(design, sumPerHeight);
+  stats.totalSites = sites.total();
   return stats;
 }
 
@@ -62,12 +88,14 @@ double netHpwl(const Design& design, const Net& net, bool useGp) {
 }
 
 double hpwl(const Design& design, bool useGp) {
-  double total = 0.0;
-  for (const auto& net : design.nets) {
+  countSumScan();
+  BlockSum total;
+  for (std::size_t n = 0; n < design.nets.size(); ++n) {
+    const Net& net = design.nets[n];
     if (net.conns.size() < 2) continue;
-    total += netHpwl(design, net, useGp);
+    total.add(n, netHpwl(design, net, useGp));
   }
-  return total;
+  return total.total();
 }
 
 double hpwlIncreaseRatio(const Design& design) {
@@ -94,6 +122,10 @@ std::uint64_t cellPlacementHash(CellId c, bool placed, std::int64_t x,
 }
 
 std::uint64_t placementHash(const Design& design) {
+  if (obs::metricsEnabled()) {
+    static obs::Counter& scans = obs::counter("eval.hash_scans");
+    scans.add();
+  }
   std::uint64_t h = 0;
   for (CellId c = 0; c < design.numCells(); ++c) {
     const Cell& cell = design.cells[c];

@@ -2,6 +2,9 @@
 // the contest score).
 #pragma once
 
+#include <cstdint>
+#include <span>
+
 #include "db/design.hpp"
 
 namespace mclg {
@@ -16,17 +19,25 @@ struct DisplacementStats {
   double totalSites = 0.0;
 };
 
-/// Displacement of all movable placed cells from their GP positions.
+/// Displacement of all movable placed cells from their GP positions. The
+/// per-height sums and totalSites add in the fixed block order of
+/// eval/block_sum.hpp over cell ids.
 DisplacementStats displacementStats(const Design& design);
 
+/// Eq. 2 from the per-height displacement sums (indexed by height, at least
+/// maxCellHeight() + 1 of them), combined as displacementStats() does.
+double averageDisplacement(const Design& design,
+                           std::span<const double> sumPerHeight);
+
 /// Half-perimeter wirelength over all nets, in site units, using the current
-/// legal positions (GP positions when useGp).
+/// legal positions (GP positions when useGp): netHpwl() of the nets with two
+/// or more pins, added in the fixed block order of eval/block_sum.hpp over
+/// net ids.
 double hpwl(const Design& design, bool useGp);
 
-/// One net's term of hpwl(): its half-perimeter in site units. hpwl() sums
-/// this over the nets with two or more pins, in net order, so a caller that
-/// caches the per-net terms and re-sums them the same way gets the same
-/// double bit for bit.
+/// One net's term of hpwl(): its half-perimeter in site units. A caller
+/// that keeps the per-net terms in a KeptSum (zero for nets with fewer than
+/// two pins) gets the same double as hpwl(), bit for bit.
 double netHpwl(const Design& design, const Net& net, bool useGp);
 
 /// HPWL increase ratio of the legal placement over the GP placement

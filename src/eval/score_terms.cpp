@@ -34,10 +34,31 @@ ScoreTerms::ScoreTerms(const PlacementState& state, const SegmentMap& segments)
 
   counted_.resize(numCells);
   pins_.resize(numCells);
+  disp_.assign(numCells, 0.0);
+  cellHash_.resize(numCells);
+  int maxHeight = 1;
+  for (const CellType& type : design.types) {
+    maxHeight = std::max(maxHeight, type.height);
+  }
+  dispByHeight_.resize(static_cast<std::size_t>(maxHeight) + 1);
+  heightSums_.resize(dispByHeight_.size());
   rowMark_.assign(numRows, 0);
-  for (CellId c = 0; c < design.numCells(); ++c) count(c, +1);
+  for (CellId c = 0; c < design.numCells(); ++c) {
+    count(c, +1);
+    const Cell& cell = design.cells[c];
+    cellHash_[static_cast<std::size_t>(c)] =
+        cellPlacementHash(c, cell.placed, cell.x, cell.y);
+    hash_ += cellHash_[static_cast<std::size_t>(c)];
+  }
   for (const std::int64_t y : rows_) rowMark_[static_cast<std::size_t>(y)] = 0;
   rows_.clear();
+  const std::size_t numBlocks = sumBlocks(numCells);
+  for (SumTree& tree : dispByHeight_) tree.resize(numBlocks);
+  dispSites_.resize(numBlocks);
+  dispMax_.resize(numBlocks);
+  for (std::size_t b = 0; b < numBlocks; ++b) sumBlock(b);
+  blockMark_.assign(numBlocks, 0);
+  blocks_.clear();
   edgeRow_.resize(numRows);
   for (std::int64_t y = 0; y < design.numRows; ++y) {
     edgeRow_[static_cast<std::size_t>(y)] = rowEdgeViolations(y);
@@ -45,16 +66,16 @@ ScoreTerms::ScoreTerms(const PlacementState& state, const SegmentMap& segments)
   }
 
   const auto numNets = design.nets.size();
-  gpNet_.assign(numNets, 0.0);
-  legalNet_.assign(numNets, 0.0);
+  gpNet_.resize(numNets);
+  legalNet_.resize(numNets);
   netMark_.assign(numNets, 0);
   netStart_.assign(numCells + 1, 0);
   std::vector<NetId> lastNet(numCells, -1);
   for (std::size_t n = 0; n < numNets; ++n) {
     const Net& net = design.nets[n];
     if (net.conns.size() >= 2) {
-      gpNet_[n] = netHpwl(design, net, /*useGp=*/true);
-      legalNet_[n] = netHpwl(design, net, /*useGp=*/false);
+      gpNet_.set(n, netHpwl(design, net, /*useGp=*/true));
+      legalNet_.set(n, netHpwl(design, net, /*useGp=*/false));
     }
     for (const Net::Conn& conn : net.conns) {
       NetId& last = lastNet[static_cast<std::size_t>(conn.cell)];
@@ -63,6 +84,8 @@ ScoreTerms::ScoreTerms(const PlacementState& state, const SegmentMap& segments)
       ++netStart_[static_cast<std::size_t>(conn.cell) + 1];
     }
   }
+  gpNet_.update();
+  legalNet_.update();
   for (std::size_t c = 0; c < numCells; ++c) netStart_[c + 1] += netStart_[c];
   netIds_.resize(netStart_[numCells]);
   std::vector<std::size_t> fill(netStart_.begin(), netStart_.end() - 1);
@@ -93,6 +116,36 @@ void ScoreTerms::markRows(std::int64_t y, int h) {
   }
 }
 
+void ScoreTerms::markBlock(CellId c) {
+  const std::size_t block = static_cast<std::size_t>(c) / kSumBlock;
+  if (block >= blockMark_.size()) blockMark_.resize(block + 1, 0);
+  if (blockMark_[block] == 0) {
+    blockMark_[block] = 1;
+    blocks_.push_back(block);
+  }
+}
+
+void ScoreTerms::sumBlock(std::size_t block) {
+  // displacementStats() adds the same values in the same order.
+  const double siteWidthFactor = state_->design().siteWidthFactor;
+  std::fill(heightSums_.begin(), heightSums_.end(), 0.0);
+  double sites = 0.0;
+  double maximum = 0.0;
+  const std::size_t end = std::min(counted_.size(), (block + 1) * kSumBlock);
+  for (std::size_t c = block * kSumBlock; c < end; ++c) {
+    if (!counted_[c].placed) continue;
+    const double disp = disp_[c];
+    heightSums_[static_cast<std::size_t>(counted_[c].h)] += disp;
+    sites += disp / siteWidthFactor;
+    maximum = std::max(maximum, disp);
+  }
+  for (std::size_t h = 0; h < dispByHeight_.size(); ++h) {
+    dispByHeight_[h].set(block, heightSums_[h]);
+  }
+  dispSites_.set(block, sites);
+  dispMax_.set(block, maximum);
+}
+
 void ScoreTerms::count(CellId c, int sign) {
   Counted& counted = counted_[static_cast<std::size_t>(c)];
   PinViolationReport& pins = pins_[static_cast<std::size_t>(c)];
@@ -103,6 +156,8 @@ void ScoreTerms::count(CellId c, int sign) {
     pinTotal_.access -= pins.access;
     counted = {};
     pins = {};
+    disp_[static_cast<std::size_t>(c)] = 0.0;
+    markBlock(c);
     return;
   }
   const Design& design = state_->design();
@@ -110,6 +165,8 @@ void ScoreTerms::count(CellId c, int sign) {
   if (cell.fixed || !cell.placed) return;
   counted = {cell.y, design.heightOf(c), true};
   markRows(counted.y, counted.h);
+  disp_[static_cast<std::size_t>(c)] = design.displacement(c);
+  markBlock(c);
   pins = pinViolationsAt(design, cell.type, cell.x, cell.y);
   pinTotal_.shorts += pins.shorts;
   pinTotal_.access += pins.access;
@@ -139,12 +196,21 @@ void ScoreTerms::refresh(const std::vector<CellId>& cells) {
   if (counted_.size() < numCells) {
     counted_.resize(numCells);
     pins_.resize(numCells);
+    disp_.resize(numCells, 0.0);
+    cellHash_.resize(numCells, 0);
   }
   for (const CellId c : cells) {
     const auto c1 = static_cast<std::size_t>(c);
-    if (c1 < counted_.size()) count(c, -1);
+    if (c1 < counted_.size()) {
+      count(c, -1);
+      hash_ -= cellHash_[c1];
+      cellHash_[c1] = 0;
+    }
     if (c1 >= numCells) continue;
     count(c, +1);
+    const Cell& cell = design.cells[c];
+    cellHash_[c1] = cellPlacementHash(c, cell.placed, cell.x, cell.y);
+    hash_ += cellHash_[c1];
     for (const NetId n : netsOf(c)) {
       char& mark = netMark_[static_cast<std::size_t>(n)];
       if (mark == 0) {
@@ -156,9 +222,12 @@ void ScoreTerms::refresh(const std::vector<CellId>& cells) {
   // Cells dropped from the design stop contributing.
   for (std::size_t c = numCells; c < counted_.size(); ++c) {
     count(static_cast<CellId>(c), -1);
+    hash_ -= cellHash_[c];
   }
   counted_.resize(numCells);
   pins_.resize(numCells);
+  disp_.resize(numCells);
+  cellHash_.resize(numCells);
 
   for (const std::int64_t y : rows_) {
     int& row = edgeRow_[static_cast<std::size_t>(y)];
@@ -168,33 +237,42 @@ void ScoreTerms::refresh(const std::vector<CellId>& cells) {
     rowMark_[static_cast<std::size_t>(y)] = 0;
   }
   rows_.clear();
+  const std::size_t numBlocks = sumBlocks(numCells);
+  for (SumTree& tree : dispByHeight_) tree.resize(numBlocks);
+  dispSites_.resize(numBlocks);
+  dispMax_.resize(numBlocks);
+  for (const std::size_t block : blocks_) {
+    if (block < numBlocks) sumBlock(block);
+    blockMark_[block] = 0;
+  }
+  blocks_.clear();
   for (const NetId n : nets_) {
     const Net& net = design.nets[static_cast<std::size_t>(n)];
     if (net.conns.size() >= 2) {
-      gpNet_[static_cast<std::size_t>(n)] = netHpwl(design, net, true);
-      legalNet_[static_cast<std::size_t>(n)] = netHpwl(design, net, false);
+      gpNet_.set(static_cast<std::size_t>(n), netHpwl(design, net, true));
+      legalNet_.set(static_cast<std::size_t>(n), netHpwl(design, net, false));
     }
     netMark_[static_cast<std::size_t>(n)] = 0;
   }
   nets_.clear();
+  gpNet_.update();
+  legalNet_.update();
 }
 
 ScoreBreakdown ScoreTerms::evaluate(const std::vector<CellId>* changed,
                                     std::span<const CellId> audited) const {
   const Design& design = state_->design();
   ScoreBreakdown out;
-  out.displacement = displacementStats(design);
-  // hpwlIncreaseRatio(): both sums in net order over the nets with two or
-  // more pins, as hpwl() adds them — in one pass, each sum in its own order.
-  double before = 0.0;
-  double after = 0.0;
-  for (std::size_t n = 0; n < design.nets.size(); ++n) {
-    if (design.nets[n].conns.size() >= 2) {
-      before += gpNet_[n];
-      after += legalNet_[n];
-    }
+  std::vector<double> sumPerHeight;
+  for (const SumTree& tree : dispByHeight_) {
+    sumPerHeight.push_back(tree.total());
   }
-  if (before > 0.0) out.hpwlRatio = (after - before) / before;
+  out.displacement.average = averageDisplacement(design, sumPerHeight);
+  out.displacement.maximum = dispMax_.total();
+  out.displacement.totalSites = dispSites_.total();
+  // hpwlIncreaseRatio() of the kept sums.
+  const double before = gpNet_.total();
+  if (before > 0.0) out.hpwlRatio = (legalNet_.total() - before) / before;
   out.pins = pinTotal_;
   out.edgeSpacing = edgeTotal_;
   const bool legal =

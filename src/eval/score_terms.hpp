@@ -1,27 +1,31 @@
 // Resident, incrementally maintained terms of the Eq. 10 score (score.hpp)
-// for a placement that changes a few cells at a time — the serve session's
-// per-request score.
+// and of placementHash() for a placement that changes a few cells at a
+// time — the serve session's per-request score and hash.
 //
 // evaluateScore() walks the whole design: pin violations per cell, edge
-// spacing per row, HPWL per net, legality per cell and row. ScoreTerms
-// keeps each of those as integer counters (pin shorts/access per cell,
-// edge-spacing violations per row) or per-net doubles (HPWL at the legal
-// and at the GP position), and refresh() re-derives only what a set of
-// changed cells can affect. evaluate() then combines them exactly as
-// evaluateScore() does: the per-net HPWL terms are re-summed in net order,
-// so the ratio matches hpwlIncreaseRatio() to the bit; displacementStats()
-// is cheap and already exact, so it is simply called; legality comes from
-// an audit of the changed cells (cellsLegal) — or from the ECO driver's own
-// audit when that covered them — falling back to the full checkLegality()
-// whenever the audit finds anything.
+// spacing per row, HPWL per net, displacement per cell, legality per cell
+// and row. ScoreTerms keeps each of those as integer counters (pin
+// shorts/access per cell, edge-spacing violations per row), per-net doubles
+// (HPWL at the legal and at the GP position) and per-cell displacements,
+// and refresh() re-derives only what a set of changed cells can affect.
+// The displacement and HPWL sums are kept in the block order of
+// eval/block_sum.hpp, which displacementStats() and hpwl() use too, so
+// evaluate() equals evaluateScore() field by field, bit for bit, without a
+// pass over the design; the maximum displacement is kept in a max tree.
+// The placement hash is kept the same way: a sum of per-cell terms.
+// Legality comes from an audit of the changed cells (cellsLegal) — or from
+// the ECO driver's own audit when that covered them — falling back to the
+// full checkLegality() whenever the audit finds anything.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
+#include "eval/block_sum.hpp"
 #include "eval/checkers.hpp"
 #include "eval/score.hpp"
 
@@ -37,7 +41,8 @@ class ScoreTerms {
   /// Re-derive the terms of `cells` after their placement, GP target or
   /// type changed, or after they were added; ids at or beyond the design's
   /// cell count are cells that were dropped. O(Δ): the cells' pin counters,
-  /// the rows they left or entered, and their nets.
+  /// hash terms and displacement blocks, the rows they left or entered, and
+  /// their nets' blocks.
   void refresh(const std::vector<CellId>& cells);
 
   /// The score of the current placement, equal field by field to
@@ -52,6 +57,10 @@ class ScoreTerms {
   ScoreBreakdown evaluate(const std::vector<CellId>* changed = nullptr,
                           std::span<const CellId> audited = {}) const;
 
+  /// placementHash() of the current placement, kept: no pass over the
+  /// design. \pre refresh() has seen every change.
+  std::uint64_t hash() const { return hash_; }
+
   /// Nets referencing cell c, ascending (empty for cells added after
   /// construction — no net references them).
   std::span<const NetId> netsOf(CellId c) const;
@@ -65,7 +74,10 @@ class ScoreTerms {
 
   void count(CellId c, int sign);
   void markRows(std::int64_t y, int h);
+  void markBlock(CellId c);
   int rowEdgeViolations(std::int64_t y);
+  /// Re-add the displacement sums and maximum of one block of cells.
+  void sumBlock(std::size_t block);
 
   const PlacementState* state_;
   const SegmentMap* segments_;
@@ -79,15 +91,27 @@ class ScoreTerms {
   std::vector<std::vector<RowCellEntry>> fixedRows_;
   std::vector<int> edgeRow_;
   int edgeTotal_ = 0;
-  // Per net: its hpwl() terms at GP and at the legal positions.
-  std::vector<double> gpNet_, legalNet_;
+  // Per cell: its placementHash() term; their sum.
+  std::vector<std::uint64_t> cellHash_;
+  std::uint64_t hash_ = 0;
+  // Per cell: its displacement (0 unless counted). Per block of cells: the
+  // displacement sums by height and in sites, and the maximum.
+  std::vector<double> disp_;
+  std::vector<SumTree> dispByHeight_;
+  SumTree dispSites_;
+  MaxTree dispMax_;
+  // Per net: its hpwl() terms at GP and at the legal positions (zero for a
+  // net with fewer than two pins), with their sums.
+  KeptSum gpNet_, legalNet_;
   // Cell -> nets index (CSR over the cells present at construction).
   std::vector<std::size_t> netStart_;
   std::vector<NetId> netIds_;
-  // refresh() scratch: dirty-row / dirty-net marks and lists.
-  std::vector<char> rowMark_, netMark_;
+  // refresh() scratch: dirty-row / dirty-net / dirty-block marks and lists.
+  std::vector<char> rowMark_, netMark_, blockMark_;
   std::vector<std::int64_t> rows_;
   std::vector<NetId> nets_;
+  std::vector<std::size_t> blocks_;
+  std::vector<double> heightSums_;
   std::vector<RowCellEntry> merged_;
 };
 

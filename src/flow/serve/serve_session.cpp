@@ -6,7 +6,6 @@
 
 #include "db/placement_state.hpp"
 #include "db/segment_map.hpp"
-#include "eval/metrics.hpp"
 #include "eval/report.hpp"
 #include "eval/score.hpp"
 #include "legal/eco/eco_driver.hpp"
@@ -105,7 +104,7 @@ std::unique_ptr<ServeSession> ServeSession::load(
       obs::renderRunReport(provenanceFor(session->current_, session->preset_,
                                          session->threads_, session->config_),
                            stats, &score, /*includeMetrics=*/false);
-  session->exposed_.hash = placementHash(session->current_);
+  session->exposed_.hash = session->terms_->hash();
   session->committed_ = session->exposed_;
 
   response->hash = session->exposed_.hash;
@@ -314,7 +313,7 @@ ServeResponse ServeSession::applyDelta(const EcoDeltaRequest& request,
       obs::renderRunReport(provenanceFor(current_, preset_, threads_, config_),
                            ecoPipelineStats(eco), &score,
                            /*includeMetrics=*/false, &eco);
-  exposed_.hash = placementHash(current_);
+  exposed_.hash = terms_->hash();
   response.hash = exposed_.hash;
   response.score = score.score;
   response.cells = current_.numCells();

@@ -350,15 +350,10 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
     stats.matchedCellsMoved =
         optimizeMaxDisplacementFocused(state, matchConfig, focus).cellsMoved;
   }
-  state.setListener(outerListener);
-  // Every cell the incremental stages placed or moved, ascending.
+  // Every cell the incremental stages placed or moved, ascending. The
+  // tracker stays attached through stage 3, whose moves the audit needs.
   const std::vector<CellId> marked = touchedFocus();
   stats.spilledCells = static_cast<int>(marked.size() - replaced.size());
-
-  // The audit re-checks every cell this run placed or moved; stage 3 adds
-  // the subsets it solves.
-  std::vector<CellId> audited;
-  if (seed.cleanCellsLegal) audited = marked;
 
   // 4. Stage 3 per dirty constraint component, one cold solve each (the
   // header says why a second would not help). maxDispWeight couples all
@@ -417,9 +412,6 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
             : nullptr;
     for (const auto& subset : subsets) {
       ++stats.dirtySegments;
-      if (seed.cleanCellsLegal) {
-        audited.insert(audited.end(), subset.begin(), subset.end());
-      }
       stats.mcfCellsMoved +=
           optimizeFixedRowOrderSubset(state, segments, froConfig, subset,
                                       forbidden)
@@ -431,10 +423,12 @@ EcoStats ecoRelegalize(PlacementState& state, const SegmentMap& segments,
 
   // 5. Audit: any hard violation degrades to the full pipeline. With a
   // seed that vouches for its clean cells, the cells this run placed or
-  // moved are the only ones that can be illegal; only when one of them is
-  // does the whole-design check decide.
-  std::sort(audited.begin(), audited.end());
-  audited.erase(std::unique(audited.begin(), audited.end()), audited.end());
+  // moved — stage 3 included — are the only ones that can be illegal: a
+  // cell none of them touched keeps its legal spot and can only overlap a
+  // moved cell, which cellsLegal checks against both row neighbours. Only
+  // when one of them is illegal does the whole-design check decide.
+  std::vector<CellId> audited = touchedFocus();
+  state.setListener(outerListener);
   if (seed.cleanCellsLegal && cellsLegal(state, segments, audited)) {
     stats.auditedLegal = std::move(audited);
   } else {

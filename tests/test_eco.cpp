@@ -416,6 +416,98 @@ TEST(Eco, DeltaTrackerTouchedMatchesFlagScan) {
   }
 }
 
+/// The kept cells of c's stage-3 subset: every cell of its rows within
+/// kEcoChainHalo chain positions of it, ascending — what stage 5 used to
+/// audit for a marked cell.
+std::vector<CellId> keptAround(const PlacementState& state, CellId c) {
+  const Design& design = state.design();
+  const Cell& cell = design.cells[c];
+  std::vector<CellId> kept;
+  for (std::int64_t y = cell.y; y < cell.y + design.heightOf(c); ++y) {
+    std::vector<CellId> row;
+    for (const auto& entry : state.rowCells(y)) row.push_back(entry.second);
+    const auto j = std::find(row.begin(), row.end(), c) - row.begin();
+    const auto last = static_cast<std::ptrdiff_t>(row.size()) - 1;
+    for (auto t = std::max<std::ptrdiff_t>(0, j - kEcoChainHalo);
+         t <= std::min(last, j + kEcoChainHalo); ++t) {
+      kept.push_back(row[static_cast<std::size_t>(t)]);
+    }
+  }
+  std::sort(kept.begin(), kept.end());
+  kept.erase(std::unique(kept.begin(), kept.end()), kept.end());
+  return kept;
+}
+
+// Stage 5 audits the cells the run placed or moved, stage 3 included, not
+// every kept cell of each stage-3 subset. A cell nothing moved keeps its
+// legal spot and can only turn illegal by overlapping a moved cell, which
+// cellsLegal checks from the moved cell's side against both neighbours in
+// each of its rows. So with one cell shifted onto an unmoved kept
+// neighbour — right or left, in any row of a multi-row cell — or just
+// next to it, auditing the moved cell alone gives the kept subset's
+// verdict, and both agree with checkLegality.
+TEST(EcoAudit, MovedCellsGiveTheKeptSubsetVerdict) {
+  Design design = legalSnapshot(44);
+  SegmentMap segments(design);
+  PlacementState state(design);
+  int overlaps = 0;
+  int multiRowOverlaps = 0;
+  int clean = 0;
+  for (CellId c = 0; c < design.numCells(); ++c) {
+    const Cell& cell = design.cells[c];
+    if (cell.fixed || !cell.placed) continue;
+    const std::int64_t x0 = cell.x;
+    const int w = design.widthOf(c);
+    const int h = design.heightOf(c);
+    // The nearest neighbour edges over the cell's rows.
+    std::int64_t leftEdge = 0;
+    std::int64_t rightEdge = design.numSitesX;
+    for (std::int64_t y = cell.y; y < cell.y + h; ++y) {
+      const auto& row = state.rowCells(y);
+      const auto it = row.find(x0);
+      if (it != row.begin()) {
+        const auto prev = std::prev(it);
+        leftEdge =
+            std::max(leftEdge, prev->first + design.widthOf(prev->second));
+      }
+      if (std::next(it) != row.end()) {
+        rightEdge = std::min(rightEdge, std::next(it)->first);
+      }
+    }
+    for (const std::int64_t target :
+         {rightEdge - w + 1, leftEdge - 1, rightEdge - w, leftEdge}) {
+      if (target == x0 || target < 0 || target + w > design.numSitesX) {
+        continue;
+      }
+      // The occupancy index holds one cell per x in a row.
+      bool taken = false;
+      for (std::int64_t y = cell.y; y < cell.y + h; ++y) {
+        taken = taken || state.rowCells(y).find(target) !=
+                             state.rowCells(y).end();
+      }
+      if (taken) continue;
+      state.shiftX(c, target);
+      const bool movedVerdict = cellsLegal(state, segments, {c});
+      EXPECT_EQ(cellsLegal(state, segments, keptAround(state, c)),
+                movedVerdict)
+          << "cell " << c << " at x " << target;
+      const LegalityReport full = checkLegality(design, segments);
+      EXPECT_EQ(full.legal(), movedVerdict) << "cell " << c << " at x "
+                                            << target;
+      if (full.overlaps > 0) {
+        ++overlaps;
+        if (h > 1) ++multiRowOverlaps;
+      } else if (full.legal()) {
+        ++clean;
+      }
+      state.shiftX(c, x0);
+    }
+  }
+  EXPECT_GT(overlaps, 100);
+  EXPECT_GT(multiRowOverlaps, 5);
+  EXPECT_GT(clean, 100);
+}
+
 TEST(Eco, DeltaTrackerClassifiesBurst) {
   const Design snapshot = legalSnapshot(908);
   const Design edited =
