@@ -131,8 +131,6 @@ class KeptSum {
     values_[id] = value;
     mark(id / kSumBlock);
   }
-  double value(std::size_t id) const { return values_[id]; }
-  std::size_t size() const { return values_.size(); }
 
   void update() {
     for (const std::size_t b : dirty_) {

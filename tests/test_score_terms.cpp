@@ -85,23 +85,19 @@ TEST(BlockSumOrder, KeptSumMatchesFromScratchAtTwoCapacities) {
   for (int step = 0; step < 3000; ++step) {
     const auto action = rng() % 10;
     if (action == 0 || values.empty()) {
-      const std::size_t n = values.size() + rng() % (3 * kSumBlock) + 1;
-      values.resize(n, 0.0);
+      values.resize(values.size() + rng() % (3 * kSumBlock) + 1, 0.0);
+      kept.resize(values.size());
+      wide.resize(values.size());
       ++grows;
     } else if (action == 1) {
       values.resize(rng() % values.size());
+      kept.resize(values.size());
+      wide.resize(values.size());
       ++truncations;
     } else {
       for (auto sets = rng() % 8 + 1; sets-- > 0;) {
-        values[rng() % values.size()] = randomValue(rng);
-      }
-    }
-    if (kept.size() != values.size()) {
-      kept.resize(values.size());
-      wide.resize(values.size());
-    }
-    for (std::size_t id = 0; id < values.size(); ++id) {
-      if (bits(kept.value(id)) != bits(values[id])) {
+        const std::size_t id = rng() % values.size();
+        values[id] = randomValue(rng);
         kept.set(id, values[id]);
         wide.set(id, values[id]);
       }
